@@ -57,6 +57,9 @@ using index::RTree3;
 constexpr std::size_t kReaders = 8;
 constexpr std::size_t kBoxesPerObject = 15;
 constexpr std::size_t kObjectsPerCycle = 4;
+// A bounded memory pool selects the in-place tree regime; this budget is
+// far larger than any tree here, so nothing is ever evicted.
+constexpr std::size_t kInPlacePoolPages = std::size_t{1} << 16;
 
 Box3 RandomBox(util::Rng& rng, double space, double extent) {
   const double x = rng.Uniform(0.0, space);
@@ -117,7 +120,7 @@ TreeThroughput MeasureTree(ReadMode mode, std::size_t objects,
                            double seconds) {
   const bool lock_free = mode == ReadMode::kLockFree;
   RTree3::Options options;
-  options.concurrent_reads = lock_free;
+  if (!lock_free) options.storage.pool_pages = kInPlacePoolPages;
   RTree3 tree(options);
 
   util::Rng rng(404);
@@ -225,7 +228,7 @@ TreeThroughput MeasureTree(ReadMode mode, std::size_t objects,
 bool TreesAnswerIdentically(std::size_t objects) {
   RTree3 resident;
   RTree3::Options legacy_options;
-  legacy_options.concurrent_reads = false;
+  legacy_options.storage.pool_pages = kInPlacePoolPages;
   RTree3 legacy(legacy_options);
 
   util::Rng rng(406);

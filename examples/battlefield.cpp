@@ -104,6 +104,6 @@ int main() {
   }
 
   std::printf("\nradio messages for 6 aircraft over 60 minutes: %llu\n",
-              static_cast<unsigned long long>(db.log().total_updates()));
+              static_cast<unsigned long long>(db.total_updates()));
   return 0;
 }

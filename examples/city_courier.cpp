@@ -117,7 +117,7 @@ int main() {
 
   std::printf("\nshift over: %llu updates total, %zu forced by route "
               "changes along planned paths\n",
-              static_cast<unsigned long long>(db.log().total_updates()),
+              static_cast<unsigned long long>(db.total_updates()),
               route_changes);
   return 0;
 }

@@ -83,7 +83,7 @@ int main() {
               "%zu MAY be\n",
               range.must.size(), range.may.size());
   std::printf("      (update messages received so far: %llu)\n",
-              static_cast<unsigned long long>(db.log().total_updates()));
+              static_cast<unsigned long long>(db.total_updates()));
 
   // 6. A base station hands over a whole window of reports at once.
   //    ApplyUpdateBatch runs the same staged write path as ApplyUpdate —

@@ -98,7 +98,7 @@ int main() {
     if (static_cast<int>(t) % 5 == 0) {
       const modb::db::RangeAnswer nearby = db.QueryRange(one_mile_disc, t);
       std::printf("%6.0f %10llu %8zu %8zu %10zu\n", t,
-                  static_cast<unsigned long long>(db.log().total_updates()),
+                  static_cast<unsigned long long>(db.total_updates()),
                   nearby.must.size(), nearby.may.size(),
                   nearby.candidates_examined);
       // Dispatch the first guaranteed-close cab, if any.
@@ -116,7 +116,7 @@ int main() {
   }
 
   const double traditional = kNumCabs * kSimMinutes;  // one report/min/cab
-  const double actual = static_cast<double>(db.log().total_updates());
+  const double actual = static_cast<double>(db.total_updates());
   std::printf("\nwireless messages: %.0f (traditional per-minute reporting "
               "would use %.0f -> %.0f%% saved)\n",
               actual, traditional, 100.0 * (1.0 - actual / traditional));

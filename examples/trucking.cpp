@@ -108,7 +108,7 @@ FleetRun RunFleet(double update_cost, bool print_assistance) {
 
   FleetRun run;
   run.update_cost = update_cost;
-  run.messages = db.log().total_updates();
+  run.messages = db.total_updates();
   run.avg_bound = bound_samples > 0
                       ? bound_sum / static_cast<double>(bound_samples)
                       : 0.0;

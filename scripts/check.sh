@@ -29,8 +29,9 @@ cmake --preset default
 cmake --build --preset default -j "$jobs"
 ctest --preset default -j "$jobs"
 
-# Experiment smoke checks — one "<label>|<binary>" entry per bench; keep
-# the list in sync with the jobs in .github/workflows/ci.yml.
+# Experiment smoke checks on the default build — one "<label>|<binary>"
+# entry per bench. CI's default job relies on this list for its smokes; the
+# asan/tsan jobs in .github/workflows/ci.yml smoke their own builds.
 smoke_benches=(
   "E16 staged batch ingest|exp_update_throughput"
   "E17 continuous-query matching|exp_continuous_query"

@@ -110,8 +110,7 @@ struct GroupTrackingOptions {
   /// Minimum members (leader included) to form or keep a group.
   std::size_t min_group_size = 3;
   /// Width of the coarse speed band in the detection cell key
-  /// (route, direction, floor(speed / speed_band_width)) — the ready-made
-  /// clustering key the velocity-partitioned bands motivate.
+  /// (route, direction, floor(speed / speed_band_width)).
   double speed_band_width = 0.25;
   /// Extra time the envelope window extends past the newest member's
   /// horizon, so in-cohesion member updates need no window refresh.

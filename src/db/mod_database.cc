@@ -10,7 +10,6 @@
 #include "db/wal.h"
 #include "index/linear_scan_index.h"
 #include "index/timespace_index.h"
-#include "index/velocity_partitioned_index.h"
 
 namespace modb::db {
 
@@ -28,17 +27,6 @@ std::unique_ptr<index::ObjectIndex> MakeIndex(
     }
     case IndexKind::kLinearScan:
       return std::make_unique<index::LinearScanIndex>(network);
-    case IndexKind::kVelocityPartitioned: {
-      index::VelocityPartitionedIndex::Options idx;
-      idx.oplane.horizon = options.oplane_horizon;
-      idx.oplane.slab_width = options.oplane_slab_width;
-      idx.num_bands = options.velocity_bands;
-      idx.band_bounds = options.velocity_band_bounds;
-      idx.min_slab_width = options.velocity_min_slab_width;
-      idx.pool = options.index_pool;
-      idx.rtree.storage = options.index_storage;
-      return std::make_unique<index::VelocityPartitionedIndex>(network, idx);
-    }
   }
   return nullptr;
 }
@@ -72,8 +60,7 @@ ModDatabase::ModDatabase(const geo::RouteNetwork* network,
       index_(MakeIndex(network, options)),
       group_tracker_(std::make_unique<GroupTracker>(
           network, EffectiveGroupOptions(options, *index_),
-          BaseOPlane(options))),
-      log_(options.max_log_history) {}
+          BaseOPlane(options))) {}
 
 void ModDatabase::SetMetrics(util::MetricsRegistry* registry,
                              const std::string& prefix) {
@@ -589,9 +576,7 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     }
     NotifyDeltas(stream);
   }
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    if (accepted[i]) log_.Append(updates[i]);
-  }
+  total_updates_ += num_accepted;
   if (updates_applied_ != nullptr) updates_applied_->Increment(num_accepted);
   result.applied = num_accepted;
   return result;

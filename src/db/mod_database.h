@@ -2,6 +2,7 @@
 #define MODB_DB_MOD_DATABASE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -16,14 +17,12 @@
 #include "db/group_tracker.h"
 #include "db/moving_object.h"
 #include "db/query.h"
-#include "db/update_log.h"
 #include "geo/polygon.h"
 #include "geo/route_network.h"
 #include "index/object_index.h"
 #include "storage/storage_manager.h"
 #include "util/metrics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace modb::db {
 
@@ -56,45 +55,28 @@ struct UpdateBatchResult {
 
 /// Which access method backs range queries.
 enum class IndexKind {
-  kTimeSpaceRTree,        // the paper's §4 method
-  kLinearScan,            // baseline
-  kVelocityPartitioned,   // speed-banded R*-trees (see index/velocity_...)
+  kTimeSpaceRTree,  // the paper's §4 method
+  kLinearScan,      // baseline
 };
 
 /// Moving-objects database options.
 struct ModDatabaseOptions {
   IndexKind index_kind = IndexKind::kTimeSpaceRTree;
   /// O-plane horizon (time span T of §4.2) and slab width for the R*-tree
-  /// indexes; ignored by the linear scan. For the velocity-partitioned
-  /// index the slab width applies to the slowest band.
+  /// index; ignored by the linear scan.
   double oplane_horizon = 120.0;
   double oplane_slab_width = 4.0;
-  /// Velocity partitioning (kVelocityPartitioned only): number of speed
-  /// bands, optional explicit ascending band speed bounds (empty = derive
-  /// from fleet speed quantiles; this is what snapshots persist so a
-  /// restore bands identically to the live store), and the narrowest slab
-  /// fast bands may shrink to.
-  std::size_t velocity_bands = 3;
-  std::vector<double> velocity_band_bounds;
-  double velocity_min_slab_width = 0.5;
-  /// Optional pool the velocity-partitioned index fans band probes out on
-  /// (non-owning, must outlive the database; not persisted). nullptr
-  /// probes bands serially.
-  util::ThreadPool* index_pool = nullptr;
   /// Page storage backing the range index's R*-tree nodes (ignored by the
   /// linear scan). Defaults to unbounded in-memory pages — identical
   /// behavior and performance to the pre-paged index. Set `kind = kDisk`
   /// with a `path` and a `pool_pages` budget to bound index memory: nodes
   /// then live in a page file behind a clock-eviction buffer pool, and
   /// `FlushIndexStorage` commits them (the durability manager does this
-  /// before each snapshot). The velocity-partitioned index derives one
-  /// page file per band from `path` (".band<b>" suffix); the sharded
-  /// layer adds a ".shard<i>" suffix per shard. Not persisted in
-  /// snapshots — storage placement is a deployment concern, so a restored
-  /// database uses whatever config its options carry (default: memory).
+  /// before each snapshot). The sharded layer adds a ".shard<i>" suffix
+  /// per shard. Not persisted in snapshots — storage placement is a
+  /// deployment concern, so a restored database uses whatever config its
+  /// options carry (default: memory).
   storage::StorageConfig index_storage;
-  /// Cap on the update-log history retained for replay (0 = unlimited).
-  std::size_t max_log_history = 0;
   /// Keep superseded attribute versions per object so position queries at
   /// past times are answered from the motion model that was valid then
   /// (valid-time == transaction-time, paper §2). Off by default: fleets
@@ -275,8 +257,7 @@ class ModDatabase {
   /// call; reuses the latency-histogram machinery with its "µs" unit
   /// reading as a record count, like `wal.group_commit_batch`), plus
   /// whatever the index registers under `<prefix>index.` — e.g.
-  /// `remove_miss` or the velocity-partitioned per-band gauges) and starts
-  /// updating them;
+  /// `remove_miss`) and starts updating them;
   /// nullptr detaches. The registry must outlive the database. Several
   /// databases given the same registry and prefix share the instruments —
   /// that is how the sharded layer aggregates across shards. Counter
@@ -341,7 +322,9 @@ class ModDatabase {
       const std::function<void(const MovingObjectRecord&)>& fn) const;
 
   std::size_t num_objects() const { return records_.size(); }
-  const UpdateLog& log() const { return log_; }
+  /// Position updates accepted since construction (not persisted; a
+  /// restored store counts from 0).
+  std::uint64_t total_updates() const { return total_updates_; }
   const index::ObjectIndex& object_index() const { return *index_; }
   const geo::RouteNetwork& network() const { return *network_; }
   const ModDatabaseOptions& options() const { return options_; }
@@ -407,7 +390,7 @@ class ModDatabase {
   std::shared_ptr<index::ObjectIndex> index_;
   mutable std::mutex index_mu_;
   std::unique_ptr<GroupTracker> group_tracker_;  // never null
-  UpdateLog log_;
+  std::uint64_t total_updates_ = 0;
   WalWriter* wal_ = nullptr;  // non-owning, see AttachWal
   // Delta-stream fan-out (all non-owning, see AttachDeltaConsumer).
   std::vector<DeltaConsumer*> consumers_;

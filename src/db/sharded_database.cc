@@ -94,14 +94,6 @@ ShardedModDatabase::ShardedModDatabase(const geo::RouteNetwork* network,
       pool_(ResolveQueryThreads(
           options_, std::max<std::size_t>(options_.num_shards, 1))) {
   const std::size_t num_shards = std::max<std::size_t>(options_.num_shards, 1);
-  // The velocity-partitioned index fans band probes out on a pool; give
-  // the per-shard indexes this layer's pool unless the caller supplied
-  // one. ParallelFor is caller-participating, so a shard query already
-  // running on a pool worker nests safely.
-  if (options_.db.index_kind == IndexKind::kVelocityPartitioned &&
-      options_.db.index_pool == nullptr) {
-    options_.db.index_pool = &pool_;
-  }
   supervisor_ = std::make_unique<ShardSupervisor>(num_shards,
                                                   options_.supervisor,
                                                   &metrics_);

@@ -317,7 +317,7 @@ class ShardedModDatabase {
 
   const geo::RouteNetwork* network_;
   // Retained for remediation: rebuilding a shard needs the same db/
-  // durability options the constructor used (index_pool already resolved).
+  // durability options the constructor used.
   ShardedModDatabaseOptions options_;
   util::MetricsRegistry metrics_;
   util::Status durability_status_;
@@ -330,8 +330,8 @@ class ShardedModDatabase {
   // queries are logically const but need to schedule work.
   mutable util::ThreadPool pool_;
   // Declared after pool_ and shards_: destroyed first, which joins the
-  // remediation thread while the shards it may be recovering (and the pool
-  // its swapped-in indexes may use) are still alive.
+  // remediation thread while the shards it may be recovering are still
+  // alive.
   std::unique_ptr<ShardSupervisor> supervisor_;
 
   // Cached instrument handles (owned by metrics_).

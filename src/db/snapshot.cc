@@ -10,23 +10,27 @@
 #include <sstream>
 #include <vector>
 
-#include "index/velocity_partitioned_index.h"
-
 namespace modb::db {
 
 namespace {
 
-// v5 appended the group-tracking configuration to the options line and a
-// `groups` section (convoy membership + shared motion models — persisted
-// so a restored store re-collapses its convoys instead of re-detecting
-// them from scratch); older versions default tracking off and no groups.
-// v4 appended the velocity-partitioned index configuration (band count and
-// the band speed bounds — persisted so a restored store bands its fleet
-// identically to the live one) and allows index_kind 2. v3 appended
+// v6 dropped `max_log_history` and the velocity-partitioned index fields
+// from the options line and allows only index kinds 0 and 1. v5 appended
+// the group-tracking configuration to the options line and a `groups`
+// section (convoy membership + shared motion models — persisted so a
+// restored store re-collapses its convoys instead of re-detecting them
+// from scratch); older versions default tracking off and no groups. v4
+// appended the velocity-partitioned index configuration (band count and
+// band speed bounds) and allowed index_kind 2. v3 appended
 // `max_trajectory_versions`; v2 snapshots (which lacked the field,
 // silently dropping the cap on restore) are still readable and default it
-// to 0 (unlimited). v2/v3 default the velocity fields.
-constexpr int kSnapshotVersion = 5;
+// to 0 (unlimited).
+//
+// Reading v2–v5: `max_log_history` is discarded. The v4/v5 velocity fields
+// are still bounds-checked, then discarded, and index_kind 2 loads as the
+// time-space R*-tree — the index is derived state, rebuilt on restore, so
+// a banded store's old checkpoints answer identically from one tree.
+constexpr int kSnapshotVersion = 6;
 constexpr int kMinReadableSnapshotVersion = 2;
 
 void WriteAttribute(std::ostream& out, const core::PositionAttribute& a) {
@@ -102,25 +106,10 @@ util::Status WriteSnapshot(const ModDatabase& db, std::ostream& out) {
   out << "modb-snapshot " << kSnapshotVersion << '\n';
 
   const ModDatabaseOptions& options = db.options();
-  // Persist the *live* band bounds when the velocity-partitioned index has
-  // derived them from fleet quantiles, so the restored store reproduces
-  // the exact same banding instead of re-deriving from whatever the fleet
-  // looks like then.
-  std::vector<double> band_bounds = options.velocity_band_bounds;
-  if (options.index_kind == IndexKind::kVelocityPartitioned) {
-    if (const auto* vp = dynamic_cast<const index::VelocityPartitionedIndex*>(
-            &db.object_index());
-        vp != nullptr && !vp->band_bounds().empty()) {
-      band_bounds = vp->band_bounds();
-    }
-  }
   out << "options " << static_cast<int>(options.index_kind) << ' '
       << options.oplane_horizon << ' ' << options.oplane_slab_width << ' '
-      << options.max_log_history << ' '
       << (options.keep_trajectory ? 1 : 0) << ' '
-      << options.max_trajectory_versions << ' '
-      << options.velocity_bands << ' ' << band_bounds.size();
-  for (double bound : band_bounds) out << ' ' << bound;
+      << options.max_trajectory_versions;
   const GroupTrackingOptions& group = options.group_tracking;
   out << ' ' << (group.enabled ? 1 : 0) << ' ' << group.cohesion_window << ' '
       << group.join_window << ' ' << group.min_group_size << ' '
@@ -205,22 +194,29 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
   int keep_trajectory = 0;
   ModDatabaseOptions options;
   if (!(in >> index_kind >> options.oplane_horizon >>
-        options.oplane_slab_width >> options.max_log_history >>
-        keep_trajectory)) {
+        options.oplane_slab_width)) {
     return malformed("options fields");
   }
+  if (version <= 5) {
+    std::size_t max_log_history = 0;  // retired update-log cap, discarded
+    if (!(in >> max_log_history)) return malformed("options fields");
+  }
+  if (!(in >> keep_trajectory)) return malformed("options fields");
   if (version >= 3 && !(in >> options.max_trajectory_versions)) {
     return malformed("options fields");
   }
-  if (version >= 4) {
+  if (version == 4 || version == 5) {
+    // Velocity-partitioned index configuration: validated so a corrupt
+    // file is still rejected, then discarded.
+    std::size_t velocity_bands = 0;
     std::size_t num_bounds = 0;
-    if (!(in >> options.velocity_bands >> num_bounds)) {
+    if (!(in >> velocity_bands >> num_bounds)) {
       return malformed("options fields");
     }
     if (num_bounds > 1024) return malformed("band bound count");
-    options.velocity_band_bounds.resize(num_bounds);
     double prev = -std::numeric_limits<double>::infinity();
-    for (double& bound : options.velocity_band_bounds) {
+    for (std::size_t i = 0; i < num_bounds; ++i) {
+      double bound = 0.0;
       if (!(in >> bound) || !std::isfinite(bound) || bound < prev) {
         return malformed("band bounds");
       }
@@ -238,12 +234,13 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
     group.enabled = group_enabled != 0;
   }
   // An out-of-range kind would leave the database without an index (the
-  // factory switch has no such case) — reject it here instead. Pre-v4
-  // snapshots can only name the two original kinds.
-  const int max_kind = version >= 4
-                           ? static_cast<int>(IndexKind::kVelocityPartitioned)
-                           : static_cast<int>(IndexKind::kLinearScan);
-  if (index_kind < 0 || index_kind > max_kind) {
+  // factory switch has no such case) — reject it here instead. Only v4/v5
+  // may name kind 2 (velocity-partitioned), which loads as the R*-tree.
+  if ((version == 4 || version == 5) && index_kind == 2) {
+    index_kind = static_cast<int>(IndexKind::kTimeSpaceRTree);
+  }
+  if (index_kind < 0 ||
+      index_kind > static_cast<int>(IndexKind::kLinearScan)) {
     return malformed("index kind");
   }
   options.index_kind = static_cast<IndexKind>(index_kind);
@@ -315,7 +312,7 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
       }
     }
     (void)insert_time;   // Insert() re-derives it from the attribute.
-    (void)update_count;  // the log is not persisted; counters restart
+    (void)update_count;  // restored records count updates from 0
   }
   if (version >= 5) {
     // Groups restore *before* FinishBulkIngest so the bulk rebuild's

@@ -21,8 +21,8 @@ struct LoadedSnapshot {
 
 /// Writes the full database state — options, every route of the network,
 /// and every moving object's position attribute — to `out` in a versioned
-/// line-oriented text format. The update log is not persisted (it is a
-/// measurement instrument, not state).
+/// line-oriented text format. Update counters restart from 0 on load
+/// (they are measurement instruments, not state).
 util::Status WriteSnapshot(const ModDatabase& db, std::ostream& out);
 
 /// `WriteSnapshot` to a file path.

@@ -10,7 +10,7 @@ DatabaseStats ComputeStatistics(const ModDatabase& db, core::Time now) {
   DatabaseStats stats;
   stats.as_of = now;
   stats.num_objects = db.num_objects();
-  stats.total_updates = db.log().total_updates();
+  stats.total_updates = db.total_updates();
 
   db.ForEachRecord([&stats, now](const MovingObjectRecord& record) {
     const core::PositionAttribute& attr = record.attr;

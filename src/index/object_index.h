@@ -25,8 +25,8 @@ namespace modb::index {
 /// from `supports_group_envelopes()`; the database never sends them
 /// otherwise):
 ///  - `hidden`: install `attr` as the object's motion model for the
-///    index's *per-object state* (velocity-band membership, the attribute
-///    consulted by `WouldMatchWindow`) but store **no tree boxes** for it.
+///    index's *per-object state* (the attribute consulted by
+///    `WouldMatchWindow`) but store **no tree boxes** for it.
 ///    The object is covered by its group's envelope entry instead; hidden
 ///    upserts are the group layer's saving — they touch no tree nodes.
 ///  - `boxes`: explicit 3-D cover overriding the boxes the index would
@@ -86,9 +86,9 @@ class ObjectIndex {
   /// once per batch (the database dedups to the final attribute before
   /// calling). Implementations should validate every row first so a
   /// failure (unknown route) leaves the index unchanged, and may group the
-  /// per-tree/per-band work so a batch costs less than the equivalent
-  /// `Upsert`/`Remove` loop — all three in-tree indexes do both. The
-  /// default is the plain loop, which stops at the first error with the
+  /// per-tree work so a batch costs less than the equivalent
+  /// `Upsert`/`Remove` loop — both in-tree indexes do both. The default is
+  /// the plain loop, which stops at the first error with the
   /// deltas before it applied; the database pre-validates every attribute,
   /// so with an in-tree index a mid-batch failure is an internal-invariant
   /// breach, not a reachable state.
@@ -115,10 +115,9 @@ class ObjectIndex {
   /// Registers this index's instruments in `registry` under `prefix`
   /// (nullptr detaches). The registry must outlive the index. Default
   /// no-op; implementations document what they register (e.g. the
-  /// time-space index's `<prefix>remove_miss`, the velocity-partitioned
-  /// index's per-band gauges). Gauge updates use signed deltas, so several
-  /// indexes sharing one registry and prefix (the sharded layer) aggregate
-  /// as sums.
+  /// time-space index's `<prefix>remove_miss`). Gauge updates use signed
+  /// deltas, so several indexes sharing one registry and prefix (the
+  /// sharded layer) aggregate as sums.
   virtual void SetMetrics(util::MetricsRegistry* registry,
                           const std::string& prefix) {
     (void)registry;
@@ -169,7 +168,7 @@ class ObjectIndex {
   /// shard's reader lock. Writers always keep external mutual exclusion.
   virtual bool lock_free_probes() const { return false; }
 
-  /// Implementation name for reports ("rtree", "scan", "vp-rtree").
+  /// Implementation name for reports ("rtree", "scan").
   virtual std::string_view name() const = 0;
 
   /// Number of objects currently indexed.

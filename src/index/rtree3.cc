@@ -256,8 +256,7 @@ RTree3::RTree3(Options options)
   }
   // Resident mode requires storage that can neither evict nor fail: node
   // addresses must stay stable for the lifetime of a reader epoch.
-  resident_ = options_.concurrent_reads &&
-              options_.storage.kind == storage::StorageKind::kMemory &&
+  resident_ = options_.storage.kind == storage::StorageKind::kMemory &&
               options_.storage.pool_pages == 0 && healthy();
   if (resident_) epochs_ = std::make_unique<epoch::EpochManager>();
   if (healthy()) {

@@ -49,12 +49,11 @@ namespace modb::index {
 /// not the index.
 ///
 /// Concurrent reads — two regimes:
-///   - Resident mode (in-memory backend, unbounded pool, and
-///     `Options::concurrent_reads`, all defaults): `Search` /
-///     `SearchValues` are lock-free and safe *concurrently with a writer*.
-///     Mutations are copy-on-write — a writer path-copies every node it
-///     changes into fresh pages, publishes the new root atomically, and
-///     retires the replaced pages behind an epoch-based grace period
+///   - Resident mode (in-memory backend and unbounded pool, the defaults):
+///     `Search` / `SearchValues` are lock-free and safe *concurrently with
+///     a writer*. Mutations are copy-on-write — a writer path-copies every
+///     node it changes into fresh pages, publishes the new root atomically,
+///     and retires the replaced pages behind an epoch-based grace period
 ///     (`epoch::EpochManager`), so readers always traverse an immutable
 ///     snapshot. Writers still need external mutual exclusion among
 ///     themselves. `BeginWriteBatch` / `EndWriteBatch` defer publication so
@@ -85,13 +84,10 @@ class RTree3 {
     /// Minimum entries per node after a split / before condensing.
     /// Must satisfy 2 <= min_entries <= max_entries / 2.
     std::size_t min_entries = 6;
-    /// Page store for the nodes. Default: in-memory, unbounded pool.
+    /// Page store for the nodes. Default: in-memory, unbounded pool, which
+    /// selects resident mode (see the class comment); any other storage
+    /// selects paged mode.
     storage::StorageConfig storage;
-    /// Enable the copy-on-write / epoch read scheme when the storage
-    /// permits it (in-memory backend, unbounded pool). Turn off for trees
-    /// that are never queried concurrently with writers (the velocity
-    /// bands do) to keep the historical in-place mutation cost.
-    bool concurrent_reads = true;
   };
 
   using Value = std::uint64_t;
@@ -189,7 +185,7 @@ class RTree3 {
   /// Registers per-tree I/O and split instruments under `prefix`
   /// (`<prefix>splits`, `<prefix>pages.hits|misses|evictions|writebacks|
   /// reads|writes`, gauge `<prefix>pages.frames`). Several trees may share
-  /// a prefix (the velocity bands do): counters aggregate by delta.
+  /// a prefix: counters aggregate by delta.
   void SetMetrics(util::MetricsRegistry* registry, const std::string& prefix);
 
   storage::BufferPoolStats pool_stats() const { return pool_->stats(); }

@@ -78,13 +78,12 @@ enum class StorageKind {
 };
 
 /// Deployment-time description of an index's page store. This is plumbed
-/// (not persisted — like `ModDatabaseOptions::index_pool`, it describes the
-/// process, not the data) from the database options down to each R*-tree.
+/// (not persisted — it describes the process, not the data) from the
+/// database options down to each R*-tree.
 struct StorageConfig {
   StorageKind kind = StorageKind::kMemory;
-  /// Page file path (disk only). The velocity-partitioned index suffixes
-  /// `.band<i>` per band; the database layers place it under their own
-  /// directories.
+  /// Page file path (disk only). The database layers place it under their
+  /// own directories.
   std::string path;
   /// Physical page size in bytes (disk only; >= 512). Payload capacity is
   /// `page_size - kPageHeaderSize`.

@@ -1,5 +1,6 @@
 #include "util/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -51,9 +52,11 @@ double LatencyHistogram::ApproxQuantileMicros(double q) const {
   if (snapshot.count() == 0) return 0.0;
   // Bucket i spans [2^(i-1), 2^i) µs; the snapshot's log2-domain quantile
   // lands on a bucket midpoint i + 0.5, so 2^(x - 1) recovers the bucket's
-  // geometric center scale. Bucket 0 (< 1 µs) maps below 1.
+  // geometric center scale. Bucket 0 (< 1 µs) maps below 1. That center
+  // can lie above every sample in the bucket (one 1000 ns sample would
+  // report ~1.41 µs), so clamp to the observed maximum.
   const double x = snapshot.ApproxQuantile(q);
-  return std::exp2(x - 1.0);
+  return std::min(std::exp2(x - 1.0), max_micros());
 }
 
 void LatencyHistogram::Reset() {

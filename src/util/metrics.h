@@ -31,7 +31,7 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Point-in-time level (objects in a band, entries in a tree, queue
+/// Point-in-time level (entries in a tree, frames in a pool, queue
 /// depth). Unlike `Counter` it is signed and may go down. `Add` with a
 /// signed delta is the aggregation-friendly update: several databases
 /// sharing one gauge (the sharded layer) each apply their own deltas and
@@ -77,7 +77,8 @@ class LatencyHistogram {
   }
 
   /// Approximate `q`-quantile in microseconds (bucket-midpoint precision in
-  /// the log2 domain, i.e. within ~1.4x of the true value). 0 when empty.
+  /// the log2 domain, i.e. within ~1.4x of the true value), never above
+  /// `max_micros()`. 0 when empty.
   double ApproxQuantileMicros(double q) const;
 
   /// Snapshot of the bucket counts as an equal-width histogram over

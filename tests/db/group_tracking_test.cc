@@ -322,19 +322,6 @@ TEST_F(GroupTrackingTest, BatchSizeInvariantWithGroups) {
   }
 }
 
-TEST_F(GroupTrackingTest, VelocityPartitionedIndexAnswersIdentically) {
-  ModDatabaseOptions off_options = Options(false);
-  off_options.index_kind = IndexKind::kVelocityPartitioned;
-  ModDatabaseOptions on_options = Options(true);
-  on_options.index_kind = IndexKind::kVelocityPartitioned;
-  ModDatabase off(&network_, off_options);
-  ModDatabase on(&network_, on_options);
-  RunConvoyFleet(&off);
-  RunConvoyFleet(&on);
-  ASSERT_GT(on.group_tracker().num_groups(), 0u);
-  EXPECT_EQ(AnswerSignature(on), AnswerSignature(off));
-}
-
 TEST_F(GroupTrackingTest, SnapshotRoundTripRestoresGroups) {
   ModDatabase db(&network_, Options(true));
   RunConvoyFleet(&db);

@@ -158,10 +158,13 @@ TEST_F(ModDatabaseTest, UpdatesAreLogged) {
   ASSERT_TRUE(db.Insert(1, "cab", Attr(10.0, 1.0)).ok());
   ASSERT_TRUE(db.ApplyUpdate(Update(1, 5.0, 15.0, 1.0)).ok());
   ASSERT_TRUE(db.ApplyUpdate(Update(1, 9.0, 19.0, 1.1)).ok());
-  EXPECT_EQ(db.log().total_updates(), 2u);
-  EXPECT_EQ(db.log().updates_for(1), 2u);
-  ASSERT_EQ(db.log().history().size(), 2u);
-  EXPECT_DOUBLE_EQ(db.log().history()[1].speed, 1.1);
+  // A rejected update (unknown object) is not counted.
+  EXPECT_FALSE(db.ApplyUpdate(Update(2, 9.0, 19.0, 1.1)).ok());
+  EXPECT_EQ(db.total_updates(), 2u);
+  const auto rec = db.Get(1);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ((*rec)->update_count, 2u);
+  EXPECT_DOUBLE_EQ((*rec)->attr.speed, 1.1);
 }
 
 TEST_F(ModDatabaseTest, EraseRemovesObject) {
@@ -196,30 +199,21 @@ TEST_F(ModDatabaseTest, RangeQueryAgreesAcrossIndexKinds) {
   rtree_opts.index_kind = IndexKind::kTimeSpaceRTree;
   ModDatabaseOptions scan_opts;
   scan_opts.index_kind = IndexKind::kLinearScan;
-  ModDatabaseOptions banded_opts;
-  banded_opts.index_kind = IndexKind::kVelocityPartitioned;
-  banded_opts.velocity_band_bounds = {0.5, 1.0};
   ModDatabase rtree_db(&network_, rtree_opts);
   ModDatabase scan_db(&network_, scan_opts);
-  ModDatabase banded_db(&network_, banded_opts);
   for (core::ObjectId id = 0; id < 30; ++id) {
-    // Mixed speeds so the velocity bands all get members.
     const double speed = 0.2 + 0.04 * static_cast<double>(id);
     const auto attr = Attr(static_cast<double>(id) * 6.0, speed);
     ASSERT_TRUE(rtree_db.Insert(id, "", attr).ok());
     ASSERT_TRUE(scan_db.Insert(id, "", attr).ok());
-    ASSERT_TRUE(banded_db.Insert(id, "", attr).ok());
   }
   for (double t : {0.0, 5.0, 20.0, 60.0}) {
     const geo::Polygon region =
         geo::Polygon::Rectangle(30.0, -1.0, 90.0, 1.0);
     const RangeAnswer truth = scan_db.QueryRange(region, t);
     const RangeAnswer a = rtree_db.QueryRange(region, t);
-    const RangeAnswer c = banded_db.QueryRange(region, t);
     EXPECT_EQ(a.must, truth.must) << "t=" << t;
     EXPECT_EQ(a.may, truth.may) << "t=" << t;
-    EXPECT_EQ(c.must, truth.must) << "t=" << t;
-    EXPECT_EQ(c.may, truth.may) << "t=" << t;
   }
 }
 
@@ -243,10 +237,8 @@ TEST_F(ModDatabaseTest, MustSetIsAlwaysActuallyInside) {
 TEST_F(ModDatabaseTest, OptionsArePlumbedThrough) {
   ModDatabaseOptions options;
   options.index_kind = IndexKind::kLinearScan;
-  options.max_log_history = 4;
   ModDatabase db(&network_, options);
   EXPECT_EQ(db.object_index().name(), "scan");
-  EXPECT_EQ(db.options().max_log_history, 4u);
   EXPECT_EQ(&db.network(), &network_);
 }
 

@@ -189,39 +189,6 @@ TEST_F(PagedIndexDbTest, CheckpointFlushesIndexPagesFirst) {
             answer.must.end());
 }
 
-TEST_F(PagedIndexDbTest, VelocityPartitionedIndexSplitsPageFilePerBand) {
-  ModDatabaseOptions options = DiskOptions("banded.pages");
-  options.index_kind = IndexKind::kVelocityPartitioned;
-  options.velocity_band_bounds = {1.0, 2.0};
-  ModDatabase db(&network_, options);
-  util::Rng rng(17);
-  for (core::ObjectId id = 1; id <= 60; ++id) {
-    ASSERT_TRUE(db.Insert(id, "v" + std::to_string(id),
-                          Attr(main_, rng.Uniform(0.0, 99.0),
-                               rng.Uniform(0.2, 3.0)))
-                    .ok());
-  }
-  // One page file per speed band, derived from the configured path.
-  EXPECT_TRUE(fs::exists(dir_ / "banded.pages.band0"));
-  EXPECT_TRUE(fs::exists(dir_ / "banded.pages.band1"));
-  EXPECT_TRUE(fs::exists(dir_ / "banded.pages.band2"));
-
-  ModDatabaseOptions plain_options;
-  plain_options.index_kind = IndexKind::kVelocityPartitioned;
-  plain_options.velocity_band_bounds = {1.0, 2.0};
-  ModDatabase plain(&network_, plain_options);
-  util::Rng rng2(17);
-  for (core::ObjectId id = 1; id <= 60; ++id) {
-    ASSERT_TRUE(plain.Insert(id, "v" + std::to_string(id),
-                             Attr(main_, rng2.Uniform(0.0, 99.0),
-                                  rng2.Uniform(0.2, 3.0)))
-                    .ok());
-  }
-  ExpectSameAnswer(
-      plain.QueryRange(geo::Polygon::Rectangle(10.0, -2.0, 90.0, 2.0), 2.0),
-      db.QueryRange(geo::Polygon::Rectangle(10.0, -2.0, 90.0, 2.0), 2.0));
-}
-
 TEST_F(PagedIndexDbTest, ShardedDatabaseUsesOnePageFilePerShard) {
   ShardedModDatabaseOptions options;
   options.num_shards = 4;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -229,6 +230,10 @@ struct BadQueryCase {
   const char* name;
   const char* text;
 };
+
+// Without this gtest prints the two pointers' raw bytes, so the listed test
+// names would change from build to build.
+void PrintTo(const BadQueryCase& c, std::ostream* os) { *os << c.name; }
 
 class BadQueryTest : public testing::TestWithParam<BadQueryCase> {};
 

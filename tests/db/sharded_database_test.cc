@@ -132,33 +132,6 @@ TEST_F(ShardedDatabaseTest, RangeQueryMatchesSingleDatabase) {
   }
 }
 
-TEST_F(ShardedDatabaseTest, VelocityPartitionedShardsMatchSingleDatabase) {
-  // Velocity-banded shards: each shard's index fans its band probes out on
-  // the same pool the shard fan-out runs on (ParallelFor is caller-
-  // participating, so the nesting must not deadlock) — and the refined
-  // answers still match a single unsharded database.
-  ModDatabaseOptions banded;
-  banded.index_kind = IndexKind::kVelocityPartitioned;
-  banded.velocity_band_bounds = {0.5, 1.0};
-  ModDatabase single(&network_, banded);
-  ShardedModDatabaseOptions sharded_options = FourShards();
-  sharded_options.db = banded;
-  ShardedModDatabase sharded(&network_, sharded_options);
-  LoadIdenticalFleet(&single, &sharded, 60, 21);
-
-  util::Rng rng(22);
-  for (int q = 0; q < 25; ++q) {
-    const double x0 = rng.Uniform(0.0, 350.0);
-    const geo::Polygon region =
-        geo::Polygon::Rectangle(x0, -5.0, x0 + 40.0, 35.0);
-    const core::Time t = rng.Uniform(0.0, 40.0);
-    const RangeAnswer a = single.QueryRange(region, t);
-    const RangeAnswer b = sharded.QueryRange(region, t);
-    EXPECT_EQ(a.must, b.must) << "q=" << q;
-    EXPECT_EQ(a.may, b.may) << "q=" << q;
-  }
-}
-
 TEST_F(ShardedDatabaseTest, NearestQueryMatchesSingleDatabase) {
   ModDatabase single(&network_);
   ShardedModDatabase sharded(&network_, FourShards());

@@ -4,8 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
-
-#include "index/velocity_partitioned_index.h"
+#include <string>
 
 namespace modb::db {
 namespace {
@@ -45,7 +44,6 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   options.index_kind = IndexKind::kTimeSpaceRTree;
   options.oplane_horizon = 77.0;
   options.oplane_slab_width = 3.5;
-  options.max_log_history = 16;
   ModDatabase db(&network_, options);
   ASSERT_TRUE(db.Insert(1, "cab with spaces", Attr(main_, 10.5, 1.125)).ok());
   ASSERT_TRUE(db.Insert(42, "", Attr(bend_, 20.0, 0.875)).ok());
@@ -61,7 +59,6 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
   EXPECT_EQ(db2.options().index_kind, IndexKind::kTimeSpaceRTree);
   EXPECT_DOUBLE_EQ(db2.options().oplane_horizon, 77.0);
   EXPECT_DOUBLE_EQ(db2.options().oplane_slab_width, 3.5);
-  EXPECT_EQ(db2.options().max_log_history, 16u);
 
   // Network.
   ASSERT_EQ(loaded->network->size(), 2u);
@@ -195,16 +192,16 @@ TEST_F(SnapshotTest, ReadsVersion2SnapshotsWithoutCapField) {
   EXPECT_EQ(loaded->database->num_objects(), 1u);
 }
 
-TEST_F(SnapshotTest, WritesVersion5Header) {
+TEST_F(SnapshotTest, WritesVersion6Header) {
   ModDatabase db(&network_);
   std::stringstream stream;
   ASSERT_TRUE(WriteSnapshot(db, stream).ok());
-  EXPECT_EQ(stream.str().rfind("modb-snapshot 5\n", 0), 0u);
+  EXPECT_EQ(stream.str().rfind("modb-snapshot 6\noptions 0 120 4 0 0 0 ", 0),
+            0u);
 }
 
 TEST_F(SnapshotTest, ReadsVersion3SnapshotsWithoutVelocityFields) {
-  // A v3 snapshot (pre-velocity-partitioning) must still load, defaulting
-  // the velocity fields.
+  // A v3 snapshot (pre-velocity-partitioning) must still load.
   const std::string v3 =
       "modb-snapshot 3\n"
       "options 0 120 4 0 0 2\n"
@@ -216,7 +213,6 @@ TEST_F(SnapshotTest, ReadsVersion3SnapshotsWithoutVelocityFields) {
   const auto loaded = ReadSnapshot(stream);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->database->options().max_trajectory_versions, 2u);
-  EXPECT_TRUE(loaded->database->options().velocity_band_bounds.empty());
   EXPECT_EQ(loaded->database->num_objects(), 1u);
 }
 
@@ -234,51 +230,93 @@ TEST_F(SnapshotTest, PreV4SnapshotsRejectVelocityIndexKind) {
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
 }
 
-TEST_F(SnapshotTest, VelocityPartitionedRoundTripPreservesBanding) {
-  // The writer persists the *derived* band bounds, so the restored store
-  // bands identically to the live one (not a re-derivation from whatever
-  // the restored fleet's quantiles are).
-  ModDatabaseOptions options;
-  options.index_kind = IndexKind::kVelocityPartitioned;
-  options.velocity_bands = 3;
-  ModDatabase db(&network_, options);
-  std::vector<ModDatabase::BulkObject> fleet;
-  for (core::ObjectId id = 0; id < 30; ++id) {
-    ModDatabase::BulkObject o;
-    o.id = id;
-    o.attr = Attr(main_, static_cast<double>(id),
-                  0.1 + 0.05 * static_cast<double>(id));  // mixed speeds
-    fleet.push_back(o);
+// Hand-written fleet shared by the version-compatibility tests: one route,
+// six objects at mixed speeds. v5+ options lines end with group tracking
+// off at the default group parameters, and v5+ files end with an empty
+// groups section.
+constexpr char kLegacyRoutes[] =
+    "routes 1\n"
+    "route 0 2 0 0 100 0 7 main st\n";
+constexpr char kLegacyObjects[] =
+    "objects 6\n"
+    "object 1 1 a 0 0 5 5 0 1 0.2 0 5 1.5 0 1 1 0 0 0\n"
+    "object 2 1 b 0 0 20 20 0 1 0.6 0 5 1.5 0 1 1 0 0 0\n"
+    "object 3 1 c 0 0 35 35 0 1 1 0 5 1.5 0 1 1 0 0 0\n"
+    "object 4 1 d 0 0 50 50 0 -1 1.4 0 5 1.5 0 1 1 0 0 0\n"
+    "object 5 1 e 0 0 65 65 0 1 1.8 0 5 1.5 0 1 1 0 0 0\n"
+    "object 6 1 f 0 0 80 80 0 -1 0.4 0 5 1.5 0 1 1 0 0 0\n";
+constexpr char kGroupOptions[] = " 0 8 6 3 0.25 0 64\n";
+constexpr char kNoGroups[] = "groups 0 0\n";
+
+util::Result<LoadedSnapshot> ReadText(const std::string& text) {
+  std::stringstream stream(text);
+  return ReadSnapshot(stream);
+}
+
+TEST_F(SnapshotTest, Version5BandedStoreLoadsAsTimeSpaceRTree) {
+  // A v5 checkpoint of a velocity-partitioned store: index kind 2, three
+  // bands with two bounds, and the retired update-log cap (16).
+  // The index is derived state, so it loads as one time-space R*-tree and
+  // answers exactly like the same records written as v6.
+  const std::string v5 = std::string("modb-snapshot 5\n") +
+                         "options 2 120 4 16 0 0 3 2 0.5 1.5" + kGroupOptions +
+                         kLegacyRoutes + kLegacyObjects + kNoGroups;
+  const std::string v6 = std::string("modb-snapshot 6\n") +
+                         "options 0 120 4 0 0" + kGroupOptions +
+                         kLegacyRoutes + kLegacyObjects + kNoGroups;
+  const auto old_store = ReadText(v5);
+  ASSERT_TRUE(old_store.ok()) << old_store.status().ToString();
+  const auto new_store = ReadText(v6);
+  ASSERT_TRUE(new_store.ok()) << new_store.status().ToString();
+  const ModDatabase& a = *old_store->database;
+  const ModDatabase& b = *new_store->database;
+  EXPECT_EQ(a.options().index_kind, IndexKind::kTimeSpaceRTree);
+  EXPECT_EQ(a.object_index().name(), b.object_index().name());
+  ASSERT_EQ(a.num_objects(), 6u);
+
+  std::size_t must_total = 0;
+  std::size_t may_total = 0;
+  for (const double x0 : {0.0, 25.0, 45.0, 70.0}) {
+    const geo::Polygon region = geo::Polygon::Rectangle(x0, -1.0, x0 + 20.0,
+                                                        1.0);
+    for (const double t : {0.0, 5.0, 15.0}) {
+      const RangeAnswer ra = a.QueryRange(region, t);
+      const RangeAnswer rb = b.QueryRange(region, t);
+      EXPECT_EQ(ra.must, rb.must) << "x0=" << x0 << " t=" << t;
+      EXPECT_EQ(ra.may, rb.may) << "x0=" << x0 << " t=" << t;
+      must_total += ra.must.size();
+      may_total += ra.may.size();
+    }
+    const IntervalRangeAnswer ia = a.QueryRangeInterval(region, 2.0, 12.0);
+    const IntervalRangeAnswer ib = b.QueryRangeInterval(region, 2.0, 12.0);
+    EXPECT_EQ(ia.may, ib.may) << "x0=" << x0;
+    EXPECT_EQ(ia.must_at_some_time, ib.must_at_some_time) << "x0=" << x0;
   }
-  ASSERT_TRUE(db.BulkInsert(std::move(fleet)).ok());
-  const auto* vp = dynamic_cast<const index::VelocityPartitionedIndex*>(
-      &db.object_index());
-  ASSERT_NE(vp, nullptr);
-  ASSERT_TRUE(vp->banded());
-  const std::vector<double> live_bounds = vp->band_bounds();
+  // The probes are not vacuous: both answer kinds occur.
+  EXPECT_GT(must_total, 0u);
+  EXPECT_GT(may_total, 0u);
+}
 
-  std::stringstream stream;
-  ASSERT_TRUE(WriteSnapshot(db, stream).ok());
-  const auto loaded = ReadSnapshot(stream);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->database->options().index_kind,
-            IndexKind::kVelocityPartitioned);
-  EXPECT_EQ(loaded->database->options().velocity_band_bounds, live_bounds);
-  const auto* vp2 = dynamic_cast<const index::VelocityPartitionedIndex*>(
-      &loaded->database->object_index());
-  ASSERT_NE(vp2, nullptr);
-  EXPECT_EQ(vp2->band_bounds(), live_bounds);
-  EXPECT_EQ(vp2->num_entries(), vp->num_entries());
-
-  // Same answers, and a second save is byte-identical to the first.
-  const geo::Polygon region = geo::Polygon::Rectangle(0.0, -2.0, 50.0, 2.0);
-  const RangeAnswer a = db.QueryRange(region, 5.0);
-  const RangeAnswer b = loaded->database->QueryRange(region, 5.0);
-  EXPECT_EQ(a.must, b.must);
-  EXPECT_EQ(a.may, b.may);
-  std::stringstream again;
-  ASSERT_TRUE(WriteSnapshot(*loaded->database, again).ok());
-  EXPECT_EQ(stream.str(), again.str());
+TEST_F(SnapshotTest, RetiredVelocityFieldsRejectedWhenMalformed) {
+  const auto expect_invalid = [](const std::string& text) {
+    const auto loaded = ReadText(text);
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << text;
+  };
+  // v6 has no velocity-partitioned index kind.
+  expect_invalid(std::string("modb-snapshot 6\n") + "options 2 120 4 0 0" +
+                 kGroupOptions + kLegacyRoutes + kLegacyObjects + kNoGroups);
+  // v4 band bounds are still validated before being discarded: a valid
+  // pair loads, more than 1024 bounds or a non-finite bound do not.
+  const std::string v4_head =
+      "modb-snapshot 4\noptions 2 120 4 0 0 0 3 2 0.5 ";
+  const std::string body = std::string("\n") + kLegacyRoutes + kLegacyObjects;
+  EXPECT_TRUE(ReadText(v4_head + "1.5" + body).ok());
+  for (const char* bad : {"inf", "nan"}) expect_invalid(v4_head + bad + body);
+  std::string many = "modb-snapshot 4\noptions 2 120 4 0 0 0 1026 1025";
+  for (int i = 0; i < 1025; ++i) many += " " + std::to_string(i);
+  expect_invalid(many + body);
 }
 
 TEST_F(SnapshotTest, TrajectoryHistoryRoundTrips) {

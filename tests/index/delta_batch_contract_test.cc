@@ -10,18 +10,15 @@
 #include "index/linear_scan_index.h"
 #include "index/object_index.h"
 #include "index/timespace_index.h"
-#include "index/velocity_partitioned_index.h"
 
 namespace modb::index {
 namespace {
 
-/// The `ApplyDeltaBatch` validate-all-first contract, uniformly across all
-/// three index kinds: a batch with a mid-batch invalid row must fail
-/// without touching the index — no prefix of the batch may be applied
-/// (regression: the velocity-partitioned index previously lacked this
-/// case; the database's group layer now also routes structural rows
-/// through the same call and relies on the all-or-nothing behaviour for
-/// its rollback).
+/// The `ApplyDeltaBatch` validate-all-first contract, uniformly across both
+/// index kinds: a batch with a mid-batch invalid row must fail without
+/// touching the index — no prefix of the batch may be applied (the
+/// database's group layer routes structural rows through the same call and
+/// relies on the all-or-nothing behaviour for its rollback).
 class DeltaBatchContractTest
     : public testing::TestWithParam<const char*> {
  protected:
@@ -33,9 +30,6 @@ class DeltaBatchContractTest
   std::unique_ptr<ObjectIndex> MakeIndex() const {
     const std::string kind = GetParam();
     if (kind == "rtree") return std::make_unique<TimeSpaceIndex>(&network_);
-    if (kind == "vp-rtree") {
-      return std::make_unique<VelocityPartitionedIndex>(&network_);
-    }
     return std::make_unique<LinearScanIndex>(&network_);
   }
 
@@ -124,11 +118,9 @@ TEST_P(DeltaBatchContractTest, InvalidHiddenRowAlsoLeavesIndexUntouched) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, DeltaBatchContractTest,
-                         testing::Values("rtree", "vp-rtree", "scan"),
+                         testing::Values("rtree", "scan"),
                          [](const auto& info) {
-                           std::string name = info.param;
-                           std::replace(name.begin(), name.end(), '-', '_');
-                           return name;
+                           return std::string(info.param);
                          });
 
 }  // namespace

@@ -117,12 +117,14 @@ TEST(SoAKernelTest, EmptyInputYieldsNoHits) {
 }
 
 // Tree-level differential: the resident SoA/copy-on-write tree and a tree
-// running the legacy in-place configuration must answer every query with
-// the same value multiset through an interleaved insert/remove workload.
+// running the in-place configuration must answer every query with the same
+// value multiset through an interleaved insert/remove workload.
 TEST(SoAKernelTest, ResidentTreeMatchesLegacyTree) {
   RTree3 resident;  // defaults: resident, concurrent reads on
+  // A bounded memory pool selects in-place mutation; this one holds the
+  // whole tree, so nothing is evicted.
   RTree3::Options legacy_options;
-  legacy_options.concurrent_reads = false;
+  legacy_options.storage.pool_pages = 1 << 16;
   RTree3 legacy(legacy_options);
   ASSERT_TRUE(resident.concurrent_reads());
   ASSERT_FALSE(legacy.concurrent_reads());

@@ -197,7 +197,7 @@ TEST_P(EndToEndTest, IndexKindsAgree) {
     EXPECT_EQ(a.may, b.may) << "t=" << t;
   }
   // Both databases saw the same update stream.
-  EXPECT_EQ(rtree_db.log().total_updates(), scan_db.log().total_updates());
+  EXPECT_EQ(rtree_db.total_updates(), scan_db.total_updates());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -50,7 +50,7 @@ TEST_F(FleetTest, LosslessRunDeliversEverything) {
   EXPECT_EQ(stats.messages_delivered(), stats.messages_attempted);
   EXPECT_EQ(stats.bound_violations, 0u);
   EXPECT_EQ(stats.vehicle_ticks, 10u * 40u);
-  EXPECT_EQ(db.log().total_updates(), stats.messages_attempted);
+  EXPECT_EQ(db.total_updates(), stats.messages_attempted);
 }
 
 TEST_F(FleetTest, StepBeforeRegisterFails) {
@@ -85,7 +85,7 @@ TEST_F(FleetTest, MessageLossTriggersRetransmission) {
   EXPECT_GT(stats.messages_lost, 0u);
   // Retransmission: attempts exceed what a lossless run sends, and the
   // database still received the delivered share exactly.
-  EXPECT_EQ(db.log().total_updates(), stats.messages_delivered());
+  EXPECT_EQ(db.total_updates(), stats.messages_delivered());
   EXPECT_GT(stats.messages_delivered(), 0u);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "util/rng.h"
@@ -64,6 +65,10 @@ struct GeneratorCase {
   std::string name;
   SpeedCurve (*make)(util::Rng&, const CurveGenOptions&);
 };
+
+// Without this gtest prints the raw bytes of the case, function pointer
+// included, so the listed test names would change from build to build.
+void PrintTo(const GeneratorCase& c, std::ostream* os) { *os << c.name; }
 
 class GeneratorTest : public testing::TestWithParam<GeneratorCase> {};
 

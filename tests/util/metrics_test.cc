@@ -77,6 +77,18 @@ TEST(MetricsTest, LatencyHistogramStatistics) {
   EXPECT_EQ(h.max_micros(), 0.0);
 }
 
+TEST(MetricsTest, LatencyQuantilesNeverExceedObservedMax) {
+  // One 1000 ns sample lands in the [1, 2) µs bucket, whose geometric
+  // midpoint (~1.41 µs) lies above the only sample.
+  LatencyHistogram h;
+  h.RecordNanos(1000);
+  EXPECT_DOUBLE_EQ(h.max_micros(), 1.0);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_LE(h.ApproxQuantileMicros(q), h.max_micros()) << "q=" << q;
+  }
+  EXPECT_DOUBLE_EQ(h.ApproxQuantileMicros(0.5), 1.0);
+}
+
 TEST(MetricsTest, SnapshotReusesHistogram) {
   LatencyHistogram h;
   for (int i = 0; i < 7; ++i) h.RecordNanos(3 * 1000);  // bucket [2,4) µs
