@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "index/rtree3.h"
@@ -101,6 +102,50 @@ void BM_RTreeUpdateCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RTreeUpdateCycle);
+
+// An o-plane-like cover: `n` consecutive 4-unit time slabs along a straight
+// path, the shape TimeSpaceIndex stores per object.
+std::vector<Box3> ObjectCover(util::Rng& rng, std::size_t n) {
+  const double x0 = rng.Uniform(0.0, 500.0);
+  const double y0 = rng.Uniform(0.0, 500.0);
+  const double vx = rng.Uniform(-2.0, 2.0);
+  const double vy = rng.Uniform(-2.0, 2.0);
+  std::vector<Box3> cover;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double t = 4.0 * static_cast<double>(k);
+    const double x = x0 + vx * t;
+    const double y = y0 + vy * t;
+    cover.emplace_back(std::min(x, x + 4.0 * vx) - 1.0,
+                       std::min(y, y + 4.0 * vy) - 1.0, t,
+                       std::max(x, x + 4.0 * vx) + 1.0,
+                       std::max(y, y + 4.0 * vy) + 1.0, t + 4.0);
+  }
+  return cover;
+}
+
+void BM_RTreeObjectUpdate(benchmark::State& state) {
+  // The same update as BM_RTreeUpdateCycle on o-plane-shaped covers: the
+  // object's 15 boxes leave in one RemoveBatch descent, then a new cover
+  // is inserted.
+  util::Rng rng(6);
+  constexpr std::size_t kObjects = 2000;
+  constexpr std::size_t kBoxesPerObject = 15;
+  RTree3 tree;
+  std::vector<std::vector<Box3>> cover(kObjects);
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    cover[i] = ObjectCover(rng, kBoxesPerObject);
+    for (const Box3& b : cover[i]) tree.Insert(b, i);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::size_t id = next++ % kObjects;
+    benchmark::DoNotOptimize(tree.RemoveBatch(cover[id], id));
+    cover[id] = ObjectCover(rng, kBoxesPerObject);
+    for (const Box3& b : cover[id]) tree.Insert(b, id);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RTreeObjectUpdate);
 
 // SoA arrays holding `n` random boxes plus a query that hits ~half of them.
 struct SoAFixture {

@@ -29,6 +29,16 @@ cmake --preset default
 cmake --build --preset default -j "$jobs"
 ctest --preset default -j "$jobs"
 
+# perfbench correctness checks, one short run per workload: run.py builds
+# perfbench (Release) from this checkout and exits non-zero on a wrong
+# answer against the linear-scan reference, a restart-fingerprint mismatch
+# or a failed operation. There is no speed gate.
+for workload in city_ingest dispatch_reads durable_convoy; do
+  echo "== perfbench ${workload}: correctness checks =="
+  CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
+    --workload "${workload}" --seed 1 --seconds 1
+done
+
 # Experiment smoke checks on the default build — one "<label>|<binary>"
 # entry per bench. CI's default job relies on this list for its smokes; the
 # asan/tsan jobs in .github/workflows/ci.yml smoke their own builds.

@@ -67,8 +67,9 @@ struct ModDatabaseOptions {
   double oplane_horizon = 120.0;
   double oplane_slab_width = 4.0;
   /// Page storage backing the range index's R*-tree nodes (ignored by the
-  /// linear scan). Defaults to unbounded in-memory pages — identical
-  /// behavior and performance to the pre-paged index. Set `kind = kDisk`
+  /// linear scan). The default (memory, unbounded pool) selects a resident
+  /// tree that owns its nodes in RAM, with no buffer pool and lock-free
+  /// probes. Set `kind = kDisk`
   /// with a `path` and a `pool_pages` budget to bound index memory: nodes
   /// then live in a page file behind a clock-eviction buffer pool, and
   /// `FlushIndexStorage` commits them (the durability manager does this

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -17,94 +18,173 @@ using storage::kInvalidPageId;
 
 /// Plumbing form of one node entry, used where entries travel between
 /// nodes (orphan reinsertion, bulk-load levels). Inside a node, entries
-/// live in the structure-of-arrays layout below, not as `Entry` objects.
+/// live in the column layout below, not as `Entry` objects.
 struct RTree3::Entry {
   Box3 box;
   Value value = 0;
   NodeId child = kInvalidPageId;  // kInvalidPageId for leaf entries
 };
 
-/// Node in structure-of-arrays layout: six coordinate arrays plus the word
-/// array (`word[i]` is the value of leaf entry `i`, or the child NodeId of
-/// internal entry `i`). `child_ptr[i]` caches the resident-mode child
-/// pointer so lock-free readers traverse without touching the buffer pool;
-/// it is nullptr for leaf entries and outside resident mode.
+/// One heap block: this header, then `capacity` slots in each of six
+/// coordinate columns (min x/y/t, max x/y/t), the word column (`word()[i]`
+/// is the value of leaf entry `i`, or the child NodeId of internal entry
+/// `i`) and, for internal nodes only, the child-pointer column that caches
+/// the resident-mode child so lock-free readers traverse without the node
+/// table (nullptr outside resident mode).
 struct RTree3::Node {
   std::uint32_t level = 0;  // 0 == leaf
-  std::vector<double> min_x, min_y, min_t;
-  std::vector<double> max_x, max_y, max_t;
-  std::vector<std::uint64_t> word;
-  std::vector<const Node*> child_ptr;
+  std::uint32_t count = 0;
+  std::uint32_t capacity = 0;
+  /// Publication generation the node was created in (resident mode).
+  std::uint64_t born = 0;
+
+  static std::size_t BlockBytes(std::uint32_t level, std::size_t capacity) {
+    static_assert(sizeof(Node) % kSlotBytes == 0);
+    return sizeof(Node) +
+           capacity * kSlotBytes * static_cast<std::size_t>(ColumnsFor(level));
+  }
 
   bool IsLeaf() const { return level == 0; }
-  std::size_t count() const { return word.size(); }
+
+  // Coordinate columns: lo(d) holds min[d], hi(d) holds max[d].
+  double* lo(int d) { return reinterpret_cast<double*>(Column(d)); }
+  double* hi(int d) { return reinterpret_cast<double*>(Column(3 + d)); }
+  const double* lo(int d) const {
+    return reinterpret_cast<const double*>(Column(d));
+  }
+  const double* hi(int d) const {
+    return reinterpret_cast<const double*>(Column(3 + d));
+  }
+  std::uint64_t* word() {
+    return reinterpret_cast<std::uint64_t*>(Column(kWordColumn));
+  }
+  const std::uint64_t* word() const {
+    return reinterpret_cast<const std::uint64_t*>(Column(kWordColumn));
+  }
+  const Node* child(std::size_t i) const {
+    return IsLeaf() ? nullptr : ChildColumn()[i];
+  }
+  void SetChild(std::size_t i, const Node* ptr) {
+    if (!IsLeaf()) ChildColumn()[i] = ptr;
+  }
 
   Box3 BoxAt(std::size_t i) const {
-    return Box3(min_x[i], min_y[i], min_t[i], max_x[i], max_y[i], max_t[i]);
+    return Box3(lo(0)[i], lo(1)[i], lo(2)[i], hi(0)[i], hi(1)[i], hi(2)[i]);
   }
 
   void SetBoxAt(std::size_t i, const Box3& box) {
-    min_x[i] = box.min[0];
-    min_y[i] = box.min[1];
-    min_t[i] = box.min[2];
-    max_x[i] = box.max[0];
-    max_y[i] = box.max[1];
-    max_t[i] = box.max[2];
+    for (int d = 0; d < 3; ++d) {
+      lo(d)[i] = box.min[d];
+      hi(d)[i] = box.max[d];
+    }
   }
 
   void PushEntry(const Box3& box, std::uint64_t w, const Node* ptr) {
-    min_x.push_back(box.min[0]);
-    min_y.push_back(box.min[1]);
-    min_t.push_back(box.min[2]);
-    max_x.push_back(box.max[0]);
-    max_y.push_back(box.max[1]);
-    max_t.push_back(box.max[2]);
-    word.push_back(w);
-    child_ptr.push_back(ptr);
+    assert(count < capacity);
+    SetBoxAt(count, box);
+    word()[count] = w;
+    SetChild(count, ptr);
+    ++count;
   }
 
   void EraseAt(std::size_t i) {
-    const auto at = static_cast<std::ptrdiff_t>(i);
-    min_x.erase(min_x.begin() + at);
-    min_y.erase(min_y.begin() + at);
-    min_t.erase(min_t.begin() + at);
-    max_x.erase(max_x.begin() + at);
-    max_y.erase(max_y.begin() + at);
-    max_t.erase(max_t.begin() + at);
-    word.erase(word.begin() + at);
-    child_ptr.erase(child_ptr.begin() + at);
+    const std::size_t tail = (count - i - 1) * kSlotBytes;
+    for (int c = 0; c < columns(); ++c) {
+      std::byte* col = Column(c);
+      std::memmove(col + i * kSlotBytes, col + (i + 1) * kSlotBytes, tail);
+    }
+    --count;
   }
 
-  void ClearEntries() {
-    min_x.clear();
-    min_y.clear();
-    min_t.clear();
-    max_x.clear();
-    max_y.clear();
-    max_t.clear();
-    word.clear();
-    child_ptr.clear();
+  /// Copies `from`'s entries over this node's (same level and capacity).
+  void CopyEntriesFrom(const Node& from) {
+    for (int c = 0; c < columns(); ++c) {
+      std::memcpy(Column(c), from.Column(c), from.count * kSlotBytes);
+    }
+    count = from.count;
   }
 
   Box3 ComputeBox() const {
     Box3 box;
-    for (std::size_t i = 0; i < count(); ++i) box.Expand(BoxAt(i));
+    for (std::size_t i = 0; i < count; ++i) box.Expand(BoxAt(i));
     return box;
+  }
+
+ private:
+  // Every column slot is 8 bytes: 0-5 coordinates, 6 the word column, 7
+  // the child pointers (internal nodes only). Column c starts c * capacity
+  // slots after the header, and each is only ever accessed as its own type.
+  static constexpr std::size_t kSlotBytes = 8;
+  static constexpr int kWordColumn = 6;
+  static constexpr int kChildColumn = 7;
+  static_assert(sizeof(double) == kSlotBytes &&
+                sizeof(std::uint64_t) == kSlotBytes &&
+                sizeof(const Node*) <= kSlotBytes);
+
+  static int ColumnsFor(std::uint32_t level) {
+    return level == 0 ? kChildColumn : kChildColumn + 1;
+  }
+  int columns() const { return ColumnsFor(level); }
+  std::byte* Column(int c) {
+    return reinterpret_cast<std::byte*>(this) + sizeof(Node) +
+           static_cast<std::size_t>(c) * capacity * kSlotBytes;
+  }
+  const std::byte* Column(int c) const {
+    return reinterpret_cast<const std::byte*>(this) + sizeof(Node) +
+           static_cast<std::size_t>(c) * capacity * kSlotBytes;
+  }
+  const Node** ChildColumn() {
+    return reinterpret_cast<const Node**>(Column(kChildColumn));
+  }
+  const Node* const* ChildColumn() const {
+    return reinterpret_cast<const Node* const*>(Column(kChildColumn));
   }
 };
 
-/// A buffer-pool pin paired with the materialised node it resolves to.
-/// Invalid (`node == nullptr`) when the fetch failed — the tree is poisoned
-/// by then and the caller bails out.
+void RTree3::NodeFree::operator()(Node* node) const {
+  ::operator delete(static_cast<void*>(node));
+}
+
+/// A resolved node: a bare table lookup in resident mode, a buffer-pool pin
+/// in paged mode. Invalid (`node == nullptr`) when the lookup failed — the
+/// tree is poisoned by then and the caller bails out.
 struct RTree3::Pinned {
-  storage::BufferPool::Handle handle;
+  storage::BufferPool::Handle handle;  // invalid in resident mode
   Node* node = nullptr;
+  NodeId id = kInvalidPageId;
 
   explicit operator bool() const { return node != nullptr; }
   void Release() {
     handle.Release();
     node = nullptr;
   }
+};
+
+/// Scratch state of one `RemoveBatch` descent.
+struct RTree3::RemoveScan {
+  /// An entry of a condensed node, with the level it reinserts at.
+  struct Orphan {
+    Entry entry;
+    std::size_t level = 0;
+  };
+  std::span<const Box3> targets;
+  Value value = 0;
+  std::vector<std::uint8_t> found;  // per target
+  std::size_t missing = 0;
+  /// Target-index lists, used as a stack along the descent: a node's
+  /// wanted targets are a slice, and its candidate children's lists are
+  /// appended after everything its ancestors appended.
+  std::vector<std::uint32_t> wanted;
+  std::vector<Orphan> orphans;
+};
+
+/// What `RemoveUnder` did to its node, for the parent to apply.
+struct RTree3::RemoveStep {
+  enum class Kind { kUntouched, kChanged, kDissolved };
+  Kind kind = Kind::kUntouched;
+  NodeId id = kInvalidPageId;  // the node's id after copy-on-write
+  const Node* node = nullptr;  // its resident child pointer
+  Box3 box;                    // its new bounding box
 };
 
 namespace {
@@ -176,36 +256,40 @@ double GetF64(std::string_view data, std::size_t pos) {
 util::Status RTree3::EncodeNode(const void* object, std::string* out) {
   const auto* node = static_cast<const Node*>(object);
   out->clear();
-  out->reserve(kNodeHeaderBytes + node->count() * kEntryBytes);
+  out->reserve(kNodeHeaderBytes + node->count * kEntryBytes);
   PutU32(out, node->level);
   PutU64(out, kInvalidPageId);  // fossil parent field (see layout comment)
-  PutU32(out, static_cast<std::uint32_t>(node->count()));
-  for (std::size_t i = 0; i < node->count(); ++i) {
-    PutF64(out, node->min_x[i]);
-    PutF64(out, node->min_y[i]);
-    PutF64(out, node->min_t[i]);
-    PutF64(out, node->max_x[i]);
-    PutF64(out, node->max_y[i]);
-    PutF64(out, node->max_t[i]);
-    PutU64(out, node->word[i]);
+  PutU32(out, node->count);
+  for (std::size_t i = 0; i < node->count; ++i) {
+    for (int d = 0; d < 3; ++d) PutF64(out, node->lo(d)[i]);
+    for (int d = 0; d < 3; ++d) PutF64(out, node->hi(d)[i]);
+    PutU64(out, node->word()[i]);
   }
   return util::Status::Ok();
 }
 
 util::Result<std::shared_ptr<void>> RTree3::DecodeNode(
-    std::string_view bytes) {
+    std::string_view bytes, std::size_t capacity) {
   if (bytes.size() < kNodeHeaderBytes) {
     return util::Status::Internal("node page truncated: " +
                                   std::to_string(bytes.size()) + " bytes");
   }
-  auto node = std::make_shared<Node>();
-  node->level = GetU32(bytes, 0);
+  const std::uint32_t level = GetU32(bytes, 0);
   const std::uint32_t count = GetU32(bytes, 12);
   if (bytes.size() != kNodeHeaderBytes + std::size_t{count} * kEntryBytes) {
     return util::Status::Internal(
         "node page size mismatch: " + std::to_string(bytes.size()) +
         " bytes for " + std::to_string(count) + " entries");
   }
+  if (count > capacity) {
+    return util::Status::Internal("node page holds " + std::to_string(count) +
+                                  " entries, fan-out allows " +
+                                  std::to_string(capacity));
+  }
+  void* block = ::operator new(Node::BlockBytes(level, capacity));
+  std::shared_ptr<Node> node(new (block) Node, NodeFree{});
+  node->level = level;
+  node->capacity = static_cast<std::uint32_t>(capacity);
   std::size_t pos = kNodeHeaderBytes;
   for (std::uint32_t i = 0; i < count; ++i, pos += kEntryBytes) {
     const Box3 box(GetF64(bytes, pos), GetF64(bytes, pos + 8),
@@ -216,13 +300,6 @@ util::Result<std::shared_ptr<void>> RTree3::DecodeNode(
   return std::shared_ptr<void>(std::move(node));
 }
 
-storage::PageCodec RTree3::NodeCodec() {
-  storage::PageCodec codec;
-  codec.encode = &RTree3::EncodeNode;
-  codec.decode = &RTree3::DecodeNode;
-  return codec;
-}
-
 RTree3::RTree3() : RTree3(Options{}) {}
 
 RTree3::RTree3(Options options)
@@ -231,37 +308,49 @@ RTree3::RTree3(Options options)
   assert(options_.min_entries >= 2);
   assert(options_.min_entries <= options_.max_entries / 2);
 
-  auto storage = storage::OpenStorage(options_.storage);
-  if (storage.ok()) {
-    storage_ = std::move(*storage);
-  } else {
-    Poison(storage.status());
-    // Inert backing so the poisoned tree stays safely callable.
-    storage_ = std::make_unique<storage::MemoryStorageManager>();
-  }
-  storage::BufferPoolOptions pool_options;
-  pool_options.capacity_pages = options_.storage.pool_pages;
-  pool_ = std::make_unique<storage::BufferPool>(storage_.get(), NodeCodec(),
-                                                pool_options);
-  // An overfull node (max_entries + 1, transiently held between an insert
-  // and its split) must still fit a page: it can be evicted and written
-  // back while unpinned.
-  const std::size_t required =
-      kNodeHeaderBytes + (options_.max_entries + 1) * kEntryBytes;
-  if (healthy() && storage_->page_payload_size() < required) {
-    Poison(util::Status::InvalidArgument(
-        "page payload of " + std::to_string(storage_->page_payload_size()) +
-        " bytes cannot hold fan-out " + std::to_string(options_.max_entries) +
-        " (needs " + std::to_string(required) + ")"));
-  }
-  // Resident mode requires storage that can neither evict nor fail: node
-  // addresses must stay stable for the lifetime of a reader epoch.
+  // Resident mode owns its nodes in the node table; it needs storage that
+  // can neither evict nor fail, which is exactly what the default (memory,
+  // unbounded pool) describes — so no page store is opened at all.
   resident_ = options_.storage.kind == storage::StorageKind::kMemory &&
-              options_.storage.pool_pages == 0 && healthy();
-  if (resident_) epochs_ = std::make_unique<epoch::EpochManager>();
+              options_.storage.pool_pages == 0;
+  if (resident_) {
+    epochs_ = std::make_unique<epoch::EpochManager>();
+  } else {
+    auto storage = storage::OpenStorage(options_.storage);
+    if (storage.ok()) {
+      storage_ = std::move(*storage);
+    } else {
+      Poison(storage.status());
+      // Inert backing so the poisoned tree stays safely callable.
+      storage_ = std::make_unique<storage::MemoryStorageManager>();
+    }
+    storage::PageCodec codec;
+    codec.encode = &RTree3::EncodeNode;
+    codec.decode = [capacity = options_.max_entries + 1](
+                       std::string_view bytes) {
+      return DecodeNode(bytes, capacity);
+    };
+    storage::BufferPoolOptions pool_options;
+    pool_options.capacity_pages = options_.storage.pool_pages;
+    pool_ = std::make_unique<storage::BufferPool>(storage_.get(),
+                                                  std::move(codec),
+                                                  pool_options);
+    // An overfull node (max_entries + 1, transiently held between an insert
+    // and its split) must still fit a page: it can be evicted and written
+    // back while unpinned.
+    const std::size_t required =
+        kNodeHeaderBytes + (options_.max_entries + 1) * kEntryBytes;
+    if (healthy() && storage_->page_payload_size() < required) {
+      Poison(util::Status::InvalidArgument(
+          "page payload of " + std::to_string(storage_->page_payload_size()) +
+          " bytes cannot hold fan-out " +
+          std::to_string(options_.max_entries) + " (needs " +
+          std::to_string(required) + ")"));
+    }
+  }
   if (healthy()) {
     Pinned root = AllocNode(0);
-    if (root) root_ = root.handle.id();
+    if (root) root_ = root.id;
   }
   MaybePublish();
 }
@@ -278,9 +367,11 @@ RTree3::RTree3(RTree3&& other) noexcept
       ctl_(std::move(other.ctl_)),
       instruments_(other.instruments_),
       resident_(other.resident_),
+      nodes_(std::move(other.nodes_)),
+      free_ids_(std::move(other.free_ids_)),
+      generation_(other.generation_),
       pub_root_(other.pub_root_.load(std::memory_order_relaxed)),
       epochs_(std::move(other.epochs_)),
-      fresh_(std::move(other.fresh_)),
       pending_retire_(std::move(other.pending_retire_)),
       retired_(std::move(other.retired_)),
       batch_depth_(other.batch_depth_) {
@@ -303,10 +394,12 @@ RTree3& RTree3::operator=(RTree3&& other) noexcept {
   ctl_ = std::move(other.ctl_);
   instruments_ = other.instruments_;
   resident_ = other.resident_;
+  nodes_ = std::move(other.nodes_);
+  free_ids_ = std::move(other.free_ids_);
+  generation_ = other.generation_;
   pub_root_.store(other.pub_root_.load(std::memory_order_relaxed),
                   std::memory_order_relaxed);
   epochs_ = std::move(other.epochs_);
-  fresh_ = std::move(other.fresh_);
   pending_retire_ = std::move(other.pending_retire_);
   retired_ = std::move(other.retired_);
   batch_depth_ = other.batch_depth_;
@@ -323,19 +416,37 @@ util::Status RTree3::storage_status() const {
 }
 
 bool RTree3::healthy() const {
-  std::lock_guard<std::mutex> lock(ctl_->mu);
-  return ctl_->status.ok();
+  return !ctl_->poisoned.load(std::memory_order_acquire);
 }
 
 void RTree3::Poison(const util::Status& status) const {
   if (status.ok()) return;
   std::lock_guard<std::mutex> lock(ctl_->mu);
   if (ctl_->status.ok()) ctl_->status = status;  // first error wins
-  ctl_->poisoned.store(true, std::memory_order_relaxed);
+  ctl_->poisoned.store(true, std::memory_order_release);
+}
+
+RTree3::NodeBlock RTree3::NewNode(std::uint32_t level) const {
+  const std::size_t capacity = options_.max_entries + 1;
+  void* block = ::operator new(Node::BlockBytes(level, capacity));
+  NodeBlock node(new (block) Node);
+  node->level = level;
+  node->capacity = static_cast<std::uint32_t>(capacity);
+  node->born = generation_;
+  return node;
 }
 
 RTree3::Pinned RTree3::Pin(NodeId id) const {
   Pinned pinned;
+  if (resident_) {
+    if (id < nodes_.size()) pinned.node = nodes_[id].get();
+    if (pinned.node == nullptr) {
+      Poison(util::Status::Internal("pin of a free node id"));
+    } else {
+      pinned.id = id;
+    }
+    return pinned;
+  }
   if (id == kInvalidPageId) {
     Poison(util::Status::Internal("pin of invalid node id"));
     return pinned;
@@ -347,37 +458,67 @@ RTree3::Pinned RTree3::Pin(NodeId id) const {
   }
   pinned.handle = std::move(*handle);
   pinned.node = static_cast<Node*>(pinned.handle.get());
+  pinned.id = id;
   return pinned;
 }
 
 RTree3::Pinned RTree3::AllocNode(std::uint32_t level) {
   Pinned pinned;
-  auto node = std::make_shared<Node>();
-  node->level = level;
-  Node* raw = node.get();
-  auto handle = pool_->Create(std::move(node));
-  if (!handle.ok()) {
-    Poison(handle.status());
+  NodeBlock node = NewNode(level);
+  pinned.node = node.get();
+  if (resident_) {
+    if (free_ids_.empty()) {
+      pinned.id = nodes_.size();
+      nodes_.push_back(std::move(node));
+    } else {
+      pinned.id = free_ids_.back();
+      free_ids_.pop_back();
+      nodes_[pinned.id] = std::move(node);
+    }
     return pinned;
   }
+  auto handle = pool_->Create(std::shared_ptr<Node>(std::move(node)));
+  if (!handle.ok()) {
+    Poison(handle.status());
+    return Pinned{};
+  }
   pinned.handle = std::move(*handle);
-  pinned.node = raw;
-  if (resident_) fresh_.insert(pinned.handle.id());
+  pinned.id = pinned.handle.id();
   return pinned;
+}
+
+bool RTree3::IsFresh(const Node& node) const {
+  return node.born == generation_;
+}
+
+RTree3::Pinned RTree3::Writable(Pinned pinned) {
+  if (!pinned || !resident_ || IsFresh(*pinned.node)) return pinned;
+  Pinned clone = AllocNode(pinned.node->level);
+  if (!clone) return clone;
+  clone.node->CopyEntriesFrom(*pinned.node);
+  // Published: a reader may still traverse the original — defer its free
+  // to the epoch scheme (tagged and reclaimed at the next publication).
+  pending_retire_.push_back(pinned.id);
+  return clone;
 }
 
 void RTree3::RetireOrFree(NodeId id) {
   if (resident_) {
-    const auto it = fresh_.find(id);
-    if (it == fresh_.end()) {
-      // Published: a reader may still traverse it — defer to the epoch
-      // scheme (tagged and reclaimed at the next publication).
+    const Pinned p = Pin(id);
+    if (!p) return;
+    if (IsFresh(*p.node)) {
+      FreeResident(id);  // never published; free immediately
+    } else {
       pending_retire_.push_back(id);
-      return;
     }
-    fresh_.erase(it);  // never published; free immediately
+    return;
   }
   if (util::Status s = pool_->Free(id); !s.ok()) Poison(s);
+}
+
+void RTree3::FreeResident(NodeId id) {
+  nodes_[id].reset();
+  free_ids_.push_back(id);
 }
 
 bool RTree3::AppendEntry(Node* node, const Box3& box, std::uint64_t w) {
@@ -392,8 +533,8 @@ bool RTree3::AppendEntry(Node* node, const Box3& box, std::uint64_t w) {
 }
 
 std::size_t RTree3::FindChildSlot(const Node& node, NodeId child) const {
-  for (std::size_t i = 0; i < node.count(); ++i) {
-    if (node.word[i] == child) return i;
+  for (std::size_t i = 0; i < node.count; ++i) {
+    if (node.word()[i] == child) return i;
   }
   Poison(util::Status::Internal("child id missing from parent node"));
   return kNoSlot;
@@ -427,7 +568,7 @@ void RTree3::InsertEntryAtLevel(const Entry& entry, std::size_t level) {
       return;
     }
     p.handle.MarkDirty();
-    overflow = p.node->count() > options_.max_entries;
+    overflow = p.node->count > options_.max_entries;
   }
   if (overflow) {
     SplitAlongPath(path, depth);
@@ -445,13 +586,16 @@ std::vector<RTree3::NodeId> RTree3::ChoosePath(
   path.push_back(id);
   while (p.node->level > target_level) {
     const Node* node = p.node;
-    assert(node->count() > 0);
+    if (node->count == 0) {
+      Poison(util::Status::Internal("empty internal node"));
+      return {};
+    }
     const bool children_are_leaves = node->level == 1;
     std::size_t best = 0;
     double best_primary = std::numeric_limits<double>::infinity();
     double best_secondary = std::numeric_limits<double>::infinity();
     double best_tertiary = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < node->count(); ++i) {
+    for (std::size_t i = 0; i < node->count; ++i) {
       const Box3 ebox = node->BoxAt(i);
       const Box3 grown = ebox.Union(box);
       double primary;
@@ -459,9 +603,12 @@ std::vector<RTree3::NodeId> RTree3::ChoosePath(
         // R*: minimise overlap enlargement at the leaf level.
         double overlap_before = 0.0;
         double overlap_after = 0.0;
-        for (std::size_t j = 0; j < node->count(); ++j) {
+        for (std::size_t j = 0; j < node->count; ++j) {
           if (j == i) continue;
           const Box3 other = node->BoxAt(j);
+          // A sibling disjoint from `grown` is disjoint from `ebox` too:
+          // both of its overlap terms are exactly +0.0.
+          if (!grown.Intersects(other)) continue;
           overlap_before += ebox.OverlapVolume(other);
           overlap_after += grown.OverlapVolume(other);
         }
@@ -481,7 +628,7 @@ std::vector<RTree3::NodeId> RTree3::ChoosePath(
         best_tertiary = tertiary;
       }
     }
-    id = static_cast<NodeId>(node->word[best]);
+    id = static_cast<NodeId>(node->word()[best]);
     p = Pin(id);
     if (!p) return {};
     path.push_back(id);
@@ -492,30 +639,24 @@ std::vector<RTree3::NodeId> RTree3::ChoosePath(
 void RTree3::MakePathWritable(std::vector<NodeId>* path) {
   if (!resident_) return;
   for (std::size_t d = 0; d < path->size(); ++d) {
-    const NodeId id = (*path)[d];
-    if (fresh_.count(id) != 0) continue;  // already private to this write
-    Pinned old = Pin(id);
-    if (!old) return;
-    Pinned clone = AllocNode(old.node->level);
-    if (!clone) return;
-    const NodeId clone_id = clone.handle.id();
-    *clone.node = *old.node;  // copies the SoA arrays and child pointers
-    old.Release();
+    const NodeId old_id = (*path)[d];
+    const Pinned writable = Writable(Pin(old_id));
+    if (!writable) return;
+    const NodeId id = writable.id;
+    if (id == old_id) continue;  // already private to this write
     if (d == 0) {
-      root_ = clone_id;
+      root_ = id;
     } else {
       // The parent was processed in an earlier iteration, so it is fresh
       // and safe to patch in place.
       Pinned parent = Pin((*path)[d - 1]);
       if (!parent) return;
-      const std::size_t slot = FindChildSlot(*parent.node, id);
+      const std::size_t slot = FindChildSlot(*parent.node, old_id);
       if (slot == kNoSlot) return;
-      parent.node->word[slot] = clone_id;
-      parent.node->child_ptr[slot] = clone.node;
-      parent.handle.MarkDirty();
+      parent.node->word()[slot] = id;
+      parent.node->SetChild(slot, writable.node);
     }
-    pending_retire_.push_back(id);
-    (*path)[d] = clone_id;
+    (*path)[d] = id;
   }
 }
 
@@ -537,13 +678,13 @@ void RTree3::SplitAlongPath(std::vector<NodeId>& path, std::size_t depth) {
       // R* split: choose the axis with the minimal total margin over all
       // candidate distributions, then the distribution with minimal overlap
       // (ties broken by total volume).
-      const std::size_t total = node->count();
+      const std::size_t total = node->count;
       const std::size_t min_e = options_.min_entries;
       assert(total > options_.max_entries);
 
       std::vector<SplitEntry> all(total);
       for (std::size_t i = 0; i < total; ++i) {
-        all[i] = {node->BoxAt(i), node->word[i], node->child_ptr[i]};
+        all[i] = {node->BoxAt(i), node->word()[i], node->child(i)};
       }
 
       std::vector<std::size_t> order(total);
@@ -605,8 +746,8 @@ void RTree3::SplitAlongPath(std::vector<NodeId>& path, std::size_t depth) {
       // Move the second group into a fresh sibling.
       Pinned sibling = AllocNode(node->level);
       if (!sibling) return;
-      const NodeId sibling_id = sibling.handle.id();
-      node->ClearEntries();
+      const NodeId sibling_id = sibling.id;
+      node->count = 0;
       for (std::size_t i = 0; i < total; ++i) {
         const SplitEntry& e = all[best_order[i]];
         Node* target = i < best_split_at ? node : sibling.node;
@@ -622,7 +763,7 @@ void RTree3::SplitAlongPath(std::vector<NodeId>& path, std::size_t depth) {
                                  resident_ ? node : nullptr);
         new_root.node->PushEntry(sibling.node->ComputeBox(), sibling_id,
                                  resident_ ? sibling.node : nullptr);
-        root_ = new_root.handle.id();
+        root_ = new_root.id;
         return;
       }
 
@@ -636,7 +777,7 @@ void RTree3::SplitAlongPath(std::vector<NodeId>& path, std::size_t depth) {
       parent.node->PushEntry(sibling.node->ComputeBox(), sibling_id,
                              resident_ ? sibling.node : nullptr);
       parent.handle.MarkDirty();
-      parent_overflow = parent.node->count() > options_.max_entries;
+      parent_overflow = parent.node->count > options_.max_entries;
     }
     if (parent_overflow) {
       --depth;
@@ -667,134 +808,191 @@ void RTree3::AdjustPathBoxes(const std::vector<NodeId>& path,
   }
 }
 
-bool RTree3::FindRemovePath(NodeId id, const Box3& box, Value value,
-                            std::vector<NodeId>* path,
-                            std::size_t* entry_index) const {
-  path->push_back(id);
-  {
-    Pinned p = Pin(id);
-    if (p) {
-      if (p.node->IsLeaf()) {
-        for (std::size_t i = 0; i < p.node->count(); ++i) {
-          if (p.node->word[i] == value && SameBox(p.node->BoxAt(i), box)) {
-            *entry_index = i;
-            return true;
-          }
-        }
-      } else {
-        // Collect matching children first so the recursion below runs with
-        // this node's pin released (tiny paged pools hold few frames).
-        std::vector<NodeId> matches;
-        for (std::size_t i = 0; i < p.node->count(); ++i) {
-          if (p.node->BoxAt(i).Intersects(box)) {
-            matches.push_back(static_cast<NodeId>(p.node->word[i]));
-          }
-        }
-        p.Release();
-        for (const NodeId child : matches) {
-          if (FindRemovePath(child, box, value, path, entry_index)) {
-            return true;
-          }
-        }
-      }
-    }
-  }
-  path->pop_back();
-  return false;
+bool RTree3::Remove(const Box3& box, Value value) {
+  return RemoveBatch(std::span<const Box3>(&box, 1), value) == 1;
 }
 
-bool RTree3::Remove(const Box3& box, Value value) {
-  if (!healthy()) return false;
-  std::vector<NodeId> path;
-  std::size_t entry_index = 0;
-  if (!FindRemovePath(root_, box, value, &path, &entry_index)) return false;
-  if (!healthy()) return false;
-
-  MakePathWritable(&path);
-  if (!healthy()) return false;
-  {
-    Pinned leaf = Pin(path.back());
-    if (!leaf) return false;
-    leaf.node->EraseAt(entry_index);
-    leaf.handle.MarkDirty();
+std::size_t RTree3::RemoveBatch(std::span<const Box3> boxes, Value value) {
+  if (boxes.empty() || !healthy()) return 0;
+  RemoveScan scan;
+  scan.targets = boxes;
+  scan.value = value;
+  scan.found.assign(boxes.size(), 0);
+  scan.missing = boxes.size();
+  scan.wanted.resize(boxes.size());
+  for (std::size_t t = 0; t < boxes.size(); ++t) {
+    scan.wanted[t] = static_cast<std::uint32_t>(t);
   }
-  size_.fetch_sub(1, std::memory_order_relaxed);
+  const RemoveStep root = RemoveUnder(root_, /*is_root=*/true, 0,
+                                      boxes.size(), &scan);
+  if (!healthy() || root.kind == RemoveStep::Kind::kUntouched) return 0;
+  const std::size_t removed = boxes.size() - scan.missing;
+  root_ = root.id;
+  size_.fetch_sub(removed, std::memory_order_relaxed);
 
-  std::vector<Entry> orphans;
-  CondenseAlongPath(path, &orphans);
+  // An internal root whose every child condensed away is empty; restart
+  // the tree from an empty node at the highest orphan level, which the
+  // first (highest-level) reinsertions below fill directly.
+  std::size_t top_level = 0;
+  for (const RemoveScan::Orphan& orphan : scan.orphans) {
+    top_level = std::max(top_level, orphan.level);
+  }
+  if (Pinned r = Pin(root_); r && !r.node->IsLeaf() && r.node->count == 0) {
+    r.Release();
+    const NodeId old_root = root_;
+    Pinned fresh_root = AllocNode(static_cast<std::uint32_t>(top_level));
+    if (!fresh_root) return 0;
+    root_ = fresh_root.id;
+    RetireOrFree(old_root);
+  }
 
   // Shrink the root while it has a single child.
   while (healthy()) {
     NodeId child_id = kInvalidPageId;
     {
-      Pinned root = Pin(root_);
-      if (!root) break;
-      if (root.node->IsLeaf() || root.node->count() != 1) break;
-      child_id = static_cast<NodeId>(root.node->word[0]);
+      Pinned r = Pin(root_);
+      if (!r) break;
+      if (r.node->IsLeaf() || r.node->count != 1) break;
+      child_id = static_cast<NodeId>(r.node->word()[0]);
     }
     const NodeId old_root = root_;
     root_ = child_id;
     RetireOrFree(old_root);
   }
 
-  // Reinsert orphaned subtrees / leaf entries at their original level.
-  for (const Entry& orphan : orphans) {
+  // Reinsert orphaned subtrees / leaf entries at their original level,
+  // highest level first.
+  std::stable_sort(scan.orphans.begin(), scan.orphans.end(),
+                   [](const RemoveScan::Orphan& a,
+                      const RemoveScan::Orphan& b) {
+                     return a.level > b.level;
+                   });
+  for (const RemoveScan::Orphan& orphan : scan.orphans) {
     if (!healthy()) break;
-    std::size_t level = 0;
-    if (orphan.child != kInvalidPageId) {
-      Pinned child = Pin(orphan.child);
-      if (!child) break;
-      level = child.node->level + 1;
-    }
-    InsertEntryAtLevel(orphan, level);
+    InsertEntryAtLevel(orphan.entry, orphan.level);
   }
   MaybePublish();
   SyncMetrics();
-  return true;
+  return healthy() ? removed : 0;
 }
 
-void RTree3::CondenseAlongPath(const std::vector<NodeId>& path,
-                               std::vector<Entry>* orphans) {
-  // Bottom-up along the recorded (writable) path; the root never condenses.
-  for (std::size_t d = path.size(); d-- > 1;) {
-    if (!healthy()) return;
-    const NodeId id = path[d];
-    bool underfull = false;
-    Box3 box;
-    {
-      Pinned p = Pin(id);
-      if (!p) return;
-      underfull = p.node->count() < options_.min_entries;
-      if (underfull) {
-        // Orphan the whole underfull node's entries for reinsertion.
-        for (std::size_t i = 0; i < p.node->count(); ++i) {
-          Entry e;
-          e.box = p.node->BoxAt(i);
-          if (p.node->IsLeaf()) {
-            e.value = p.node->word[i];
-          } else {
-            e.child = static_cast<NodeId>(p.node->word[i]);
-          }
-          orphans->push_back(e);
+RTree3::RemoveStep RTree3::RemoveUnder(NodeId id, bool is_root,
+                                       std::size_t begin, std::size_t end,
+                                       RemoveScan* scan) {
+  RemoveStep step;
+  const std::size_t wanted_mark = scan->wanted.size();
+  const auto any_missing = [scan](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      if (!scan->found[scan->wanted[k]]) return true;
+    }
+    return false;
+  };
+  // Phase 1: find what changes below this node without modifying it.
+  std::vector<std::size_t> erased;  // leaf: matched slots, ascending
+  std::vector<std::pair<std::size_t, RemoveStep>> changed;  // internal
+  Pinned p = Pin(id);
+  if (!p) return step;
+  if (p.node->IsLeaf()) {
+    const Node& leaf = *p.node;
+    for (std::size_t i = 0; i < leaf.count && scan->missing > 0; ++i) {
+      if (leaf.word()[i] != scan->value) continue;
+      const Box3 box = leaf.BoxAt(i);
+      for (std::size_t k = begin; k < end; ++k) {
+        const std::uint32_t t = scan->wanted[k];
+        if (!scan->found[t] && SameBox(box, scan->targets[t])) {
+          scan->found[t] = 1;
+          --scan->missing;
+          erased.push_back(i);
+          break;
         }
-      } else {
-        box = p.node->ComputeBox();
       }
     }
-    {
-      Pinned parent = Pin(path[d - 1]);
-      if (!parent) return;
-      const std::size_t slot = FindChildSlot(*parent.node, id);
-      if (slot == kNoSlot) return;
-      if (underfull) {
-        parent.node->EraseAt(slot);
-      } else {
-        parent.node->SetBoxAt(slot, box);
+    if (erased.empty()) return step;
+  } else {
+    // Parent boxes are exact covers, so an entry lies below a child only
+    // when the child's box contains it: each candidate child carries the
+    // wanted targets its box contains, as a slice appended to `wanted`.
+    struct Candidate {
+      std::size_t slot;
+      NodeId child;
+      std::size_t begin;
+      std::size_t end;
+    };
+    std::vector<Candidate> candidates;
+    const Node& node = *p.node;
+    for (std::size_t i = 0; i < node.count; ++i) {
+      const Box3 box = node.BoxAt(i);
+      const std::size_t slice = scan->wanted.size();
+      for (std::size_t k = begin; k < end; ++k) {
+        const std::uint32_t t = scan->wanted[k];
+        if (!scan->found[t] && box.Contains(scan->targets[t])) {
+          scan->wanted.push_back(t);
+        }
       }
-      parent.handle.MarkDirty();
+      if (scan->wanted.size() > slice) {
+        candidates.push_back({i, static_cast<NodeId>(node.word()[i]), slice,
+                              scan->wanted.size()});
+      }
     }
-    if (underfull) RetireOrFree(id);
+    p.Release();  // tiny paged pools hold few frames; re-pinned below
+    for (const Candidate& c : candidates) {
+      if (scan->missing == 0) break;
+      if (!any_missing(c.begin, c.end)) continue;
+      const RemoveStep child =
+          RemoveUnder(c.child, /*is_root=*/false, c.begin, c.end, scan);
+      if (!healthy()) return step;
+      if (child.kind != RemoveStep::Kind::kUntouched) {
+        changed.emplace_back(c.slot, child);
+      }
+    }
+    scan->wanted.resize(wanted_mark);
+    if (changed.empty()) return step;
   }
+
+  // Phase 2: apply the changes to a writable copy of this node (an
+  // internal node's pin was released for the descent).
+  Pinned w = Writable(p ? std::move(p) : Pin(id));
+  if (!w) return step;
+  Node* node = w.node;
+  // Descending slot order keeps the lower slots' indices valid.
+  for (auto it = erased.rbegin(); it != erased.rend(); ++it) {
+    node->EraseAt(*it);
+  }
+  for (auto it = changed.rbegin(); it != changed.rend(); ++it) {
+    const auto& [slot, child] = *it;
+    if (child.kind == RemoveStep::Kind::kDissolved) {
+      node->EraseAt(slot);
+    } else {
+      node->word()[slot] = child.id;
+      node->SetChild(slot, child.node);
+      node->SetBoxAt(slot, child.box);
+    }
+  }
+  w.handle.MarkDirty();
+  if (!is_root && node->count < options_.min_entries) {
+    // Condense: orphan the underfull node's entries for reinsertion.
+    for (std::size_t i = 0; i < node->count; ++i) {
+      RemoveScan::Orphan orphan;
+      orphan.entry.box = node->BoxAt(i);
+      orphan.level = node->level;
+      if (node->IsLeaf()) {
+        orphan.entry.value = node->word()[i];
+      } else {
+        orphan.entry.child = static_cast<NodeId>(node->word()[i]);
+      }
+      scan->orphans.push_back(orphan);
+    }
+    const NodeId dissolved = w.id;
+    w.Release();
+    RetireOrFree(dissolved);
+    step.kind = RemoveStep::Kind::kDissolved;
+    return step;
+  }
+  step.kind = RemoveStep::Kind::kChanged;
+  step.id = w.id;
+  step.node = resident_ ? node : nullptr;
+  step.box = node->ComputeBox();
+  return step;
 }
 
 RTree3::NodeId RTree3::BuildPacked(std::vector<Entry>* level_entries) {
@@ -813,7 +1011,7 @@ RTree3::NodeId RTree3::BuildPacked(std::vector<Entry>* level_entries) {
           return kInvalidPageId;
         }
       }
-      return root.handle.id();
+      return root.id;
     }
 
     const std::size_t num_nodes =
@@ -855,7 +1053,7 @@ RTree3::NodeId RTree3::BuildPacked(std::vector<Entry>* level_entries) {
       }
       Pinned node = AllocNode(level);
       if (!node) return kInvalidPageId;
-      const NodeId node_id = node.handle.id();
+      const NodeId node_id = node.id;
       for (std::size_t i = 0; i < take; ++i, ++pos) {
         const Entry& e = (*level_entries)[pos];
         if (!AppendEntry(node.node, e.box, level == 0 ? e.value : e.child)) {
@@ -931,8 +1129,8 @@ void RTree3::RetireReachable() {
       Pinned p = Pin(id);
       if (!p) return;
       if (!p.node->IsLeaf()) {
-        for (std::size_t i = 0; i < p.node->count(); ++i) {
-          stack.push_back(static_cast<NodeId>(p.node->word[i]));
+        for (std::size_t i = 0; i < p.node->count; ++i) {
+          stack.push_back(static_cast<NodeId>(p.node->word()[i]));
         }
       }
     }
@@ -957,7 +1155,7 @@ void RTree3::Publish() {
   retired_.reserve(retired_.size() + pending_retire_.size());
   for (const NodeId id : pending_retire_) retired_.push_back({tag, id});
   pending_retire_.clear();
-  fresh_.clear();
+  ++generation_;  // every node created so far is now published
   epochs_->Advance();
   ReclaimRetired();
 }
@@ -972,7 +1170,7 @@ void RTree3::ReclaimRetired() {
   std::size_t kept = 0;
   for (const RetiredPage& page : retired_) {
     if (page.tag < min_active) {
-      if (util::Status s = pool_->Free(page.id); !s.ok()) Poison(s);
+      FreeResident(page.id);
     } else {
       retired_[kept++] = page;
     }
@@ -1015,17 +1213,16 @@ void RTree3::SearchResident(const Box3& query, const Visitor& visitor) const {
     const Node* node = stack.back();
     stack.pop_back();
     const std::size_t num_hits = soa::IntersectBoxes(
-        node->min_x.data(), node->min_y.data(), node->min_t.data(),
-        node->max_x.data(), node->max_y.data(), node->max_t.data(),
-        node->count(), query, hits.data());
+        node->lo(0), node->lo(1), node->lo(2), node->hi(0), node->hi(1),
+        node->hi(2), node->count, query, hits.data());
     if (node->IsLeaf()) {
       for (std::size_t h = 0; h < num_hits; ++h) {
         const std::uint32_t i = hits[h];
-        visitor(node->BoxAt(i), node->word[i]);
+        visitor(node->BoxAt(i), node->word()[i]);
       }
     } else {
       for (std::size_t h = 0; h < num_hits; ++h) {
-        stack.push_back(node->child_ptr[hits[h]]);
+        stack.push_back(node->child(hits[h]));
       }
     }
   }
@@ -1043,17 +1240,16 @@ void RTree3::SearchPaged(const Box3& query, const Visitor& visitor) const {
     if (!p) return;
     const Node* node = p.node;
     const std::size_t num_hits = soa::IntersectBoxes(
-        node->min_x.data(), node->min_y.data(), node->min_t.data(),
-        node->max_x.data(), node->max_y.data(), node->max_t.data(),
-        node->count(), query, hits.data());
+        node->lo(0), node->lo(1), node->lo(2), node->hi(0), node->hi(1),
+        node->hi(2), node->count, query, hits.data());
     if (node->IsLeaf()) {
       for (std::size_t h = 0; h < num_hits; ++h) {
         const std::uint32_t i = hits[h];
-        visitor(node->BoxAt(i), node->word[i]);
+        visitor(node->BoxAt(i), node->word()[i]);
       }
     } else {
       for (std::size_t h = 0; h < num_hits; ++h) {
-        stack.push_back(static_cast<NodeId>(node->word[hits[h]]));
+        stack.push_back(static_cast<NodeId>(node->word()[hits[h]]));
       }
     }
   }
@@ -1084,8 +1280,8 @@ std::size_t RTree3::num_nodes() const {
     if (!p) return count;
     ++count;
     if (!p.node->IsLeaf()) {
-      for (std::size_t i = 0; i < p.node->count(); ++i) {
-        stack.push_back(static_cast<NodeId>(p.node->word[i]));
+      for (std::size_t i = 0; i < p.node->count; ++i) {
+        stack.push_back(static_cast<NodeId>(p.node->word()[i]));
       }
     }
   }
@@ -1099,41 +1295,45 @@ void RTree3::Clear() {
     RetireReachable();
     size_.store(0, std::memory_order_relaxed);
     Pinned root = AllocNode(0);
-    if (root) root_ = root.handle.id();
+    if (root) root_ = root.id;
     MaybePublish();
     SyncMetrics();
     return;
   }
   // Storage-reset clear, which is also the recovery path out of a poison.
-  // This drops every page (including ones a reader might hold), so it
+  // This drops every node (including ones a reader might hold), so it
   // requires quiesced readers.
   pub_root_.store(nullptr, std::memory_order_seq_cst);
-  fresh_.clear();
   pending_retire_.clear();
   retired_.clear();
-  if (util::Status s = pool_->DropAll(); !s.ok()) {
-    Poison(s);
-    return;
-  }
-  if (util::Status s = storage_->Reset(); !s.ok()) {
-    Poison(s);
-    return;
+  if (resident_) {
+    nodes_.clear();
+    free_ids_.clear();
+  } else {
+    if (util::Status s = pool_->DropAll(); !s.ok()) {
+      Poison(s);
+      return;
+    }
+    if (util::Status s = storage_->Reset(); !s.ok()) {
+      Poison(s);
+      return;
+    }
   }
   {
     std::lock_guard<std::mutex> lock(ctl_->mu);
     ctl_->status = util::Status::Ok();
-    ctl_->poisoned.store(false, std::memory_order_relaxed);
+    ctl_->poisoned.store(false, std::memory_order_release);
   }
   root_ = kInvalidPageId;
   size_.store(0, std::memory_order_relaxed);
   Pinned root = AllocNode(0);
-  if (root) root_ = root.handle.id();
+  if (root) root_ = root.id;
   MaybePublish();
   SyncMetrics();
 }
 
 util::Status RTree3::FlushStorage() {
-  if (util::Status s = storage_status(); !s.ok()) return s;
+  if (util::Status s = storage_status(); !s.ok() || resident_) return s;
   util::Status s = pool_->FlushDirty();
   if (!s.ok()) Poison(s);
   SyncMetrics();
@@ -1166,9 +1366,9 @@ void RTree3::SetMetrics(util::MetricsRegistry* registry,
 
 void RTree3::SyncMetrics() const {
   if (instruments_.splits == nullptr) return;
-  const storage::BufferPoolStats pool_stats = pool_->stats();
-  const storage::StorageStats storage_stats = storage_->stats();
-  const auto frames = static_cast<std::int64_t>(pool_->num_frames());
+  const storage::BufferPoolStats pool_stats = this->pool_stats();
+  const storage::StorageStats storage_stats = this->storage_stats();
+  const auto frames = static_cast<std::int64_t>(pool_frames());
   const std::uint64_t splits = splits_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(ctl_->mu);
   Pushed& last = ctl_->pushed;
@@ -1193,6 +1393,7 @@ void RTree3::SyncMetrics() const {
 util::Status RTree3::CheckInvariants() const {
   if (util::Status s = storage_status(); !s.ok()) return s;
   std::size_t leaf_entries = 0;
+  std::size_t reachable = 0;
   util::Status status = util::Status::Ok();
 
   std::function<void(NodeId, bool)> visit = [&](NodeId id, bool is_root) {
@@ -1203,31 +1404,22 @@ util::Status RTree3::CheckInvariants() const {
       if (status.ok()) status = util::Status::Internal("unpinnable node");
       return;
     }
+    ++reachable;
     const Node* node = p.node;
-    if (node->min_x.size() != node->count() ||
-        node->min_y.size() != node->count() ||
-        node->min_t.size() != node->count() ||
-        node->max_x.size() != node->count() ||
-        node->max_y.size() != node->count() ||
-        node->max_t.size() != node->count() ||
-        node->child_ptr.size() != node->count()) {
-      status = util::Status::Internal("ragged SoA arrays");
-      return;
-    }
-    if (!is_root && node->count() < options_.min_entries) {
+    if (!is_root && node->count < options_.min_entries) {
       status = util::Status::Internal("underfull node");
       return;
     }
-    if (node->count() > options_.max_entries) {
+    if (node->count > options_.max_entries) {
       status = util::Status::Internal("overfull node");
       return;
     }
-    for (std::size_t i = 0; i < node->count(); ++i) {
+    for (std::size_t i = 0; i < node->count; ++i) {
       if (node->IsLeaf()) {
         ++leaf_entries;
         continue;
       }
-      const auto child_id = static_cast<NodeId>(node->word[i]);
+      const auto child_id = static_cast<NodeId>(node->word()[i]);
       if (child_id == kInvalidPageId) {
         status = util::Status::Internal("missing child");
         return;
@@ -1247,7 +1439,7 @@ util::Status RTree3::CheckInvariants() const {
           status = util::Status::Internal("stale bounding box");
           return;
         }
-        if (resident_ && node->child_ptr[i] != child.node) {
+        if (resident_ && node->child(i) != child.node) {
           status = util::Status::Internal("stale resident child pointer");
           return;
         }
@@ -1257,8 +1449,19 @@ util::Status RTree3::CheckInvariants() const {
     }
   };
   visit(root_, true);
+  if (status.ok()) {
+    Pinned root = Pin(root_);
+    if (root && !root.node->IsLeaf() && root.node->count == 0) {
+      status = util::Status::Internal("empty internal root");
+    }
+  }
   if (status.ok() && leaf_entries != size()) {
     status = util::Status::Internal("size mismatch");
+  }
+  if (status.ok() && resident_ &&
+      nodes_.size() - free_ids_.size() !=
+          reachable + pending_retire_.size() + retired_.size()) {
+    status = util::Status::Internal("node table leak");
   }
   return status;
 }

@@ -6,8 +6,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/box.h"
@@ -34,26 +34,29 @@ namespace modb::index {
 /// Forced reinsertion is not implemented; deletions use the classical
 /// condense-tree + reinsert of orphaned entries.
 ///
-/// Node layout: nodes store their entries in structure-of-arrays form —
-/// six coordinate arrays plus a word array — so the per-node intersection
-/// test is one batched compare over contiguous doubles
-/// (`soa::IntersectBoxes`, auto-vectorized) instead of a pointer-chasing
-/// loop over box structs. Nodes carry no parent links; the mutation paths
-/// operate on explicit root-to-leaf paths.
+/// Node layout: each node is one heap block — a small header (level,
+/// count, capacity) followed by six coordinate columns, the word column
+/// and, for internal nodes, the resident child-pointer column, each sized
+/// `max_entries + 1` at run time. The per-node intersection test is one
+/// batched compare over contiguous doubles (`soa::IntersectBoxes`), and a
+/// copy-on-write clone is one allocation plus eight short copies. Nodes
+/// carry no parent links; the mutation paths operate on explicit
+/// root-to-leaf paths.
 ///
-/// Node storage: nodes are not heap objects linked by pointers — they are
-/// pages addressed by `NodeId` and resolved through a `storage::BufferPool`
-/// in front of a `storage::IStorageManager`. With the default in-memory
-/// manager and an unbounded pool nothing is ever evicted or serialised; with
-/// a disk manager and a bounded pool the tree's RAM footprint is the pool,
-/// not the index.
+/// Node storage: nodes are addressed by `NodeId`. A resident tree (the
+/// default: in-memory storage, unbounded pool) owns its blocks directly in
+/// an id-indexed node table with a free list — no buffer pool, no storage
+/// manager, no serialisation. A paged tree (disk storage or a bounded pool)
+/// keeps its nodes as pages behind a `storage::BufferPool` in front of a
+/// `storage::IStorageManager`, so its RAM footprint is the pool, not the
+/// index; the page encoding is unchanged.
 ///
 /// Concurrent reads — two regimes:
 ///   - Resident mode (in-memory backend and unbounded pool, the defaults):
 ///     `Search` / `SearchValues` are lock-free and safe *concurrently with
 ///     a writer*. Mutations are copy-on-write — a writer path-copies every
-///     node it changes into fresh pages, publishes the new root atomically,
-///     and retires the replaced pages behind an epoch-based grace period
+///     node it changes into fresh nodes, publishes the new root atomically,
+///     and retires the replaced nodes behind an epoch-based grace period
 ///     (`epoch::EpochManager`), so readers always traverse an immutable
 ///     snapshot. Writers still need external mutual exclusion among
 ///     themselves. `BeginWriteBatch` / `EndWriteBatch` defer publication so
@@ -63,19 +66,19 @@ namespace modb::index {
 ///     and readers need the historical contract — any number of threads
 ///     may query simultaneously provided no mutation is in flight.
 /// `size()`, `splits()` and `pool_stats()` are safe to call concurrently
-/// with anything (atomic counters / internally locked pool);
+/// with anything (atomic counters / internally locked pool, or no pool);
 /// `height()` / `num_nodes()` / `CheckInvariants()` keep the
 /// no-mutation-in-flight requirement in both modes.
 ///
-/// Failure model: the in-memory backend cannot fail, but a disk backend
-/// can (injected faults, full disk). Because the classic R-tree API is
+/// Failure model: a resident tree cannot fail, but a disk backend can
+/// (injected faults, full disk). Because the classic R-tree API is
 /// void/bool, storage errors poison the tree instead of being returned
 /// per-call: `storage_status()` turns sticky-non-OK, mutations become
 /// no-ops, searches return what is reachable (lock-free searches return
 /// nothing — a poisoned resident tree stops publishing). `TimeSpaceIndex`
 /// surfaces the poison as a `Status` on its own API; `Clear()` (which
 /// resets the backing store) is the recovery path — on a poisoned tree it
-/// requires readers to be quiesced, since recovery drops every page.
+/// requires readers to be quiesced, since recovery drops every node.
 class RTree3 {
  public:
   struct Options {
@@ -121,6 +124,15 @@ class RTree3 {
   /// Removes the entry that was inserted with exactly this `box` and
   /// `value`. Returns false when no such entry exists.
   bool Remove(const geo::Box3& box, Value value);
+
+  /// Removes, for every box in `boxes`, one entry inserted with exactly
+  /// that box and `value` (a box listed twice removes two identical
+  /// entries). All matches are found in one descent that enters only
+  /// children whose box contains a still-missing target — parent boxes are
+  /// exact covers — then the tree condenses bottom-up once and reinserts
+  /// the orphaned entries. Returns the number of entries removed, short of
+  /// `boxes.size()` when some box has no matching entry.
+  std::size_t RemoveBatch(std::span<const geo::Box3> boxes, Value value);
 
   /// Calls `visitor` for every stored entry whose box intersects `query`.
   void Search(const geo::Box3& query, const Visitor& visitor) const;
@@ -175,7 +187,8 @@ class RTree3 {
 
   /// Writes every dirty node page back and commits the storage manager.
   /// The checkpoint protocol calls this before snapshotting so a published
-  /// checkpoint's page file covers the tree it snapshotted.
+  /// checkpoint's page file covers the tree it snapshotted. A no-op for a
+  /// resident tree, which has no pages.
   util::Status FlushStorage();
 
   /// Sticky storage-layer error (see the failure model above); OK for the
@@ -185,40 +198,60 @@ class RTree3 {
   /// Registers per-tree I/O and split instruments under `prefix`
   /// (`<prefix>splits`, `<prefix>pages.hits|misses|evictions|writebacks|
   /// reads|writes`, gauge `<prefix>pages.frames`). Several trees may share
-  /// a prefix: counters aggregate by delta.
+  /// a prefix: counters aggregate by delta. A resident tree has no pages,
+  /// so its page instruments stay at 0.
   void SetMetrics(util::MetricsRegistry* registry, const std::string& prefix);
 
-  storage::BufferPoolStats pool_stats() const { return pool_->stats(); }
-  storage::StorageStats storage_stats() const { return storage_->stats(); }
-  const storage::IStorageManager& storage_manager() const { return *storage_; }
-  std::size_t pool_frames() const { return pool_->num_frames(); }
+  /// Buffer-pool and page-store counters; all zero for a resident tree.
+  storage::BufferPoolStats pool_stats() const {
+    return pool_ ? pool_->stats() : storage::BufferPoolStats{};
+  }
+  storage::StorageStats storage_stats() const {
+    return storage_ ? storage_->stats() : storage::StorageStats{};
+  }
+  std::size_t pool_frames() const { return pool_ ? pool_->num_frames() : 0; }
   /// Node splits performed. Concurrent-read-safe like `size()`.
   std::uint64_t splits() const {
     return splits_.load(std::memory_order_relaxed);
   }
 
-  /// Pages retired by copy-on-write mutations and not yet reclaimed (their
+  /// Nodes retired by copy-on-write mutations and not yet reclaimed (their
   /// grace period still covers an active reader epoch). 0 outside resident
   /// mode. Exposed for the epoch-reclamation tests.
   std::size_t retired_pages() const { return retired_.size(); }
 
   /// Validates the structural invariants (entry counts, bounding boxes,
-  /// uniform leaf depth, resident child pointers). Also fails when the
-  /// tree is poisoned. Used by tests.
+  /// uniform leaf depth, resident child pointers, and — resident — that
+  /// every live node-table slot is reachable or awaiting reclamation).
+  /// Also fails when the tree is poisoned. Used by tests.
   util::Status CheckInvariants() const;
 
  private:
   struct Node;
   struct Entry;
   struct Pinned;
+  struct RemoveScan;
+  struct RemoveStep;
+  struct NodeFree {
+    void operator()(Node* node) const;
+  };
+  using NodeBlock = std::unique_ptr<Node, NodeFree>;
 
   static util::Status EncodeNode(const void* object, std::string* out);
   static util::Result<std::shared_ptr<void>> DecodeNode(
-      std::string_view bytes);
-  static storage::PageCodec NodeCodec();
+      std::string_view bytes, std::size_t capacity);
 
+  /// A detached block for a node at `level` with `max_entries + 1` slots.
+  NodeBlock NewNode(std::uint32_t level) const;
   Pinned Pin(NodeId id) const;
   Pinned AllocNode(std::uint32_t level);
+  /// Resident mode: true when `node` was created since the last
+  /// publication — still private to the writer, mutable in place.
+  bool IsFresh(const Node& node) const;
+  /// Makes a pinned node mutable. Resident mode copies a published node
+  /// into a fresh one (returned with its new id; the original is retired)
+  /// and the caller repoints the parent; otherwise returns `pinned`.
+  Pinned Writable(Pinned pinned);
   /// Appends (box, word) to `node`, resolving the resident child pointer
   /// for internal entries. Returns false on storage failure.
   bool AppendEntry(Node* node, const geo::Box3& box, std::uint64_t word);
@@ -228,6 +261,8 @@ class RTree3 {
   /// never published (or outside resident mode), otherwise defers the free
   /// to the epoch scheme.
   void RetireOrFree(NodeId id);
+  /// Resident mode: returns a node-table slot to the free list.
+  void FreeResident(NodeId id);
   void Poison(const util::Status& status) const;
 
   /// Root-to-target descent (R* ChooseSubtree scoring); returns the id
@@ -235,19 +270,18 @@ class RTree3 {
   std::vector<NodeId> ChoosePath(const geo::Box3& box,
                                  std::size_t target_level) const;
   /// Resident mode: path-copies every non-fresh node on `path` into new
-  /// pages (ids updated in place) so subsequent in-place mutation never
+  /// nodes (ids updated in place) so subsequent in-place mutation never
   /// touches a published node. No-op in paged mode.
   void MakePathWritable(std::vector<NodeId>* path);
   void SplitAlongPath(std::vector<NodeId>& path, std::size_t depth);
   void AdjustPathBoxes(const std::vector<NodeId>& path, std::size_t depth);
-  void CondenseAlongPath(const std::vector<NodeId>& path,
-                         std::vector<Entry>* orphans);
   void InsertEntryAtLevel(const Entry& entry, std::size_t level);
-  /// Depth-first match search for `Remove`; on success `path` holds the
-  /// root-to-leaf id path and `entry_index` the slot within the leaf.
-  bool FindRemovePath(NodeId id, const geo::Box3& box, Value value,
-                      std::vector<NodeId>* path,
-                      std::size_t* entry_index) const;
+  /// One step of the `RemoveBatch` descent below node `id`, looking for
+  /// the targets listed in `scan` slots [begin, end). Erases what it finds,
+  /// condenses the node when it falls underfull (non-root), and reports
+  /// the outcome for the parent to apply.
+  RemoveStep RemoveUnder(NodeId id, bool is_root, std::size_t begin,
+                         std::size_t end, RemoveScan* scan);
   /// STR-packs `level_entries` (leaf entries on entry) bottom-up into fresh
   /// nodes; returns the new root id or kInvalidPageId on storage failure.
   NodeId BuildPacked(std::vector<Entry>* level_entries);
@@ -307,6 +341,7 @@ class RTree3 {
   };
 
   Options options_;
+  /// Paged mode only (both null for a resident tree).
   std::unique_ptr<storage::IStorageManager> storage_;
   mutable std::unique_ptr<storage::BufferPool> pool_;
   NodeId root_ = storage::kInvalidPageId;
@@ -315,15 +350,19 @@ class RTree3 {
   std::shared_ptr<ControlBlock> ctl_;
   Instruments instruments_;
 
-  // ---- Resident concurrent-read machinery (see the class comment) ----
+  // ---- Resident node ownership and concurrent-read machinery ----
   bool resident_ = false;
+  /// Node table: slot `id` owns node `id`; null slots are on `free_ids_`.
+  std::vector<NodeBlock> nodes_;
+  std::vector<NodeId> free_ids_;
+  /// Publication generation. A node whose `born` equals it was created
+  /// since the last publication: still private to the writer, mutable in
+  /// place, freeable without a grace period.
+  std::uint64_t generation_ = 1;
   /// Root of the snapshot readers traverse; stores happen in `Publish`.
   std::atomic<const Node*> pub_root_{nullptr};
   std::unique_ptr<epoch::EpochManager> epochs_;
-  /// Pages created since the last publication: still private to the
-  /// writer, mutable in place, freeable without a grace period.
-  std::unordered_set<NodeId> fresh_;
-  /// Published pages unlinked by the current write (batch); tagged and
+  /// Published nodes unlinked by the current write (batch); tagged and
   /// moved to `retired_` at publication.
   std::vector<NodeId> pending_retire_;
   std::vector<RetiredPage> retired_;

@@ -71,16 +71,7 @@ void TimeSpaceIndex::UpsertValidated(core::ObjectId id,
   // rectangles intersecting p1) ...
   auto it = boxes_by_object_.find(id);
   if (it != boxes_by_object_.end()) {
-    for (const geo::Box3& box : it->second) {
-      if (!rtree_.Remove(box, id)) {
-        // Internal-invariant breach: the bookkeeping says this box exists
-        // but the tree disagrees. Count it (a stale ghost box would mean
-        // duplicate candidates / leaked entries) and keep going — the new
-        // plane below is still installed correctly.
-        ++remove_misses_;
-        if (remove_miss_counter_ != nullptr) remove_miss_counter_->Increment();
-      }
-    }
+    RemoveBoxes(id, it->second);
     it->second.clear();
   }
   // ... and index the new one (insert into the rectangles intersecting p2).
@@ -176,13 +167,20 @@ void TimeSpaceIndex::Remove(core::ObjectId id) {
   if (it == boxes_by_object_.end()) return;
   // All of the object's boxes vanish from lock-free readers atomically.
   RTree3::BatchScope batch(rtree_);
-  for (const geo::Box3& box : it->second) {
-    if (!rtree_.Remove(box, id)) {
-      ++remove_misses_;
-      if (remove_miss_counter_ != nullptr) remove_miss_counter_->Increment();
-    }
-  }
+  RemoveBoxes(id, it->second);
   boxes_by_object_.erase(it);
+}
+
+void TimeSpaceIndex::RemoveBoxes(core::ObjectId id,
+                                 const std::vector<geo::Box3>& boxes) {
+  const std::size_t misses = boxes.size() - rtree_.RemoveBatch(boxes, id);
+  if (misses == 0) return;
+  // Internal-invariant breach: the bookkeeping says these boxes exist but
+  // the tree disagrees. Count them (a stale ghost box would mean duplicate
+  // candidates / leaked entries) and keep going — an upsert's new plane is
+  // still installed correctly.
+  remove_misses_ += misses;
+  if (remove_miss_counter_ != nullptr) remove_miss_counter_->Increment(misses);
 }
 
 std::vector<core::ObjectId> TimeSpaceIndex::Candidates(

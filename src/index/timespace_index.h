@@ -113,6 +113,9 @@ class TimeSpaceIndex final : public ObjectIndex {
                        const geo::Route& route,
                        const std::vector<geo::Box3>* override_boxes = nullptr,
                        bool hidden = false);
+  /// Removes the object's `boxes` with one `RTree3::RemoveBatch` descent,
+  /// counting any box the tree lacks as a remove miss.
+  void RemoveBoxes(core::ObjectId id, const std::vector<geo::Box3>& boxes);
 
   const geo::RouteNetwork* network_;
   Options options_;

@@ -93,7 +93,8 @@ util::Status BufferPool::Free(PageId id) {
       return util::Status::FailedPrecondition(
           "page " + std::to_string(id) + " freed while pinned");
     }
-    frames_.erase(it);  // the clock ring entry goes stale and is swept later
+    frames_.erase(it);  // the clock ring entry goes stale
+    if (clock_.size() > 2 * frames_.size()) CompactClockLocked();
   }
   if (util::Status s = storage_->FreePage(id); !s.ok()) return s;
   ++stats_.frees;
@@ -149,9 +150,29 @@ util::Status BufferPool::AdmitLocked(PageId id, Frame frame) {
       }
     }
   }
+  frame.admission = ++admissions_;
+  clock_.push_back({id, frame.admission});
   frames_.emplace(id, std::move(frame));
-  clock_.push_back(id);
   return util::Status::Ok();
+}
+
+BufferPool::Frame* BufferPool::LiveFrameLocked(const ClockEntry& entry) {
+  auto it = frames_.find(entry.id);
+  if (it == frames_.end() || it->second.admission != entry.admission) {
+    return nullptr;
+  }
+  return &it->second;
+}
+
+void BufferPool::CompactClockLocked() {
+  std::size_t kept = 0;
+  std::size_t hand = 0;
+  for (std::size_t i = 0; i < clock_.size(); ++i) {
+    if (i == clock_hand_) hand = kept;
+    if (LiveFrameLocked(clock_[i]) != nullptr) clock_[kept++] = clock_[i];
+  }
+  clock_.resize(kept);
+  clock_hand_ = hand;
 }
 
 util::Status BufferPool::EvictOneLocked(bool* evicted) {
@@ -160,15 +181,15 @@ util::Status BufferPool::EvictOneLocked(bool* evicted) {
   std::size_t budget = 2 * clock_.size();
   while (budget-- > 0 && !clock_.empty()) {
     if (clock_hand_ >= clock_.size()) clock_hand_ = 0;
-    const PageId id = clock_[clock_hand_];
-    auto it = frames_.find(id);
-    if (it == frames_.end()) {
-      // Stale ring entry (frame freed or already evicted via a duplicate).
+    const PageId id = clock_[clock_hand_].id;
+    Frame* live = LiveFrameLocked(clock_[clock_hand_]);
+    if (live == nullptr) {
+      // Stale ring entry (frame freed, or its id recycled and re-admitted).
       clock_.erase(clock_.begin() +
                    static_cast<std::ptrdiff_t>(clock_hand_));
       continue;
     }
-    Frame& frame = it->second;
+    Frame& frame = *live;
     if (frame.pins > 0) {
       ++clock_hand_;
       continue;
@@ -181,7 +202,7 @@ util::Status BufferPool::EvictOneLocked(bool* evicted) {
     if (frame.dirty) {
       if (util::Status s = WriteBackLocked(id, frame); !s.ok()) return s;
     }
-    frames_.erase(it);
+    frames_.erase(id);
     clock_.erase(clock_.begin() + static_cast<std::ptrdiff_t>(clock_hand_));
     ++stats_.evictions;
     *evicted = true;
@@ -210,6 +231,11 @@ BufferPoolStats BufferPool::stats() const {
 std::size_t BufferPool::num_frames() const {
   std::lock_guard<std::mutex> lock(mu_);
   return frames_.size();
+}
+
+std::size_t BufferPool::clock_ring_size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return clock_.size();
 }
 
 std::size_t BufferPool::dirty_frames() const {

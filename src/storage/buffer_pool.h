@@ -122,6 +122,10 @@ class BufferPool {
   std::size_t num_frames() const;
   std::size_t dirty_frames() const;
   std::size_t pinned_frames() const;
+  /// Entries in the clock ring, stale ones included. Stays within about
+  /// twice `num_frames()`: freed pages leave stale entries behind, which
+  /// are compacted away once they outnumber the live frames.
+  std::size_t clock_ring_size() const;
   IStorageManager* storage() const { return storage_; }
   const BufferPoolOptions& options() const { return options_; }
 
@@ -131,6 +135,14 @@ class BufferPool {
     std::uint32_t pins = 0;
     bool dirty = false;
     bool referenced = true;  // clock second-chance bit
+    /// Admission stamp, matched by the frame's one live clock entry.
+    std::uint64_t admission = 0;
+  };
+  /// Clock ring slot. Stale once its page left the pool or was admitted
+  /// again under a recycled id (the stamps then differ).
+  struct ClockEntry {
+    PageId id = kInvalidPageId;
+    std::uint64_t admission = 0;
   };
 
   void Unpin(PageId id);
@@ -141,6 +153,10 @@ class BufferPool {
   /// whether one was found. Caller holds `mu_`.
   util::Status EvictOneLocked(bool* evicted);
   util::Status WriteBackLocked(PageId id, Frame& frame);
+  /// The live frame `entry` refers to, or nullptr when it is stale.
+  Frame* LiveFrameLocked(const ClockEntry& entry);
+  /// Drops stale ring entries, keeping order and the hand's position.
+  void CompactClockLocked();
 
   IStorageManager* const storage_;
   const PageCodec codec_;
@@ -148,10 +164,13 @@ class BufferPool {
 
   mutable std::mutex mu_;
   std::unordered_map<PageId, Frame> frames_;
-  /// Clock ring of resident page ids (lazily compacted: stale ids that
-  /// left the pool are skipped and removed during sweeps).
-  std::vector<PageId> clock_;
+  /// Clock ring of resident pages. Stale entries are removed during
+  /// sweeps, and all at once when they outnumber the live frames — a pool
+  /// that never fills (never sweeps) would otherwise grow one entry per
+  /// `Create` forever.
+  std::vector<ClockEntry> clock_;
   std::size_t clock_hand_ = 0;
+  std::uint64_t admissions_ = 0;
   BufferPoolStats stats_;
 };
 

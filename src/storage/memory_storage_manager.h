@@ -11,9 +11,10 @@
 namespace modb::storage {
 
 /// In-process page store: a dense id-indexed vector of payloads with a LIFO
-/// free-page list. The default backend of every R*-tree — page operations
-/// never fail (short of `bad_alloc`), `Flush` is a no-op, and nothing
-/// persists, so behaviour matches the historical heap-owned nodes.
+/// free-page list. Backs paged R*-trees that bound their pool without a
+/// page file — page operations never fail (short of `bad_alloc`), `Flush`
+/// is a no-op, and nothing persists. (A resident R*-tree, the default,
+/// owns its nodes and opens no storage manager at all.)
 class MemoryStorageManager final : public IStorageManager {
  public:
   struct Options {

@@ -31,12 +31,12 @@ struct StorageStats {
   std::uint64_t bytes_written = 0;
 };
 
-/// Page-granular storage behind the index structures (modeled on the
-/// storage-manager split of libspatialindex-style spatial databases): the
-/// index addresses nodes by `PageId` and never owns raw memory, so the same
-/// R*-tree runs fully in memory (`MemoryStorageManager`, the default) or
-/// disk-backed with a bounded buffer pool (`DiskStorageManager`) — the RAM
-/// wall moves from "whole index" to "working set".
+/// Page-granular storage behind paged index structures (modeled on the
+/// storage-manager split of libspatialindex-style spatial databases): a
+/// paged R*-tree addresses nodes by `PageId` through a bounded buffer pool
+/// over `MemoryStorageManager` or the disk-backed `DiskStorageManager` —
+/// the RAM wall moves from "whole index" to "working set". A resident
+/// R*-tree (the default configuration) owns its nodes and uses neither.
 ///
 /// Contract:
 ///  - `AllocatePage` hands out an id whose page is initially absent; a
@@ -88,9 +88,9 @@ struct StorageConfig {
   /// Physical page size in bytes (disk only; >= 512). Payload capacity is
   /// `page_size - kPageHeaderSize`.
   std::size_t page_size = 4096;
-  /// Buffer-pool frame budget for page-backed trees; 0 = unbounded (the
-  /// memory manager default — nothing is ever evicted, preserving the
-  /// historical all-in-RAM behaviour).
+  /// Buffer-pool frame budget for page-backed trees; 0 = unbounded. With
+  /// the memory backend, 0 (the default) selects a resident tree that owns
+  /// its nodes in RAM with no pool and no pages at all.
   std::size_t pool_pages = 0;
   /// Truncate an existing page file (default) or replay its committed
   /// state. Index users always truncate: trees are rebuilt from

@@ -26,7 +26,11 @@ Box3 BoxAt(double x, double y, double t, double extent) {
   return Box3(x, y, t, x + extent, y + extent, t + extent);
 }
 
-TEST(ConcurrentRTreeReadsTest, ReadersNeverMissStableEntriesUnderWriter) {
+// Stable population the writer never touches plus a churn population the
+// writer replaces in 400 write batches while 8 readers search the whole
+// space. `boxes_per_value` > 1 removes each churn object's boxes with one
+// `RemoveBatch` descent instead of one `Remove` per box.
+void RunReadersUnderWriter(std::size_t boxes_per_value) {
   RTree3 tree;
   ASSERT_TRUE(tree.concurrent_reads());
 
@@ -45,25 +49,33 @@ TEST(ConcurrentRTreeReadsTest, ReadersNeverMissStableEntriesUnderWriter) {
   // ones, never a half-applied batch.
   constexpr std::uint64_t kChurnBase = 1'000'000;
   constexpr std::uint64_t kChurnCount = 64;
+  const std::uint64_t churn_values = kChurnCount / boxes_per_value;
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
 
   std::thread writer([&] {
     util::Rng wrng(12);
-    std::vector<std::pair<Box3, std::uint64_t>> churn;
+    std::vector<std::vector<Box3>> churn(churn_values);
     for (int round = 0; round < 400; ++round) {
       RTree3::BatchScope batch(tree);
-      for (const auto& [box, value] : churn) {
-        ASSERT_TRUE(tree.Remove(box, value));
-      }
-      churn.clear();
-      for (std::uint64_t i = 0; i < kChurnCount; ++i) {
-        const Box3 box = BoxAt(wrng.Uniform(0.0, 90.0),
-                               wrng.Uniform(0.0, 90.0),
-                               wrng.Uniform(0.0, 90.0), 5.0);
-        tree.Insert(box, kChurnBase + i);
-        churn.emplace_back(box, kChurnBase + i);
+      for (std::uint64_t i = 0; i < churn_values; ++i) {
+        if (boxes_per_value == 1) {
+          for (const Box3& box : churn[i]) {
+            ASSERT_TRUE(tree.Remove(box, kChurnBase + i));
+          }
+        } else {
+          ASSERT_EQ(tree.RemoveBatch(churn[i], kChurnBase + i),
+                    churn[i].size());
+        }
+        churn[i].clear();
+        for (std::size_t b = 0; b < boxes_per_value; ++b) {
+          const Box3 box = BoxAt(wrng.Uniform(0.0, 90.0),
+                                 wrng.Uniform(0.0, 90.0),
+                                 wrng.Uniform(0.0, 90.0), 5.0);
+          tree.Insert(box, kChurnBase + i);
+          churn[i].push_back(box);
+        }
       }
     }
     stop.store(true, std::memory_order_release);
@@ -102,12 +114,20 @@ TEST(ConcurrentRTreeReadsTest, ReadersNeverMissStableEntriesUnderWriter) {
   EXPECT_GT(reads.load(), 0u);
 
   // With readers quiesced, the next publication reclaims every retired
-  // page: the grace period of each retirement is over, so the epoch scheme
+  // node: the grace period of each retirement is over, so the epoch scheme
   // must not leak.
   tree.Insert(BoxAt(1.0, 1.0, 1.0, 1.0), kChurnBase + kChurnCount);
   ASSERT_TRUE(tree.Remove(BoxAt(1.0, 1.0, 1.0, 1.0), kChurnBase + kChurnCount));
   EXPECT_EQ(tree.retired_pages(), 0u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
+}
+
+TEST(ConcurrentRTreeReadsTest, ReadersNeverMissStableEntriesUnderWriter) {
+  RunReadersUnderWriter(/*boxes_per_value=*/1);
+}
+
+TEST(ConcurrentRTreeReadsTest, ReadersNeverMissStableEntriesUnderBatchRemoval) {
+  RunReadersUnderWriter(/*boxes_per_value=*/8);
 }
 
 TEST(ConcurrentRTreeReadsTest, BulkLoadPublishesAtomically) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -225,6 +226,75 @@ TEST(BufferPoolTest, FreeRefusesPinnedFrames) {
   EXPECT_TRUE(pool.Free(id).ok());
   EXPECT_EQ(pool.num_frames(), 0u);
   EXPECT_EQ(mgr.num_pages(), 0u);
+}
+
+// A pool that never fills never sweeps its clock ring, so the stale entries
+// freed pages leave behind must be compacted some other way: 100k
+// Create/Free cycles over at most 8 live frames keep the ring small, both
+// for a bounded pool far from its cap and for an unbounded one. The memory
+// manager recycles freed ids, so the same ids are re-admitted again and
+// again.
+TEST(BufferPoolTest, ClockRingStaysBoundedWhenThePoolNeverFills) {
+  for (const std::size_t capacity : {std::size_t{4096}, std::size_t{0}}) {
+    MemoryStorageManager mgr;
+    BufferPoolOptions options;
+    options.capacity_pages = capacity;
+    BufferPool pool(&mgr, StringPageCodec(), options);
+    std::vector<PageId> live;
+    std::size_t max_ring = 0;
+    for (int cycle = 0; cycle < 100000; ++cycle) {
+      auto h = pool.Create(Obj("page"));
+      ASSERT_TRUE(h.ok());
+      live.push_back(h->id());
+      h->Release();
+      if (live.size() > 8 || cycle % 3 == 0) {
+        ASSERT_TRUE(pool.Free(live.front()).ok());
+        live.erase(live.begin());
+      }
+      max_ring = std::max(max_ring, pool.clock_ring_size());
+    }
+    EXPECT_LE(pool.num_frames(), 9u) << "capacity " << capacity;
+    EXPECT_LE(max_ring, 2 * 9u + 1) << "capacity " << capacity;
+    EXPECT_EQ(pool.stats().evictions, 0u) << "capacity " << capacity;
+    // Every surviving frame is still reachable through the ring.
+    for (const PageId id : live) {
+      auto h = pool.Fetch(id);
+      ASSERT_TRUE(h.ok());
+      EXPECT_EQ(Str(*h), "page");
+    }
+  }
+}
+
+// After compaction the clock still evicts: a bounded pool that churns
+// pages through Free and then fills evicts only live frames, one per
+// admission over the cap.
+TEST(BufferPoolTest, ClockEvictsCorrectlyAfterCompaction) {
+  MemoryStorageManager mgr;
+  BufferPoolOptions options;
+  options.capacity_pages = 4;
+  BufferPool pool(&mgr, StringPageCodec(), options);
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    auto h = pool.Create(Obj("churn"));
+    ASSERT_TRUE(h.ok());
+    const PageId id = h->id();
+    h->Release();
+    ASSERT_TRUE(pool.Free(id).ok());
+  }
+  EXPECT_LE(pool.clock_ring_size(), 1u);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 6; ++i) {
+    auto h = pool.Create(Obj("page " + std::to_string(i)));
+    ASSERT_TRUE(h.ok());
+    ids.push_back(h->id());
+  }
+  EXPECT_EQ(pool.num_frames(), 4u);
+  EXPECT_EQ(pool.stats().evictions, 2u);
+  EXPECT_EQ(pool.clock_ring_size(), 4u);
+  for (int i = 0; i < 6; ++i) {
+    auto h = pool.Fetch(ids[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(h.ok());
+    EXPECT_EQ(Str(*h), "page " + std::to_string(i));
+  }
 }
 
 TEST(BufferPoolTest, DropAllRefusesPinnedAndDropsWithoutWriteback) {
