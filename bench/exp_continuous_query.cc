@@ -6,9 +6,7 @@
 // at 10k standing queries the spatial join runs >= 10x fewer predicate
 // evaluations than the naive rescan, at a byte-identical event stream —
 // and the stream is also byte-identical between batched and sequential
-// ingest and between the sharded and unsharded layers. A second table
-// measures the delta-invalidated hot result cache for repeated ad-hoc
-// range queries.
+// ingest and between the sharded and unsharded layers.
 //
 // `--smoke` runs small standing-query counts for CI; `--no-eval-gate`
 // reports without failing (not used by CI, kept symmetrical with E16's
@@ -25,7 +23,6 @@
 
 #include "bench/exp_common.h"
 #include "db/mod_database.h"
-#include "db/result_cache.h"
 #include "db/sharded_database.h"
 #include "db/subscription_engine.h"
 #include "geo/route_network.h"
@@ -306,77 +303,13 @@ int RunComparison(bool smoke, bool eval_gate) {
                 shard_eq ? "yes" : "NO");
   }
 
-  // --- Hot ad-hoc result cache: repeated range queries between update
-  // batches, invalidated by the same delta stream. Answers must stay
-  // byte-identical to uncached fan-out.
-  std::printf("--- delta-invalidated result cache (repeated ad-hoc "
-              "queries) ---\n");
-  bool cache_identical = true;
-  {
-    db::ModDatabase database(&w->network);
-    if (!database.BulkInsert(w->fleet).ok()) return 1;
-    db::RangeQueryCache cache(&w->network, {});
-    database.AttachResultCache(&cache);
-
-    util::Rng rng(23);
-    std::vector<geo::Polygon> regions;
-    for (int q = 0; q < 16; ++q) {
-      regions.push_back(geo::Polygon::CenteredRectangle(
-          {rng.Uniform(50.0, 520.0), rng.Uniform(50.0, 520.0)}, 25.0, 25.0));
-    }
-    const std::size_t reps = 4;
-    double cached_secs = 0.0;
-    double plain_secs = 0.0;
-    for (std::size_t i = 0; i <= w->updates.size(); i += 256) {
-      const double t = 10.0 * static_cast<double>(kRounds);
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        for (const auto& region : regions) {
-          const auto c0 = Clock::now();
-          const db::RangeAnswer cached = database.QueryRangeCached(region, t);
-          const auto c1 = Clock::now();
-          const db::RangeAnswer plain = database.QueryRange(region, t);
-          const auto c2 = Clock::now();
-          cached_secs += std::chrono::duration<double>(c1 - c0).count();
-          plain_secs += std::chrono::duration<double>(c2 - c1).count();
-          cache_identical = cache_identical && cached.must == plain.must &&
-                            cached.may == plain.may &&
-                            cached.may_probability == plain.may_probability;
-        }
-      }
-      if (i < w->updates.size()) {
-        const std::size_t n =
-            std::min<std::size_t>(256, w->updates.size() - i);
-        if (!database
-                 .ApplyUpdateBatch(std::span<const core::PositionUpdate>(
-                     w->updates.data() + i, n))
-                 .all_ok()) {
-          return 1;
-        }
-      }
-    }
-    const std::uint64_t lookups = cache.hits() + cache.misses();
-    std::printf("lookups: %llu, hits: %llu (%.0f%%), misses: %llu, "
-                "invalidations: %llu, cached/plain query time: %.2fx, "
-                "answers identical: %s\n\n",
-                static_cast<unsigned long long>(lookups),
-                static_cast<unsigned long long>(cache.hits()),
-                lookups > 0 ? 100.0 * static_cast<double>(cache.hits()) /
-                                  static_cast<double>(lookups)
-                            : 0.0,
-                static_cast<unsigned long long>(cache.misses()),
-                static_cast<unsigned long long>(cache.invalidations()),
-                plain_secs > 0.0 ? cached_secs / plain_secs : 0.0,
-                cache_identical ? "yes" : "NO");
-  }
-
-  const bool identical = streams_identical && parity && cache_identical;
+  const bool identical = streams_identical && parity;
   const bool pass =
       identical && (eval_gate ? gate_ratio >= 10.0 : true);
   std::printf("shape check — spatial join at %zu standing queries runs "
               "%.1fx fewer predicate evaluations than the naive rescan "
               "(claim: >= 10x%s), event streams byte-identical across "
-              "matcher modes, ingest shapes, and layers, cached answers "
-              "byte-identical: %s -> %s\n\n",
+              "matcher modes, ingest shapes, and layers: %s -> %s\n\n",
               kGateSubs, gate_ratio,
               eval_gate ? "" : "; eval gate off, identity only",
               identical ? "yes" : "NO", pass ? "PASS" : "FAIL");

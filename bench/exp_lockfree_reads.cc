@@ -20,8 +20,8 @@
 // >= 1.5x aggregate query throughput at byte-identical answers. The
 // reader-preferring row is reported alongside for the full story.
 // Identity is checked both at the tree level (resident vs legacy
-// differential) and at the sharded database level (lock-free probes on
-// vs off).
+// differential) and at the sharded database level (lock-free probes vs a
+// twin whose in-place trees force the locked path).
 //
 // `--smoke` shrinks the fleet and the measured window for CI;
 // `--no-speed-gate` (sanitizer builds) gates on identity only.
@@ -318,7 +318,9 @@ std::unique_ptr<db::ShardedModDatabase> BuildSharded(const Fleet& f,
   db::ShardedModDatabaseOptions options;
   options.num_shards = 4;
   options.num_query_threads = 0;
-  options.lock_free_index_probes = lock_free;
+  // The in-place trees do not allow lock-free probes, so every query of
+  // the locked twin runs under the shard lock.
+  if (!lock_free) options.db.index_storage.pool_pages = kInPlacePoolPages;
   auto database =
       std::make_unique<db::ShardedModDatabase>(&f.network, options);
   std::vector<db::ModDatabase::BulkObject> fleet;

@@ -147,15 +147,23 @@ void BM_RTreeObjectUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeObjectUpdate);
 
-// SoA arrays holding `n` random boxes plus a query that hits ~half of them.
-struct SoAFixture {
+// Intersection-kernel workload: a pool of random boxes in both layouts and
+// a ring of kKernelCases cases, each a query plus a window of `n` pooled
+// boxes. Every iteration takes the next case, so a branchy scan cannot
+// learn one fixed outcome sequence; in the tree, too, every node visit sees
+// new boxes. A query covers about half of each axis (~1/8 of the boxes).
+constexpr std::size_t kKernelCases = 1024;
+
+struct KernelFixture {
   std::vector<double> min_x, min_y, min_t, max_x, max_y, max_t;
   std::vector<Box3> aos;  // same boxes, array-of-structs, for the baseline
-  Box3 query{0.0, 0.0, 0.0, 250.0, 250.0, 250.0};
+  std::vector<Box3> queries;         // one per case
+  std::vector<std::size_t> offsets;  // first pooled box of each case
 
-  explicit SoAFixture(std::size_t n) {
+  explicit KernelFixture(std::size_t n) {
     util::Rng rng(5);
-    for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t pool = n + kKernelCases;
+    for (std::size_t i = 0; i < pool; ++i) {
       const Box3 b = RandomBox(rng, 500.0, 5.0);
       min_x.push_back(b.min[0]);
       min_y.push_back(b.min[1]);
@@ -165,6 +173,11 @@ struct SoAFixture {
       max_t.push_back(b.max[2]);
       aos.push_back(b);
     }
+    for (std::size_t c = 0; c < kKernelCases; ++c) {
+      queries.push_back(RandomBox(rng, 250.0, 250.0));
+      offsets.push_back(static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(pool - n))));
+    }
   }
 };
 
@@ -173,14 +186,18 @@ void BM_SoAIntersectKernel(benchmark::State& state) {
   // batched compare pass + compacting hit-index store. Arg is the batch
   // width — 16 is one node's worth (Options::max_entries default).
   const auto n = static_cast<std::size_t>(state.range(0));
-  SoAFixture f(n);
+  const KernelFixture f(n);
   std::vector<std::uint32_t> hits(n);
+  std::size_t c = 0;
   for (auto _ : state) {
+    const std::size_t o = f.offsets[c];
     const std::size_t count = soa::IntersectBoxes(
-        f.min_x.data(), f.min_y.data(), f.min_t.data(), f.max_x.data(),
-        f.max_y.data(), f.max_t.data(), n, f.query, hits.data());
+        f.min_x.data() + o, f.min_y.data() + o, f.min_t.data() + o,
+        f.max_x.data() + o, f.max_y.data() + o, f.max_t.data() + o, n,
+        f.queries[c], hits.data());
     benchmark::DoNotOptimize(count);
     benchmark::DoNotOptimize(hits.data());
+    c = (c + 1) % kKernelCases;
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -188,19 +205,23 @@ BENCHMARK(BM_SoAIntersectKernel)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_ScalarIntersectBaseline(benchmark::State& state) {
   // The legacy per-entry path: Box3::Intersects on array-of-structs
-  // entries with a branchy push. Same workload as BM_SoAIntersectKernel.
+  // entries with a branchy push. Same cases as BM_SoAIntersectKernel.
   const auto n = static_cast<std::size_t>(state.range(0));
-  SoAFixture f(n);
+  const KernelFixture f(n);
   std::vector<std::uint32_t> hits(n);
+  std::size_t c = 0;
   for (auto _ : state) {
+    const Box3* boxes = f.aos.data() + f.offsets[c];
+    const Box3& query = f.queries[c];
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (f.aos[i].Intersects(f.query)) {
+      if (boxes[i].Intersects(query)) {
         hits[count++] = static_cast<std::uint32_t>(i);
       }
     }
     benchmark::DoNotOptimize(count);
     benchmark::DoNotOptimize(hits.data());
+    c = (c + 1) % kKernelCases;
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

@@ -4,8 +4,6 @@
 
 #include "core/bounds.h"
 #include "core/uncertainty.h"
-#include "db/delta_stream.h"
-#include "db/result_cache.h"
 #include "db/subscription_engine.h"
 #include "db/wal.h"
 #include "index/linear_scan_index.h"
@@ -94,45 +92,8 @@ void ModDatabase::SetMetrics(util::MetricsRegistry* registry,
   group_tracker_->SetMetrics(registry, prefix + "group.");
 }
 
-void ModDatabase::AttachDeltaConsumer(DeltaConsumer* consumer) {
-  if (consumer == nullptr) return;
-  if (std::find(consumers_.begin(), consumers_.end(), consumer) !=
-      consumers_.end()) {
-    return;
-  }
-  consumers_.push_back(consumer);
-}
-
-void ModDatabase::DetachDeltaConsumer(DeltaConsumer* consumer) {
-  consumers_.erase(
-      std::remove(consumers_.begin(), consumers_.end(), consumer),
-      consumers_.end());
-}
-
-void ModDatabase::AttachSubscriptions(SubscriptionEngine* engine) {
-  if (subscriptions_ != nullptr) DetachDeltaConsumer(subscriptions_);
-  subscriptions_ = engine;
-  AttachDeltaConsumer(engine);
-}
-
-void ModDatabase::AttachResultCache(RangeQueryCache* cache) {
-  if (result_cache_ != nullptr) DetachDeltaConsumer(result_cache_);
-  result_cache_ = cache;
-  AttachDeltaConsumer(cache);
-}
-
 void ModDatabase::NotifyDeltas(std::span<const AttributeDelta> deltas) {
-  if (deltas.empty()) return;
-  for (DeltaConsumer* consumer : consumers_) {
-    consumer->OnDeltaBatch(deltas);
-  }
-}
-
-RangeAnswer ModDatabase::QueryRangeCached(const geo::Polygon& region,
-                                          core::Time t) const {
-  if (result_cache_ == nullptr) return QueryRange(region, t);
-  return result_cache_->GetOrCompute(
-      region, t, [&] { return QueryRange(region, t); });
+  subscriptions_->OnDeltaBatch(deltas);
 }
 
 util::Status ModDatabase::ValidateAttribute(
@@ -181,7 +142,7 @@ util::Status ModDatabase::Insert(core::ObjectId id, std::string label,
     }
   }
   group_tracker_->ObserveInsert(id, attr);
-  if (!bulk_ingest_ && !consumers_.empty()) {
+  if (!bulk_ingest_ && subscriptions_ != nullptr) {
     const AttributeDelta delta{0, id, nullptr, &attr};
     NotifyDeltas({&delta, 1});
   }
@@ -303,7 +264,7 @@ util::Status ModDatabase::BulkInsert(std::vector<BulkObject> objects) {
   for (const auto& [id, attr] : for_index) {
     group_tracker_->ObserveInsert(id, attr);
   }
-  if (!bulk_ingest_ && !consumers_.empty()) {
+  if (!bulk_ingest_ && subscriptions_ != nullptr) {
     // One insert transition per row, in input order (`for_index` was
     // built in input order).
     std::vector<AttributeDelta> stream;
@@ -553,7 +514,7 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     group_tracker_->NoteHiddenRows(hidden_rows);
     group_tracker_->Commit(gplan);
   }
-  if (!bulk_ingest_ && !consumers_.empty()) {
+  if (!bulk_ingest_ && subscriptions_ != nullptr) {
     // Per-record transition stream, chained through the batch-local
     // intermediate attributes: record i's `before` is the previous
     // accepted merged attribute of the same object (or the saved
@@ -642,7 +603,7 @@ util::Status ModDatabase::Erase(core::ObjectId id) {
     }
   }
   group_tracker_->Commit(gplan);
-  if (!bulk_ingest_ && !consumers_.empty()) {
+  if (!bulk_ingest_ && subscriptions_ != nullptr) {
     const AttributeDelta delta{0, id, &before, nullptr};
     NotifyDeltas({&delta, 1});
   }
@@ -827,10 +788,7 @@ bool ModDatabase::QueryNearestSplit(
           (*route)->shape().SubMaxDistanceFromPoint(point, iv.lo, iv.hi);
       items.push_back(item);
     }
-    std::sort(items.begin(), items.end(),
-              [](const NearestAnswer::Item& a, const NearestAnswer::Item& b) {
-                return a.db_distance < b.db_distance;
-              });
+    std::sort(items.begin(), items.end(), NearestAnswer::ItemOrder);
     return items;
   };
 

@@ -27,10 +27,8 @@
 namespace modb::db {
 
 class WalWriter;
-class DeltaConsumer;
 struct AttributeDelta;
 class SubscriptionEngine;
-class RangeQueryCache;
 
 /// Per-record outcome of `ApplyUpdateBatch` (index-aligned with the input
 /// batch). Validation failures are per-record: the rejected record gets its
@@ -281,35 +279,20 @@ class ModDatabase {
   void AttachWal(WalWriter* wal) { wal_ = wal; }
   WalWriter* wal() const { return wal_; }
 
-  /// Registers a delta-stream consumer (non-owning; must outlive the
-  /// attachment). Consumers are notified after every committed mutation —
-  /// insert, update batch, erase — with the ordered per-record attribute
+  /// Attaches the subscription engine (non-owning; must outlive the
+  /// attachment; nullptr detaches), which the query language's SUBSCRIBE /
+  /// UNSUBSCRIBE / EVENTS statements resolve through `subscriptions()`.
+  /// The engine is notified after every committed mutation — insert,
+  /// update batch, erase — with the ordered per-record attribute
   /// transitions (see `AttributeDelta`: the stream is per record, not
   /// per-object deduped, so batched and sequential ingest notify
   /// identically). Recovery-style paths that bypass the index
   /// (bulk-ingest sessions, `RestoreTrajectory`) do not notify; finish
-  /// recovery before attaching consumers. No-op when already attached.
-  void AttachDeltaConsumer(DeltaConsumer* consumer);
-  void DetachDeltaConsumer(DeltaConsumer* consumer);
-
-  /// Convenience: attaches `engine` as a delta consumer and remembers it
-  /// as *the* subscription engine, which the query language's SUBSCRIBE /
-  /// UNSUBSCRIBE / EVENTS statements resolve through `subscriptions()`.
-  /// nullptr detaches the previous engine.
-  void AttachSubscriptions(SubscriptionEngine* engine);
+  /// recovery before attaching the engine.
+  void AttachSubscriptions(SubscriptionEngine* engine) {
+    subscriptions_ = engine;
+  }
   SubscriptionEngine* subscriptions() const { return subscriptions_; }
-
-  /// Convenience: attaches `cache` as a delta consumer and routes
-  /// `QueryRangeCached` through it. nullptr detaches the previous cache.
-  /// The cache's matcher horizon must be >= this database's
-  /// `oplane_horizon` (see `RangeQueryCache`'s horizon contract).
-  void AttachResultCache(RangeQueryCache* cache);
-  RangeQueryCache* result_cache() const { return result_cache_; }
-
-  /// `QueryRange` through the attached result cache: byte-identical
-  /// answers (the cache is invalidated by the delta stream), falling back
-  /// to a plain `QueryRange` when no cache is attached.
-  RangeAnswer QueryRangeCached(const geo::Polygon& region, core::Time t) const;
 
   /// Flushes the index's dirty pages and commits its page store (no-op for
   /// in-memory storage). The durability manager calls this before writing
@@ -370,8 +353,9 @@ class ModDatabase {
 
  private:
   util::Status ValidateAttribute(const core::PositionAttribute& attr) const;
-  /// Fans a committed mutation's transition stream out to every attached
-  /// consumer (the pointed-to attributes live only for the call).
+  /// Hands a committed mutation's transition stream to the attached
+  /// subscription engine (the pointed-to attributes live only for the
+  /// call).
   void NotifyDeltas(std::span<const AttributeDelta> deltas);
   /// Replaces group-envelope candidates in `ids` with the exact member
   /// candidacies (no-op without active groups). Callers on the lock-free
@@ -393,10 +377,7 @@ class ModDatabase {
   std::unique_ptr<GroupTracker> group_tracker_;  // never null
   std::uint64_t total_updates_ = 0;
   WalWriter* wal_ = nullptr;  // non-owning, see AttachWal
-  // Delta-stream fan-out (all non-owning, see AttachDeltaConsumer).
-  std::vector<DeltaConsumer*> consumers_;
-  SubscriptionEngine* subscriptions_ = nullptr;
-  RangeQueryCache* result_cache_ = nullptr;
+  SubscriptionEngine* subscriptions_ = nullptr;  // non-owning
   bool bulk_ingest_ = false;  // index updates deferred, see BeginBulkIngest
   // Metrics attachment, remembered so a rebuilt index (FinishBulkIngest)
   // re-registers its instruments. Non-owning, may be null.

@@ -69,8 +69,16 @@ struct NearestAnswer {
     /// Farthest the object can possibly be.
     double max_possible_distance = 0.0;
   };
+  /// The `items` order: ascending `db_distance`, exact ties (two objects
+  /// at one database position) by ascending `id`, so the answer does not
+  /// depend on candidate or shard order.
+  static bool ItemOrder(const Item& a, const Item& b) {
+    if (a.db_distance != b.db_distance) return a.db_distance < b.db_distance;
+    return a.id < b.id;
+  }
+
   core::Time query_time = 0.0;
-  /// Up to k items, ascending by `db_distance`.
+  /// Up to k items, in `ItemOrder`.
   std::vector<Item> items;
   /// Total candidates refined across every expanding index probe (the
   /// work the query did, not the final probe's yield).

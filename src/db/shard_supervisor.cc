@@ -62,7 +62,7 @@ ShardSupervisor::~ShardSupervisor() { Stop(); }
 void ShardSupervisor::Start(RemediateFn remediate) {
   std::unique_lock<std::mutex> lock(mu_);
   remediate_ = std::move(remediate);
-  if (options_.enabled && options_.auto_remediate && !started_) {
+  if (options_.auto_remediate && !started_) {
     started_ = true;
     stop_ = false;
     loop_ = std::thread([this] { Loop(); });
@@ -90,7 +90,7 @@ void ShardSupervisor::SetHealth(State& state, ShardHealth health) {
 
 void ShardSupervisor::ReportFault(std::size_t shard,
                                   const util::Status& reason) {
-  if (!options_.enabled || shard >= states_.size()) return;
+  if (shard >= states_.size()) return;
   {
     std::unique_lock<std::mutex> lock(mu_);
     State& state = *states_[shard];
@@ -112,7 +112,7 @@ void ShardSupervisor::ReportFault(std::size_t shard,
 
 void ShardSupervisor::ReportDegraded(std::size_t shard,
                                      const util::Status& reason) {
-  if (!options_.enabled || shard >= states_.size()) return;
+  if (shard >= states_.size()) return;
   std::unique_lock<std::mutex> lock(mu_);
   State& state = *states_[shard];
   if (health(shard) != ShardHealth::kHealthy) return;
@@ -121,7 +121,7 @@ void ShardSupervisor::ReportDegraded(std::size_t shard,
 }
 
 void ShardSupervisor::ClearDegraded(std::size_t shard) {
-  if (!options_.enabled || shard >= states_.size()) return;
+  if (shard >= states_.size()) return;
   std::unique_lock<std::mutex> lock(mu_);
   State& state = *states_[shard];
   if (health(shard) != ShardHealth::kDegraded) return;
@@ -151,8 +151,9 @@ util::Status ShardSupervisor::reason(std::size_t shard) const {
 }
 
 util::Status ShardSupervisor::TryRecoverShard(std::size_t shard) {
-  if (!options_.enabled || shard >= states_.size()) {
-    return util::Status::FailedPrecondition("shard supervisor disabled");
+  if (shard >= states_.size()) {
+    return util::Status::FailedPrecondition("no shard " +
+                                            std::to_string(shard));
   }
   std::unique_lock<std::mutex> lock(mu_);
   return RecoverLocked(shard, lock);

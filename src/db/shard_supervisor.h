@@ -43,9 +43,6 @@ std::string_view ShardHealthName(ShardHealth health);
 
 /// Knobs of the shard supervisor.
 struct ShardSupervisorOptions {
-  /// Master switch; off restores the pre-supervisor behaviour (no health
-  /// tracking, no write rejection, answers always complete).
-  bool enabled = true;
   /// Run the background remediation loop. Off = quarantined shards stay
   /// down until `TryRecoverShard` is called explicitly (tests do this to
   /// step the state machine deterministically).

@@ -55,8 +55,7 @@ void SortMayWithProbabilities(std::vector<core::ObjectId>* may,
 }
 
 // Defensive cross-shard dedup: every object is owned by exactly one shard,
-// so a duplicate in a merged answer would mean shard-straddling state
-// (e.g. an entry outliving a membership change in some shard-local cache).
+// so a duplicate in a merged answer would mean shard-straddling state.
 // The merge dedups regardless, keeping the answer well-formed and the
 // merge deterministic. Inputs must be sorted by id; for MAY the first
 // occurrence's probability is kept.
@@ -114,17 +113,6 @@ ShardedModDatabase::ShardedModDatabase(const geo::RouteNetwork* network,
       // Engines share the sub.* instruments, like the mod.* aggregation.
       shard->subscriptions->SetMetrics(&metrics_, "sub.");
       shard->db->AttachSubscriptions(shard->subscriptions.get());
-    }
-    if (options_.result_cache_entries > 0) {
-      RangeQueryCache::Options cache_options;
-      cache_options.capacity = options_.result_cache_entries;
-      // Invalidation must cover everything the index can still surface
-      // (the RangeQueryCache horizon contract).
-      cache_options.matcher.horizon =
-          std::max(cache_options.matcher.horizon, options_.db.oplane_horizon);
-      shard->cache = std::make_unique<RangeQueryCache>(network, cache_options);
-      shard->cache->SetMetrics(&metrics_, "sub.cache.");
-      shard->db->AttachResultCache(shard->cache.get());
     }
     shards_.push_back(std::move(shard));
   }
@@ -526,6 +514,32 @@ void ShardedModDatabase::FanOut(
   pool_.ParallelFor(shards_.size(), per_shard);
 }
 
+template <typename Probe, typename Refine>
+auto ShardedModDatabase::ProbeThenRefine(const Shard& shard,
+                                         const Probe& probe,
+                                         const Refine& refine) {
+  const std::uint64_t v1 = shard.mutations.load(std::memory_order_seq_cst);
+  const std::shared_ptr<ModDatabase> db = SnapshotDb(shard);
+  const std::shared_ptr<const index::ObjectIndex> index = db->SharedIndex();
+  if (index->lock_free_probes()) {
+    // Optimistic split: probe without the shard lock, then refine under
+    // the shared lock only if no mutation completed in between. The
+    // counter recheck makes the answer byte-identical to the locked path.
+    const std::vector<core::ObjectId> candidates = probe(*index);
+    std::shared_lock lock(shard.mu);
+    if (shard.mutations.load(std::memory_order_seq_cst) == v1) {
+      db->CountIndexProbe();
+      return refine(*db, candidates);
+    }
+  }
+  std::shared_lock lock(shard.mu);
+  const ModDatabase& locked = *shard.db;
+  const std::vector<core::ObjectId> candidates =
+      probe(locked.object_index());
+  locked.CountIndexProbe();
+  return refine(locked, candidates);
+}
+
 RangeAnswer ShardedModDatabase::QueryRange(const geo::Polygon& region,
                                            core::Time t) const {
   queries_range_->Increment();
@@ -535,50 +549,15 @@ RangeAnswer ShardedModDatabase::QueryRange(const geo::Polygon& region,
   std::vector<RangeAnswer> per_shard(shards_.size());
   FanOut([&](std::size_t s) {
     if (skip[s] != 0) return;
-    const Shard& shard = *shards_[s];
-    if (options_.lock_free_index_probes) {
-      // Optimistic split: probe the index without the shard lock, then
-      // refine under the shared lock only if no mutation completed in
-      // between (see the Shard::mutations protocol comment). The counter
-      // recheck makes the answer byte-identical to the locked path.
-      const std::uint64_t v1 =
-          shard.mutations.load(std::memory_order_seq_cst);
-      const std::shared_ptr<ModDatabase> db = SnapshotDb(shard);
-      const std::shared_ptr<const index::ObjectIndex> index =
-          db->SharedIndex();
-      if (index->lock_free_probes()) {
-        const std::vector<core::ObjectId> candidates =
-            index->Candidates(region, t);
-        std::shared_lock lock(shard.mu);
-        if (shard.mutations.load(std::memory_order_seq_cst) == v1) {
-          db->CountIndexProbe();
-          per_shard[s] = db->RefineRange(region, t, candidates);
-          return;
-        }
-      }
-    }
-    std::shared_lock lock(shard.mu);
-    per_shard[s] = shard.db->QueryRange(region, t);
-  });
-  RangeAnswer merged = MergeRangeAnswers(std::move(per_shard), t);
-  merged.completeness = std::move(completeness);
-  return merged;
-}
-
-RangeAnswer ShardedModDatabase::QueryRangeCached(const geo::Polygon& region,
-                                                 core::Time t) const {
-  queries_range_->Increment();
-  util::ScopedLatencyTimer timer(latency_range_);
-  std::vector<char> skip;
-  QueryCompleteness completeness = ExcludedShards(&skip);
-  std::vector<RangeAnswer> per_shard(shards_.size());
-  FanOut([&](std::size_t s) {
-    if (skip[s] != 0) return;
-    const Shard& shard = *shards_[s];
-    std::shared_lock lock(shard.mu);
-    // Per-shard cache entries are shard-local (complete for their shard),
-    // so caching here is safe even while the merged answer is partial.
-    per_shard[s] = shard.db->QueryRangeCached(region, t);
+    per_shard[s] = ProbeThenRefine(
+        *shards_[s],
+        [&](const index::ObjectIndex& index) {
+          return index.Candidates(region, t);
+        },
+        [&](const ModDatabase& db,
+            const std::vector<core::ObjectId>& candidates) {
+          return db.RefineRange(region, t, candidates);
+        });
   });
   RangeAnswer merged = MergeRangeAnswers(std::move(per_shard), t);
   merged.completeness = std::move(completeness);
@@ -619,39 +598,34 @@ NearestAnswer ShardedModDatabase::QueryNearest(const geo::Point2& point,
   FanOut([&](std::size_t s) {
     if (skip[s] != 0) return;
     const Shard& shard = *shards_[s];
-    if (options_.lock_free_index_probes) {
-      const std::uint64_t v1 =
-          shard.mutations.load(std::memory_order_seq_cst);
-      const std::shared_ptr<ModDatabase> db = SnapshotDb(shard);
-      const std::shared_ptr<const index::ObjectIndex> index =
-          db->SharedIndex();
-      if (index->lock_free_probes()) {
-        // Nearest interleaves probes and refinement, so the split runs
-        // inside the database: every expanding probe goes through the
-        // lock-free index handle, every record-map pass re-acquires the
-        // shared lock and re-validates the mutation counter. Any
-        // concurrent write voids the whole query (false) → locked
-        // fallback below.
-        NearestAnswer answer;
-        const bool ok = db->QueryNearestSplit(
-            point, k, t,
-            [&](const geo::Polygon& probe) {
-              db->CountIndexProbe();
-              return index->Candidates(probe, t);
-            },
-            [&](const std::function<void()>& fn) {
-              std::shared_lock lock(shard.mu);
-              if (shard.mutations.load(std::memory_order_seq_cst) != v1) {
-                return false;
-              }
-              fn();
-              return true;
-            },
-            &answer);
-        if (ok) {
-          per_shard[s] = std::move(answer);
-          return;
-        }
+    const std::uint64_t v1 = shard.mutations.load(std::memory_order_seq_cst);
+    const std::shared_ptr<ModDatabase> db = SnapshotDb(shard);
+    const std::shared_ptr<const index::ObjectIndex> index = db->SharedIndex();
+    if (index->lock_free_probes()) {
+      // Nearest interleaves probes and refinement, so the split runs
+      // inside the database: every expanding probe goes through the
+      // lock-free index handle, every record-map pass re-acquires the
+      // shared lock and re-validates the mutation counter. Any concurrent
+      // write voids the whole query (false) → locked fallback below.
+      NearestAnswer answer;
+      const bool ok = db->QueryNearestSplit(
+          point, k, t,
+          [&](const geo::Polygon& probe) {
+            db->CountIndexProbe();
+            return index->Candidates(probe, t);
+          },
+          [&](const std::function<void()>& fn) {
+            std::shared_lock lock(shard.mu);
+            if (shard.mutations.load(std::memory_order_seq_cst) != v1) {
+              return false;
+            }
+            fn();
+            return true;
+          },
+          &answer);
+      if (ok) {
+        per_shard[s] = std::move(answer);
+        return;
       }
     }
     std::shared_lock lock(shard.mu);
@@ -665,9 +639,7 @@ NearestAnswer ShardedModDatabase::QueryNearest(const geo::Point2& point,
     merged.items.insert(merged.items.end(), a.items.begin(), a.items.end());
   }
   std::sort(merged.items.begin(), merged.items.end(),
-            [](const NearestAnswer::Item& a, const NearestAnswer::Item& b) {
-              return a.db_distance < b.db_distance;
-            });
+            NearestAnswer::ItemOrder);
   if (merged.items.size() > k) merged.items.resize(k);
   return merged;
 }
@@ -684,27 +656,16 @@ IntervalRangeAnswer ShardedModDatabase::QueryRangeInterval(
   const core::Time window_hi = std::max(t1, t2);
   FanOut([&](std::size_t s) {
     if (skip[s] != 0) return;
-    const Shard& shard = *shards_[s];
-    if (options_.lock_free_index_probes) {
-      const std::uint64_t v1 =
-          shard.mutations.load(std::memory_order_seq_cst);
-      const std::shared_ptr<ModDatabase> db = SnapshotDb(shard);
-      const std::shared_ptr<const index::ObjectIndex> index =
-          db->SharedIndex();
-      if (index->lock_free_probes()) {
-        const std::vector<core::ObjectId> candidates =
-            index->CandidatesInWindow(region, window_lo, window_hi);
-        std::shared_lock lock(shard.mu);
-        if (shard.mutations.load(std::memory_order_seq_cst) == v1) {
-          db->CountIndexProbe();
-          per_shard[s] = db->RefineRangeInterval(region, window_lo, window_hi,
-                                                 sample_step, candidates);
-          return;
-        }
-      }
-    }
-    std::shared_lock lock(shard.mu);
-    per_shard[s] = shard.db->QueryRangeInterval(region, t1, t2, sample_step);
+    per_shard[s] = ProbeThenRefine(
+        *shards_[s],
+        [&](const index::ObjectIndex& index) {
+          return index.CandidatesInWindow(region, window_lo, window_hi);
+        },
+        [&](const ModDatabase& db,
+            const std::vector<core::ObjectId>& candidates) {
+          return db.RefineRangeInterval(region, window_lo, window_hi,
+                                        sample_step, candidates);
+        });
   });
 
   IntervalRangeAnswer merged;
@@ -896,11 +857,6 @@ util::Status ShardedModDatabase::RemediateShard(std::size_t s) {
     shard.db->ForEachRecord([&](const MovingObjectRecord& rec) {
       shard.subscriptions->PrimeObject(rec.id, rec.attr);
     });
-  }
-  if (shard.cache != nullptr) {
-    shard.db->AttachResultCache(shard.cache.get());
-    // Entries describe the dead store; drop them all.
-    shard.cache->Clear();
   }
   return util::Status::Ok();
 }

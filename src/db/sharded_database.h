@@ -13,7 +13,6 @@
 
 #include "db/mod_database.h"
 #include "db/recovery.h"
-#include "db/result_cache.h"
 #include "db/shard_supervisor.h"
 #include "db/subscription_engine.h"
 #include "util/metrics.h"
@@ -57,29 +56,12 @@ struct ShardedModDatabaseOptions {
   /// Options for the per-shard engines (`enable_subscriptions` only). The
   /// matcher horizon should match `db.oplane_horizon` (both default 120).
   SubscriptionEngine::Options subscriptions;
-  /// Hot ad-hoc result cache: entries per shard for `QueryRangeCached`
-  /// (0 disables — cached queries fall back to plain fan-out). The
-  /// cache's invalidation horizon is clamped up to `db.oplane_horizon`.
-  std::size_t result_cache_entries = 0;
   /// Failure-domain isolation (see `ShardSupervisor`): faults quarantine
   /// their shard instead of wedging the store; quarantined shards reject
   /// writes with `Unavailable`, fan-out answers turn partial, and a
   /// background loop re-runs recovery under capped backoff until the
-  /// shard is re-admitted. `supervisor.enabled = false` restores the
-  /// pre-supervisor behaviour.
+  /// shard is re-admitted.
   ShardSupervisorOptions supervisor;
-  /// Optimistic lock-free index probes on the fan-out query paths. When
-  /// the per-shard index supports concurrent reads
-  /// (`ObjectIndex::lock_free_probes()` — the time-space R*-tree over
-  /// resident storage does), `QueryRange` / `QueryNearest` /
-  /// `QueryRangeInterval` probe the index candidates *without* the shard's
-  /// reader lock, then take the shared lock only for record-map refinement,
-  /// re-validating against the shard's mutation counter; a concurrent
-  /// write voids the probe and the query falls back to the fully-locked
-  /// path, so answers are byte-identical either way. `false` always takes
-  /// the shard lock for the whole per-shard query (the previous
-  /// behaviour).
-  bool lock_free_index_probes = true;
 };
 
 /// Concurrency layer over `ModDatabase`: N shards keyed by ObjectId hash,
@@ -88,9 +70,16 @@ struct ShardedModDatabaseOptions {
 /// Writes (`Insert` / `ApplyUpdate` / `Erase`) take the owning shard's
 /// exclusive lock, so updates to different shards proceed in parallel.
 /// Fan-out queries (`QueryRange` / `QueryNearest` / `QueryRangeInterval`)
-/// take each shard's shared lock, run the per-shard query on the internal
-/// thread pool, and merge: MUST / MAY unions re-sorted by id, and a global
-/// top-k re-merge for nearest.
+/// run the per-shard query on the internal thread pool and merge: MUST /
+/// MAY unions re-sorted by id, and a global top-k re-merge for nearest.
+/// When the shard's index allows lock-free probes
+/// (`ObjectIndex::lock_free_probes()` — the resident time-space R*-tree
+/// does), the per-shard query probes the index *without* the shard lock
+/// and takes the shared lock only for record-map refinement, re-validating
+/// against the shard's mutation counter; a concurrent write voids the
+/// probe and the query reruns under the shared lock, so answers are
+/// byte-identical either way. Other indexes run the whole per-shard query
+/// under the shared lock.
 ///
 /// Consistency: per-object operations are linearisable (one shard, one
 /// lock). A fan-out query does not freeze the whole database — each shard
@@ -155,9 +144,6 @@ class ShardedModDatabase {
   util::Result<PositionAnswer> QueryPosition(core::ObjectId id,
                                              core::Time t) const;
   RangeAnswer QueryRange(const geo::Polygon& region, core::Time t) const;
-  /// `QueryRange` through the per-shard result caches (byte-identical
-  /// answers; plain fan-out when caching is disabled).
-  RangeAnswer QueryRangeCached(const geo::Polygon& region, core::Time t) const;
   NearestAnswer QueryNearest(const geo::Point2& point, std::size_t k,
                              core::Time t) const;
   IntervalRangeAnswer QueryRangeInterval(
@@ -221,8 +207,7 @@ class ShardedModDatabase {
   ShardSupervisor& supervisor() { return *supervisor_; }
   const ShardSupervisor& supervisor() const { return *supervisor_; }
 
-  /// Health of shard `s` (`kHealthy` for every shard when the supervisor
-  /// is disabled — `ShardSupervisor` no-ops its transitions then).
+  /// Health of shard `s`.
   ShardHealth shard_health(std::size_t s) const {
     return supervisor_->health(s);
   }
@@ -257,13 +242,11 @@ class ShardedModDatabase {
     // Owns the shard's WAL; declared after db (destroyed first) so the WAL
     // detaches from a still-live database.
     std::unique_ptr<DurabilityManager> durability;
-    // Continuous-query plumbing on this shard's delta stream (both may be
-    // null; non-owning pointers to them live in `db`, so they are declared
-    // after it and destroyed first only once `db` stops mutating — the
-    // destructor runs with no concurrent calls by the thread-compat
-    // contract).
+    // Continuous-query engine on this shard's delta stream (may be null;
+    // a non-owning pointer to it lives in `db`, so it is declared after it
+    // and destroyed first only once `db` stops mutating — the destructor
+    // runs with no concurrent calls by the thread-compat contract).
     std::unique_ptr<SubscriptionEngine> subscriptions;
-    std::unique_ptr<RangeQueryCache> cache;
   };
 
   /// Runs `per_shard(shard_index)` for every shard on the pool (inline
@@ -291,6 +274,18 @@ class ShardedModDatabase {
     return shard.db;
   }
 
+  /// One shard's part of a `QueryRange` / `QueryRangeInterval` fan-out.
+  /// `probe(index)` returns the index candidates and
+  /// `refine(db, candidates)` classifies them against the record map. When
+  /// the index allows lock-free probes, the probe runs without the shard
+  /// lock and the refinement under the shared lock, provided no mutation
+  /// completed in between (see `Shard::mutations`); otherwise, or when a
+  /// write voided the probe, both run under the shared lock. The probe is
+  /// counted once in `mod.index_probes` either way.
+  template <typename Probe, typename Refine>
+  static auto ProbeThenRefine(const Shard& shard, const Probe& probe,
+                              const Refine& refine);
+
   /// Marks a completed mutation on shard `s`. Must be called *after* the
   /// mutation, while the shard's exclusive lock is still held (see the
   /// `Shard::mutations` protocol comment).
@@ -309,7 +304,7 @@ class ShardedModDatabase {
   /// WAL on an intact store is rotated in place (`TryReopenWal` +
   /// checkpoint); anything else replays the shard's durable home into a
   /// fresh store and swaps it in, re-attaching the subscription engine
-  /// (silently re-primed) and the result cache (cleared).
+  /// (silently re-primed).
   util::Status RemediateShard(std::size_t s);
 
   /// Durable home of shard `i` (`<durable_dir>/shard-<i>`).

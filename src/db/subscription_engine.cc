@@ -8,6 +8,27 @@ namespace modb::db {
 
 namespace {
 
+/// Sampling step of the MUST-at-some-instant half of windowed
+/// subscriptions: `QueryRangeInterval`'s default step.
+constexpr core::Duration kMustSampleStep = 1.0;
+
+/// Appends a conservative 3-D cover of every (position, time) the motion
+/// model `attr` can occupy within `oplane.horizon` of its start time: the
+/// o-plane slab boxes of §4.1.1, one per time slab. The spatial join
+/// intersects these against the subscription boxes to find the standing
+/// queries a delta can possibly affect. An unknown route appends nothing
+/// (the database never commits such an attribute).
+void AppendDirtyBoxes(const core::PositionAttribute& attr,
+                      const geo::RouteNetwork& network,
+                      const index::OPlaneOptions& oplane,
+                      std::vector<geo::Box3>* out) {
+  const auto route = network.FindRoute(attr.route);
+  if (!route.ok()) return;
+  std::vector<geo::Box3> boxes =
+      index::BuildOPlaneBoxes(attr, **route, oplane);
+  out->insert(out->end(), boxes.begin(), boxes.end());
+}
+
 /// Whether a `from` -> `to` relation change is visible under `mode`.
 bool ModeCares(SubscriptionMode mode, core::RegionRelation from,
                core::RegionRelation to) {
@@ -131,17 +152,14 @@ core::RegionRelation SubscriptionEngine::EvaluatePair(
 
   // DURING form, mirroring QueryRangeInterval: MAY is exact (the swept
   // uncertainty span moves continuously), MUST-at-some-instant is sampled
-  // at `must_sample_step` plus the window edges.
+  // every `kMustSampleStep` plus the window edges.
   const core::UncertaintyInterval span =
       core::ComputeUncertaintySpan(attr, route, w1, w2);
   if (!route.shape().SubIntersectsPolygon(span.lo, span.hi,
                                           sub.spec.region)) {
     return core::RegionRelation::kOutside;
   }
-  const double step = std::max(
-      options_.must_sample_step > 0.0 ? options_.must_sample_step : w2 - w1,
-      1e-9);
-  for (core::Time t = w1;; t += step) {
+  for (core::Time t = w1;; t += kMustSampleStep) {
     const core::Time clamped = std::min(t, w2);
     const core::UncertaintyInterval iv =
         core::ComputeUncertainty(attr, route, clamped);

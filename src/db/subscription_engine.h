@@ -1,15 +1,17 @@
 #ifndef MODB_DB_SUBSCRIPTION_ENGINE_H_
 #define MODB_DB_SUBSCRIPTION_ENGINE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/position_attribute.h"
 #include "core/types.h"
 #include "core/uncertainty.h"
-#include "db/delta_stream.h"
 #include "geo/polygon.h"
 #include "geo/route_network.h"
 #include "index/oplane.h"
@@ -18,6 +20,28 @@
 #include "util/status.h"
 
 namespace modb::db {
+
+/// One committed attribute transition on the database's delta stream: the
+/// motion model of `id` changed from `before` to `after`. A null `before`
+/// is an insert, a null `after` an erase (never both null).
+///
+/// Unlike `index::IndexDelta` — which carries only each object's *final*
+/// per-batch attribute because the index serves nothing but the current
+/// model — the delta stream is per record: a batch that updates the same
+/// object twice produces two transitions, chained through the intermediate
+/// attribute, exactly as sequential ingest would. Continuous queries need
+/// that chain (a mid-batch excursion through a region is an enter+leave
+/// pair, not silence), so the stream must not be collapsed by the stage-4
+/// supersede dedup.
+struct AttributeDelta {
+  /// Input slot of the record within the originating call (0 for
+  /// single-record mutations). The sharded layer rewrites shard-local
+  /// ordinals back to global input slots before merging event streams.
+  std::size_t ordinal = 0;
+  core::ObjectId id = core::kInvalidObjectId;
+  const core::PositionAttribute* before = nullptr;  // null = insert
+  const core::PositionAttribute* after = nullptr;   // null = erase
+};
 
 using SubscriptionId = std::uint64_t;
 
@@ -82,10 +106,14 @@ struct SubscriptionEvent {
 /// modes and between batched and sequential ingest; the spatial join can
 /// only skip pairs whose relation is Outside before and after.
 ///
+/// Windowed subscriptions sample their MUST-at-some-instant half every
+/// 1.0 time units plus the window edges — `QueryRangeInterval`'s default
+/// step.
+///
 /// Thread-compatibility: not internally synchronised, same contract as
 /// `ModDatabase` (the sharded layer drives each shard's engine under that
 /// shard's exclusive lock).
-class SubscriptionEngine final : public DeltaConsumer {
+class SubscriptionEngine final {
  public:
   struct Options {
     /// Horizon gate and dirty-box slabbing for the spatial join. The
@@ -94,9 +122,6 @@ class SubscriptionEngine final : public DeltaConsumer {
     /// trades join probes against precision (it does not affect which
     /// events fire) and so defaults coarser than the index's.
     index::OPlaneOptions matcher;
-    /// Sampling step for the MUST-at-some-instant half of windowed
-    /// subscriptions (same contract as `QueryRangeInterval`).
-    core::Duration must_sample_step = 1.0;
     /// Evaluate every subscription against every record instead of the
     /// spatial join — the E17 baseline. Event streams are identical.
     bool naive_rescan = false;
@@ -128,11 +153,13 @@ class SubscriptionEngine final : public DeltaConsumer {
   bool contains(SubscriptionId id) const { return subs_.contains(id); }
   std::size_t num_subscriptions() const { return subs_.size(); }
 
-  /// Delta-stream hook: re-evaluates affected subscriptions record by
-  /// record and buffers transition events. Within one record, events are
-  /// emitted in ascending subscription id; across records, in record
-  /// (ordinal) order.
-  void OnDeltaBatch(std::span<const AttributeDelta> deltas) override;
+  /// Delta-stream hook, called by `ModDatabase` after every committed
+  /// mutation (the pointed-to attributes live only for the call; `deltas`
+  /// arrive in ascending ordinal): re-evaluates affected subscriptions
+  /// record by record and buffers transition events. Within one record,
+  /// events are emitted in ascending subscription id; across records, in
+  /// record (ordinal) order.
+  void OnDeltaBatch(std::span<const AttributeDelta> deltas);
 
   /// Drains the buffered events (oldest first).
   std::vector<SubscriptionEvent> TakeEvents();

@@ -29,6 +29,10 @@ void LatencyHistogram::RecordNanos(std::uint64_t nanos) {
   while (prev < nanos && !max_nanos_.compare_exchange_weak(
                              prev, nanos, std::memory_order_relaxed)) {
   }
+  prev = min_nanos_.load(std::memory_order_relaxed);
+  while (prev > nanos && !min_nanos_.compare_exchange_weak(
+                             prev, nanos, std::memory_order_relaxed)) {
+  }
 }
 
 double LatencyHistogram::mean_micros() const {
@@ -53,10 +57,15 @@ double LatencyHistogram::ApproxQuantileMicros(double q) const {
   // Bucket i spans [2^(i-1), 2^i) µs; the snapshot's log2-domain quantile
   // lands on a bucket midpoint i + 0.5, so 2^(x - 1) recovers the bucket's
   // geometric center scale. Bucket 0 (< 1 µs) maps below 1. That center
-  // can lie above every sample in the bucket (one 1000 ns sample would
-  // report ~1.41 µs), so clamp to the observed maximum.
-  const double x = snapshot.ApproxQuantile(q);
-  return std::min(std::exp2(x - 1.0), max_micros());
+  // can lie above or below every sample in the bucket (one 1000 ns sample
+  // would report ~1.41 µs, one 1999 ns sample the same), so clamp to the
+  // observed [min, max].
+  double micros = std::exp2(snapshot.ApproxQuantile(q) - 1.0);
+  const std::uint64_t min_nanos = min_nanos_.load(std::memory_order_relaxed);
+  if (min_nanos != kNoMin) {
+    micros = std::max(micros, static_cast<double>(min_nanos) * 1e-3);
+  }
+  return std::min(micros, max_micros());
 }
 
 void LatencyHistogram::Reset() {
@@ -64,6 +73,7 @@ void LatencyHistogram::Reset() {
   count_.store(0, std::memory_order_relaxed);
   sum_nanos_.store(0, std::memory_order_relaxed);
   max_nanos_.store(0, std::memory_order_relaxed);
+  min_nanos_.store(kNoMin, std::memory_order_relaxed);
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

@@ -77,8 +77,8 @@ class LatencyHistogram {
   }
 
   /// Approximate `q`-quantile in microseconds (bucket-midpoint precision in
-  /// the log2 domain, i.e. within ~1.4x of the true value), never above
-  /// `max_micros()`. 0 when empty.
+  /// the log2 domain, i.e. within ~1.4x of the true value), never below
+  /// the smallest sample or above `max_micros()`. 0 when empty.
   double ApproxQuantileMicros(double q) const;
 
   /// Snapshot of the bucket counts as an equal-width histogram over
@@ -89,10 +89,14 @@ class LatencyHistogram {
   void Reset();
 
  private:
+  // `min_nanos_` of an empty histogram.
+  static constexpr std::uint64_t kNoMin = ~std::uint64_t{0};
+
   std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_nanos_{0};
   std::atomic<std::uint64_t> max_nanos_{0};
+  std::atomic<std::uint64_t> min_nanos_{kNoMin};
 };
 
 /// Records the lifetime of the scope into a latency histogram. A null

@@ -182,21 +182,6 @@ TEST(ShardSupervisorTest, MetricsTrackStateAndDurations) {
   EXPECT_EQ(metrics.GetLatency("shard.recovery_duration")->count(), 1u);
 }
 
-TEST(ShardSupervisorTest, DisabledSupervisorNoOpsEverything) {
-  ShardSupervisorOptions options;
-  options.enabled = false;
-  ShardSupervisor sup(2, options, nullptr);
-  sup.Start([](std::size_t) { return util::Status::Ok(); });
-  sup.ReportFault(0, util::Status::Internal("ignored"));
-  sup.ReportDegraded(1, util::Status::Internal("ignored"));
-  EXPECT_EQ(sup.health(0), ShardHealth::kHealthy);
-  EXPECT_EQ(sup.health(1), ShardHealth::kHealthy);
-  EXPECT_TRUE(sup.writable(0));
-  EXPECT_EQ(sup.TryRecoverShard(0).code(),
-            util::StatusCode::kFailedPrecondition);
-  sup.Stop();
-}
-
 TEST(ShardSupervisorTest, ConcurrentFaultsAndRecoveriesStayConsistent) {
   ShardSupervisorOptions options;
   options.retry.initial_delay_ms = 1;
@@ -392,48 +377,6 @@ TEST_F(ShardFailureDomainTest, FanOutAnswersTurnPartialNotWrong) {
   EXPECT_FALSE(window.completeness.complete);
   EXPECT_EQ(window.completeness.excluded_shards,
             (std::vector<std::size_t>{3}));
-}
-
-TEST_F(ShardFailureDomainTest, ResultCacheNeverServesAPartialAnswer) {
-  // Unit-level guard: an incomplete answer is returned but not cached.
-  RangeQueryCache cache(&network_, RangeQueryCache::Options{});
-  const geo::Polygon region = WholeStreet();
-  int computes = 0;
-  const auto partial = [&] {
-    ++computes;
-    RangeAnswer answer;
-    answer.completeness.complete = false;
-    answer.completeness.excluded_shards = {1};
-    return answer;
-  };
-  EXPECT_FALSE(cache.GetOrCompute(region, 0.0, partial).completeness.complete);
-  EXPECT_FALSE(cache.GetOrCompute(region, 0.0, partial).completeness.complete);
-  EXPECT_EQ(computes, 2) << "partial answers must not be cached";
-  EXPECT_EQ(cache.size(), 0u);
-
-  const auto complete = [&] {
-    ++computes;
-    return RangeAnswer{};
-  };
-  (void)cache.GetOrCompute(region, 0.0, complete);
-  (void)cache.GetOrCompute(region, 0.0, complete);
-  EXPECT_EQ(computes, 3) << "complete answers cache as before";
-  EXPECT_EQ(cache.hits(), 1u);
-
-  // End to end: cached fan-outs recompute while a shard is out, and heal
-  // back to cache hits once it returns.
-  ShardedModDatabaseOptions options = InMemoryManual();
-  options.result_cache_entries = 16;
-  ShardedModDatabase db(&network_, options);
-  for (core::ObjectId id = 0; id < 20; ++id) {
-    ASSERT_TRUE(db.Insert(id, "o", Attr(5.0 + 2.0 * id)).ok());
-  }
-  db.supervisor().ReportFault(0, util::Status::Internal("fault"));
-  const RangeAnswer a = db.QueryRangeCached(region, 0.0);
-  const RangeAnswer b = db.QueryRangeCached(region, 0.0);
-  EXPECT_FALSE(a.completeness.complete);
-  EXPECT_FALSE(b.completeness.complete);
-  EXPECT_EQ(a.must.size(), b.must.size());
 }
 
 TEST_F(ShardFailureDomainTest, WalPoisonQuarantinesAndReopenHealsInPlace) {

@@ -156,6 +156,32 @@ TEST_F(ShardedDatabaseTest, NearestQueryMatchesSingleDatabase) {
   }
 }
 
+TEST_F(ShardedDatabaseTest, NearestBreaksDistanceTiesByIdLikeSingleDatabase) {
+  // Two parked objects share one database position, so their distances tie
+  // exactly; neither candidate order nor shard order may pick the winner.
+  ModDatabase single(&network_);
+  ShardedModDatabaseOptions options;
+  options.num_shards = 2;
+  options.num_query_threads = 0;
+  ShardedModDatabase sharded(&network_, options);
+  ASSERT_NE(sharded.ShardOf(1), sharded.ShardOf(2));
+  for (const core::ObjectId id : {1, 2}) {
+    ASSERT_TRUE(single.Insert(id, "parked", Attr(street_, 100.0)).ok());
+    ASSERT_TRUE(sharded.Insert(id, "parked", Attr(street_, 100.0)).ok());
+  }
+  for (const std::size_t k : {1, 2}) {
+    const NearestAnswer a = single.QueryNearest({100.0, 5.0}, k, 10.0);
+    const NearestAnswer b = sharded.QueryNearest({100.0, 5.0}, k, 10.0);
+    ASSERT_EQ(a.items.size(), k);
+    ASSERT_EQ(b.items.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(a.items[i].id, static_cast<core::ObjectId>(i + 1))
+          << "k=" << k;
+      EXPECT_EQ(b.items[i].id, a.items[i].id) << "k=" << k << " i=" << i;
+    }
+  }
+}
+
 TEST_F(ShardedDatabaseTest, IntervalQueryMatchesSingleDatabase) {
   ModDatabase single(&network_);
   ShardedModDatabase sharded(&network_, FourShards());

@@ -1,7 +1,7 @@
 // Continuous queries on the sharded layer: deterministic cross-shard event
 // merging (byte-identical to an unsharded database fed the same
-// mutations), cached fan-out queries, bulk-load rollback semantics, and a
-// multi-threaded stress run for the ThreadSanitizer gate.
+// mutations), bulk-load rollback semantics, and a multi-threaded stress
+// run for the ThreadSanitizer gate.
 
 #include <gtest/gtest.h>
 
@@ -237,51 +237,12 @@ TEST_F(ShardedSubscriptionTest, BulkInsertRollbackDiscardsEvents) {
   EXPECT_EQ(events[1].object, 6u);
 }
 
-TEST_F(ShardedSubscriptionTest, CachedRangeQueriesMatchPlainFanOut) {
-  auto options = WithSubscriptions(4);
-  options.result_cache_entries = 8;
-  ShardedModDatabase db(&network_, options);
-
-  util::Rng rng(99);
-  for (core::ObjectId id = 0; id < 30; ++id) {
-    ASSERT_TRUE(
-        db.Insert(id, "o", Attr(street_, rng.Uniform(0.0, 380.0),
-                                rng.Uniform(0.0, 1.4)))
-            .ok());
-  }
-  const geo::Polygon region = geo::Polygon::Rectangle(50, -2, 250, 2);
-  for (int i = 0; i < 3; ++i) {
-    const auto cached = db.QueryRangeCached(region, 10.0);
-    const auto plain = db.QueryRange(region, 10.0);
-    ASSERT_EQ(cached.must, plain.must);
-    ASSERT_EQ(cached.may, plain.may);
-    ASSERT_EQ(cached.may_probability, plain.may_probability);
-    // Merged answers carry no cross-shard duplicates.
-    for (std::size_t j = 1; j < cached.must.size(); ++j) {
-      EXPECT_LT(cached.must[j - 1], cached.must[j]);
-    }
-    for (std::size_t j = 1; j < cached.may.size(); ++j) {
-      EXPECT_LT(cached.may[j - 1], cached.may[j]);
-    }
-  }
-  EXPECT_GT(db.metrics().GetCounter("sub.cache.hits")->value(), 0u);
-
-  // A write invalidates; the cached answer tracks the new fleet state.
-  ASSERT_TRUE(db.ApplyUpdate(Update(0, 5.0, 150.0, 0.0)).ok());
-  const auto cached = db.QueryRangeCached(region, 10.0);
-  const auto plain = db.QueryRange(region, 10.0);
-  EXPECT_EQ(cached.must, plain.must);
-  EXPECT_EQ(cached.may, plain.may);
-}
-
 // ThreadSanitizer stress: concurrent writers on disjoint object ranges,
-// cached fan-out readers, and an event-drain thread, all against the same
+// fan-out readers, and an event-drain thread, all against the same
 // sharded database. Correctness of the interleaved stream is covered by
 // the deterministic tests above; this one is about data races.
 TEST_F(ShardedSubscriptionTest, ConcurrentMutationsQueriesAndDrainsAreRaceFree) {
-  auto options = WithSubscriptions(4);
-  options.result_cache_entries = 8;
-  ShardedModDatabase db(&network_, options);
+  ShardedModDatabase db(&network_, WithSubscriptions(4));
   for (const auto& [id, spec] : StandingQueries()) {
     ASSERT_TRUE(db.Subscribe(id, spec).ok());
   }
@@ -317,7 +278,7 @@ TEST_F(ShardedSubscriptionTest, ConcurrentMutationsQueriesAndDrainsAreRaceFree) 
   threads.emplace_back([&] {
     const geo::Polygon region = geo::Polygon::Rectangle(50, -2, 250, 2);
     while (!stop.load(std::memory_order_acquire)) {
-      (void)db.QueryRangeCached(region, 10.0);
+      (void)db.QueryRange(region, 10.0);
       (void)db.QueryRange(region, 30.0);
     }
   });

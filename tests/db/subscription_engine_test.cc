@@ -9,7 +9,6 @@
 #include "core/position_attribute.h"
 #include "core/uncertainty.h"
 #include "db/mod_database.h"
-#include "db/result_cache.h"
 #include "geo/polygon.h"
 #include "geo/route_network.h"
 #include "util/metrics.h"
@@ -403,101 +402,6 @@ TEST_F(SubscriptionEngineTest, MetricsRegisterAndCount) {
   EXPECT_NE(dump.find("sub.events_emitted"), std::string::npos);
   EXPECT_NE(dump.find("sub.match_latency_us"), std::string::npos);
   EXPECT_EQ(registry.GetCounter("sub.events_emitted")->value(), 1u);
-}
-
-// ---- Result cache ----
-
-class RangeQueryCacheTest : public SubscriptionEngineTest {
- protected:
-  RangeQueryCacheTest() {
-    RangeQueryCache::Options options;
-    options.capacity = 2;
-    cache_ = std::make_unique<RangeQueryCache>(&network_, options);
-    db_.AttachResultCache(cache_.get());
-  }
-
-  std::unique_ptr<RangeQueryCache> cache_;
-};
-
-TEST_F(RangeQueryCacheTest, HitIsByteIdenticalToRecompute) {
-  ASSERT_TRUE(db_.Insert(7, "truck", Attr(10.0, 1.0)).ok());
-  ASSERT_TRUE(db_.Insert(8, "parked", Attr(150.0, 0.0)).ok());
-  const geo::Polygon rect = geo::Polygon::Rectangle(140, -1, 151, 1);
-
-  const auto first = db_.QueryRangeCached(rect, 4.0);
-  EXPECT_EQ(cache_->misses(), 1u);
-  const auto second = db_.QueryRangeCached(rect, 4.0);
-  EXPECT_EQ(cache_->hits(), 1u);
-  const auto uncached = db_.QueryRange(rect, 4.0);
-  EXPECT_EQ(second.must, uncached.must);
-  EXPECT_EQ(second.may, uncached.may);
-  EXPECT_EQ(second.may_probability, uncached.may_probability);
-  EXPECT_EQ(first.may, uncached.may);
-}
-
-TEST_F(RangeQueryCacheTest, DeltaStreamInvalidatesOverlappingEntry) {
-  ASSERT_TRUE(db_.Insert(8, "parked", Attr(150.0, 0.0)).ok());
-  const geo::Polygon rect = geo::Polygon::Rectangle(140, -1, 151, 1);
-
-  auto answer = db_.QueryRangeCached(rect, 4.0);
-  EXPECT_EQ(answer.may, std::vector<core::ObjectId>{8});
-  // Moving the object must evict the entry, so the next lookup recomputes
-  // and sees the move rather than serving the stale MAY answer.
-  ASSERT_TRUE(db_.ApplyUpdate(Update(8, 1.0, 20.0, 0.0)).ok());
-  EXPECT_GE(cache_->invalidations(), 1u);
-  answer = db_.QueryRangeCached(rect, 4.0);
-  EXPECT_TRUE(answer.may.empty());
-  EXPECT_TRUE(answer.must.empty());
-  EXPECT_EQ(cache_->misses(), 2u);
-}
-
-TEST_F(RangeQueryCacheTest, UnrelatedDeltaKeepsEntry) {
-  ASSERT_TRUE(db_.Insert(8, "parked", Attr(150.0, 0.0)).ok());
-  const geo::Polygon rect = geo::Polygon::Rectangle(140, -1, 151, 1);
-  db_.QueryRangeCached(rect, 4.0);
-  ASSERT_EQ(cache_->size(), 1u);
-  // An object on the far end of the street cannot affect this answer.
-  ASSERT_TRUE(db_.Insert(9, "far", Attr(5.0, 0.0)).ok());
-  EXPECT_EQ(cache_->size(), 1u);
-  db_.QueryRangeCached(rect, 4.0);
-  EXPECT_EQ(cache_->hits(), 1u);
-}
-
-TEST_F(RangeQueryCacheTest, LruEvictsAtCapacity) {
-  ASSERT_TRUE(db_.Insert(7, "truck", Attr(10.0, 1.0)).ok());
-  const geo::Polygon a = geo::Polygon::Rectangle(0, -1, 20, 1);
-  const geo::Polygon b = geo::Polygon::Rectangle(20, -1, 40, 1);
-  const geo::Polygon c = geo::Polygon::Rectangle(40, -1, 60, 1);
-  db_.QueryRangeCached(a, 1.0);
-  db_.QueryRangeCached(b, 1.0);
-  db_.QueryRangeCached(c, 1.0);  // capacity 2: evicts a
-  EXPECT_EQ(cache_->size(), 2u);
-  db_.QueryRangeCached(b, 1.0);
-  db_.QueryRangeCached(c, 1.0);
-  EXPECT_EQ(cache_->hits(), 2u);
-  db_.QueryRangeCached(a, 1.0);
-  EXPECT_EQ(cache_->misses(), 4u);
-}
-
-TEST_F(RangeQueryCacheTest, QueryRangeCachedFallsBackWithoutCache) {
-  db_.AttachResultCache(nullptr);
-  ASSERT_TRUE(db_.Insert(7, "truck", Attr(10.0, 1.0)).ok());
-  const geo::Polygon rect = geo::Polygon::Rectangle(0, -1, 50, 1);
-  const auto cached = db_.QueryRangeCached(rect, 6.0);
-  const auto plain = db_.QueryRange(rect, 6.0);
-  EXPECT_EQ(cached.must, plain.must);
-  EXPECT_EQ(cached.may, plain.may);
-}
-
-TEST_F(RangeQueryCacheTest, MetricsRegisterAndCount) {
-  util::MetricsRegistry registry;
-  cache_->SetMetrics(&registry);
-  ASSERT_TRUE(db_.Insert(7, "truck", Attr(10.0, 1.0)).ok());
-  const geo::Polygon rect = geo::Polygon::Rectangle(0, -1, 50, 1);
-  db_.QueryRangeCached(rect, 6.0);
-  db_.QueryRangeCached(rect, 6.0);
-  EXPECT_EQ(registry.GetCounter("sub.cache.hits")->value(), 1u);
-  EXPECT_EQ(registry.GetCounter("sub.cache.misses")->value(), 1u);
 }
 
 }  // namespace

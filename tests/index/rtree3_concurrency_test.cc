@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "db/sharded_database.h"
@@ -173,8 +174,9 @@ namespace modb::db {
 namespace {
 
 // Lock-free probe path of the sharded store under a concurrent writer:
-// range answers must stay MUST-sound for objects that are not being
-// mutated, while updates stream into every shard.
+// range and interval answers must stay MUST-sound for objects that are not
+// being mutated, and nearest answers well-ordered, while updates stream
+// into every shard.
 TEST(ShardedConcurrentLockFreeProbeTest, RangeQueriesSoundUnderWrites) {
   geo::RouteNetwork network;
   const geo::RouteId street =
@@ -183,7 +185,6 @@ TEST(ShardedConcurrentLockFreeProbeTest, RangeQueriesSoundUnderWrites) {
   ShardedModDatabaseOptions options;
   options.num_shards = 4;
   options.num_query_threads = 0;  // probe on the caller, races come from us
-  ASSERT_TRUE(options.lock_free_index_probes);
   ShardedModDatabase db(&network, options);
 
   auto attr_at = [&](double s, double v) {
@@ -244,8 +245,23 @@ TEST(ShardedConcurrentLockFreeProbeTest, RangeQueriesSoundUnderWrites) {
           if (id < kStationary) ++stationary_must;
         }
         EXPECT_EQ(stationary_must, kStationary);
-        (void)db.QueryNearest({200.0, 0.0}, 5, 2.0);
-        (void)db.QueryRangeInterval(region, 1.0, 3.0, 1.0);
+
+        const IntervalRangeAnswer window =
+            db.QueryRangeInterval(region, 1.0, 3.0, 1.0);
+        std::size_t stationary_some_time = 0;
+        for (core::ObjectId id : window.must_at_some_time) {
+          if (id < kStationary) ++stationary_some_time;
+        }
+        EXPECT_EQ(stationary_some_time, kStationary);
+
+        const NearestAnswer nearest = db.QueryNearest({200.0, 0.0}, 5, 2.0);
+        ASSERT_EQ(nearest.items.size(), 5u);
+        for (std::size_t i = 1; i < nearest.items.size(); ++i) {
+          const NearestAnswer::Item& a = nearest.items[i - 1];
+          const NearestAnswer::Item& b = nearest.items[i];
+          EXPECT_LT(std::pair(a.db_distance, a.id),
+                    std::pair(b.db_distance, b.id));
+        }
       }
     });
   }

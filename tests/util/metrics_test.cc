@@ -89,6 +89,21 @@ TEST(MetricsTest, LatencyQuantilesNeverExceedObservedMax) {
   EXPECT_DOUBLE_EQ(h.ApproxQuantileMicros(0.5), 1.0);
 }
 
+TEST(MetricsTest, LatencyQuantilesNeverFallBelowObservedMin) {
+  // One 1999 ns sample lands in the [1, 2) µs bucket, whose geometric
+  // midpoint (~1.41 µs) lies below the only sample.
+  LatencyHistogram h;
+  h.RecordNanos(1999);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_GE(h.ApproxQuantileMicros(q), 1.999) << "q=" << q;
+  }
+  EXPECT_DOUBLE_EQ(h.ApproxQuantileMicros(0.5), 1.999);
+  // Reset forgets the min along with the max.
+  h.Reset();
+  h.RecordNanos(1000);
+  EXPECT_DOUBLE_EQ(h.ApproxQuantileMicros(0.5), 1.0);
+}
+
 TEST(MetricsTest, SnapshotReusesHistogram) {
   LatencyHistogram h;
   for (int i = 0; i < 7; ++i) h.RecordNanos(3 * 1000);  // bucket [2,4) µs
