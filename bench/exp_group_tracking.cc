@@ -10,8 +10,16 @@
 // touch is a node visit) and the WAL bytes appended (grouped batches log
 // compact member rows with recomputable time/position elided).
 //
+// After the run each store is reopened from its WAL directory into a
+// fresh database; a grouped restart revalidates the groups, collapses them
+// and packs the whole index in one load. A second table prints, ungated,
+// the restart time and, on the restarted stores at their present, the
+// median range / nearest query time and the range candidates examined.
+//
 // Shape checks (exit non-zero on failure):
 //   - range / interval / nearest answers byte-identical on vs off;
+//   - restarted answers byte-identical to the pre-restart ones and to the
+//     restarted tracking-off store's;
 //   - tracking-on formed convoys and skipped member tree work;
 //   - materially fewer index-node touches per update with tracking on;
 //   - fewer WAL bytes per update with tracking on.
@@ -21,9 +29,11 @@
 // experiments (E21's checks are ratio-based, not wall-clock gates).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,6 +45,7 @@
 #include "sim/fleet.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/table.h"
 
 namespace modb::bench {
@@ -65,10 +76,41 @@ struct RunOutcome {
   std::uint64_t member_skips = 0;
   std::uint64_t leader_upserts = 0;
   std::string answers;
+  std::string restarted_answers;
+  double restart_ms = 0.0;
+  // Restarted store, probe grid at the store's present (see TimeQueries).
+  double range_us = 0.0;          // median
+  double nearest_us = 0.0;        // median
+  double range_candidates = 0.0;  // mean candidates examined per range
 };
 
-/// Byte-exact rendering of range / interval / nearest answers over a probe
-/// grid — the observable the group layer must not perturb.
+using Clock = std::chrono::steady_clock;
+
+double Micros(Clock::duration d) {
+  return std::chrono::duration<double, std::micro>(d).count();
+}
+
+/// Calls `probe(region, centre, t)` for each cell of a 3 × 3 grid over the
+/// network at each of `times`.
+template <typename Probe>
+void ForEachProbe(double extent, std::initializer_list<core::Time> times,
+                  const Probe& probe) {
+  const double span = extent / 3.0;
+  for (int gx = 0; gx < 3; ++gx) {
+    for (int gy = 0; gy < 3; ++gy) {
+      const double x0 = gx * span;
+      const double y0 = gy * span;
+      const geo::Polygon region =
+          geo::Polygon::Rectangle(x0, y0, x0 + span, y0 + span);
+      for (const core::Time t : times) {
+        probe(region, geo::Point2{x0 + span * 0.5, y0 + span * 0.5}, t);
+      }
+    }
+  }
+}
+
+/// Byte-exact rendering of range / interval / nearest answers over the
+/// probe grid — the observable the group layer must not perturb.
 std::string AnswerSignature(const db::ModDatabase& database, double extent,
                             double duration) {
   std::string out;
@@ -79,48 +121,61 @@ std::string AnswerSignature(const db::ModDatabase& database, double extent,
     }
     out += ';';
   };
-  const double span = extent / 3.0;
-  for (int gx = 0; gx < 3; ++gx) {
-    for (int gy = 0; gy < 3; ++gy) {
-      const double x0 = gx * span;
-      const double y0 = gy * span;
-      const geo::Polygon region =
-          geo::Polygon::Rectangle(x0, y0, x0 + span, y0 + span);
-      for (const double frac : {0.25, 0.6, 0.95}) {
-        const core::Time t = duration * frac;
-        const db::RangeAnswer range = database.QueryRange(region, t);
-        render(range.must);
-        render(range.may);
-        const db::IntervalRangeAnswer interval =
-            database.QueryRangeInterval(region, t, t + duration * 0.1);
-        render(interval.may);
-        render(interval.must_at_some_time);
-        const db::NearestAnswer nearest = database.QueryNearest(
-            {x0 + span * 0.5, y0 + span * 0.5}, 5, t);
-        for (const auto& item : nearest.items) {
-          out += std::to_string(item.id);
-          out += ',';
-        }
-        out += ';';
-      }
+  const auto probe = [&](const geo::Polygon& region,
+                         const geo::Point2& centre, core::Time t) {
+    const db::RangeAnswer range = database.QueryRange(region, t);
+    render(range.must);
+    render(range.may);
+    const db::IntervalRangeAnswer interval =
+        database.QueryRangeInterval(region, t, t + duration * 0.1);
+    render(interval.may);
+    render(interval.must_at_some_time);
+    const db::NearestAnswer nearest = database.QueryNearest(centre, 5, t);
+    for (const auto& item : nearest.items) {
+      out += std::to_string(item.id);
+      out += ',';
     }
-  }
+    out += ';';
+  };
+  ForEachProbe(extent, {duration * 0.25, duration * 0.6, duration * 0.95},
+               probe);
   return out;
 }
 
-bool RunFleet(bool tracking, bool smoke, const fs::path& dir,
-              RunOutcome* out) {
-  const Scale scale = ScaleFor(smoke);
-  geo::RouteNetwork network;
-  network.AddGridNetwork(scale.grid, scale.grid, scale.grid_spacing);
+/// Median time of the probe grid's range and nearest queries at the
+/// store's present (its latest update) and 5 and 10 s later, when every
+/// recently updated object's plane is live; each query runs `rounds` times.
+void TimeQueries(const db::ModDatabase& database, double extent, int rounds,
+                 RunOutcome* out) {
+  core::Time now = 0.0;
+  database.ForEachRecord([&now](const db::MovingObjectRecord& record) {
+    now = std::max(now, record.attr.start_time);
+  });
+  std::vector<double> range_us, nearest_us;
+  double candidates = 0.0;
+  const auto probe = [&](const geo::Polygon& region,
+                         const geo::Point2& centre, core::Time t) {
+    auto t0 = Clock::now();
+    const db::RangeAnswer range = database.QueryRange(region, t);
+    range_us.push_back(Micros(Clock::now() - t0));
+    candidates += static_cast<double>(range.candidates_examined);
+    t0 = Clock::now();
+    (void)database.QueryNearest(centre, 5, t);
+    nearest_us.push_back(Micros(Clock::now() - t0));
+  };
+  for (int round = 0; round < rounds; ++round) {
+    ForEachProbe(extent, {now, now + 5.0, now + 10.0}, probe);
+  }
+  out->range_us = util::Summarize(range_us).median;
+  out->nearest_us = util::Summarize(nearest_us).median;
+  out->range_candidates = candidates / static_cast<double>(range_us.size());
+}
 
-  db::ModDatabaseOptions options;
-  // Whole-working-set pool: every page access is a node visit, never an
-  // artefact of eviction pressure.
-  options.index_storage.kind = storage::StorageKind::kDisk;
-  options.index_storage.path = (dir / "index.pages").string();
-  options.index_storage.pool_pages = 1u << 20;
-  options.group_tracking.enabled = tracking;
+/// Drives the convoy fleet through a durable store whose WAL lives in
+/// `wal_dir`, recording the update-stream counters and the final answers.
+bool WriteStore(const Scale& scale, const geo::RouteNetwork& network,
+                const db::ModDatabaseOptions& options,
+                const std::string& wal_dir, RunOutcome* out) {
   db::ModDatabase database(&network, options);
 
   util::MetricsRegistry registry;
@@ -128,8 +183,7 @@ bool RunFleet(bool tracking, bool smoke, const fs::path& dir,
 
   db::DurabilityOptions durability_options;
   auto durability =
-      db::DurabilityManager::Open(&database, (dir / "wal").string(),
-                                  durability_options);
+      db::DurabilityManager::Open(&database, wal_dir, durability_options);
   if (!durability.ok()) {
     std::fprintf(stderr, "durability open failed: %s\n",
                  durability.status().message().c_str());
@@ -176,6 +230,39 @@ bool RunFleet(bool tracking, bool smoke, const fs::path& dir,
   return true;
 }
 
+bool RunFleet(bool tracking, bool smoke, const fs::path& dir,
+              RunOutcome* out) {
+  const Scale scale = ScaleFor(smoke);
+  geo::RouteNetwork network;
+  network.AddGridNetwork(scale.grid, scale.grid, scale.grid_spacing);
+
+  db::ModDatabaseOptions options;
+  // Whole-working-set pool: every page access is a node visit, never an
+  // artefact of eviction pressure.
+  options.index_storage.kind = storage::StorageKind::kDisk;
+  options.index_storage.path = (dir / "index.pages").string();
+  options.index_storage.pool_pages = 1u << 20;
+  options.group_tracking.enabled = tracking;
+  const std::string wal_dir = (dir / "wal").string();
+  if (!WriteStore(scale, network, options, wal_dir, out)) return false;
+
+  // Restart: reopen the store from its WAL directory into a fresh database
+  // over the same page file.
+  db::ModDatabase restarted(&network, options);
+  const auto t0 = Clock::now();
+  auto reopened = db::DurabilityManager::Open(&restarted, wal_dir);
+  out->restart_ms = Micros(Clock::now() - t0) / 1e3;
+  if (!reopened.ok()) {
+    std::fprintf(stderr, "restart failed: %s\n",
+                 reopened.status().message().c_str());
+    return false;
+  }
+  const double extent = scale.grid * scale.grid_spacing;
+  out->restarted_answers = AnswerSignature(restarted, extent, scale.duration);
+  TimeQueries(restarted, extent, smoke ? 3 : 10, out);
+  return true;
+}
+
 int Run(bool smoke) {
   PrintHeader(
       "E21: group/convoy tracking",
@@ -218,6 +305,19 @@ int Run(bool smoke) {
   }
   std::printf("%s\n", table.ToString().c_str());
 
+  // Wall-clock, so printed but not gated.
+  util::Table restart({"tracking", "restart ms", "range p50 us",
+                       "nearest p50 us", "range candidates"});
+  for (const auto* r : {&off, &on}) {
+    restart.NewRow()
+        .Add(r == &on ? "on" : "off")
+        .Add(r->restart_ms, 1)
+        .Add(r->range_us, 1)
+        .Add(r->nearest_us, 1)
+        .Add(r->range_candidates, 1);
+  }
+  std::printf("after restart:\n%s\n", restart.ToString().c_str());
+
   bool pass = true;
   const bool identical =
       off.updates == on.updates && off.answers == on.answers;
@@ -226,6 +326,14 @@ int Run(bool smoke) {
               static_cast<unsigned long long>(on.updates),
               identical ? "PASS" : "FAIL");
   pass = pass && identical;
+
+  const bool restarted = on.restarted_answers == on.answers &&
+                         off.restarted_answers == off.answers &&
+                         on.restarted_answers == off.restarted_answers;
+  std::printf("shape check — restarted answers byte-identical to the "
+              "pre-restart ones and on vs off: %s\n",
+              restarted ? "PASS" : "FAIL");
+  pass = pass && restarted;
 
   const bool grouped = on.forms > 0 && on.member_skips > 0;
   std::printf("shape check — tracker formed convoys and skipped member "

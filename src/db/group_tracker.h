@@ -179,8 +179,8 @@ class GroupTracker {
   /// prefix (rows applied, transitions lost) is repaired here.
   void Revalidate();
 
-  /// Appends the index rows that re-collapse the groups after a full
-  /// per-object index rebuild: a hidden conversion per member plus each
+  /// Appends the index rows of the collapsed groups for the rebuild's
+  /// packed load (`FinishBulkIngest`): a hidden row per member plus each
   /// group's envelope row.
   void AppendCollapseRows(Plan* plan) const;
 

@@ -182,31 +182,30 @@ util::Status ModDatabase::FinishBulkIngest() {
   if (metrics_registry_ != nullptr) {
     index_->SetMetrics(metrics_registry_, metrics_prefix_ + "index.");
   }
-  std::vector<std::pair<core::ObjectId, core::PositionAttribute>> for_index;
-  for_index.reserve(records_.size());
-  for (const auto& [id, record] : records_) {
-    for_index.emplace_back(id, record.attr);
-  }
-  if (util::Status s = index_->BulkUpsert(for_index); !s.ok()) return s;
+  // With groups on, evict members a torn WAL tail left outside their
+  // group's cohesion tube (a clean replay is a no-op) and collapse the
+  // surviving groups first: the one packed load below then stores each
+  // member as a box-less hidden row and each group's envelope with its
+  // cover, so no member's own o-plane is built.
+  GroupTracker::Plan plan;
   if (group_tracker_->enabled()) {
-    // Evict members a torn WAL tail left outside their group's cohesion
-    // tube (a clean replay is a no-op), then re-collapse the surviving
-    // groups: the bulk rebuild above indexed every member individually,
-    // so convert members back to hidden rows and re-install envelopes.
     group_tracker_->Revalidate();
-    GroupTracker::Plan plan;
     group_tracker_->AppendCollapseRows(&plan);
-    if (!plan.rows.empty()) {
-      std::vector<index::IndexDelta> deltas;
-      deltas.reserve(plan.rows.size());
-      for (const GroupTracker::IndexRow& row : plan.rows) {
-        deltas.push_back(
-            index::IndexDelta{row.id, row.attr, row.boxes, row.hidden});
-      }
-      if (util::Status s = index_->ApplyDeltaBatch(deltas); !s.ok()) return s;
+  }
+  std::vector<index::IndexDelta> rows;
+  rows.reserve(records_.size() + plan.rows.size());
+  std::vector<core::ObjectId> hidden;
+  for (const GroupTracker::IndexRow& row : plan.rows) {
+    rows.push_back(index::IndexDelta{row.id, row.attr, row.boxes, row.hidden});
+    if (row.hidden) hidden.push_back(row.id);
+  }
+  std::sort(hidden.begin(), hidden.end());
+  for (const auto& [id, record] : records_) {
+    if (!std::binary_search(hidden.begin(), hidden.end(), id)) {
+      rows.push_back(index::IndexDelta{id, &record.attr});
     }
   }
-  return util::Status::Ok();
+  return index_->BulkUpsert(rows);
 }
 
 util::Status ModDatabase::BulkInsert(std::vector<BulkObject> objects) {

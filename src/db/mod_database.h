@@ -174,7 +174,9 @@ class ModDatabase {
   /// Ends the session: rebuilds the index once from the surviving records
   /// via the packed STR bulk path (~12× faster than repeated insertion,
   /// E10). The rebuild starts from a fresh index so in-session erases and
-  /// route changes cannot leave stale entries behind.
+  /// route changes cannot leave stale entries behind. With group tracking
+  /// on, the groups are revalidated and collapsed first, and the same one
+  /// packed load stores their hidden member rows and envelopes.
   util::Status FinishBulkIngest();
 
   bool bulk_ingest_active() const { return bulk_ingest_; }

@@ -197,6 +197,17 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
         options.oplane_slab_width)) {
     return malformed("options fields");
   }
+  // A non-positive horizon or slab width would index no boxes at all, and
+  // an absurd slab count would make every upsert reserve that many boxes
+  // (the widest configuration in the experiments builds 60).
+  constexpr double kMaxOPlaneSlabs = 4096;
+  if (!std::isfinite(options.oplane_horizon) ||
+      !std::isfinite(options.oplane_slab_width) ||
+      options.oplane_horizon <= 0.0 || options.oplane_slab_width <= 0.0 ||
+      std::ceil(options.oplane_horizon / options.oplane_slab_width) >
+          kMaxOPlaneSlabs) {
+    return malformed("o-plane options");
+  }
   if (version <= 5) {
     std::size_t max_log_history = 0;  // retired update-log cap, discarded
     if (!(in >> max_log_history)) return malformed("options fields");

@@ -15,11 +15,11 @@
 
 namespace modb::index {
 
-/// One element of a batched index-maintenance pass: install `attr` as the
-/// motion model of `id`, or remove `id` when `attr` is null. The pointed-to
-/// attribute must stay alive for the duration of the `ApplyDeltaBatch`
-/// call (the batch write path points into its own merged-attribute
-/// buffer rather than copying).
+/// One element of a batched index-maintenance pass or bulk load: install
+/// `attr` as the motion model of `id`, or remove `id` when `attr` is null.
+/// The pointed-to attribute must stay alive for the duration of the
+/// `ApplyDeltaBatch` / `BulkUpsert` call (the batch write path points into
+/// its own merged-attribute buffer rather than copying).
 ///
 /// Group-tracking extensions (only used against indexes that return true
 /// from `supports_group_envelopes()`; the database never sends them
@@ -67,18 +67,25 @@ class ObjectIndex {
   /// Removes `id` from the index (end of trip).
   virtual void Remove(core::ObjectId id) = 0;
 
-  /// Bulk variant of `Upsert` for the initial fleet load. The default
-  /// loops over `Upsert` and stops at the first error (objects before it
-  /// stay applied); implementations may override with a packed build that
-  /// validates every row first and leaves the index unchanged on failure
-  /// (the R*-tree uses STR bulk loading).
-  virtual util::Status BulkUpsert(
+  /// Bulk variant of `Upsert` for the initial fleet load: the row form
+  /// below with one plain row per pair.
+  util::Status BulkUpsert(
       const std::vector<std::pair<core::ObjectId, core::PositionAttribute>>&
           objects) {
-    for (const auto& [id, attr] : objects) {
-      if (util::Status s = Upsert(id, attr); !s.ok()) return s;
-    }
-    return util::Status::Ok();
+    std::vector<IndexDelta> rows;
+    rows.reserve(objects.size());
+    for (const auto& [id, attr] : objects) rows.push_back({id, &attr});
+    return BulkUpsert(rows);
+  }
+
+  /// Bulk load of `IndexDelta` rows, each object at most once; group rows
+  /// (`hidden`, `boxes`) only against indexes that opt in, as for
+  /// `ApplyDeltaBatch`. The default applies them as one delta batch;
+  /// implementations may override with a packed build that validates every
+  /// row first and leaves the index unchanged on failure (the R*-tree uses
+  /// STR bulk loading).
+  virtual util::Status BulkUpsert(const std::vector<IndexDelta>& rows) {
+    return ApplyDeltaBatch(rows);
   }
 
   /// Applies a batch of deltas — the index-delta stage of the batched

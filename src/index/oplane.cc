@@ -2,14 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/bounds.h"
 
 namespace modb::index {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
 std::vector<geo::Box3> BuildOPlaneBoxes(const core::PositionAttribute& attr,
                                         const geo::Route& route,
                                         const OPlaneOptions& options) {
+  return BuildOPlaneBoxes(attr, route, options, -kInf, kInf);
+}
+
+std::vector<geo::Box3> BuildOPlaneBoxes(const core::PositionAttribute& attr,
+                                        const geo::Route& route,
+                                        const OPlaneOptions& options,
+                                        core::Time window_lo,
+                                        core::Time window_hi) {
   std::vector<geo::Box3> boxes;
   if (options.horizon <= 0.0 || options.slab_width <= 0.0) return boxes;
 
@@ -18,12 +33,18 @@ std::vector<geo::Box3> BuildOPlaneBoxes(const core::PositionAttribute& attr,
 
   const auto num_slabs = static_cast<std::size_t>(
       std::ceil(options.horizon / options.slab_width));
-  boxes.reserve(num_slabs);
+  // A full build sizes its output once; a window keeps one or two slabs.
+  if (window_lo == -kInf && window_hi == kInf) boxes.reserve(num_slabs);
 
   for (std::size_t s = 0; s < num_slabs; ++s) {
     const core::Time slab_lo = t0 + options.slab_width * static_cast<double>(s);
     const core::Time slab_hi = std::min(
         t0 + options.slab_width * static_cast<double>(s + 1), t_end);
+    // Slab bounds keep the arithmetic above and are only compared with the
+    // window, never derived from it, so a kept box is bit-identical to the
+    // one a full build stores.
+    if (slab_hi < window_lo) continue;
+    if (slab_lo > window_hi) break;  // slab_lo never falls as s grows
 
     // Exact route stretch any uncertainty interval within the slab covers
     // (the span samples the slab edges plus the bound critical times).

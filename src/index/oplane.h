@@ -38,6 +38,17 @@ std::vector<geo::Box3> BuildOPlaneBoxes(const core::PositionAttribute& attr,
                                         const geo::Route& route,
                                         const OPlaneOptions& options);
 
+/// The boxes of only those slabs whose closed time range [slab_lo, slab_hi]
+/// meets [window_lo, window_hi], in slab order: each one bit-identical to
+/// the same slab's box in the full build above. A time slice t0 meets one
+/// slab, or two when t0 is a slab edge (§4.1–4.2), so a candidacy test at
+/// t0 builds one or two boxes instead of the whole plane.
+std::vector<geo::Box3> BuildOPlaneBoxes(const core::PositionAttribute& attr,
+                                        const geo::Route& route,
+                                        const OPlaneOptions& options,
+                                        core::Time window_lo,
+                                        core::Time window_hi);
+
 /// The 3-D representation R_G(t0) of the query "in polygon G at time t0"
 /// (paper §4.1.2): G's bounding box at the time slice t0.
 geo::Box3 QuerySlab(const geo::Box2& region_bbox, core::Time t0);

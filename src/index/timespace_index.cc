@@ -52,21 +52,7 @@ void TimeSpaceIndex::UpsertValidated(core::ObjectId id,
   // not yet indexed (that would be a false negative, violating MUST
   // soundness).
   RTree3::BatchScope batch(rtree_);
-  std::vector<geo::Box3> boxes;
-  if (hidden) {
-    // Group-member row: the object stays known (so `Remove`/`BulkUpsert`
-    // bookkeeping works) but owns no tree boxes — its group's envelope
-    // entry covers it. This branch is the group layer's saving: after the
-    // first hidden install, later hidden updates touch zero tree nodes.
-    if (group_hidden_counter_ != nullptr) group_hidden_counter_->Increment();
-  } else if (override_boxes != nullptr) {
-    boxes = *override_boxes;
-    if (group_envelope_counter_ != nullptr) {
-      group_envelope_counter_->Increment();
-    }
-  } else {
-    boxes = BuildOPlaneBoxes(attr, route, options_.oplane);
-  }
+  std::vector<geo::Box3> boxes = RowBoxes(attr, route, override_boxes, hidden);
   // Drop the old o-plane (paper §4.2: remove the object id from the index
   // rectangles intersecting p1) ...
   auto it = boxes_by_object_.find(id);
@@ -77,6 +63,26 @@ void TimeSpaceIndex::UpsertValidated(core::ObjectId id,
   // ... and index the new one (insert into the rectangles intersecting p2).
   for (const geo::Box3& box : boxes) rtree_.Insert(box, id);
   boxes_by_object_[id] = std::move(boxes);
+}
+
+std::vector<geo::Box3> TimeSpaceIndex::RowBoxes(
+    const core::PositionAttribute& attr, const geo::Route& route,
+    const std::vector<geo::Box3>* override_boxes, bool hidden) {
+  if (hidden) {
+    // Group-member row: the object stays known (so `Remove`/`BulkUpsert`
+    // bookkeeping works) but owns no tree boxes — its group's envelope
+    // entry covers it. This branch is the group layer's saving: after the
+    // first hidden install, later hidden updates touch zero tree nodes.
+    if (group_hidden_counter_ != nullptr) group_hidden_counter_->Increment();
+    return {};
+  }
+  if (override_boxes != nullptr) {
+    if (group_envelope_counter_ != nullptr) {
+      group_envelope_counter_->Increment();
+    }
+    return *override_boxes;
+  }
+  return BuildOPlaneBoxes(attr, route, options_.oplane);
 }
 
 util::Status TimeSpaceIndex::ApplyDeltaBatch(
@@ -112,8 +118,10 @@ bool TimeSpaceIndex::WouldMatchWindow(core::ObjectId id,
   (void)id;  // the time-space predicate depends only on the attribute
   const auto route = network_->FindRoute(attr.route);
   if (!route.ok()) return false;
+  // A box whose slab misses [t1, t2] cannot meet the probe, so only the
+  // slabs meeting the window are built (one or two for a time slice).
   const std::vector<geo::Box3> boxes =
-      BuildOPlaneBoxes(attr, **route, options_.oplane);
+      BuildOPlaneBoxes(attr, **route, options_.oplane, t1, t2);
   const geo::Box3 probe(region.BoundingBox(), t1, t2);
   for (const geo::Box3& box : boxes) {
     if (box.Intersects(probe)) return true;
@@ -121,21 +129,27 @@ bool TimeSpaceIndex::WouldMatchWindow(core::ObjectId id,
   return false;
 }
 
-util::Status TimeSpaceIndex::BulkUpsert(
-    const std::vector<std::pair<core::ObjectId, core::PositionAttribute>>&
-        objects) {
+util::Status TimeSpaceIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
   if (util::Status s = rtree_.storage_status(); !s.ok()) return s;
   // Validate every row first so a failure leaves the index unchanged.
-  for (const auto& [id, attr] : objects) {
-    if (const auto route = network_->FindRoute(attr.route); !route.ok()) {
+  for (const IndexDelta& row : rows) {
+    if (row.attr == nullptr) continue;
+    if (const auto route = network_->FindRoute(row.attr->route);
+        !route.ok()) {
       return route.status();
     }
   }
-  // Build every listed object's new boxes, keep the boxes of unlisted
-  // objects, then rebuild the tree in one packed pass.
-  for (const auto& [id, attr] : objects) {
-    const auto route = network_->FindRoute(attr.route);
-    boxes_by_object_[id] = BuildOPlaneBoxes(attr, **route, options_.oplane);
+  // Give every listed object its new boxes (none for a hidden member, the
+  // given cover for an envelope), keep the boxes of unlisted objects, then
+  // rebuild the tree in one packed pass.
+  for (const IndexDelta& row : rows) {
+    if (row.attr == nullptr) {
+      boxes_by_object_.erase(row.id);
+      continue;
+    }
+    const auto route = network_->FindRoute(row.attr->route);
+    boxes_by_object_[row.id] =
+        RowBoxes(*row.attr, **route, row.boxes, row.hidden);
   }
   // Emit the packed-load input in ascending id order (the map iterates in
   // hash order, which varies between otherwise-identical stores): identical

@@ -47,15 +47,15 @@ class TimeSpaceIndex final : public ObjectIndex {
   util::Status Upsert(core::ObjectId id,
                       const core::PositionAttribute& attr) override;
   void Remove(core::ObjectId id) override;
-  /// STR bulk load of the whole fleet's o-planes: replaces the state of
-  /// every listed object (and keeps other objects by re-packing them too).
-  /// All rows are validated first; on error the index is unchanged. The
-  /// packed-load input is emitted in ascending object-id order, so two
-  /// identical stores bulk-load byte-identical trees regardless of hash-map
-  /// iteration order (deterministic recovery/replay).
-  util::Status BulkUpsert(
-      const std::vector<std::pair<core::ObjectId, core::PositionAttribute>>&
-          objects) override;
+  using ObjectIndex::BulkUpsert;
+  /// STR bulk load: replaces the state of every listed object (and keeps
+  /// other objects by re-packing them too). Hidden rows store no boxes and
+  /// `boxes` rows their given cover, so a grouped store restarts in this
+  /// one pass. All rows are validated first; on error the index is
+  /// unchanged. The packed-load input is emitted in ascending object-id
+  /// order, so two identical stores bulk-load byte-identical trees
+  /// regardless of hash-map iteration order (deterministic recovery/replay).
+  util::Status BulkUpsert(const std::vector<IndexDelta>& rows) override;
   /// Batched maintenance: validates every delta's route first (index
   /// unchanged on failure), then applies the remove+reinsert passes over
   /// the one tree without the per-call validation overhead. Understands the
@@ -75,9 +75,10 @@ class TimeSpaceIndex final : public ObjectIndex {
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix) override;
   bool supports_group_envelopes() const override { return true; }
-  /// Stateless exact candidacy test: builds the o-plane boxes `attr` would
-  /// be stored under and intersects them with the probe box — byte-for-byte
-  /// the predicate `CandidatesInWindow` evaluates through the tree.
+  /// Stateless exact candidacy test: builds the boxes `attr` would be
+  /// stored under for the slabs that meet [t1, t2] — no other slab can meet
+  /// the probe — and intersects them with the probe box, byte-for-byte the
+  /// predicate `CandidatesInWindow` evaluates through the tree.
   bool WouldMatchWindow(core::ObjectId id, const core::PositionAttribute& attr,
                         const geo::Polygon& region, core::Time t1,
                         core::Time t2) const override;
@@ -113,6 +114,12 @@ class TimeSpaceIndex final : public ObjectIndex {
                        const geo::Route& route,
                        const std::vector<geo::Box3>* override_boxes = nullptr,
                        bool hidden = false);
+  /// The boxes a row installs: none when `hidden`, `override_boxes` when
+  /// given, else the o-plane built from `attr`. Counts the group rows.
+  std::vector<geo::Box3> RowBoxes(const core::PositionAttribute& attr,
+                                  const geo::Route& route,
+                                  const std::vector<geo::Box3>* override_boxes,
+                                  bool hidden);
   /// Removes the object's `boxes` with one `RTree3::RemoveBatch` descent,
   /// counting any box the tree lacks as a remove miss.
   void RemoveBoxes(core::ObjectId id, const std::vector<geo::Box3>& boxes);

@@ -12,6 +12,7 @@
 #include "db/subscription_engine.h"
 #include "db/wal.h"
 #include "geo/polygon.h"
+#include "index/timespace_index.h"
 #include "sim/fleet.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
@@ -61,7 +62,8 @@ std::string GroupsSignature(const ModDatabase& db) {
   return out.str();
 }
 
-/// Bit-exact rendering of every query form over a fixed probe grid.
+/// Bit-exact rendering of every query form over a fixed probe grid, with
+/// the candidates each one refined.
 std::string AnswerSignature(const ModDatabase& db) {
   std::ostringstream out;
   out << std::hexfloat;
@@ -70,7 +72,8 @@ std::string AnswerSignature(const ModDatabase& db) {
       const geo::Polygon region =
           geo::Polygon::Rectangle(x0, -5.0, x0 + 50.0, 125.0);
       const RangeAnswer range = db.QueryRange(region, t);
-      out << "R " << x0 << ' ' << t << " must=";
+      out << "R " << x0 << ' ' << t << " cand=" << range.candidates_examined
+          << " must=";
       for (core::ObjectId id : range.must) out << id << ',';
       out << " may=";
       for (std::size_t i = 0; i < range.may.size(); ++i) {
@@ -79,14 +82,16 @@ std::string AnswerSignature(const ModDatabase& db) {
       out << '\n';
       const IntervalRangeAnswer win =
           db.QueryRangeInterval(region, t, t + 6.0, 2.0);
-      out << "W " << x0 << ' ' << t << " may=";
+      out << "W " << x0 << ' ' << t << " cand=" << win.candidates_examined
+          << " may=";
       for (core::ObjectId id : win.may) out << id << ',';
       out << " must=";
       for (core::ObjectId id : win.must_at_some_time) out << id << ',';
       out << '\n';
       const NearestAnswer near =
           db.QueryNearest({x0 + 20.0, 40.0}, 5, t);
-      out << "N " << x0 << ' ' << t << ' ';
+      out << "N " << x0 << ' ' << t << " cand=" << near.candidates_examined
+          << ' ';
       for (const NearestAnswer::Item& item : near.items) {
         out << item.id << '@' << item.db_distance << '/'
             << item.min_possible_distance << '/'
@@ -358,6 +363,50 @@ TEST_F(GroupTrackingTest, WalRecoveryRestoresGroupsAndAnswers) {
   EXPECT_EQ(GroupsSignature(*recovered->database), groups);
   EXPECT_EQ(AnswerSignature(*recovered->database), answers);
   fs::remove_all(dir);
+}
+
+TEST_F(GroupTrackingTest, GroupedRestartIsOnePackedBuild) {
+  // A grouped store reopened from its WAL directory rebuilds its index in
+  // one packed load — hidden members, envelopes and singletons together —
+  // on a resident and on a disk-backed tree alike: the same answers and
+  // entries as the writer, and no node split.
+  for (const bool disk : {false, true}) {
+    SCOPED_TRACE(disk ? "disk index" : "resident index");
+    const fs::path dir = fs::path(testing::TempDir()) /
+                         (disk ? "grouped_restart_disk" : "grouped_restart");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ModDatabaseOptions options = Options(true);
+    if (disk) {
+      options.index_storage.kind = storage::StorageKind::kDisk;
+      options.index_storage.path = (dir / "index.pages").string();
+    }
+    std::string answers;
+    std::size_t entries = 0;
+    {
+      ModDatabase writer(&network_, options);
+      auto manager = DurabilityManager::Open(&writer, (dir / "wal").string());
+      ASSERT_TRUE(manager.ok()) << manager.status().message();
+      RunConvoyFleet(&writer);
+      ASSERT_GT(writer.group_tracker().num_groups(), 0u);
+      answers = AnswerSignature(writer);
+      entries = writer.object_index().num_entries();
+    }
+    ModDatabase reopened(&network_, options);
+    auto manager = DurabilityManager::Open(&reopened, (dir / "wal").string());
+    ASSERT_TRUE(manager.ok()) << manager.status().message();
+    ASSERT_TRUE((*manager)->recovery_report().recovered);
+    EXPECT_GT(reopened.group_tracker().num_groups(), 0u);
+    EXPECT_EQ(AnswerSignature(reopened), answers);
+    EXPECT_EQ(reopened.object_index().num_entries(), entries);
+    const auto& tree =
+        dynamic_cast<const index::TimeSpaceIndex&>(reopened.object_index())
+            .rtree();
+    EXPECT_TRUE(tree.CheckInvariants().ok());
+    EXPECT_EQ(tree.splits(), 0u);
+    manager->reset();
+    fs::remove_all(dir);
+  }
 }
 
 TEST_F(GroupTrackingTest, MetricsAggregateAcrossDatabases) {

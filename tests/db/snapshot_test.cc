@@ -454,6 +454,41 @@ TEST_F(SnapshotTest, OversizedStringPrefixRejectedWithoutAllocating) {
   }
 }
 
+TEST_F(SnapshotTest, HostileOPlaneOptionsRejected) {
+  ModDatabase db(&network_);
+  ASSERT_TRUE(db.Insert(1, "bus one", Attr(main_, 10.0, 1.0)).ok());
+  std::stringstream full;
+  ASSERT_TRUE(WriteSnapshot(db, full).ok());
+  const std::string text = full.str();
+  // "options <kind> <horizon> <slab width> ..."
+  const auto line = text.find("\noptions ");
+  ASSERT_NE(line, std::string::npos);
+  const auto horizon_at = text.find(' ', text.find(' ', line + 1) + 1) + 1;
+  const auto width_end = text.find(' ', text.find(' ', horizon_at) + 1);
+  ASSERT_EQ(text.substr(horizon_at, width_end - horizon_at), "120 4");
+
+  // 10^12 slabs to reserve per object; widths that index no boxes; a
+  // slab count past any double; non-positive horizons; one slab past the
+  // cap.
+  for (const std::string& hostile :
+       {std::string("1e12 1"), std::string("120 -4"), std::string("120 0"),
+        std::string("1e300 1e-300"), std::string("0 4"),
+        std::string("-60 4"), std::string("4097 1")}) {
+    std::string corrupt = text;
+    corrupt.replace(horizon_at, width_end - horizon_at, hostile);
+    std::stringstream stream(corrupt);
+    const auto loaded = ReadSnapshot(stream);
+    ASSERT_FALSE(loaded.ok()) << hostile;
+    EXPECT_EQ(loaded.status().message(), "malformed snapshot: o-plane options")
+        << hostile;
+  }
+  // The cap itself still loads.
+  std::string at_cap = text;
+  at_cap.replace(horizon_at, width_end - horizon_at, "4096 1");
+  std::stringstream stream(at_cap);
+  EXPECT_TRUE(ReadSnapshot(stream).ok());
+}
+
 TEST_F(SnapshotTest, DeterministicOutput) {
   ModDatabase db(&network_);
   ASSERT_TRUE(db.Insert(3, "c", Attr(main_, 3.0, 1.0)).ok());

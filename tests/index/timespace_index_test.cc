@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "index/linear_scan_index.h"
 #include "util/rng.h"
@@ -184,6 +185,107 @@ TEST_F(TimeSpaceIndexTest, RemoveMissIsSurfacedNotSwallowed) {
   const std::vector<geo::Box3> new_boxes =
       BuildOPlaneBoxes(moved, network_.route(h0_), index.options().oplane);
   EXPECT_EQ(index.num_entries(), new_boxes.size());
+}
+
+TEST_F(TimeSpaceIndexTest, WouldMatchWindowEqualsTreeCandidacy) {
+  // Seeded differential: a member's candidacy test, which builds only the
+  // slabs meeting the window, must agree with the tree holding the
+  // object's whole plane — at slab edges, at the plane's ends, and for
+  // windows partly or wholly outside it.
+  util::Rng rng(2117);
+  const std::vector<geo::RouteId> routes = {h0_, v0_};
+  const std::vector<core::PolicyKind> policies = {
+      core::PolicyKind::kDelayedLinear,
+      core::PolicyKind::kAverageImmediateLinear,
+      core::PolicyKind::kCurrentImmediateLinear};
+  constexpr double kMaxSpeed = 1.5;
+  std::size_t matches = 0;
+  std::size_t misses = 0;
+  for (int c = 0; c < 2400; ++c) {
+    TimeSpaceIndex::Options options;
+    options.oplane.horizon = c % 2 == 0 ? 60.0 : 30.0;  // 30: short last slab
+    options.oplane.slab_width = 4.0;
+    TimeSpaceIndex index(&network_, options);
+    const geo::Route& route = network_.route(
+        routes[static_cast<std::size_t>(rng.UniformInt(0, 1))]);
+    const double length = route.Length();
+    const double starts[] = {0.0,          1e-9,          0.5,
+                             length - 0.5, length - 1e-9, length,
+                             rng.Uniform(0.0, length)};
+    const double speeds[] = {0.0, kMaxSpeed, rng.Uniform(0.0, kMaxSpeed)};
+    core::PositionAttribute attr = AttrOnRoute(
+        route.id(), starts[static_cast<std::size_t>(rng.UniformInt(0, 6))],
+        speeds[static_cast<std::size_t>(rng.UniformInt(0, 2))],
+        rng.Uniform(0.0, 100.0));
+    attr.max_speed = kMaxSpeed;
+    attr.update_cost = rng.Uniform(1.0, 10.0);
+    attr.direction = rng.Bernoulli(0.5) ? core::TravelDirection::kForward
+                                        : core::TravelDirection::kBackward;
+    attr.policy = policies[static_cast<std::size_t>(c / 2 % 3)];
+    ASSERT_TRUE(index.Upsert(7, attr).ok());
+
+    const core::Time ts = attr.start_time;
+    const double w = options.oplane.slab_width;
+    const double horizon = options.oplane.horizon;
+    const auto num_slabs = static_cast<std::int64_t>(std::ceil(horizon / w));
+    // A slab edge computed exactly as the builder computes it.
+    const core::Time edge =
+        ts + w * static_cast<double>(rng.UniformInt(0, num_slabs));
+    core::Time t1 = 0.0;
+    core::Time t2 = 0.0;
+    switch (c / 6 % 7) {
+      case 0:  // a time slice exactly on a slab edge
+        t1 = t2 = edge;
+        break;
+      case 1:  // a time slice one ulp either side of a slab edge
+        t1 = t2 = std::nextafter(edge, rng.Bernoulli(0.5) ? -1e300 : 1e300);
+        break;
+      case 2:  // the window starts before the update
+        t1 = ts - rng.Uniform(1e-6, 10.0);
+        t2 = t1 + rng.Uniform(0.0, 15.0);
+        break;
+      case 3:  // the window ends past the horizon
+        t2 = ts + horizon + rng.Uniform(1e-6, 10.0);
+        t1 = t2 - rng.Uniform(0.0, 15.0);
+        break;
+      case 4:  // the last instant of the plane
+        t1 = t2 = ts + horizon;
+        break;
+      case 5:  // a reversed window
+        t1 = ts + rng.Uniform(0.0, horizon);
+        t2 = t1 - rng.Uniform(1e-6, 5.0);
+        break;
+      default:  // an ordinary window inside the plane
+        t1 = ts + rng.Uniform(0.0, horizon);
+        t2 = t1 + rng.Uniform(0.0, 8.0);
+        break;
+    }
+    // A region around the database position at a time near the window,
+    // sometimes off the route's line, so both outcomes occur.
+    const core::Time at = std::clamp(t1 + rng.Uniform(-4.0, 4.0), ts - 5.0,
+                                     ts + horizon + 5.0);
+    const geo::Point2 p =
+        route.PointAt(attr.ClampedDatabaseRouteDistanceAt(at, length));
+    const double cx = p.x + rng.Uniform(-8.0, 8.0);
+    const double cy = p.y + rng.Uniform(-8.0, 8.0);
+    const geo::Polygon region = geo::Polygon::CenteredRectangle(
+        {cx, cy}, rng.Uniform(0.1, 8.0), rng.Uniform(0.1, 8.0));
+
+    const std::vector<core::ObjectId> from_tree =
+        index.CandidatesInWindow(region, t1, t2);
+    const bool in_tree =
+        std::find(from_tree.begin(), from_tree.end(), 7) != from_tree.end();
+    EXPECT_EQ(index.WouldMatchWindow(7, attr, region, t1, t2), in_tree)
+        << "case " << c << " t1=" << t1 << " t2=" << t2 << " ts=" << ts;
+    if (in_tree) {
+      ++matches;
+    } else {
+      ++misses;
+    }
+  }
+  // Both outcomes are exercised in earnest.
+  EXPECT_GT(matches, 400u);
+  EXPECT_GT(misses, 400u);
 }
 
 TEST_F(TimeSpaceIndexTest, NamesAndOptions) {
