@@ -242,6 +242,8 @@ bool RunFleet(bool tracking, bool smoke, const fs::path& dir,
   options.index_storage.kind = storage::StorageKind::kDisk;
   options.index_storage.path = (dir / "index.pages").string();
   options.index_storage.pool_pages = 1u << 20;
+  // Group envelopes live in the time-space index only.
+  options.index_kind = db::IndexKind::kTimeSpaceRTree;
   options.group_tracking.enabled = tracking;
   const std::string wal_dir = (dir / "wal").string();
   if (!WriteStore(scale, network, options, wal_dir, out)) return false;

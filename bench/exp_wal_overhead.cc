@@ -9,8 +9,8 @@
 // to that window); "fsync" forces every frame to durable storage (group
 // commit of 1 — the worst case). Recovery bulk-replays the whole log into
 // an empty store restored from the bootstrap checkpoint: records are
-// staged into the fleet map and the time-space index is rebuilt once via
-// the packed STR bulk load.
+// staged into the fleet map and the index is rebuilt once via its packed
+// bulk load.
 //
 // Shape checks (exit non-zero on failure):
 //   - WAL-on (no fsync) sustains at least half the WAL-off throughput;

@@ -7,46 +7,49 @@
 #include "db/subscription_engine.h"
 #include "db/wal.h"
 #include "index/linear_scan_index.h"
+#include "index/route_band_index.h"
 #include "index/timespace_index.h"
 
 namespace modb::db {
 
 namespace {
 
-std::unique_ptr<index::ObjectIndex> MakeIndex(
-    const geo::RouteNetwork* network, const ModDatabaseOptions& options) {
-  switch (options.index_kind) {
-    case IndexKind::kTimeSpaceRTree: {
-      index::TimeSpaceIndex::Options idx;
-      idx.oplane.horizon = options.oplane_horizon;
-      idx.oplane.slab_width = options.oplane_slab_width;
-      idx.rtree.storage = options.index_storage;
-      return std::make_unique<index::TimeSpaceIndex>(network, idx);
-    }
-    case IndexKind::kLinearScan:
-      return std::make_unique<index::LinearScanIndex>(network);
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-namespace {
-
-GroupTrackingOptions EffectiveGroupOptions(
-    const ModDatabaseOptions& options,
-    const index::ObjectIndex& index) {
-  GroupTrackingOptions group = options.group_tracking;
-  // The linear scan has no envelope support; tracking silently stays off.
-  group.enabled = group.enabled && index.supports_group_envelopes();
-  return group;
-}
-
 index::OPlaneOptions BaseOPlane(const ModDatabaseOptions& options) {
   index::OPlaneOptions oplane;
   oplane.horizon = options.oplane_horizon;
   oplane.slab_width = options.oplane_slab_width;
   return oplane;
+}
+
+std::unique_ptr<index::ObjectIndex> MakeIndex(
+    const geo::RouteNetwork* network, const ModDatabaseOptions& options) {
+  switch (options.index_kind) {
+    case IndexKind::kTimeSpaceRTree: {
+      index::TimeSpaceIndex::Options idx;
+      idx.oplane = BaseOPlane(options);
+      idx.rtree.storage = options.index_storage;
+      return std::make_unique<index::TimeSpaceIndex>(network, idx);
+    }
+    case IndexKind::kLinearScan:
+      return std::make_unique<index::LinearScanIndex>(network);
+    case IndexKind::kRouteBand: {
+      index::RouteBandIndex::Options idx;
+      idx.oplane = BaseOPlane(options);
+      idx.rtree.storage = options.index_storage;
+      return std::make_unique<index::RouteBandIndex>(network, idx);
+    }
+  }
+  return nullptr;
+}
+
+GroupTrackingOptions EffectiveGroupOptions(
+    const ModDatabaseOptions& options,
+    const index::ObjectIndex& index) {
+  GroupTrackingOptions group = options.group_tracking;
+  // Only the time-space index has envelope support; tracking silently
+  // stays off on the others.
+  group.enabled = group.enabled && index.supports_group_envelopes();
+  return group;
 }
 
 }  // namespace
@@ -682,6 +685,8 @@ RangeAnswer ModDatabase::RefineRange(
     const auto it = records_.find(id);
     if (it == records_.end()) continue;  // stale index entry
     const core::PositionAttribute& attr = it->second.attr;
+    // The model covers no time before its start; no index returns it there.
+    if (t < attr.start_time) continue;
     const auto route = network_->FindRoute(attr.route);
     if (!route.ok()) continue;
     const core::UncertaintyInterval iv =
@@ -763,6 +768,12 @@ bool ModDatabase::QueryNearestSplit(
   const double world_span =
       std::max(world.Width(), world.Height()) + 1.0;
   double radius = std::max(world_span / 64.0, 1e-6);
+  // A square of half-width `cover` holds the whole network box, also from
+  // a point outside it: the Chebyshev distance to its farthest corner + 1.
+  const double cover =
+      std::max({point.x - world.min.x, world.max.x - point.x,
+                point.y - world.min.y, world.max.y - point.y}) +
+      1.0;
   std::vector<core::ObjectId> candidates;
 
   auto build_items = [&](const std::vector<core::ObjectId>& ids) {
@@ -772,6 +783,7 @@ bool ModDatabase::QueryNearestSplit(
       const auto it = records_.find(id);
       if (it == records_.end()) continue;
       const core::PositionAttribute& attr = it->second.attr;
+      if (t < attr.start_time) continue;  // as in RefineRange
       const auto route = network_->FindRoute(attr.route);
       if (!route.ok()) continue;
       NearestAnswer::Item item;
@@ -806,11 +818,11 @@ bool ModDatabase::QueryNearestSplit(
         })) {
       return false;
     }
-    if (items.size() >= k || radius >= world_span) break;
+    if (items.size() >= k || radius >= cover) break;
     radius *= 2.0;
   }
 
-  if (!items.empty() && radius < world_span) {
+  if (!items.empty() && radius < cover) {
     const double kth =
         items[std::min(k, items.size()) - 1].db_distance;
     if (kth > radius) {
@@ -865,29 +877,34 @@ IntervalRangeAnswer ModDatabase::RefineRangeInterval(
     const core::PositionAttribute& attr = it->second.attr;
     const auto route = network_->FindRoute(attr.route);
     if (!route.ok()) continue;
+    // Only the part of the window the model covers, from its start to the
+    // index's horizon end, is refined — the part every index kind answers.
+    const core::Time lo = std::max(t1, attr.start_time);
+    const core::Time hi = std::min(t2, index_->CoverageEnd(attr));
+    if (lo > hi) continue;
 
     // Exact MAY: the interval endpoints move continuously, so the swept
     // span intersects the region iff the interval does at some instant.
     const core::UncertaintyInterval span =
-        core::ComputeUncertaintySpan(attr, **route, t1, t2);
+        core::ComputeUncertaintySpan(attr, **route, lo, hi);
     if (!(*route)->shape().SubIntersectsPolygon(span.lo, span.hi, region)) {
       continue;
     }
     answer.may.push_back(id);
 
-    // Sampled MUST-at-some-time. The last iteration clamps to t2 so both
-    // window edges are always sampled (the header's contract), even when
+    // Sampled MUST-at-some-time. The last iteration clamps to `hi` so both
+    // edges are always sampled (the header's contract), even when
     // `sample_step` overshoots the window.
     const double step =
-        std::max(sample_step > 0.0 ? sample_step : t2 - t1, 1e-9);
+        std::max(sample_step > 0.0 ? sample_step : hi - lo, 1e-9);
     bool must = false;
-    for (core::Time t = t1; !must; t += step) {
-      const core::Time clamped = std::min(t, t2);
+    for (core::Time t = lo; !must; t += step) {
+      const core::Time clamped = std::min(t, hi);
       const core::UncertaintyInterval iv =
           core::ComputeUncertainty(attr, **route, clamped);
       must = core::ClassifyAgainstPolygon(iv, **route, region) ==
              core::RegionRelation::kMustBeIn;
-      if (clamped >= t2) break;
+      if (clamped >= hi) break;
     }
     if (must) answer.must_at_some_time.push_back(id);
   }

@@ -53,15 +53,17 @@ struct UpdateBatchResult {
 
 /// Which access method backs range queries.
 enum class IndexKind {
-  kTimeSpaceRTree,  // the paper's §4 method
+  kTimeSpaceRTree,  // the paper's §4 method: o-plane slab boxes
   kLinearScan,      // baseline
+  kRouteBand,       // one route-coordinate band entry per object
 };
 
 /// Moving-objects database options.
 struct ModDatabaseOptions {
-  IndexKind index_kind = IndexKind::kTimeSpaceRTree;
-  /// O-plane horizon (time span T of §4.2) and slab width for the R*-tree
-  /// index; ignored by the linear scan.
+  IndexKind index_kind = IndexKind::kRouteBand;
+  /// O-plane horizon (time span T of §4.2) of both R*-tree kinds, and the
+  /// time-space index's slab width (the route-band index ends where the
+  /// last slab would); ignored by the linear scan.
   double oplane_horizon = 120.0;
   double oplane_slab_width = 4.0;
   /// Page storage backing the range index's R*-tree nodes (ignored by the
@@ -87,9 +89,10 @@ struct ModDatabaseOptions {
   std::size_t max_trajectory_versions = 0;
   /// Convoy/group tracking (see `db::GroupTracker`): clusters objects that
   /// share a route and velocity band behind one envelope index entry and
-  /// compact WAL rows. Off by default; requires an R*-tree index kind
-  /// (silently stays off with the linear scan, which has no envelope
-  /// support). Query answers are byte-identical either way.
+  /// compact WAL rows. Off by default; requires the time-space index kind
+  /// (silently stays off with the route-band index and the linear scan,
+  /// which have no envelope support). Query answers are byte-identical
+  /// either way.
   GroupTrackingOptions group_tracking;
 };
 
@@ -172,7 +175,7 @@ class ModDatabase {
   util::Status BeginBulkIngest();
 
   /// Ends the session: rebuilds the index once from the surviving records
-  /// via the packed STR bulk path (~12× faster than repeated insertion,
+  /// via the packed bulk path (~12× faster than repeated insertion,
   /// E10). The rebuild starts from a fresh index so in-session erases and
   /// route changes cannot leave stale entries behind. With group tracking
   /// on, the groups are revalidated and collapsed first, and the same one
@@ -193,7 +196,8 @@ class ModDatabase {
                                              core::Time t) const;
 
   /// "Retrieve the objects which are inside polygon G at time t0" (§4):
-  /// index candidates refined into MUST / MAY sets.
+  /// index candidates refined into MUST / MAY sets. An object whose model
+  /// starts after t0 is not answered (its model does not cover t0).
   RangeAnswer QueryRange(const geo::Polygon& region, core::Time t) const;
 
   /// The refinement half of `QueryRange`: classifies `candidates` (already
@@ -238,10 +242,12 @@ class ModDatabase {
       NearestAnswer* out) const;
 
   /// "Retrieve the objects inside `region` at some time within [t1, t2]".
-  /// `may` is exact (the uncertainty interval sweeps continuously, so
-  /// span-overlap is equivalent to instant-overlap); `must_at_some_time`
-  /// is evaluated at instants spaced `sample_step` apart plus the window
-  /// edges.
+  /// Each object's window is first clipped to the time its model covers,
+  /// [start_time, `ObjectIndex::CoverageEnd`]. `may` is exact over that
+  /// clip (the uncertainty interval sweeps continuously, so span-overlap
+  /// is equivalent to instant-overlap); `must_at_some_time` is evaluated
+  /// at instants spaced `sample_step` apart from the clip's start plus
+  /// both clip edges.
   IntervalRangeAnswer QueryRangeInterval(const geo::Polygon& region,
                                          core::Time t1, core::Time t2,
                                          core::Duration sample_step = 1.0) const;

@@ -73,8 +73,8 @@ struct ShardedModDatabaseOptions {
 /// run the per-shard query on the internal thread pool and merge: MUST /
 /// MAY unions re-sorted by id, and a global top-k re-merge for nearest.
 /// When the shard's index allows lock-free probes
-/// (`ObjectIndex::lock_free_probes()` — the resident time-space R*-tree
-/// does), the per-shard query probes the index *without* the shard lock
+/// (`ObjectIndex::lock_free_probes()` — both R*-tree kinds do on a
+/// resident tree), the per-shard query probes the index *without* the shard lock
 /// and takes the shared lock only for record-map refinement, re-validating
 /// against the shard's mutation counter; a concurrent write voids the
 /// probe and the query reruns under the shared lock, so answers are

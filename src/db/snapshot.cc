@@ -14,6 +14,7 @@ namespace modb::db {
 
 namespace {
 
+// v7 allows index kind 2, the route-band index (the options line is v6's).
 // v6 dropped `max_log_history` and the velocity-partitioned index fields
 // from the options line and allows only index kinds 0 and 1. v5 appended
 // the group-tracking configuration to the options line and a `groups`
@@ -29,8 +30,9 @@ namespace {
 // Reading v2–v5: `max_log_history` is discarded. The v4/v5 velocity fields
 // are still bounds-checked, then discarded, and index_kind 2 loads as the
 // time-space R*-tree — the index is derived state, rebuilt on restore, so
-// a banded store's old checkpoints answer identically from one tree.
-constexpr int kSnapshotVersion = 6;
+// a banded store's old checkpoints answer identically from one tree. In
+// v2, v3 and v6 files kind 2 is rejected.
+constexpr int kSnapshotVersion = 7;
 constexpr int kMinReadableSnapshotVersion = 2;
 
 void WriteAttribute(std::ostream& out, const core::PositionAttribute& a) {
@@ -245,13 +247,15 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
     group.enabled = group_enabled != 0;
   }
   // An out-of-range kind would leave the database without an index (the
-  // factory switch has no such case) — reject it here instead. Only v4/v5
-  // may name kind 2 (velocity-partitioned), which loads as the R*-tree.
+  // factory switch has no such case) — reject it here instead. Kind 2 is
+  // the route-band index from v7 on; in v4/v5 it named the velocity-
+  // partitioned index, which loads as the time-space R*-tree.
   if ((version == 4 || version == 5) && index_kind == 2) {
     index_kind = static_cast<int>(IndexKind::kTimeSpaceRTree);
   }
-  if (index_kind < 0 ||
-      index_kind > static_cast<int>(IndexKind::kLinearScan)) {
+  const IndexKind last_kind =
+      version >= 7 ? IndexKind::kRouteBand : IndexKind::kLinearScan;
+  if (index_kind < 0 || index_kind > static_cast<int>(last_kind)) {
     return malformed("index kind");
   }
   options.index_kind = static_cast<IndexKind>(index_kind);

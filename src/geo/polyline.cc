@@ -149,4 +149,41 @@ bool Polyline::SubInsidePolygon(double s0, double s1,
   return true;
 }
 
+std::vector<std::pair<double, double>> Polyline::IntervalsInBox(
+    const Box2& box) const {
+  std::vector<std::pair<double, double>> out;
+  if (box.Empty() || !bbox_.Intersects(box)) return out;
+  for (std::size_t i = 0; i < num_segments(); ++i) {
+    // Liang–Barsky: narrow the segment parameter u to the box, axis by axis.
+    double u0 = 0.0;
+    double u1 = 1.0;
+    auto clip = [&](double p, double d, double lo, double hi) {
+      if (d == 0.0) return p >= lo && p <= hi;
+      double a = (lo - p) / d;
+      double b = (hi - p) / d;
+      if (a > b) std::swap(a, b);
+      u0 = std::max(u0, a);
+      u1 = std::min(u1, b);
+      return u0 <= u1;
+    };
+    const Point2& p = points_[i];
+    const Point2& q = points_[i + 1];
+    if (!clip(p.x, q.x - p.x, box.min.x, box.max.x) ||
+        !clip(p.y, q.y - p.y, box.min.y, box.max.y)) {
+      continue;
+    }
+    // Whole-segment ends take the vertex arc lengths verbatim.
+    const double len = cumulative_[i + 1] - cumulative_[i];
+    const double s0 = u0 <= 0.0 ? cumulative_[i] : cumulative_[i] + u0 * len;
+    const double s1 =
+        u1 >= 1.0 ? cumulative_[i + 1] : cumulative_[i] + u1 * len;
+    if (!out.empty() && out.back().second >= s0) {
+      out.back().second = std::max(out.back().second, s1);
+    } else {
+      out.emplace_back(s0, s1);
+    }
+  }
+  return out;
+}
+
 }  // namespace modb::geo

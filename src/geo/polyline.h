@@ -2,6 +2,7 @@
 #define MODB_GEO_POLYLINE_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "geo/box.h"
@@ -73,6 +74,12 @@ class Polyline {
   /// (exact, piecewise clipping).
   double SubLengthInsidePolygon(double s0, double s1,
                                 const Polygon& polygon) const;
+
+  /// Arc-length intervals [s0, s1] where the curve lies in the closed box
+  /// `box`, ascending; pieces of consecutive segments that touch are
+  /// merged. An interval ends exactly at a vertex's arc length when the
+  /// curve leaves the box there.
+  std::vector<std::pair<double, double>> IntervalsInBox(const Box2& box) const;
 
   /// Segment index containing arc length `s`, in [0, num_segments()).
   std::size_t SegmentIndexAt(double s) const;

@@ -2,6 +2,7 @@
 #define MODB_INDEX_OBJECT_INDEX_H_
 
 #include <cstddef>
+#include <limits>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -119,6 +120,16 @@ class ObjectIndex {
   virtual std::vector<core::ObjectId> CandidatesInWindow(
       const geo::Polygon& region, core::Time t1, core::Time t2) const = 0;
 
+  /// End of the time span over which this index returns an object whose
+  /// motion model is `attr`: no probe at a later time returns it. Query
+  /// refinement clips a time window to [attr.start_time, CoverageEnd] so
+  /// every index kind with the same horizon answers alike. Default: no
+  /// horizon (+infinity), as for the linear scan.
+  virtual core::Time CoverageEnd(const core::PositionAttribute& attr) const {
+    (void)attr;
+    return std::numeric_limits<core::Time>::infinity();
+  }
+
   /// Registers this index's instruments in `registry` under `prefix`
   /// (nullptr detaches). The registry must outlive the index. Default
   /// no-op; implementations document what they register (e.g. the
@@ -141,8 +152,8 @@ class ObjectIndex {
   /// True when this index understands the group-tracking delta extensions
   /// (`IndexDelta::hidden`, `IndexDelta::boxes`) and implements
   /// `WouldMatchWindow` exactly. The database only routes group-collapsed
-  /// deltas to indexes that opt in; against others (the linear scan) the
-  /// group layer degrades to plain per-object rows.
+  /// deltas to indexes that opt in; against others (the linear scan, the
+  /// route-band index) group tracking stays off.
   virtual bool supports_group_envelopes() const { return false; }
 
   /// Exact membership test of the index's own candidate predicate: would
@@ -170,12 +181,12 @@ class ObjectIndex {
   /// True when the const query paths are additionally safe to call
   /// concurrently with the mutating methods (not just with each other) —
   /// i.e. the implementation publishes mutations atomically to readers
-  /// (the time-space index over a resident copy-on-write R*-tree). The
+  /// (both R*-tree index kinds over a resident copy-on-write tree). The
   /// sharded database uses this to probe candidates without holding the
   /// shard's reader lock. Writers always keep external mutual exclusion.
   virtual bool lock_free_probes() const { return false; }
 
-  /// Implementation name for reports ("rtree", "scan").
+  /// Implementation name for reports ("rtree", "scan", "route").
   virtual std::string_view name() const = 0;
 
   /// Number of objects currently indexed.

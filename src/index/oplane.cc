@@ -12,7 +12,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+std::size_t NumSlabs(const OPlaneOptions& options) {
+  return static_cast<std::size_t>(
+      std::ceil(options.horizon / options.slab_width));
+}
+
 }  // namespace
+
+core::Time OPlaneEnd(core::Time start, const OPlaneOptions& options) {
+  if (options.horizon <= 0.0 || options.slab_width <= 0.0) return start;
+  return std::min(
+      start + options.slab_width * static_cast<double>(NumSlabs(options)),
+      start + options.horizon);
+}
 
 std::vector<geo::Box3> BuildOPlaneBoxes(const core::PositionAttribute& attr,
                                         const geo::Route& route,
@@ -29,10 +41,11 @@ std::vector<geo::Box3> BuildOPlaneBoxes(const core::PositionAttribute& attr,
   if (options.horizon <= 0.0 || options.slab_width <= 0.0) return boxes;
 
   const core::Time t0 = attr.start_time;
-  const core::Time t_end = t0 + options.horizon;
+  // The last slab's upper edge; capping every slab at it is the same as
+  // capping at t0 + horizon, since no earlier slab edge passes it.
+  const core::Time t_end = OPlaneEnd(t0, options);
 
-  const auto num_slabs = static_cast<std::size_t>(
-      std::ceil(options.horizon / options.slab_width));
+  const std::size_t num_slabs = NumSlabs(options);
   // A full build sizes its output once; a window keeps one or two slabs.
   if (window_lo == -kInf && window_hi == kInf) boxes.reserve(num_slabs);
 

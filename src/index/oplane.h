@@ -24,6 +24,13 @@ struct OPlaneOptions {
   double padding = 0.0;
 };
 
+/// End of the time span an o-plane built at `start` covers: the upper edge
+/// of its last slab, start + horizon (the slab arithmetic can only end it
+/// earlier by rounding). Every index kind with a horizon cuts there, so
+/// the route-band index and the slab boxes share this one helper.
+/// `start` itself when the options build no slab at all.
+core::Time OPlaneEnd(core::Time start, const OPlaneOptions& options);
+
 /// Builds the 3-D box approximation of the o-plane of an object whose
 /// position attribute is `attr` on `route` (paper §4.1.1).
 ///

@@ -995,10 +995,12 @@ RTree3::RemoveStep RTree3::RemoveUnder(NodeId id, bool is_root,
   return step;
 }
 
-RTree3::NodeId RTree3::BuildPacked(std::vector<Entry>* level_entries) {
-  // Pack one level of entries into nodes using Sort-Tile-Recursive: sort
-  // by x-center into vertical slices, each slice by y-center into runs,
-  // each run by t-center, then chunk into nodes of max_entries.
+RTree3::NodeId RTree3::BuildPacked(std::vector<Entry>* level_entries,
+                                   Packing packing) {
+  // Pack one level of entries into nodes: sort them (STR: by x-center into
+  // vertical slices, each slice by y-center into runs, each run by
+  // t-center; x order: by x-center alone), then chunk into nodes of
+  // max_entries.
   std::uint32_t level = 0;
   while (healthy()) {
     const std::size_t n = level_entries->size();
@@ -1026,7 +1028,9 @@ RTree3::NodeId RTree3::BuildPacked(std::vector<Entry>* level_entries) {
       };
     };
     std::sort(level_entries->begin(), level_entries->end(), center_less(0));
-    for (std::size_t x0 = 0; x0 < n; x0 += slice_x) {
+    // x order stops here; STR re-sorts each x slice by y, each run by t.
+    for (std::size_t x0 = 0; packing == Packing::kSortTileRecursive && x0 < n;
+         x0 += slice_x) {
       const std::size_t x1 = std::min(x0 + slice_x, n);
       std::sort(level_entries->begin() + static_cast<std::ptrdiff_t>(x0),
                 level_entries->begin() + static_cast<std::ptrdiff_t>(x1),
@@ -1071,7 +1075,8 @@ RTree3::NodeId RTree3::BuildPacked(std::vector<Entry>* level_entries) {
   return kInvalidPageId;
 }
 
-void RTree3::BulkLoad(std::vector<std::pair<Box3, Value>> entries) {
+void RTree3::BulkLoad(std::vector<std::pair<Box3, Value>> entries,
+                      Packing packing) {
   if (resident_ && healthy()) {
     if (entries.empty()) {
       Clear();
@@ -1088,7 +1093,7 @@ void RTree3::BulkLoad(std::vector<std::pair<Box3, Value>> entries) {
       e.value = value;
       leaf_entries.push_back(e);
     }
-    const NodeId new_root = BuildPacked(&leaf_entries);
+    const NodeId new_root = BuildPacked(&leaf_entries, packing);
     if (new_root == kInvalidPageId || !healthy()) return;
     RetireReachable();
     root_ = new_root;
@@ -1114,7 +1119,7 @@ void RTree3::BulkLoad(std::vector<std::pair<Box3, Value>> entries) {
     e.value = value;
     leaf_entries.push_back(e);
   }
-  const NodeId new_root = BuildPacked(&leaf_entries);
+  const NodeId new_root = BuildPacked(&leaf_entries, packing);
   if (new_root != kInvalidPageId) root_ = new_root;
   SyncMetrics();
 }
@@ -1259,6 +1264,47 @@ void RTree3::SearchPaged(const Box3& query, const Visitor& visitor) const {
 std::vector<RTree3::Value> RTree3::SearchValues(const Box3& query) const {
   std::vector<Value> out;
   Search(query, [&out](const Box3&, Value v) { out.push_back(v); });
+  return out;
+}
+
+std::vector<RTree3::Value> RTree3::SearchIf(Filter& filter) const {
+  std::vector<Value> out;
+  // Tests one node's entries; `push(i)` queues internal entry i's child.
+  auto visit = [&](const Node& node, const auto& push) {
+    for (std::size_t i = 0; i < node.count; ++i) {
+      if (node.IsLeaf()) {
+        if (filter.Accept(node.BoxAt(i))) out.push_back(node.word()[i]);
+      } else if (filter.Enter(node.BoxAt(i))) {
+        push(i);
+      }
+    }
+  };
+  if (resident_) {
+    if (ctl_->poisoned.load(std::memory_order_relaxed)) return out;
+    epoch::ReadGuard guard(*epochs_);
+    const Node* root = pub_root_.load(std::memory_order_seq_cst);
+    if (root == nullptr) return out;
+    filter.Begin();
+    std::vector<const Node*> stack = {root};
+    while (!stack.empty()) {
+      const Node* node = stack.back();
+      stack.pop_back();
+      visit(*node, [&](std::size_t i) { stack.push_back(node->child(i)); });
+    }
+    return out;
+  }
+  if (size() == 0 || !healthy()) return out;
+  filter.Begin();
+  std::vector<NodeId> stack = {root_};
+  while (!stack.empty()) {
+    Pinned p = Pin(stack.back());
+    stack.pop_back();
+    if (!p) return out;
+    visit(*p.node, [&](std::size_t i) {
+      stack.push_back(static_cast<NodeId>(p.node->word()[i]));
+    });
+  }
+  SyncMetrics();
   return out;
 }
 

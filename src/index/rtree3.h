@@ -98,6 +98,32 @@ class RTree3 {
   /// Visitor for Search; return value is ignored.
   using Visitor = std::function<void(const geo::Box3&, Value)>;
 
+  /// How `BulkLoad` orders entries into nodes.
+  enum class Packing {
+    /// Sort-Tile-Recursive over all three axes (x slices, y runs, t).
+    kSortTileRecursive,
+    /// Sorted by x-center alone at every level: for entries whose x axis
+    /// is a one-dimensional key, each node covers one contiguous key range.
+    kXOrder,
+  };
+
+  /// Box predicate pair for `SearchIf`. `Enter` decides whether the search
+  /// descends below an internal entry with bounding box `box`, `Accept`
+  /// whether a leaf entry is reported. `Enter` must hold for every box
+  /// that covers a box `Accept` holds for: a node test may be loose, but
+  /// never prunes an accepted entry.
+  class Filter {
+   public:
+    virtual ~Filter() = default;
+    /// Called once per search, after the search has pinned the tree
+    /// snapshot it traverses and before any test. Side state a writer
+    /// publishes before the tree's next publication and a filter loads
+    /// here is at least as new as that snapshot.
+    virtual void Begin() {}
+    virtual bool Enter(const geo::Box3& box) const = 0;
+    virtual bool Accept(const geo::Box3& box) const = 0;
+  };
+
   RTree3();
   explicit RTree3(Options options);
   ~RTree3();
@@ -112,14 +138,15 @@ class RTree3 {
   /// Inserts `value` with bounding box `box` (must be non-empty).
   void Insert(const geo::Box3& box, Value value);
 
-  /// Replaces the tree contents with `entries`, packed bottom-up with the
-  /// Sort-Tile-Recursive (STR) algorithm: O(n log n) and produces nearly
-  /// full, well-clustered nodes — much faster than repeated `Insert` for
-  /// the initial fleet load (benchmarked in E8b / exp_bulk_load). In
-  /// resident mode the packed tree is built aside and swapped in with one
-  /// root publication, so concurrent readers see either the old contents
-  /// or the new, never a partial load.
-  void BulkLoad(std::vector<std::pair<geo::Box3, Value>> entries);
+  /// Replaces the tree contents with `entries`, packed bottom-up — by
+  /// default with the Sort-Tile-Recursive (STR) algorithm: O(n log n) and
+  /// produces nearly full, well-clustered nodes — much faster than
+  /// repeated `Insert` for the initial fleet load (benchmarked in E8b /
+  /// exp_bulk_load). In resident mode the packed tree is built aside and
+  /// swapped in with one root publication, so concurrent readers see
+  /// either the old contents or the new, never a partial load.
+  void BulkLoad(std::vector<std::pair<geo::Box3, Value>> entries,
+                Packing packing = Packing::kSortTileRecursive);
 
   /// Removes the entry that was inserted with exactly this `box` and
   /// `value`. Returns false when no such entry exists.
@@ -140,6 +167,11 @@ class RTree3 {
   /// Convenience: collects the values of all intersecting entries
   /// (duplicates possible when a value was inserted under several boxes).
   std::vector<Value> SearchValues(const geo::Box3& query) const;
+
+  /// Collects the values of the leaf entries `filter` accepts, descending
+  /// only below the internal entries it enters. Same concurrency contract
+  /// as `Search`: lock-free on a resident tree.
+  std::vector<Value> SearchIf(Filter& filter) const;
 
   /// True when this tree runs the copy-on-write / epoch scheme, i.e.
   /// `Search` / `SearchValues` are lock-free and safe concurrently with a
@@ -282,9 +314,9 @@ class RTree3 {
   /// the outcome for the parent to apply.
   RemoveStep RemoveUnder(NodeId id, bool is_root, std::size_t begin,
                          std::size_t end, RemoveScan* scan);
-  /// STR-packs `level_entries` (leaf entries on entry) bottom-up into fresh
+  /// Packs `level_entries` (leaf entries on entry) bottom-up into fresh
   /// nodes; returns the new root id or kInvalidPageId on storage failure.
-  NodeId BuildPacked(std::vector<Entry>* level_entries);
+  NodeId BuildPacked(std::vector<Entry>* level_entries, Packing packing);
 
   /// Retires every node reachable from the current root (resident
   /// tree-swap operations: Clear, BulkLoad).

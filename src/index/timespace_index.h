@@ -68,6 +68,10 @@ class TimeSpaceIndex final : public ObjectIndex {
   std::vector<core::ObjectId> CandidatesInWindow(const geo::Polygon& region,
                                                  core::Time t1,
                                                  core::Time t2) const override;
+  /// The o-plane's last slab edge (`OPlaneEnd`).
+  core::Time CoverageEnd(const core::PositionAttribute& attr) const override {
+    return OPlaneEnd(attr.start_time, options_.oplane);
+  }
   /// Registers `<prefix>remove_miss` (counter), the group-row counters
   /// (`<prefix>group.hidden_upserts`, `<prefix>group.envelope_upserts`),
   /// plus the tree's page I/O instruments (`<prefix>splits`,

@@ -303,5 +303,77 @@ TEST_F(AdvancedQueryTest, IntervalQuerySwapsReversedWindow) {
   EXPECT_EQ(a.may.size(), 1u);
 }
 
+// The index kinds the identity tests hold to the same answers.
+constexpr IndexKind kAllKinds[] = {IndexKind::kTimeSpaceRTree,
+                                   IndexKind::kLinearScan,
+                                   IndexKind::kRouteBand};
+
+TEST(QueryCoverageTest, NoAnswerBeforeTheModelStarts) {
+  // One ail object whose model starts at t = 10 at s = 50, moving at 1.
+  // Extrapolated backwards it would pass G = [44, 46] at t ≈ 5, but the
+  // model covers no time before its start, and no index returns it there.
+  geo::RouteNetwork network;
+  const geo::RouteId route =
+      network.AddStraightRoute({0.0, 0.0}, {100.0, 0.0}, "r");
+  core::PositionAttribute attr;
+  attr.start_time = 10.0;
+  attr.route = route;
+  attr.start_route_distance = 50.0;
+  attr.start_position = {50.0, 0.0};
+  attr.speed = 1.0;
+  attr.update_cost = 5.0;
+  attr.max_speed = 1.5;
+  attr.policy = core::PolicyKind::kAverageImmediateLinear;
+  const geo::Polygon region = geo::Polygon::Rectangle(44.0, -1.0, 46.0, 1.0);
+  for (const IndexKind kind : kAllKinds) {
+    ModDatabaseOptions options;
+    options.index_kind = kind;
+    ModDatabase db(&network, options);
+    ASSERT_TRUE(db.Insert(1, "late", attr).ok());
+    const RangeAnswer at = db.QueryRange(region, 5.0);
+    EXPECT_TRUE(at.must.empty()) << static_cast<int>(kind);
+    EXPECT_TRUE(at.may.empty()) << static_cast<int>(kind);
+    // The window is refined only over [10, 11], where the object is past G.
+    const IntervalRangeAnswer window = db.QueryRangeInterval(region, 4.0, 11.0);
+    EXPECT_TRUE(window.may.empty()) << static_cast<int>(kind);
+    EXPECT_TRUE(window.must_at_some_time.empty()) << static_cast<int>(kind);
+    EXPECT_TRUE(db.QueryNearest({45.0, 0.0}, 1, 5.0).items.empty())
+        << static_cast<int>(kind);
+    // From its start on, every kind answers it.
+    EXPECT_EQ(db.QueryNearest({45.0, 0.0}, 1, 10.0).items.size(), 1u)
+        << static_cast<int>(kind);
+  }
+}
+
+TEST(QueryCoverageTest, NearestFromOutsideTheNetworkBoxReturnsK) {
+  // From (150, 0) the square that covers the network span around the
+  // point stops at x = 49, short of the object at s = 10: the expansion
+  // has to reach the farthest corner of the network box.
+  geo::RouteNetwork network;
+  const geo::RouteId route =
+      network.AddStraightRoute({0.0, 0.0}, {100.0, 0.0}, "r");
+  core::PositionAttribute attr;
+  attr.route = route;
+  attr.speed = 0.0;
+  attr.update_cost = 5.0;
+  attr.max_speed = 1.5;
+  attr.policy = core::PolicyKind::kAverageImmediateLinear;
+  for (const IndexKind kind : kAllKinds) {
+    ModDatabaseOptions options;
+    options.index_kind = kind;
+    ModDatabase db(&network, options);
+    for (const double s : {100.0, 10.0}) {
+      attr.start_route_distance = s;
+      attr.start_position = {s, 0.0};
+      ASSERT_TRUE(db.Insert(static_cast<core::ObjectId>(s), "", attr).ok());
+    }
+    const NearestAnswer answer = db.QueryNearest({150.0, 0.0}, 2, 1.0);
+    ASSERT_EQ(answer.items.size(), 2u) << static_cast<int>(kind);
+    EXPECT_EQ(answer.items[0].id, 100u);
+    EXPECT_EQ(answer.items[1].id, 10u);
+    EXPECT_DOUBLE_EQ(answer.items[1].db_distance, 140.0);
+  }
+}
+
 }  // namespace
 }  // namespace modb::db

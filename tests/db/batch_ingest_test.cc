@@ -124,8 +124,9 @@ class BatchIngestTest : public testing::Test {
 };
 
 TEST_F(BatchIngestTest, BatchMatchesSequentialOnEveryIndexKind) {
-  for (const IndexKind kind :
-       {IndexKind::kLinearScan, IndexKind::kTimeSpaceRTree}) {
+  for (const IndexKind kind : {IndexKind::kLinearScan,
+                               IndexKind::kTimeSpaceRTree,
+                               IndexKind::kRouteBand}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{4},
                                     std::size_t{7}, std::size_t{1000}}) {
       ModDatabaseOptions options;

@@ -81,6 +81,7 @@ class GroupCrashTortureTest : public testing::Test {
 
   static ModDatabaseOptions TrackingOptions() {
     ModDatabaseOptions options;
+    options.index_kind = IndexKind::kTimeSpaceRTree;  // the envelope kind
     options.group_tracking.enabled = true;
     return options;
   }

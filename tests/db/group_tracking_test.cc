@@ -109,6 +109,7 @@ class GroupTrackingTest : public testing::Test {
 
   ModDatabaseOptions Options(bool tracking) const {
     ModDatabaseOptions options;
+    options.index_kind = IndexKind::kTimeSpaceRTree;  // the envelope kind
     options.group_tracking.enabled = tracking;
     return options;
   }
@@ -192,6 +193,9 @@ TEST_F(GroupTrackingTest, DisabledByDefaultAndWithLinearScan) {
   options.index_kind = IndexKind::kLinearScan;
   ModDatabase scan(&network_, options);
   EXPECT_FALSE(scan.group_tracker().enabled());
+  options.index_kind = IndexKind::kRouteBand;
+  ModDatabase route(&network_, options);
+  EXPECT_FALSE(route.group_tracker().enabled());
   ModDatabase on(&network_, Options(true));
   EXPECT_TRUE(on.group_tracker().enabled());
 }

@@ -199,21 +199,28 @@ TEST_F(ModDatabaseTest, RangeQueryAgreesAcrossIndexKinds) {
   rtree_opts.index_kind = IndexKind::kTimeSpaceRTree;
   ModDatabaseOptions scan_opts;
   scan_opts.index_kind = IndexKind::kLinearScan;
+  ModDatabaseOptions route_opts;
+  route_opts.index_kind = IndexKind::kRouteBand;
   ModDatabase rtree_db(&network_, rtree_opts);
   ModDatabase scan_db(&network_, scan_opts);
+  ModDatabase route_db(&network_, route_opts);
   for (core::ObjectId id = 0; id < 30; ++id) {
     const double speed = 0.2 + 0.04 * static_cast<double>(id);
     const auto attr = Attr(static_cast<double>(id) * 6.0, speed);
     ASSERT_TRUE(rtree_db.Insert(id, "", attr).ok());
     ASSERT_TRUE(scan_db.Insert(id, "", attr).ok());
+    ASSERT_TRUE(route_db.Insert(id, "", attr).ok());
   }
   for (double t : {0.0, 5.0, 20.0, 60.0}) {
     const geo::Polygon region =
         geo::Polygon::Rectangle(30.0, -1.0, 90.0, 1.0);
     const RangeAnswer truth = scan_db.QueryRange(region, t);
     const RangeAnswer a = rtree_db.QueryRange(region, t);
+    const RangeAnswer b = route_db.QueryRange(region, t);
     EXPECT_EQ(a.must, truth.must) << "t=" << t;
     EXPECT_EQ(a.may, truth.may) << "t=" << t;
+    EXPECT_EQ(b.must, truth.must) << "t=" << t;
+    EXPECT_EQ(b.may, truth.may) << "t=" << t;
   }
 }
 

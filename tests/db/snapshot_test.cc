@@ -192,11 +192,12 @@ TEST_F(SnapshotTest, ReadsVersion2SnapshotsWithoutCapField) {
   EXPECT_EQ(loaded->database->num_objects(), 1u);
 }
 
-TEST_F(SnapshotTest, WritesVersion6Header) {
+TEST_F(SnapshotTest, WritesVersion7Header) {
+  // The default store runs the route-band index, kind 2.
   ModDatabase db(&network_);
   std::stringstream stream;
   ASSERT_TRUE(WriteSnapshot(db, stream).ok());
-  EXPECT_EQ(stream.str().rfind("modb-snapshot 6\noptions 0 120 4 0 0 0 ", 0),
+  EXPECT_EQ(stream.str().rfind("modb-snapshot 7\noptions 2 120 4 0 0 0 ", 0),
             0u);
 }
 
@@ -502,6 +503,53 @@ TEST_F(SnapshotTest, DeterministicOutput) {
   // Objects are written in id order.
   EXPECT_LT(s1.str().find("object 1"), s1.str().find("object 2"));
   EXPECT_LT(s1.str().find("object 2"), s1.str().find("object 3"));
+}
+
+TEST_F(SnapshotTest, RouteBandKindRoundTrips) {
+  ModDatabaseOptions options;
+  options.index_kind = IndexKind::kRouteBand;
+  ModDatabase db(&network_, options);
+  ASSERT_TRUE(db.Insert(1, "a", Attr(main_, 10.5, 1.125)).ok());
+  ASSERT_TRUE(db.Insert(2, "b", Attr(bend_, 20.0, 0.875)).ok());
+  std::stringstream stream;
+  ASSERT_TRUE(WriteSnapshot(db, stream).ok());
+  const auto loaded = ReadSnapshot(stream);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ModDatabase& db2 = *loaded->database;
+  EXPECT_EQ(db2.options().index_kind, IndexKind::kRouteBand);
+  EXPECT_EQ(db2.object_index().name(), "route");
+  EXPECT_EQ(db2.object_index().num_entries(), 2u);
+  const geo::Polygon region = geo::Polygon::Rectangle(-5.0, -5.0, 105.0, 45.0);
+  for (const double t : {3.5, 10.0, 40.0}) {
+    const RangeAnswer a = db.QueryRange(region, t);
+    const RangeAnswer b = db2.QueryRange(region, t);
+    EXPECT_EQ(a.must, b.must) << "t=" << t;
+    EXPECT_EQ(a.may, b.may) << "t=" << t;
+    EXPECT_EQ(a.must.size() + a.may.size(), 2u) << "t=" << t;
+  }
+}
+
+TEST_F(SnapshotTest, IndexKindRangeDependsOnVersion) {
+  const auto kind_loads = [](int version, int kind) {
+    return ReadText("modb-snapshot " + std::to_string(version) +
+                    "\noptions " + std::to_string(kind) + " 120 4 0 0" +
+                    kGroupOptions + kLegacyRoutes + kLegacyObjects +
+                    kNoGroups)
+        .ok();
+  };
+  // v7 knows kinds 0–2; kind 2 did not name the route-band index before.
+  EXPECT_TRUE(kind_loads(7, 0));
+  EXPECT_TRUE(kind_loads(7, 1));
+  EXPECT_TRUE(kind_loads(7, 2));
+  EXPECT_FALSE(kind_loads(7, 3));
+  EXPECT_FALSE(kind_loads(7, -1));
+  EXPECT_TRUE(kind_loads(6, 1));
+  EXPECT_FALSE(kind_loads(6, 2));
+  const auto v7 = ReadText(std::string("modb-snapshot 7\noptions 2 120 4 0 0") +
+                           kGroupOptions + kLegacyRoutes + kLegacyObjects +
+                           kNoGroups);
+  ASSERT_TRUE(v7.ok()) << v7.status().ToString();
+  EXPECT_EQ(v7->database->options().index_kind, IndexKind::kRouteBand);
 }
 
 }  // namespace

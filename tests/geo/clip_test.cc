@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "geo/polygon.h"
 #include "geo/polyline.h"
@@ -106,6 +108,26 @@ TEST(SubLengthInsidePolygonTest, DegenerateInterval) {
   const Polyline line({{0.0, 0.0}, {10.0, 0.0}});
   const Polygon region = Polygon::Rectangle(-1.0, -1.0, 11.0, 1.0);
   EXPECT_DOUBLE_EQ(line.SubLengthInsidePolygon(5.0, 5.0, region), 0.0);
+}
+
+TEST(IntervalsInBoxTest, ClipsMergesAndKeepsVertexDistances) {
+  // A U-shaped route: up the left leg, across the top, down the right leg.
+  // The first box holds the upper halves of both legs and the whole top,
+  // which merge into one stretch.
+  using Interval = std::pair<double, double>;
+  const Polyline u({{0.0, 0.0}, {0.0, 10.0}, {10.0, 10.0}, {10.0, 0.0}});
+  const Box2 top({-1.0, 5.0}, {11.0, 11.0});
+  EXPECT_EQ(u.IntervalsInBox(top), (std::vector<Interval>{{5.0, 25.0}}));
+  // Two separate stretches when the box misses the top arm.
+  const Box2 low({-1.0, 2.0}, {11.0, 4.0});
+  EXPECT_EQ(u.IntervalsInBox(low),
+            (std::vector<Interval>{{2.0, 4.0}, {26.0, 28.0}}));
+  // Touching the route at one vertex gives a point interval; the end
+  // vertex keeps its exact arc length.
+  EXPECT_EQ(u.IntervalsInBox(Box2({10.0, -5.0}, {20.0, 0.0})),
+            (std::vector<Interval>{{30.0, 30.0}}));
+  EXPECT_TRUE(u.IntervalsInBox(Box2({20.0, 20.0}, {30.0, 30.0})).empty());
+  EXPECT_TRUE(u.IntervalsInBox(Box2()).empty());
 }
 
 }  // namespace

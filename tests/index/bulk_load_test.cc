@@ -106,6 +106,45 @@ TEST(BulkLoadTest, ReplacesPreviousContents) {
               tree.size() == 10u);
 }
 
+/// `SearchIf` with the plain box-intersection test at both levels.
+class IntersectsFilter final : public RTree3::Filter {
+ public:
+  explicit IntersectsFilter(const Box3& query) : query_(query) {}
+  void Begin() override { ++begins; }
+  bool Enter(const Box3& box) const override { return box.Intersects(query_); }
+  bool Accept(const Box3& box) const override {
+    return box.Intersects(query_);
+  }
+  int begins = 0;
+
+ private:
+  Box3 query_;
+};
+
+TEST(BulkLoadTest, XOrderPackingAnswersAsStrWithFilteredSearch) {
+  const auto entries = RandomEntries(3000, 21);
+  RTree3 str;
+  str.BulkLoad(entries);
+  RTree3 x_order;
+  x_order.BulkLoad(entries, RTree3::Packing::kXOrder);
+  ASSERT_TRUE(x_order.CheckInvariants().ok());
+  EXPECT_EQ(x_order.size(), entries.size());
+  util::Rng rng(22);
+  for (int q = 0; q < 100; ++q) {
+    const double x = rng.Uniform(0.0, 200.0);
+    const double y = rng.Uniform(0.0, 200.0);
+    const double t = rng.Uniform(0.0, 200.0);
+    const Box3 query(x, y, t, x + 20.0, y + 20.0, t + 20.0);
+    std::vector<RTree3::Value> expected = str.SearchValues(query);
+    IntersectsFilter filter(query);
+    std::vector<RTree3::Value> got = x_order.SearchIf(filter);
+    EXPECT_EQ(filter.begins, 1);
+    std::sort(expected.begin(), expected.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "query " << q;
+  }
+}
+
 TEST(TimeSpaceBulkUpsertTest, MatchesIncrementalUpserts) {
   geo::RouteNetwork network;
   network.AddGridNetwork(6, 6, 50.0);

@@ -9,12 +9,13 @@
 #include "geo/route_network.h"
 #include "index/linear_scan_index.h"
 #include "index/object_index.h"
+#include "index/route_band_index.h"
 #include "index/timespace_index.h"
 
 namespace modb::index {
 namespace {
 
-/// The `ApplyDeltaBatch` validate-all-first contract, uniformly across both
+/// The `ApplyDeltaBatch` validate-all-first contract, uniformly across the
 /// index kinds: a batch with a mid-batch invalid row must fail without
 /// touching the index — no prefix of the batch may be applied (the
 /// database's group layer routes structural rows through the same call and
@@ -30,6 +31,10 @@ class DeltaBatchContractTest
   std::unique_ptr<ObjectIndex> MakeIndex() const {
     const std::string kind = GetParam();
     if (kind == "rtree") return std::make_unique<TimeSpaceIndex>(&network_);
+    if (kind == "route") {
+      return std::make_unique<RouteBandIndex>(&network_,
+                                              RouteBandIndex::Options{});
+    }
     return std::make_unique<LinearScanIndex>(&network_);
   }
 
@@ -99,7 +104,9 @@ TEST_P(DeltaBatchContractTest, MidBatchInvalidRouteLeavesIndexUntouched) {
 
 TEST_P(DeltaBatchContractTest, InvalidHiddenRowAlsoLeavesIndexUntouched) {
   auto index = MakeIndex();
-  if (!index->supports_group_envelopes()) {
+  // The route-band index has no group extensions either, but validates
+  // every row, hidden ones included, before touching its tree.
+  if (std::string(GetParam()) == "scan") {
     GTEST_SKIP() << "no group-delta extensions";
   }
   const core::PositionAttribute a = Attr(street_, 10.0, 1.0);
@@ -118,7 +125,7 @@ TEST_P(DeltaBatchContractTest, InvalidHiddenRowAlsoLeavesIndexUntouched) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, DeltaBatchContractTest,
-                         testing::Values("rtree", "scan"),
+                         testing::Values("rtree", "scan", "route"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -253,6 +253,7 @@ TEST_F(ConcurrentStressTest, GroupTrackedConvoysUnderReaderWriterStress) {
   ShardedModDatabaseOptions options;
   options.num_shards = 4;
   options.num_query_threads = 2;
+  options.db.index_kind = IndexKind::kTimeSpaceRTree;  // the envelope kind
   options.db.group_tracking.enabled = true;
   ShardedModDatabase db(&network_, options);
   for (std::size_t c = 0; c < kConvoys; ++c) {

@@ -177,27 +177,37 @@ TEST_P(EndToEndTest, RangeQueriesAreSoundAndComplete) {
 TEST_P(EndToEndTest, IndexKindsAgree) {
   FleetFixture fleet_a(404, 15, GetParam());
   FleetFixture fleet_b(404, 15, GetParam());
+  FleetFixture fleet_c(404, 15, GetParam());
   db::ModDatabaseOptions rtree_opts;
   rtree_opts.index_kind = db::IndexKind::kTimeSpaceRTree;
   db::ModDatabaseOptions scan_opts;
   scan_opts.index_kind = db::IndexKind::kLinearScan;
+  db::ModDatabaseOptions route_opts;
+  route_opts.index_kind = db::IndexKind::kRouteBand;
   db::ModDatabase rtree_db(&fleet_a.network, rtree_opts);
   db::ModDatabase scan_db(&fleet_b.network, scan_opts);
+  db::ModDatabase route_db(&fleet_c.network, route_opts);
   fleet_a.Register(rtree_db);
   fleet_b.Register(scan_db);
+  fleet_c.Register(route_db);
   util::Rng rng(505);
   for (core::Time t = 1.0; t <= 40.0; t += 1.0) {
     fleet_a.TickAll(rtree_db, t);
     fleet_b.TickAll(scan_db, t);
+    fleet_c.TickAll(route_db, t);
     const geo::Polygon region = geo::Polygon::CenteredRectangle(
         {rng.Uniform(0.0, 120.0), rng.Uniform(0.0, 120.0)}, 30.0, 30.0);
     const db::RangeAnswer a = rtree_db.QueryRange(region, t);
     const db::RangeAnswer b = scan_db.QueryRange(region, t);
+    const db::RangeAnswer c = route_db.QueryRange(region, t);
     EXPECT_EQ(a.must, b.must) << "t=" << t;
     EXPECT_EQ(a.may, b.may) << "t=" << t;
+    EXPECT_EQ(c.must, b.must) << "t=" << t;
+    EXPECT_EQ(c.may, b.may) << "t=" << t;
   }
-  // Both databases saw the same update stream.
+  // The databases saw the same update stream.
   EXPECT_EQ(rtree_db.total_updates(), scan_db.total_updates());
+  EXPECT_EQ(route_db.total_updates(), scan_db.total_updates());
 }
 
 INSTANTIATE_TEST_SUITE_P(
