@@ -1,6 +1,6 @@
 // E8c — google-benchmark microbenchmarks of the database layer: object
-// registration (incremental vs bulk), the position-update path, and both
-// query forms.
+// registration (incremental vs bulk), the position-update path, and the
+// position, range, interval and nearest queries.
 
 #include <benchmark/benchmark.h>
 
@@ -130,6 +130,26 @@ void BM_DbQueryRange(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DbQueryRange)->Arg(1000)->Arg(10000);
+
+void BM_DbQueryRangeInterval(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Fixture fx(n);
+  ModDatabase db(&fx.network);
+  for (std::size_t i = 0; i < n; ++i) db.Insert(i, "", fx.attrs[i]).ok();
+  util::Rng rng(7);
+  std::size_t results = 0;
+  for (auto _ : state) {
+    const geo::Polygon region = geo::Polygon::CenteredRectangle(
+        {rng.Uniform(50.0, 500.0), rng.Uniform(50.0, 500.0)}, 25.0, 25.0);
+    const double t = rng.Uniform(0.0, 40.0);
+    const IntervalRangeAnswer answer =
+        db.QueryRangeInterval(region, t, t + 10.0);
+    results += answer.may.size() + answer.must_at_some_time.size();
+  }
+  benchmark::DoNotOptimize(results);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DbQueryRangeInterval)->Arg(1000)->Arg(10000);
 
 void BM_DbQueryNearest(benchmark::State& state) {
   const Fixture fx(10000);

@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/refiner.h"
 #include "geo/polygon.h"
 #include "geo/polyline.h"
 #include "geo/route_network.h"
@@ -84,11 +85,12 @@ void BM_SubInsidePolygon(benchmark::State& state) {
   box.Inflate(1.0);
   const Polygon poly =
       Polygon::Rectangle(box.min.x, box.min.y, box.max.x, box.max.y);
+  core::Refiner refiner;
   double s = 0.0;
   for (auto _ : state) {
     s += 7.3;
     if (s + 30.0 > line.Length()) s = 0.0;
-    benchmark::DoNotOptimize(line.SubInsidePolygon(s, s + 30.0, poly));
+    benchmark::DoNotOptimize(refiner.Inside(poly, line, {s, s + 30.0}));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -121,10 +121,10 @@ double DeviationBound(const PositionAttribute& attr, Duration t) {
   return std::max(SlowDeviationBound(attr, t), FastDeviationBound(attr, t));
 }
 
-std::vector<Duration> BoundCriticalTimes(const PositionAttribute& attr) {
-  std::vector<Duration> times;
+CriticalTimes BoundCriticalTimes(const PositionAttribute& attr) {
+  CriticalTimes times;
   auto push = [&times](double t) {
-    if (t > 0.0 && std::isfinite(t)) times.push_back(t);
+    if (t > 0.0 && std::isfinite(t)) times.at[times.count++] = t;
   };
   const double v = attr.speed;
   const double C = attr.update_cost;

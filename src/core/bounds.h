@@ -1,7 +1,8 @@
 #ifndef MODB_CORE_BOUNDS_H_
 #define MODB_CORE_BOUNDS_H_
 
-#include <vector>
+#include <array>
+#include <cstddef>
 
 #include "core/position_attribute.h"
 #include "core/types.h"
@@ -54,8 +55,20 @@ double IlFastBoundPeakTime(double V, double v, double C);
 /// or the periodic reporting period. Between consecutive critical times the
 /// bounds are monotone, which lets the o-plane builder cover a time slab
 /// exactly by sampling slab edges plus the critical times inside it.
-/// Only finite positive offsets are returned.
-std::vector<Duration> BoundCriticalTimes(const PositionAttribute& attr);
+/// Only finite positive offsets are returned, at most one per direction;
+/// the result is a fixed-capacity value, so the per-candidate callers
+/// allocate nothing.
+struct CriticalTimes {
+  std::array<Duration, 2> at{};
+  std::size_t count = 0;
+
+  const Duration* begin() const { return at.data(); }
+  const Duration* end() const { return at.data() + count; }
+  std::size_t size() const { return count; }
+  bool empty() const { return count == 0; }
+  Duration operator[](std::size_t i) const { return at[i]; }
+};
+CriticalTimes BoundCriticalTimes(const PositionAttribute& attr);
 
 /// Policy-dispatching bounds: everything the DBMS needs is in the stored
 /// position attribute. `t` is the time elapsed since `attr.start_time`.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/bounds.h"
+#include "core/refiner.h"
 
 namespace modb::core {
 
@@ -61,30 +62,27 @@ std::string_view RegionRelationName(RegionRelation r) {
   return "unknown";
 }
 
+namespace {
+
+// The wrappers' refiner, one per thread: once its buffers have grown, a
+// wrapper call allocates nothing either.
+Refiner& ThreadRefiner() {
+  thread_local Refiner refiner;
+  return refiner;
+}
+
+}  // namespace
+
 double ProbabilityInPolygon(const UncertaintyInterval& interval,
                             const geo::Route& route,
                             const geo::Polygon& polygon) {
-  const geo::Polyline& shape = route.shape();
-  const double width = interval.Width();
-  if (width <= 1e-12) {
-    return polygon.Contains(shape.PointAtDistance(interval.lo)) ? 1.0 : 0.0;
-  }
-  const double inside =
-      shape.SubLengthInsidePolygon(interval.lo, interval.hi, polygon);
-  return std::clamp(inside / width, 0.0, 1.0);
+  return ThreadRefiner().Probability(polygon, route.shape(), interval);
 }
 
 RegionRelation ClassifyAgainstPolygon(const UncertaintyInterval& interval,
                                       const geo::Route& route,
                                       const geo::Polygon& polygon) {
-  const geo::Polyline& shape = route.shape();
-  if (shape.SubInsidePolygon(interval.lo, interval.hi, polygon)) {
-    return RegionRelation::kMustBeIn;
-  }
-  if (shape.SubIntersectsPolygon(interval.lo, interval.hi, polygon)) {
-    return RegionRelation::kMayBeIn;
-  }
-  return RegionRelation::kOutside;
+  return ThreadRefiner().Classify(polygon, route.shape(), interval);
 }
 
 }  // namespace modb::core

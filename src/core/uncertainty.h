@@ -50,6 +50,8 @@ std::string_view RegionRelationName(RegionRelation r);
 
 /// Classifies the uncertainty interval `interval` on `route` against
 /// `polygon` (paper §4.1.1 definitions of "may be in" / "must be in" G).
+/// A one-call wrapper of `Refiner::Classify`; a query refining many
+/// candidates keeps one `Refiner` instead.
 RegionRelation ClassifyAgainstPolygon(const UncertaintyInterval& interval,
                                       const geo::Route& route,
                                       const geo::Polygon& polygon);
@@ -60,6 +62,7 @@ RegionRelation ClassifyAgainstPolygon(const UncertaintyInterval& interval,
 /// over the interval and the probability is the in-polygon fraction of its
 /// arc length (exact clipping). Degenerate (zero-width) intervals yield
 /// 0 or 1. MUST objects get 1.0, OUTSIDE objects 0.0, by construction.
+/// A one-call wrapper of `Refiner::Probability`.
 double ProbabilityInPolygon(const UncertaintyInterval& interval,
                             const geo::Route& route,
                             const geo::Polygon& polygon);

@@ -1,8 +1,10 @@
 #include "db/mod_database.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/bounds.h"
+#include "core/refiner.h"
 #include "core/uncertainty.h"
 #include "db/subscription_engine.h"
 #include "db/wal.h"
@@ -103,6 +105,16 @@ util::Status ModDatabase::ValidateAttribute(
     const core::PositionAttribute& attr) const {
   const auto route = network_->FindRoute(attr.route);
   if (!route.ok()) return route.status();
+  // A NaN passes every range check below, and an infinite speed or time
+  // reaches the index as an unbounded box: refuse both in every field.
+  for (const double field :
+       {attr.start_time, attr.start_route_distance, attr.start_position.x,
+        attr.start_position.y, attr.speed, attr.update_cost, attr.max_speed,
+        attr.fixed_threshold, attr.period, attr.step_threshold}) {
+    if (!std::isfinite(field)) {
+      return util::Status::InvalidArgument("non-finite attribute field");
+    }
+  }
   if (attr.speed < 0.0) {
     return util::Status::InvalidArgument("negative speed");
   }
@@ -681,6 +693,7 @@ RangeAnswer ModDatabase::RefineRange(
     cand = &expanded;
   }
   answer.candidates_examined = cand->size();
+  core::Refiner refiner;
   for (core::ObjectId id : *cand) {
     const auto it = records_.find(id);
     if (it == records_.end()) continue;  // stale index entry
@@ -691,14 +704,14 @@ RangeAnswer ModDatabase::RefineRange(
     if (!route.ok()) continue;
     const core::UncertaintyInterval iv =
         core::ComputeUncertainty(attr, **route, t);
-    switch (core::ClassifyAgainstPolygon(iv, **route, region)) {
+    double probability = 0.0;
+    switch (refiner.Classify(region, (*route)->shape(), iv, &probability)) {
       case core::RegionRelation::kMustBeIn:
         answer.must.push_back(id);
         break;
       case core::RegionRelation::kMayBeIn:
         answer.may.push_back(id);
-        answer.may_probability.push_back(
-            core::ProbabilityInPolygon(iv, **route, region));
+        answer.may_probability.push_back(probability);
         break;
       case core::RegionRelation::kOutside:
         break;
@@ -776,6 +789,7 @@ bool ModDatabase::QueryNearestSplit(
       1.0;
   std::vector<core::ObjectId> candidates;
 
+  core::Refiner refiner;
   auto build_items = [&](const std::vector<core::ObjectId>& ids) {
     std::vector<NearestAnswer::Item> items;
     items.reserve(ids.size());
@@ -791,12 +805,10 @@ bool ModDatabase::QueryNearestSplit(
       const double db_s =
           attr.ClampedDatabaseRouteDistanceAt(t, (*route)->Length());
       item.db_distance = geo::Distance(point, (*route)->PointAt(db_s));
-      const core::UncertaintyInterval iv =
-          core::ComputeUncertainty(attr, **route, t);
-      item.min_possible_distance =
-          (*route)->shape().SubDistanceFromPoint(point, iv.lo, iv.hi);
-      item.max_possible_distance =
-          (*route)->shape().SubMaxDistanceFromPoint(point, iv.lo, iv.hi);
+      const core::DistanceBracket possible = refiner.Distances(
+          point, (*route)->shape(), core::ComputeUncertainty(attr, **route, t));
+      item.min_possible_distance = possible.min;
+      item.max_possible_distance = possible.max;
       items.push_back(item);
     }
     std::sort(items.begin(), items.end(), NearestAnswer::ItemOrder);
@@ -871,6 +883,7 @@ IntervalRangeAnswer ModDatabase::RefineRangeInterval(
   }
   answer.candidates_examined = cand->size();
 
+  core::Refiner refiner;
   for (core::ObjectId id : *cand) {
     const auto it = records_.find(id);
     if (it == records_.end()) continue;
@@ -882,31 +895,20 @@ IntervalRangeAnswer ModDatabase::RefineRangeInterval(
     const core::Time lo = std::max(t1, attr.start_time);
     const core::Time hi = std::min(t2, index_->CoverageEnd(attr));
     if (lo > hi) continue;
-
-    // Exact MAY: the interval endpoints move continuously, so the swept
-    // span intersects the region iff the interval does at some instant.
-    const core::UncertaintyInterval span =
-        core::ComputeUncertaintySpan(attr, **route, lo, hi);
-    if (!(*route)->shape().SubIntersectsPolygon(span.lo, span.hi, region)) {
-      continue;
-    }
-    answer.may.push_back(id);
-
-    // Sampled MUST-at-some-time. The last iteration clamps to `hi` so both
-    // edges are always sampled (the header's contract), even when
-    // `sample_step` overshoots the window.
+    // A step that overshoots the window still samples both edges.
     const double step =
         std::max(sample_step > 0.0 ? sample_step : hi - lo, 1e-9);
-    bool must = false;
-    for (core::Time t = lo; !must; t += step) {
-      const core::Time clamped = std::min(t, hi);
-      const core::UncertaintyInterval iv =
-          core::ComputeUncertainty(attr, **route, clamped);
-      must = core::ClassifyAgainstPolygon(iv, **route, region) ==
-             core::RegionRelation::kMustBeIn;
-      if (clamped >= hi) break;
+    switch (refiner.ClassifyDuring(region, attr, **route, lo, hi, step)) {
+      case core::RegionRelation::kMustBeIn:
+        answer.must_at_some_time.push_back(id);
+        answer.may.push_back(id);
+        break;
+      case core::RegionRelation::kMayBeIn:
+        answer.may.push_back(id);
+        break;
+      case core::RegionRelation::kOutside:
+        break;
     }
-    if (must) answer.must_at_some_time.push_back(id);
   }
   std::sort(answer.may.begin(), answer.may.end());
   std::sort(answer.must_at_some_time.begin(), answer.must_at_some_time.end());

@@ -115,7 +115,10 @@ class ModDatabase {
   ModDatabase& operator=(const ModDatabase&) = delete;
 
   /// Registers a moving object with its initial position attribute (the
-  /// beginning-of-trip write of all sub-attributes, §3.1).
+  /// beginning-of-trip write of all sub-attributes, §3.1). InvalidArgument,
+  /// with the store unchanged, for a negative speed, a start off the route
+  /// or any non-finite numeric field (times, distances, position, speed
+  /// and the policy parameters); this holds for every write path.
   util::Status Insert(core::ObjectId id, std::string label,
                       const core::PositionAttribute& attr);
 
@@ -136,7 +139,8 @@ class ModDatabase {
   /// Applies a position update from a moving object: replaces
   /// P.starttime, P.speed, P.x/y.startposition (and P.route), keeping the
   /// policy parameters. Fails with NotFound for unknown objects and
-  /// InvalidArgument for unknown routes or time regressions. Thin wrapper
+  /// InvalidArgument for unknown routes, time regressions or non-finite
+  /// fields (as `Insert`). Thin wrapper
   /// over `ApplyUpdateBatch` with a batch of one — there is a single
   /// staged write path.
   util::Status ApplyUpdate(const core::PositionUpdate& update);

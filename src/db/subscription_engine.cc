@@ -131,7 +131,7 @@ core::RegionRelation SubscriptionEngine::RelationOf(
 
 core::RegionRelation SubscriptionEngine::EvaluatePair(
     const Subscription& sub, const core::PositionAttribute& attr,
-    const geo::Route& route) const {
+    const geo::Route& route) {
   // Clip the subscribed time(s) against the attribute's visibility window
   // [start, start + horizon] — the same horizon gate the o-plane indexes
   // implement, so standing queries match what ad-hoc queries can see.
@@ -145,31 +145,12 @@ core::RegionRelation SubscriptionEngine::EvaluatePair(
 
   if (!sub.spec.windowed) {
     // AT form: exact classification at the (clipped) instant.
-    const core::UncertaintyInterval iv =
-        core::ComputeUncertainty(attr, route, w1);
-    return core::ClassifyAgainstPolygon(iv, route, sub.spec.region);
+    return refiner_.Classify(sub.spec.region, route.shape(),
+                             core::ComputeUncertainty(attr, route, w1));
   }
-
-  // DURING form, mirroring QueryRangeInterval: MAY is exact (the swept
-  // uncertainty span moves continuously), MUST-at-some-instant is sampled
-  // every `kMustSampleStep` plus the window edges.
-  const core::UncertaintyInterval span =
-      core::ComputeUncertaintySpan(attr, route, w1, w2);
-  if (!route.shape().SubIntersectsPolygon(span.lo, span.hi,
-                                          sub.spec.region)) {
-    return core::RegionRelation::kOutside;
-  }
-  for (core::Time t = w1;; t += kMustSampleStep) {
-    const core::Time clamped = std::min(t, w2);
-    const core::UncertaintyInterval iv =
-        core::ComputeUncertainty(attr, route, clamped);
-    if (core::ClassifyAgainstPolygon(iv, route, sub.spec.region) ==
-        core::RegionRelation::kMustBeIn) {
-      return core::RegionRelation::kMustBeIn;
-    }
-    if (clamped >= w2) break;
-  }
-  return core::RegionRelation::kMayBeIn;
+  // DURING form, as `QueryRangeInterval` evaluates it.
+  return refiner_.ClassifyDuring(sub.spec.region, attr, route, w1, w2,
+                                 kMustSampleStep);
 }
 
 void SubscriptionEngine::EvaluateOne(SubscriptionId id, Subscription& sub,

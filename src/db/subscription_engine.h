@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/position_attribute.h"
+#include "core/refiner.h"
 #include "core/types.h"
 #include "core/uncertainty.h"
 #include "geo/polygon.h"
@@ -215,7 +216,7 @@ class SubscriptionEngine final {
   /// resolved route of `attr`.
   core::RegionRelation EvaluatePair(const Subscription& sub,
                                     const core::PositionAttribute& attr,
-                                    const geo::Route& route) const;
+                                    const geo::Route& route);
 
   /// Re-evaluates one (subscription, record) pair: updates tracked state
   /// and buffers an event when the transition passes the mode filter.
@@ -227,6 +228,7 @@ class SubscriptionEngine final {
   std::map<SubscriptionId, Subscription> subs_;  // ordered: deterministic
   index::RTree3 sub_index_;
   std::vector<SubscriptionEvent> events_;
+  core::Refiner refiner_;  // EvaluatePair's scratch, reused across pairs
 
   std::uint64_t evals_ = 0;
   std::uint64_t evals_saved_ = 0;

@@ -65,6 +65,18 @@ constexpr double DistanceSquared(const Point2& a, const Point2& b) {
   return (a - b).NormSquared();
 }
 
+/// Exactly `d.Norm() <= bound`, without the `std::hypot` call outside a
+/// narrow band: the norm is at least max(|x|, |y|) and at most |x| + |y|,
+/// so only a vector with max(|x|, |y|) <= bound < 2 (|x| + |y|) (or a NaN
+/// component) pays for the exact norm.
+inline bool NormAtMost(const Point2& d, double bound) {
+  const double ax = std::fabs(d.x);
+  const double ay = std::fabs(d.y);
+  if (ax > bound || ay > bound) return false;
+  if (ax + ay <= 0.5 * bound) return true;
+  return d.Norm() <= bound;
+}
+
 /// Component-wise approximate equality within `eps`.
 inline bool ApproxEqual(const Point2& a, const Point2& b,
                         double eps = kGeomEpsilon) {

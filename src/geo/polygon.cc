@@ -8,21 +8,11 @@ namespace modb::geo {
 
 namespace {
 
-// Strict orientation: +1 / -1, or 0 within tolerance.
-int StrictOrientation(const Point2& a, const Point2& b, const Point2& c) {
-  const double v = Cross(b - a, c - a);
-  const double scale = std::max({1.0, (b - a).Norm(), (c - a).Norm()});
-  if (std::fabs(v) <= kGeomEpsilon * scale) return 0;
-  return v > 0 ? 1 : -1;
-}
-
-// True when segments properly cross (intersection interior to both).
+// True when segments properly cross (intersection interior to both). The
+// second pair of orientations runs only when t straddles s's line.
 bool ProperCrossing(const Segment& s, const Segment& t) {
-  const int o1 = StrictOrientation(s.a, s.b, t.a);
-  const int o2 = StrictOrientation(s.a, s.b, t.b);
-  const int o3 = StrictOrientation(t.a, t.b, s.a);
-  const int o4 = StrictOrientation(t.a, t.b, s.b);
-  return o1 * o2 < 0 && o3 * o4 < 0;
+  return Orientation(s.a, s.b, t.a) * Orientation(s.a, s.b, t.b) < 0 &&
+         Orientation(t.a, t.b, s.a) * Orientation(t.a, t.b, s.b) < 0;
 }
 
 }  // namespace
@@ -59,15 +49,17 @@ Segment Polygon::Edge(std::size_t i) const {
 
 bool Polygon::Contains(const Point2& p) const {
   if (!Valid() || !bbox_.Contains(p)) return false;
-  // Boundary points count as contained.
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
-    if (Edge(i).DistanceTo(p) <= kGeomEpsilon) return true;
-  }
-  // Even-odd ray casting with a horizontal ray to +x.
+  // Even-odd ray casting with a horizontal ray to +x, in one pass with the
+  // boundary test: points within kGeomEpsilon of an edge count as
+  // contained.
+  const std::size_t n = vertices_.size();
   bool inside = false;
-  for (std::size_t i = 0; i < vertices_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const Point2& a = vertices_[i];
-    const Point2& b = vertices_[(i + 1) % vertices_.size()];
+    const Point2& b = vertices_[i + 1 < n ? i + 1 : 0];
+    if (NormAtMost(p - Segment(a, b).ClosestPoint(p), kGeomEpsilon)) {
+      return true;
+    }
     const bool crosses = (a.y > p.y) != (b.y > p.y);
     if (!crosses) continue;
     const double x_at = a.x + (p.y - a.y) / (b.y - a.y) * (b.x - a.x);
@@ -77,9 +69,14 @@ bool Polygon::Contains(const Point2& p) const {
 }
 
 bool Polygon::Intersects(const Segment& s) const {
+  return Intersects(s, Contains(s.a), Contains(s.b));
+}
+
+bool Polygon::Intersects(const Segment& s, bool a_inside,
+                         bool b_inside) const {
   if (!Valid()) return false;
   if (!bbox_.Intersects(s.BoundingBox())) return false;
-  if (Contains(s.a) || Contains(s.b)) return true;
+  if (a_inside || b_inside) return true;
   for (std::size_t i = 0; i < vertices_.size(); ++i) {
     if (SegmentsIntersect(Edge(i), s)) return true;
   }
@@ -87,8 +84,12 @@ bool Polygon::Intersects(const Segment& s) const {
 }
 
 bool Polygon::ContainsSegment(const Segment& s) const {
-  if (!Valid()) return false;
-  if (!Contains(s.a) || !Contains(s.b)) return false;
+  return ContainsSegment(s, Contains(s.a), Contains(s.b));
+}
+
+bool Polygon::ContainsSegment(const Segment& s, bool a_inside,
+                              bool b_inside) const {
+  if (!Valid() || !a_inside || !b_inside) return false;
   // A segment with both endpoints inside can only leave a (possibly
   // non-convex) polygon by properly crossing its boundary.
   for (std::size_t i = 0; i < vertices_.size(); ++i) {
@@ -100,6 +101,12 @@ bool Polygon::ContainsSegment(const Segment& s) const {
 }
 
 double Polygon::IntersectionLength(const Segment& s) const {
+  std::vector<double> params;
+  return IntersectionLength(s, &params);
+}
+
+double Polygon::IntersectionLength(const Segment& s,
+                                   std::vector<double>* params) const {
   if (!Valid()) return 0.0;
   const double total = s.Length();
   if (total <= kGeomEpsilon) return 0.0;  // degenerate segment: no length
@@ -107,21 +114,22 @@ double Polygon::IntersectionLength(const Segment& s) const {
 
   // Collect the parameters where the segment crosses the boundary, then
   // classify each piece between consecutive parameters by its midpoint.
-  std::vector<double> params = {0.0, 1.0};
+  std::vector<double>& at = *params;
+  at.assign({0.0, 1.0});
   const Point2 dir = s.b - s.a;
   const double len2 = dir.NormSquared();
   for (std::size_t i = 0; i < vertices_.size(); ++i) {
     const auto hit = SegmentIntersection(s, Edge(i));
     if (!hit.has_value()) continue;
-    params.push_back(std::clamp(Dot(*hit - s.a, dir) / len2, 0.0, 1.0));
+    at.push_back(std::clamp(Dot(*hit - s.a, dir) / len2, 0.0, 1.0));
   }
-  std::sort(params.begin(), params.end());
+  std::sort(at.begin(), at.end());
 
   double inside = 0.0;
-  for (std::size_t i = 0; i + 1 < params.size(); ++i) {
-    const double span = params[i + 1] - params[i];
+  for (std::size_t i = 0; i + 1 < at.size(); ++i) {
+    const double span = at[i + 1] - at[i];
     if (span <= kGeomEpsilon) continue;
-    const Point2 mid = s.At(0.5 * (params[i] + params[i + 1]));
+    const Point2 mid = s.At(0.5 * (at[i] + at[i + 1]));
     if (Contains(mid)) inside += span;
   }
   return inside * total;

@@ -42,16 +42,26 @@ class Polygon {
 
   /// True when segment `s` intersects the polygon (boundary or interior).
   bool Intersects(const Segment& s) const;
+  /// `Intersects(s)` for a caller that already holds `Contains(s.a)` and
+  /// `Contains(s.b)`.
+  bool Intersects(const Segment& s, bool a_inside, bool b_inside) const;
 
   /// True when segment `s` lies entirely inside the polygon (boundary
   /// included). For convex polygons this is exact; for non-convex polygons
   /// it additionally verifies that `s` does not properly cross any edge.
   bool ContainsSegment(const Segment& s) const;
+  /// `ContainsSegment(s)` for a caller that already holds `Contains(s.a)`
+  /// and `Contains(s.b)`.
+  bool ContainsSegment(const Segment& s, bool a_inside, bool b_inside) const;
 
   /// Length of the part of segment `s` that lies inside the polygon
   /// (boundary included). Exact: clips the segment at every edge crossing
   /// and classifies each piece by its midpoint.
   double IntersectionLength(const Segment& s) const;
+  /// The same, collecting the crossing parameters in `params` (scratch the
+  /// caller reuses across calls; its contents are overwritten).
+  double IntersectionLength(const Segment& s,
+                            std::vector<double>* params) const;
 
   /// Signed area (> 0 for counter-clockwise rings).
   double SignedArea() const;

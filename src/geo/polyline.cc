@@ -34,7 +34,10 @@ std::size_t Polyline::SegmentIndexAt(double s) const {
 Point2 Polyline::PointAtDistance(double s) const {
   assert(Valid());
   s = std::clamp(s, 0.0, Length());
-  const std::size_t i = SegmentIndexAt(s);
+  return PointOnSegment(SegmentIndexAt(s), s);
+}
+
+Point2 Polyline::PointOnSegment(std::size_t i, double s) const {
   const double seg_len = cumulative_[i + 1] - cumulative_[i];
   const double t = seg_len > 0.0 ? (s - cumulative_[i]) / seg_len : 0.0;
   return Lerp(points_[i], points_[i + 1], t);
@@ -83,70 +86,21 @@ Box2 Polyline::BoundingBoxBetween(double s0, double s1) const {
   return box;
 }
 
-std::vector<Point2> Polyline::SubPolyline(double s0, double s1) const {
+void Polyline::SubPolyline(double s0, double s1,
+                           std::vector<Point2>* out) const {
   assert(Valid());
   if (s0 > s1) std::swap(s0, s1);
   s0 = std::clamp(s0, 0.0, Length());
   s1 = std::clamp(s1, 0.0, Length());
-  std::vector<Point2> out;
-  out.push_back(PointAtDistance(s0));
   const std::size_t i0 = SegmentIndexAt(s0);
   const std::size_t i1 = SegmentIndexAt(s1);
+  out->clear();
+  out->push_back(PointOnSegment(i0, s0));
   for (std::size_t v = i0 + 1; v <= i1; ++v) {
-    if (cumulative_[v] > s0 && cumulative_[v] < s1) out.push_back(points_[v]);
+    if (cumulative_[v] > s0 && cumulative_[v] < s1) out->push_back(points_[v]);
   }
-  const Point2 end = PointAtDistance(s1);
-  if (!ApproxEqual(out.back(), end)) out.push_back(end);
-  return out;
-}
-
-double Polyline::SubLengthInsidePolygon(double s0, double s1,
-                                        const Polygon& polygon) const {
-  const std::vector<Point2> sub = SubPolyline(s0, s1);
-  double inside = 0.0;
-  for (std::size_t i = 0; i + 1 < sub.size(); ++i) {
-    inside += polygon.IntersectionLength(Segment(sub[i], sub[i + 1]));
-  }
-  return inside;
-}
-
-double Polyline::SubDistanceFromPoint(const Point2& p, double s0,
-                                      double s1) const {
-  const std::vector<Point2> sub = SubPolyline(s0, s1);
-  if (sub.size() == 1) return Distance(p, sub.front());
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i + 1 < sub.size(); ++i) {
-    best = std::min(best, Segment(sub[i], sub[i + 1]).DistanceTo(p));
-  }
-  return best;
-}
-
-double Polyline::SubMaxDistanceFromPoint(const Point2& p, double s0,
-                                         double s1) const {
-  const std::vector<Point2> sub = SubPolyline(s0, s1);
-  double worst = 0.0;
-  for (const Point2& q : sub) worst = std::max(worst, Distance(p, q));
-  return worst;
-}
-
-bool Polyline::SubIntersectsPolygon(double s0, double s1,
-                                    const Polygon& polygon) const {
-  const std::vector<Point2> sub = SubPolyline(s0, s1);
-  if (sub.size() == 1) return polygon.Contains(sub.front());
-  for (std::size_t i = 0; i + 1 < sub.size(); ++i) {
-    if (polygon.Intersects(Segment(sub[i], sub[i + 1]))) return true;
-  }
-  return false;
-}
-
-bool Polyline::SubInsidePolygon(double s0, double s1,
-                                const Polygon& polygon) const {
-  const std::vector<Point2> sub = SubPolyline(s0, s1);
-  if (sub.size() == 1) return polygon.Contains(sub.front());
-  for (std::size_t i = 0; i + 1 < sub.size(); ++i) {
-    if (!polygon.ContainsSegment(Segment(sub[i], sub[i + 1]))) return false;
-  }
-  return true;
+  const Point2 end = PointOnSegment(i1, s1);
+  if (!ApproxEqual(out->back(), end)) out->push_back(end);
 }
 
 std::vector<std::pair<double, double>> Polyline::IntervalsInBox(

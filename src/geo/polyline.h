@@ -7,7 +7,6 @@
 
 #include "geo/box.h"
 #include "geo/point.h"
-#include "geo/polygon.h"
 #include "geo/segment.h"
 
 namespace modb::geo {
@@ -54,26 +53,9 @@ class Polyline {
   Box2 BoundingBoxBetween(double s0, double s1) const;
 
   /// Vertices of the sub-curve with arc lengths in [s0, s1], including the
-  /// interpolated endpoints. Always has at least one point when Valid().
-  std::vector<Point2> SubPolyline(double s0, double s1) const;
-
-  /// Smallest Euclidean distance from `p` to the sub-curve [s0, s1].
-  double SubDistanceFromPoint(const Point2& p, double s0, double s1) const;
-
-  /// Largest Euclidean distance from `p` to the sub-curve [s0, s1]
-  /// (attained at one of the sub-curve's vertices).
-  double SubMaxDistanceFromPoint(const Point2& p, double s0, double s1) const;
-
-  /// True when the sub-curve [s0, s1] intersects `polygon`.
-  bool SubIntersectsPolygon(double s0, double s1, const Polygon& polygon) const;
-
-  /// True when the sub-curve [s0, s1] lies entirely inside `polygon`.
-  bool SubInsidePolygon(double s0, double s1, const Polygon& polygon) const;
-
-  /// Arc length of the part of the sub-curve [s0, s1] inside `polygon`
-  /// (exact, piecewise clipping).
-  double SubLengthInsidePolygon(double s0, double s1,
-                                const Polygon& polygon) const;
+  /// interpolated endpoints, written to `out` (its contents are replaced,
+  /// its capacity reused). Always at least one point when Valid().
+  void SubPolyline(double s0, double s1, std::vector<Point2>* out) const;
 
   /// Arc-length intervals [s0, s1] where the curve lies in the closed box
   /// `box`, ascending; pieces of consecutive segments that touch are
@@ -85,6 +67,10 @@ class Polyline {
   std::size_t SegmentIndexAt(double s) const;
 
  private:
+  // Point at arc length `s` (in [0, Length()]) on segment `i`, which must be
+  // SegmentIndexAt(s).
+  Point2 PointOnSegment(std::size_t i, double s) const;
+
   std::vector<Point2> points_;
   std::vector<double> cumulative_;  // cumulative_[i] = arc length at vertex i
   Box2 bbox_;

@@ -2,19 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace modb::geo {
 
 namespace {
-
-// Orientation of the triple (a, b, c): > 0 counter-clockwise, < 0 clockwise,
-// 0 collinear (within kGeomEpsilon scaled by magnitude).
-int Orientation(const Point2& a, const Point2& b, const Point2& c) {
-  const double v = Cross(b - a, c - a);
-  const double scale = std::max({1.0, (b - a).Norm(), (c - a).Norm()});
-  if (std::fabs(v) <= kGeomEpsilon * scale) return 0;
-  return v > 0 ? 1 : -1;
-}
 
 // True when collinear point `p` lies within the bounding box of segment ab.
 bool OnSegment(const Point2& a, const Point2& b, const Point2& p) {
@@ -25,6 +17,29 @@ bool OnSegment(const Point2& a, const Point2& b, const Point2& p) {
 }
 
 }  // namespace
+
+int Orientation(const Point2& a, const Point2& b, const Point2& c) {
+  const Point2 u = b - a;
+  const Point2 w = c - a;
+  const double v = Cross(u, w);
+  const double av = std::fabs(v);
+  // The tolerance scale max{1, |u|, |w|} lies in [max{1, m}, max{1, 2m}]
+  // for m the largest absolute coordinate of u and w, and rounding is
+  // monotone, so std::hypot runs only when |v| falls between the two
+  // products, or when a coordinate is not finite.
+  const double ux = std::fabs(u.x);
+  const double uy = std::fabs(u.y);
+  const double wx = std::fabs(w.x);
+  const double wy = std::fabs(w.y);
+  if (ux + uy + wx + wy <= std::numeric_limits<double>::max()) {
+    const double m = std::max(std::max(ux, uy), std::max(wx, wy));
+    if (av <= kGeomEpsilon * std::max(1.0, m)) return 0;
+    if (av > kGeomEpsilon * std::max(1.0, 2.0 * m)) return v > 0 ? 1 : -1;
+  }
+  const double scale = std::max({1.0, u.Norm(), w.Norm()});
+  if (av <= kGeomEpsilon * scale) return 0;
+  return v > 0 ? 1 : -1;
+}
 
 Point2 Segment::At(double t) const {
   t = std::clamp(t, 0.0, 1.0);

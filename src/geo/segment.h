@@ -33,6 +33,10 @@ struct Segment {
   Box2 BoundingBox() const;
 };
 
+/// Orientation of the triple (a, b, c): +1 counter-clockwise, -1 clockwise,
+/// 0 collinear within kGeomEpsilon scaled by max{1, |b - a|, |c - a|}.
+int Orientation(const Point2& a, const Point2& b, const Point2& c);
+
 /// True when segments `s` and `t` share at least one point (including
 /// touching endpoints and collinear overlap).
 bool SegmentsIntersect(const Segment& s, const Segment& t);

@@ -180,7 +180,7 @@ TEST(PolicyBoundDispatchTest, Periodic) {
 TEST(BoundCriticalTimesTest, ImmediateFamily) {
   const PositionAttribute attr =
       AttrWithPolicy(PolicyKind::kAverageImmediateLinear);
-  const std::vector<Duration> times = BoundCriticalTimes(attr);
+  const CriticalTimes times = BoundCriticalTimes(attr);
   ASSERT_EQ(times.size(), 2u);
   // sqrt(2C/v) = sqrt(10) and sqrt(2C/(V-v)) = sqrt(20).
   EXPECT_NEAR(std::min(times[0], times[1]), std::sqrt(10.0), 1e-12);
@@ -189,10 +189,10 @@ TEST(BoundCriticalTimesTest, ImmediateFamily) {
 
 TEST(BoundCriticalTimesTest, FixedAndPeriodic) {
   const PositionAttribute fixed = AttrWithPolicy(PolicyKind::kFixedThreshold);
-  const std::vector<Duration> ft = BoundCriticalTimes(fixed);
+  const CriticalTimes ft = BoundCriticalTimes(fixed);
   ASSERT_EQ(ft.size(), 2u);  // B/v = 2 and B/(V-v) = 4
   const PositionAttribute periodic = AttrWithPolicy(PolicyKind::kPeriodic);
-  const std::vector<Duration> pt = BoundCriticalTimes(periodic);
+  const CriticalTimes pt = BoundCriticalTimes(periodic);
   ASSERT_EQ(pt.size(), 1u);
   EXPECT_DOUBLE_EQ(pt[0], 3.0);
 }

@@ -171,7 +171,7 @@ TEST(StepPolicyBoundDispatchTest, AttributeDispatch) {
   EXPECT_DOUBLE_EQ(SlowDeviationBound(attr, 10.0), 3.0);
   // Fast rate 0.5: C=2 < 3/0.5=6 -> capped at h as well.
   EXPECT_DOUBLE_EQ(FastDeviationBound(attr, 10.0), 3.0);
-  const std::vector<Duration> critical = BoundCriticalTimes(attr);
+  const CriticalTimes critical = BoundCriticalTimes(attr);
   ASSERT_EQ(critical.size(), 2u);  // h/v = 3 and h/(V-v) = 6
 }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "db/mod_database.h"
+#include "db/subscription_engine.h"
 #include "util/rng.h"
 
 namespace modb::db {
@@ -372,6 +373,66 @@ TEST(QueryCoverageTest, NearestFromOutsideTheNetworkBoxReturnsK) {
     EXPECT_EQ(answer.items[0].id, 100u);
     EXPECT_EQ(answer.items[1].id, 10u);
     EXPECT_DOUBLE_EQ(answer.items[1].db_distance, 140.0);
+  }
+}
+
+// One ail object (speed 1, V 1.5, C 5) on a 100-unit route, starting at
+// s = 40 at time `start`, and G = [42, 44] x [-1, 1]: over [start,
+// start + 10] it passes G, but its interval never lies inside G.
+core::PositionAttribute PassingObjectAt(geo::RouteId route, core::Time start) {
+  core::PositionAttribute attr;
+  attr.start_time = start;
+  attr.route = route;
+  attr.start_route_distance = 40.0;
+  attr.start_position = {40.0, 0.0};
+  attr.speed = 1.0;
+  attr.update_cost = 5.0;
+  attr.max_speed = 1.5;
+  attr.policy = core::PolicyKind::kAverageImmediateLinear;
+  return attr;
+}
+
+TEST(IntervalSamplerTest, EndsWhenTheStepNoLongerAdvancesTime) {
+  // From about 1e16 on, t + 1 rounds back to t; the sampler must still
+  // reach the window end and stop.
+  geo::RouteNetwork network;
+  const geo::RouteId route =
+      network.AddStraightRoute({0.0, 0.0}, {100.0, 0.0}, "r");
+  const geo::Polygon region = geo::Polygon::Rectangle(42.0, -1.0, 44.0, 1.0);
+  for (const core::Time start : {10.0, 1e15, 1e16, 2e16, 1e17}) {
+    for (const IndexKind kind : kAllKinds) {
+      ModDatabaseOptions options;
+      options.index_kind = kind;
+      ModDatabase db(&network, options);
+      ASSERT_TRUE(db.Insert(1, "", PassingObjectAt(route, start)).ok());
+      const IntervalRangeAnswer answer =
+          db.QueryRangeInterval(region, start, start + 10.0);
+      EXPECT_EQ(answer.may, std::vector<core::ObjectId>{1})
+          << start << " kind " << static_cast<int>(kind);
+      EXPECT_TRUE(answer.must_at_some_time.empty())
+          << start << " kind " << static_cast<int>(kind);
+    }
+  }
+}
+
+TEST(IntervalSamplerTest, DuringSubscriptionInsertEndsAtHugeTimes) {
+  // The same object meets a DURING subscription inside the write path.
+  geo::RouteNetwork network;
+  const geo::RouteId route =
+      network.AddStraightRoute({0.0, 0.0}, {100.0, 0.0}, "r");
+  for (const core::Time start : {1e16, 1e17}) {
+    SubscriptionEngine engine(&network);
+    SubscriptionSpec spec;
+    spec.region = geo::Polygon::Rectangle(42.0, -1.0, 44.0, 1.0);
+    spec.windowed = true;
+    spec.time = start;
+    spec.window_end = start + 10.0;
+    ASSERT_TRUE(engine.Subscribe(7, spec).ok());
+    ModDatabase db(&network);
+    db.AttachSubscriptions(&engine);
+    ASSERT_TRUE(db.Insert(1, "", PassingObjectAt(route, start)).ok());
+    EXPECT_EQ(engine.RelationOf(7, 1), core::RegionRelation::kMayBeIn)
+        << start;
   }
 }
 

@@ -1,5 +1,6 @@
 // Tests of the exact clipping primitives behind probability refinement:
-// Polygon::IntersectionLength and Polyline::SubLengthInsidePolygon.
+// Polygon::IntersectionLength and the refine kernel's in-region share of a
+// sub-curve (core::Refiner::Probability).
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/refiner.h"
 #include "geo/polygon.h"
 #include "geo/polyline.h"
 #include "util/rng.h"
@@ -96,18 +98,26 @@ TEST(IntersectionLengthTest, ComplementsToTotalLength) {
 
 TEST(SubLengthInsidePolygonTest, PolylineSpanningRegion) {
   // L-shaped polyline; region covers the first arm fully and half of the
-  // second.
+  // second. The share times the stretch's length is the length inside.
   const Polyline line({{0.0, 0.0}, {10.0, 0.0}, {10.0, 10.0}});
   const Polygon region = Polygon::Rectangle(-1.0, -1.0, 11.0, 5.0);
-  EXPECT_NEAR(line.SubLengthInsidePolygon(0.0, 20.0, region), 15.0, 1e-9);
-  EXPECT_NEAR(line.SubLengthInsidePolygon(5.0, 20.0, region), 10.0, 1e-9);
-  EXPECT_NEAR(line.SubLengthInsidePolygon(16.0, 20.0, region), 0.0, 1e-9);
+  core::Refiner refiner;
+  EXPECT_NEAR(20.0 * refiner.Probability(region, line, {0.0, 20.0}), 15.0,
+              1e-9);
+  EXPECT_NEAR(15.0 * refiner.Probability(region, line, {5.0, 20.0}), 10.0,
+              1e-9);
+  EXPECT_NEAR(4.0 * refiner.Probability(region, line, {16.0, 20.0}), 0.0,
+              1e-9);
 }
 
 TEST(SubLengthInsidePolygonTest, DegenerateInterval) {
+  // A zero-width stretch has no length to share: its point decides.
   const Polyline line({{0.0, 0.0}, {10.0, 0.0}});
   const Polygon region = Polygon::Rectangle(-1.0, -1.0, 11.0, 1.0);
-  EXPECT_DOUBLE_EQ(line.SubLengthInsidePolygon(5.0, 5.0, region), 0.0);
+  core::Refiner refiner;
+  EXPECT_DOUBLE_EQ(refiner.Probability(region, line, {5.0, 5.0}), 1.0);
+  const Polygon away = Polygon::Rectangle(20.0, -1.0, 30.0, 1.0);
+  EXPECT_DOUBLE_EQ(refiner.Probability(away, line, {5.0, 5.0}), 0.0);
 }
 
 TEST(IntervalsInBoxTest, ClipsMergesAndKeepsVertexDistances) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/refiner.h"
 #include "util/rng.h"
 
 namespace modb::geo {
@@ -96,7 +97,8 @@ TEST(PolylineTest, BoundingBoxBetween) {
 
 TEST(PolylineTest, SubPolylineIncludesInteriorVertices) {
   const Polyline line = MakeL();
-  const std::vector<Point2> sub = line.SubPolyline(5.0, 15.0);
+  std::vector<Point2> sub;
+  line.SubPolyline(5.0, 15.0, &sub);
   ASSERT_EQ(sub.size(), 3u);
   EXPECT_EQ(sub[0], (Point2{5.0, 0.0}));
   EXPECT_EQ(sub[1], (Point2{10.0, 0.0}));
@@ -105,35 +107,50 @@ TEST(PolylineTest, SubPolylineIncludesInteriorVertices) {
 
 TEST(PolylineTest, SubPolylineDegenerate) {
   const Polyline line = MakeL();
-  const std::vector<Point2> sub = line.SubPolyline(7.0, 7.0);
+  std::vector<Point2> sub = {{1.0, 1.0}, {2.0, 2.0}};  // replaced, not kept
+  line.SubPolyline(7.0, 7.0, &sub);
   ASSERT_EQ(sub.size(), 1u);
   EXPECT_EQ(sub[0], (Point2{7.0, 0.0}));
+}
+
+// The sub-curve predicates live in the refine kernel (core::Refiner): a
+// stretch meets the polygon when Classify does not answer kOutside, and lies
+// in it when Inside holds.
+bool SubIntersects(const Polyline& line, double s0, double s1,
+                   const Polygon& polygon) {
+  return core::Refiner().Classify(polygon, line, {s0, s1}) !=
+         core::RegionRelation::kOutside;
+}
+
+bool SubInside(const Polyline& line, double s0, double s1,
+               const Polygon& polygon) {
+  return core::Refiner().Inside(polygon, line, {s0, s1});
 }
 
 TEST(PolylineTest, SubIntersectsPolygon) {
   const Polyline line = MakeL();
   const Polygon square = Polygon::Rectangle(4.0, -1.0, 6.0, 1.0);
-  EXPECT_TRUE(line.SubIntersectsPolygon(0.0, 10.0, square));
-  EXPECT_TRUE(line.SubIntersectsPolygon(4.5, 5.5, square));
-  EXPECT_FALSE(line.SubIntersectsPolygon(7.0, 9.0, square));
-  EXPECT_FALSE(line.SubIntersectsPolygon(12.0, 18.0, square));
+  EXPECT_TRUE(SubIntersects(line, 0.0, 10.0, square));
+  EXPECT_TRUE(SubIntersects(line, 4.5, 5.5, square));
+  EXPECT_FALSE(SubIntersects(line, 7.0, 9.0, square));
+  EXPECT_FALSE(SubIntersects(line, 12.0, 18.0, square));
 }
 
 TEST(PolylineTest, SubInsidePolygon) {
   const Polyline line = MakeL();
   const Polygon big = Polygon::Rectangle(-1.0, -1.0, 11.0, 11.0);
-  EXPECT_TRUE(line.SubInsidePolygon(0.0, 20.0, big));
+  EXPECT_TRUE(SubInside(line, 0.0, 20.0, big));
   const Polygon small = Polygon::Rectangle(4.0, -1.0, 6.0, 1.0);
-  EXPECT_TRUE(line.SubInsidePolygon(4.5, 5.5, small));
-  EXPECT_FALSE(line.SubInsidePolygon(4.5, 8.0, small));
+  EXPECT_TRUE(SubInside(line, 4.5, 5.5, small));
+  EXPECT_FALSE(SubInside(line, 4.5, 8.0, small));
 }
 
 TEST(PolylineTest, SubInsidePolygonSpanningCorner) {
   const Polyline line = MakeL();
   // Polygon covering only the corner region.
   const Polygon corner = Polygon::Rectangle(8.0, -1.0, 11.0, 3.0);
-  EXPECT_TRUE(line.SubInsidePolygon(9.0, 12.0, corner));
-  EXPECT_FALSE(line.SubInsidePolygon(9.0, 14.0, corner));
+  EXPECT_TRUE(SubInside(line, 9.0, 12.0, corner));
+  EXPECT_FALSE(SubInside(line, 9.0, 14.0, corner));
 }
 
 TEST(PolylineTest, SegmentIndexAt) {

@@ -175,7 +175,10 @@ TEST_F(RouteBandIndexTest, CandidatesCoverEveryIntervalMeetingTheRegion) {
       const geo::Route& route = network_.route(attrs[id].route);
       const core::UncertaintyInterval iv =
           core::ComputeUncertainty(attrs[id], route, t);
-      if (!route.shape().SubIntersectsPolygon(iv.lo, iv.hi, region)) continue;
+      if (core::ClassifyAgainstPolygon(iv, route, region) ==
+          core::RegionRelation::kOutside) {
+        continue;
+      }
       EXPECT_TRUE(std::binary_search(ids.begin(), ids.end(), id))
           << "object " << id << " missed at t=" << t;
     }
