@@ -48,7 +48,6 @@ smoke_benches=(
   "E18 shard failure domains|exp_fault_tolerance"
   "E19 paged index storage|exp_paged_index"
   "E20 lock-free index reads|exp_lockfree_reads"
-  "E21 group/convoy tracking|exp_group_tracking"
 )
 for entry in "${smoke_benches[@]}"; do
   label="${entry%%|*}"

@@ -44,26 +44,13 @@ std::unique_ptr<index::ObjectIndex> MakeIndex(
   return nullptr;
 }
 
-GroupTrackingOptions EffectiveGroupOptions(
-    const ModDatabaseOptions& options,
-    const index::ObjectIndex& index) {
-  GroupTrackingOptions group = options.group_tracking;
-  // Only the time-space index has envelope support; tracking silently
-  // stays off on the others.
-  group.enabled = group.enabled && index.supports_group_envelopes();
-  return group;
-}
-
 }  // namespace
 
 ModDatabase::ModDatabase(const geo::RouteNetwork* network,
                          ModDatabaseOptions options)
     : network_(network),
       options_(options),
-      index_(MakeIndex(network, options)),
-      group_tracker_(std::make_unique<GroupTracker>(
-          network, EffectiveGroupOptions(options, *index_),
-          BaseOPlane(options))) {}
+      index_(MakeIndex(network, options)) {}
 
 void ModDatabase::SetMetrics(util::MetricsRegistry* registry,
                              const std::string& prefix) {
@@ -79,7 +66,6 @@ void ModDatabase::SetMetrics(util::MetricsRegistry* registry,
     apply_latency_ = nullptr;
     batch_size_hist_ = nullptr;
     index_->SetMetrics(nullptr, "");
-    group_tracker_->SetMetrics(nullptr, "");
     return;
   }
   updates_applied_ = registry->GetCounter(prefix + "updates_applied");
@@ -94,7 +80,6 @@ void ModDatabase::SetMetrics(util::MetricsRegistry* registry,
   // unit reads as a record count — the wal.group_commit_batch convention).
   batch_size_hist_ = registry->GetLatency(prefix + "ingest.batch_size");
   index_->SetMetrics(registry, prefix + "index.");
-  group_tracker_->SetMetrics(registry, prefix + "group.");
 }
 
 void ModDatabase::NotifyDeltas(std::span<const AttributeDelta> deltas) {
@@ -105,6 +90,11 @@ util::Status ModDatabase::ValidateAttribute(
     const core::PositionAttribute& attr) const {
   const auto route = network_->FindRoute(attr.route);
   if (!route.ok()) return route.status();
+  // Every position lookup on a route interpolates between two of its
+  // points, and only asserts that they exist.
+  if (!(*route)->Valid()) {
+    return util::Status::InvalidArgument("route has fewer than two points");
+  }
   // A NaN passes every range check below, and an infinite speed or time
   // reaches the index as an unbounded box: refuse both in every field.
   for (const double field :
@@ -156,7 +146,6 @@ util::Status ModDatabase::Insert(core::ObjectId id, std::string label,
       return s;
     }
   }
-  group_tracker_->ObserveInsert(id, attr);
   if (!bulk_ingest_ && subscriptions_ != nullptr) {
     const AttributeDelta delta{0, id, nullptr, &attr};
     NotifyDeltas({&delta, 1});
@@ -197,28 +186,10 @@ util::Status ModDatabase::FinishBulkIngest() {
   if (metrics_registry_ != nullptr) {
     index_->SetMetrics(metrics_registry_, metrics_prefix_ + "index.");
   }
-  // With groups on, evict members a torn WAL tail left outside their
-  // group's cohesion tube (a clean replay is a no-op) and collapse the
-  // surviving groups first: the one packed load below then stores each
-  // member as a box-less hidden row and each group's envelope with its
-  // cover, so no member's own o-plane is built.
-  GroupTracker::Plan plan;
-  if (group_tracker_->enabled()) {
-    group_tracker_->Revalidate();
-    group_tracker_->AppendCollapseRows(&plan);
-  }
   std::vector<index::IndexDelta> rows;
-  rows.reserve(records_.size() + plan.rows.size());
-  std::vector<core::ObjectId> hidden;
-  for (const GroupTracker::IndexRow& row : plan.rows) {
-    rows.push_back(index::IndexDelta{row.id, row.attr, row.boxes, row.hidden});
-    if (row.hidden) hidden.push_back(row.id);
-  }
-  std::sort(hidden.begin(), hidden.end());
+  rows.reserve(records_.size());
   for (const auto& [id, record] : records_) {
-    if (!std::binary_search(hidden.begin(), hidden.end(), id)) {
-      rows.push_back(index::IndexDelta{id, &record.attr});
-    }
+    rows.push_back(index::IndexDelta{id, &record.attr});
   }
   return index_->BulkUpsert(rows);
 }
@@ -274,9 +245,6 @@ util::Status ModDatabase::BulkInsert(std::vector<BulkObject> objects) {
       for (const auto& [id, attr] : for_index) records_.erase(id);
       return s;
     }
-  }
-  for (const auto& [id, attr] : for_index) {
-    group_tracker_->ObserveInsert(id, attr);
   }
   if (!bulk_ingest_ && subscriptions_ != nullptr) {
     // One insert transition per row, in input order (`for_index` was
@@ -363,44 +331,13 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
   }
   if (num_accepted == 0) return result;
 
-  // --- Stage 1b: group plan. Fold every accepted record — in input order,
-  // so membership evolves exactly as sequential ingest would — into the
-  // group tracker. Planning mutates tracker state directly and journals
-  // the pre-image; a WAL or index failure below rolls it back. During
-  // replay (`bulk_ingest_`) only the attribute mirror is kept in sync:
-  // the logged transitions are applied verbatim by the recovery driver.
-  GroupTracker::Plan gplan;
-  const bool tracking = group_tracker_->enabled();
-  if (tracking) {
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (!accepted[i]) continue;
-      if (bulk_ingest_) {
-        group_tracker_->ObserveAttrOnly(updates[i].object, merged[i]);
-      } else {
-        group_tracker_->PlanUpdate(updates[i].object, merged[i], &gplan);
-      }
-    }
-  }
-
   // --- Stage 2: log. One framed kUpdateBatch record holds every accepted
   // update (a batch of one logs the historical plain kUpdate framing). A
   // failed append fails all accepted records before any memory effect; the
   // writer poisons itself, so the log cannot trail the store.
   if (wal_ != nullptr) {
     util::Status logged;
-    if (tracking) {
-      // With group tracking on, every accepted batch (batches of one
-      // included) logs the compact kGroupBatch framing: member rows elide
-      // the fields the route geometry implies, and the batch's membership
-      // transitions ride in the same frame so replay restores groups in
-      // lockstep with the updates.
-      std::vector<core::PositionUpdate> to_log;
-      to_log.reserve(num_accepted);
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        if (accepted[i]) to_log.push_back(updates[i]);
-      }
-      logged = wal_->AppendGroupBatch(to_log, gplan.transitions, *network_);
-    } else if (num_accepted == 1) {
+    if (num_accepted == 1) {
       logged = wal_->AppendUpdate(updates[first_accepted]);
     } else {
       std::vector<core::PositionUpdate> to_log;
@@ -412,7 +349,6 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     }
     if (!logged.ok()) {
       if (wal_fails_ != nullptr) wal_fails_->Increment();
-      group_tracker_->Rollback(gplan);
       for (std::size_t i = 0; i < updates.size(); ++i) {
         if (accepted[i]) result.statuses[i] = logged;
       }
@@ -471,31 +407,12 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
   // object's *final* merged attribute, in first-touch order (deterministic
   // input; intermediate models would be dead work — the index only ever
   // serves the current one, and queries refine candidates exactly).
-  std::size_t hidden_rows = 0;
   if (!bulk_ingest_) {
     std::vector<index::IndexDelta> deltas;
-    deltas.reserve(gplan.rows.size() + saved.size());
-    // Structural group rows first (envelope upserts, passive-peer hidden
-    // installs, re-materialisations): rows apply in order and later wins,
-    // so the batch's own rows below — which carry each object's *final*
-    // merged attribute and final membership — override any structural row
-    // planned mid-batch from a since-superseded attribute. Only objects
-    // without a batch row (passive peers) and the synthetic envelope ids
-    // are decided by the structural rows.
-    for (const GroupTracker::IndexRow& row : gplan.rows) {
-      deltas.push_back(
-          index::IndexDelta{row.id, row.attr, row.boxes, row.hidden});
-    }
+    deltas.reserve(saved.size());
     for (const Saved& sv : saved) {
-      index::IndexDelta delta{
-          sv.id, &merged[last_accepted.find(sv.id)->second]};
-      if (tracking && group_tracker_->IsGrouped(sv.id)) {
-        // Grouped members keep their per-object index state evolving but
-        // touch no tree nodes — the group envelope covers them.
-        delta.hidden = true;
-        ++hidden_rows;
-      }
-      deltas.push_back(delta);
+      deltas.push_back(index::IndexDelta{
+          sv.id, &merged[last_accepted.find(sv.id)->second]});
     }
     if (util::Status s = index_->ApplyDeltaBatch(deltas); !s.ok()) {
       // Restore every touched record. The concatenation evicted+past is
@@ -514,7 +431,6 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
           record.past = std::move(past);
         }
       }
-      group_tracker_->Rollback(gplan);
       for (std::size_t i = 0; i < updates.size(); ++i) {
         if (accepted[i]) result.statuses[i] = s;
       }
@@ -524,10 +440,6 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
 
   // Success bookkeeping, deferred to here so the rollback above never has
   // to unwind it.
-  if (tracking) {
-    group_tracker_->NoteHiddenRows(hidden_rows);
-    group_tracker_->Commit(gplan);
-  }
   if (!bulk_ingest_ && subscriptions_ != nullptr) {
     // Per-record transition stream, chained through the batch-local
     // intermediate attributes: record i's `before` is the previous
@@ -589,34 +501,10 @@ util::Status ModDatabase::Erase(core::ObjectId id) {
       return s;
     }
   }
-  // Stage 3: mutate; stage 4: index-delta. A member erase cascades through
-  // the group tracker (deterministic leader re-election / dissolve — the
-  // kErase record reproduces it on replay, so nothing extra is logged);
-  // the cascade's structural rows ride one index batch with the removal.
+  // Stage 3: mutate; stage 4: index-delta.
   const core::PositionAttribute before = it->second.attr;
-  GroupTracker::Plan gplan;
-  group_tracker_->ObserveErase(id, &gplan);
-  MovingObjectRecord saved = std::move(it->second);
   records_.erase(it);
-  if (!bulk_ingest_) {
-    if (gplan.rows.empty()) {
-      index_->Remove(id);
-    } else {
-      std::vector<index::IndexDelta> deltas;
-      deltas.reserve(gplan.rows.size() + 1);
-      deltas.push_back(index::IndexDelta{id, nullptr});
-      for (const GroupTracker::IndexRow& row : gplan.rows) {
-        deltas.push_back(
-            index::IndexDelta{row.id, row.attr, row.boxes, row.hidden});
-      }
-      if (util::Status s = index_->ApplyDeltaBatch(deltas); !s.ok()) {
-        records_.emplace(id, std::move(saved));
-        group_tracker_->Rollback(gplan);
-        return s;
-      }
-    }
-  }
-  group_tracker_->Commit(gplan);
+  if (!bulk_ingest_) index_->Remove(id);
   if (!bulk_ingest_ && subscriptions_ != nullptr) {
     const AttributeDelta delta{0, id, &before, nullptr};
     NotifyDeltas({&delta, 1});
@@ -682,19 +570,9 @@ RangeAnswer ModDatabase::RefineRange(
     const std::vector<core::ObjectId>& candidates) const {
   RangeAnswer answer;
   answer.query_time = t;
-  // Envelope candidates expand into the exact member candidacies first, so
-  // `candidates_examined` counts the refinement work actually done —
-  // identical to the group-tracking-off configuration.
-  const std::vector<core::ObjectId>* cand = &candidates;
-  std::vector<core::ObjectId> expanded;
-  if (group_tracker_->has_groups()) {
-    expanded = candidates;
-    group_tracker_->ExpandCandidates(&expanded, region, t, t, *index_);
-    cand = &expanded;
-  }
-  answer.candidates_examined = cand->size();
+  answer.candidates_examined = candidates.size();
   core::Refiner refiner;
-  for (core::ObjectId id : *cand) {
+  for (core::ObjectId id : candidates) {
     const auto it = records_.find(id);
     if (it == records_.end()) continue;  // stale index entry
     const core::PositionAttribute& attr = it->second.attr;
@@ -820,11 +698,7 @@ bool ModDatabase::QueryNearestSplit(
     const geo::Polygon probe_region =
         geo::Polygon::CenteredRectangle(point, radius, radius);
     candidates = probe(probe_region);
-    // Envelope expansion reads tracker + index state, so it runs inside
-    // the same locked section as refinement; `candidates_examined` counts
-    // post-expansion work, matching the group-tracking-off configuration.
     if (!locked([&] {
-          ExpandGroupCandidates(&candidates, probe_region, t, t);
           answer.candidates_examined += candidates.size();
           items = build_items(candidates);
         })) {
@@ -842,7 +716,6 @@ bool ModDatabase::QueryNearestSplit(
           geo::Polygon::CenteredRectangle(point, kth, kth);
       candidates = probe(wide);
       if (!locked([&] {
-            ExpandGroupCandidates(&candidates, wide, t, t);
             answer.candidates_examined += candidates.size();
             items = build_items(candidates);
           })) {
@@ -874,17 +747,10 @@ IntervalRangeAnswer ModDatabase::RefineRangeInterval(
   if (t1 > t2) std::swap(t1, t2);
   answer.window_start = t1;
   answer.window_end = t2;
-  const std::vector<core::ObjectId>* cand = &candidates;
-  std::vector<core::ObjectId> expanded;
-  if (group_tracker_->has_groups()) {
-    expanded = candidates;
-    group_tracker_->ExpandCandidates(&expanded, region, t1, t2, *index_);
-    cand = &expanded;
-  }
-  answer.candidates_examined = cand->size();
+  answer.candidates_examined = candidates.size();
 
   core::Refiner refiner;
-  for (core::ObjectId id : *cand) {
+  for (core::ObjectId id : candidates) {
     const auto it = records_.find(id);
     if (it == records_.end()) continue;
     const core::PositionAttribute& attr = it->second.attr;
@@ -913,27 +779,6 @@ IntervalRangeAnswer ModDatabase::RefineRangeInterval(
   std::sort(answer.may.begin(), answer.may.end());
   std::sort(answer.must_at_some_time.begin(), answer.must_at_some_time.end());
   return answer;
-}
-
-void ModDatabase::ExpandGroupCandidates(std::vector<core::ObjectId>* ids,
-                                        const geo::Polygon& region,
-                                        core::Time t1, core::Time t2) const {
-  if (!group_tracker_->has_groups()) return;
-  group_tracker_->ExpandCandidates(ids, region, t1, t2, *index_);
-}
-
-void ModDatabase::ApplyGroupTransitions(
-    const std::vector<GroupTransition>& transitions) {
-  group_tracker_->ApplyTransitions(transitions);
-}
-
-void ModDatabase::RestoreGroups(const std::vector<PersistedGroup>& groups,
-                                GroupId next_group_id) {
-  group_tracker_->RestoreGroups(groups, next_group_id);
-}
-
-std::vector<PersistedGroup> ModDatabase::ExportGroups() const {
-  return group_tracker_->ExportGroups();
 }
 
 util::Result<const MovingObjectRecord*> ModDatabase::Get(

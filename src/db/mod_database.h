@@ -14,7 +14,6 @@
 #include "core/position_attribute.h"
 #include "core/types.h"
 #include "core/update_policy.h"
-#include "db/group_tracker.h"
 #include "db/moving_object.h"
 #include "db/query.h"
 #include "geo/polygon.h"
@@ -58,6 +57,13 @@ enum class IndexKind {
   kRouteBand,       // one route-coordinate band entry per object
 };
 
+/// Ignored. Convoy tracking was removed; the struct remains only because
+/// the benchmark harness still assigns `enabled` (`Bench::StoreOptions` in
+/// `perfbench/bench.cc`).
+struct GroupTrackingOptions {
+  bool enabled = false;
+};
+
 /// Moving-objects database options.
 struct ModDatabaseOptions {
   IndexKind index_kind = IndexKind::kRouteBand;
@@ -87,12 +93,7 @@ struct ModDatabaseOptions {
   /// cap is hit the oldest versions are dropped; queries before the oldest
   /// retained version answer from that version.
   std::size_t max_trajectory_versions = 0;
-  /// Convoy/group tracking (see `db::GroupTracker`): clusters objects that
-  /// share a route and velocity band behind one envelope index entry and
-  /// compact WAL rows. Off by default; requires the time-space index kind
-  /// (silently stays off with the route-band index and the linear scan,
-  /// which have no envelope support). Query answers are byte-identical
-  /// either way.
+  /// Ignored (see `GroupTrackingOptions`); not persisted in snapshots.
   GroupTrackingOptions group_tracking;
 };
 
@@ -116,9 +117,10 @@ class ModDatabase {
 
   /// Registers a moving object with its initial position attribute (the
   /// beginning-of-trip write of all sub-attributes, §3.1). InvalidArgument,
-  /// with the store unchanged, for a negative speed, a start off the route
-  /// or any non-finite numeric field (times, distances, position, speed
-  /// and the policy parameters); this holds for every write path.
+  /// with the store unchanged, for a route with fewer than two distinct
+  /// points, a negative speed, a start off the route or any non-finite
+  /// numeric field (times, distances, position, speed and the policy
+  /// parameters); this holds for every write path.
   util::Status Insert(core::ObjectId id, std::string label,
                       const core::PositionAttribute& attr);
 
@@ -181,9 +183,7 @@ class ModDatabase {
   /// Ends the session: rebuilds the index once from the surviving records
   /// via the packed bulk path (~12× faster than repeated insertion,
   /// E10). The rebuild starts from a fresh index so in-session erases and
-  /// route changes cannot leave stale entries behind. With group tracking
-  /// on, the groups are revalidated and collapsed first, and the same one
-  /// packed load stores their hidden member rows and envelopes.
+  /// route changes cannot leave stale entries behind.
   util::Status FinishBulkIngest();
 
   bool bulk_ingest_active() const { return bulk_ingest_; }
@@ -345,38 +345,12 @@ class ModDatabase {
     if (index_probes_ != nullptr) index_probes_->Increment();
   }
 
-  /// The convoy tracker (never null; check `enabled()` — group tracking
-  /// must be switched on in the options *and* the index kind must support
-  /// envelope entries).
-  const GroupTracker& group_tracker() const { return *group_tracker_; }
-
-  /// Applies logged group-membership transitions verbatim (WAL replay of a
-  /// `kGroupBatch` record; no-op when tracking is off).
-  void ApplyGroupTransitions(const std::vector<GroupTransition>& transitions);
-
-  /// Installs snapshot-persisted groups (call after the member records are
-  /// inserted; no-op when tracking is off).
-  void RestoreGroups(const std::vector<PersistedGroup>& groups,
-                     GroupId next_group_id);
-
-  /// Snapshot form of the current groups (empty when tracking is off).
-  std::vector<PersistedGroup> ExportGroups() const;
-  GroupId group_next_id() const { return group_tracker_->next_group_id(); }
-
  private:
   util::Status ValidateAttribute(const core::PositionAttribute& attr) const;
   /// Hands a committed mutation's transition stream to the attached
   /// subscription engine (the pointed-to attributes live only for the
   /// call).
   void NotifyDeltas(std::span<const AttributeDelta> deltas);
-  /// Replaces group-envelope candidates in `ids` with the exact member
-  /// candidacies (no-op without active groups). Callers on the lock-free
-  /// read path invoke this under the shard's shared lock — the tracker is
-  /// only mutated under the exclusive lock.
-  void ExpandGroupCandidates(std::vector<core::ObjectId>* ids,
-                             const geo::Polygon& region, core::Time t1,
-                             core::Time t2) const;
-  bool group_tracking_on() const { return group_tracker_->enabled(); }
 
   const geo::RouteNetwork* network_;
   ModDatabaseOptions options_;
@@ -386,7 +360,6 @@ class ModDatabase {
   // itself, never index operations.
   std::shared_ptr<index::ObjectIndex> index_;
   mutable std::mutex index_mu_;
-  std::unique_ptr<GroupTracker> group_tracker_;  // never null
   std::uint64_t total_updates_ = 0;
   WalWriter* wal_ = nullptr;  // non-owning, see AttachWal
   SubscriptionEngine* subscriptions_ = nullptr;  // non-owning

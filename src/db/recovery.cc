@@ -107,28 +107,24 @@ util::Status ApplyWalRecord(ModDatabase* db, const WalRecord& record) {
       return first;
     }
     case WalRecordType::kGroupBatch: {
-      // Rehydrate elided positions against the route geometry (they were
-      // elided precisely because they bit-equalled it), replay the member
-      // rows through the staged batch path, then apply the membership
-      // transitions verbatim — groups evolve in lockstep with the updates.
+      // Legacy convoy framing: rehydrate elided positions against the route
+      // geometry (they were elided precisely because they bit-equalled it)
+      // and replay the rows through the staged batch path. The record's
+      // convoy transitions have no effect on a store without groups.
       std::vector<core::PositionUpdate> updates;
       updates.reserve(record.group_rows.size());
       for (const GroupWalRow& row : record.group_rows) {
         core::PositionUpdate update = row.update;
         if (row.position_elided) {
+          // An invalid route is left for ApplyUpdateBatch to reject.
           const auto route = db->network().FindRoute(update.route);
-          if (route.ok()) {
+          if (route.ok() && (*route)->Valid()) {
             update.position = (*route)->PointAt(update.route_distance);
           }
         }
         updates.push_back(update);
       }
-      util::Status first;
-      if (!updates.empty()) {
-        first = db->ApplyUpdateBatch(updates).first_error();
-      }
-      db->ApplyGroupTransitions(record.group_transitions);
-      return first;
+      return db->ApplyUpdateBatch(updates).first_error();
     }
   }
   return util::Status::Internal("unknown WAL record type");
@@ -281,10 +277,6 @@ util::Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
       }
     });
     if (restore_error.ok()) {
-      // Transfer the checkpoint's group state before replay: the replayed
-      // transitions mutate membership incrementally from this base.
-      db->RestoreGroups(loaded->database->ExportGroups(),
-                        loaded->database->group_next_id());
       restore_error =
           ReplayEpochChain(dir, manager->report_.checkpoint_id, db,
                            &manager->report_, options.wal_reader);

@@ -14,25 +14,27 @@ namespace modb::db {
 
 namespace {
 
-// v7 allows index kind 2, the route-band index (the options line is v6's).
-// v6 dropped `max_log_history` and the velocity-partitioned index fields
-// from the options line and allows only index kinds 0 and 1. v5 appended
-// the group-tracking configuration to the options line and a `groups`
-// section (convoy membership + shared motion models — persisted so a
-// restored store re-collapses its convoys instead of re-detecting them
-// from scratch); older versions default tracking off and no groups. v4
-// appended the velocity-partitioned index configuration (band count and
-// band speed bounds) and allowed index_kind 2. v3 appended
-// `max_trajectory_versions`; v2 snapshots (which lacked the field,
-// silently dropping the cap on restore) are still readable and default it
-// to 0 (unlimited).
+// v8 dropped the convoy-tracking fields from the options line and the
+// `groups` section (convoy tracking was removed). v7 allows index kind 2,
+// the route-band index (the options line is v6's). v6 dropped
+// `max_log_history` and the velocity-partitioned index fields from the
+// options line and allows only index kinds 0 and 1. v5 appended the
+// group-tracking configuration to the options line and a `groups` section
+// (convoy membership + shared motion models). v4 appended the
+// velocity-partitioned index configuration (band count and band speed
+// bounds) and allowed index_kind 2. v3 appended `max_trajectory_versions`;
+// v2 snapshots (which lacked the field, silently dropping the cap on
+// restore) are still readable and default it to 0 (unlimited).
 //
 // Reading v2–v5: `max_log_history` is discarded. The v4/v5 velocity fields
 // are still bounds-checked, then discarded, and index_kind 2 loads as the
 // time-space R*-tree — the index is derived state, rebuilt on restore, so
 // a banded store's old checkpoints answer identically from one tree. In
-// v2, v3 and v6 files kind 2 is rejected.
-constexpr int kSnapshotVersion = 7;
+// v2, v3 and v6 files kind 2 is rejected. Reading v5–v7: the group
+// options and the `groups` section are parsed and bounds-checked, then
+// discarded — the store loads ungrouped, and groups never changed an
+// answer.
+constexpr int kSnapshotVersion = 8;
 constexpr int kMinReadableSnapshotVersion = 2;
 
 void WriteAttribute(std::ostream& out, const core::PositionAttribute& a) {
@@ -111,13 +113,7 @@ util::Status WriteSnapshot(const ModDatabase& db, std::ostream& out) {
   out << "options " << static_cast<int>(options.index_kind) << ' '
       << options.oplane_horizon << ' ' << options.oplane_slab_width << ' '
       << (options.keep_trajectory ? 1 : 0) << ' '
-      << options.max_trajectory_versions;
-  const GroupTrackingOptions& group = options.group_tracking;
-  out << ' ' << (group.enabled ? 1 : 0) << ' ' << group.cohesion_window << ' '
-      << group.join_window << ' ' << group.min_group_size << ' '
-      << group.speed_band_width << ' ' << group.window_slack << ' '
-      << group.max_form_scan;
-  out << '\n';
+      << options.max_trajectory_versions << '\n';
 
   const geo::RouteNetwork& network = db.network();
   out << "routes " << network.size() << '\n';
@@ -153,20 +149,6 @@ util::Status WriteSnapshot(const ModDatabase& db, std::ostream& out) {
       out << ' ';
       WriteAttribute(out, version);
     }
-    out << '\n';
-  }
-
-  // Convoy membership + shared motion models (ExportGroups is id-ordered,
-  // members sorted — deterministic like the object section).
-  const std::vector<PersistedGroup> groups = db.ExportGroups();
-  out << "groups " << groups.size() << ' ' << db.group_next_id() << '\n';
-  for (const PersistedGroup& g : groups) {
-    out << "group " << g.id << ' ' << g.leader << ' ' << g.model.route << ' '
-        << static_cast<int>(g.model.direction) << ' ' << g.model.speed << ' '
-        << g.model.anchor_time << ' ' << g.model.anchor_distance << ' '
-        << g.model.window_lo << ' ' << g.model.window_hi << ' '
-        << g.model.vmax << ' ' << g.model.width << ' ' << g.members.size();
-    for (core::ObjectId m : g.members) out << ' ' << m;
     out << '\n';
   }
   if (!out) return util::Status::Internal("snapshot write failed");
@@ -236,15 +218,20 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
       prev = bound;
     }
   }
-  if (version >= 5) {
-    int group_enabled = 0;
-    GroupTrackingOptions& group = options.group_tracking;
-    if (!(in >> group_enabled >> group.cohesion_window >> group.join_window >>
-          group.min_group_size >> group.speed_band_width >>
-          group.window_slack >> group.max_form_scan)) {
+  const bool has_groups = version >= 5 && version <= 7;
+  if (has_groups) {
+    // Retired group-tracking configuration: parsed, then discarded.
+    int enabled = 0;
+    double cohesion_window = 0.0;
+    double join_window = 0.0;
+    std::size_t min_group_size = 0;
+    double speed_band_width = 0.0;
+    double window_slack = 0.0;
+    std::size_t max_form_scan = 0;
+    if (!(in >> enabled >> cohesion_window >> join_window >> min_group_size >>
+          speed_band_width >> window_slack >> max_form_scan)) {
       return malformed("options fields");
     }
-    group.enabled = group_enabled != 0;
   }
   // An out-of-range kind would leave the database without an index (the
   // factory switch has no such case) — reject it here instead. Kind 2 is
@@ -272,9 +259,14 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
     geo::RouteId id = 0;
     std::size_t num_points = 0;
     if (!(in >> id >> num_points)) return malformed("route header");
-    std::vector<geo::Point2> points(num_points);
-    for (geo::Point2& p : points) {
+    // Counts come from the file: grow as elements parse, so a count the
+    // file does not back with data fails at its end instead of sizing an
+    // allocation.
+    std::vector<geo::Point2> points;
+    for (std::size_t j = 0; j < num_points; ++j) {
+      geo::Point2 p;
       if (!(in >> p.x >> p.y)) return malformed("route point");
+      points.push_back(p);
     }
     std::string name;
     if (!ReadString(in, &name)) return malformed("route name");
@@ -309,9 +301,11 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
     if (!(in >> insert_time >> update_count >> past_count)) {
       return malformed("object fields");
     }
-    std::vector<core::PositionAttribute> past(past_count);
-    for (core::PositionAttribute& version : past) {
+    std::vector<core::PositionAttribute> past;
+    for (std::size_t j = 0; j < past_count; ++j) {
+      core::PositionAttribute version;
       if (!ReadAttribute(in, &version)) return malformed("past version");
+      past.push_back(version);
     }
     // Re-insert rejections (unknown route, duplicate id, bad attribute)
     // mean the file is corrupt — surface them uniformly as malformed
@@ -329,37 +323,37 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
     (void)insert_time;   // Insert() re-derives it from the attribute.
     (void)update_count;  // restored records count updates from 0
   }
-  if (version >= 5) {
-    // Groups restore *before* FinishBulkIngest so the bulk rebuild's
-    // revalidation sweep and envelope re-collapse see them.
+  if (has_groups) {
+    // Retired convoy section: "groups <count> <next id>", then per group
+    // "group <id> <leader> <route> <direction> <7 model reals> <member
+    // count> <members...>". Parsed and checked, then discarded.
     if (!ExpectToken(in, "groups")) return malformed("groups");
     std::size_t num_groups = 0;
-    GroupId next_group_id = 0;
+    std::uint64_t next_group_id = 0;
     if (!(in >> num_groups >> next_group_id)) return malformed("group count");
     if (num_groups > num_objects) return malformed("group count");
-    std::vector<PersistedGroup> groups;
-    groups.reserve(num_groups);
     for (std::size_t i = 0; i < num_groups; ++i) {
       if (!ExpectToken(in, "group")) return malformed("group record");
-      PersistedGroup g;
+      std::uint64_t group_id = 0;
+      core::ObjectId leader = 0;
+      geo::RouteId route = 0;
       int direction = 0;
+      double model[7] = {};
       std::size_t member_count = 0;
-      if (!(in >> g.id >> g.leader >> g.model.route >> direction >>
-            g.model.speed >> g.model.anchor_time >> g.model.anchor_distance >>
-            g.model.window_lo >> g.model.window_hi >> g.model.vmax >>
-            g.model.width >> member_count)) {
+      if (!(in >> group_id >> leader >> route >> direction)) {
         return malformed("group header");
       }
-      if (direction != +1 && direction != -1) return malformed("group header");
-      g.model.direction = static_cast<core::TravelDirection>(direction);
-      if (member_count > num_objects) return malformed("group members");
-      g.members.resize(member_count);
-      for (core::ObjectId& m : g.members) {
-        if (!(in >> m)) return malformed("group members");
+      for (double& field : model) {
+        if (!(in >> field)) return malformed("group header");
       }
-      groups.push_back(std::move(g));
+      if (!(in >> member_count)) return malformed("group header");
+      if (direction != +1 && direction != -1) return malformed("group header");
+      if (member_count > num_objects) return malformed("group members");
+      for (std::size_t j = 0; j < member_count; ++j) {
+        core::ObjectId member = 0;
+        if (!(in >> member)) return malformed("group members");
+      }
     }
-    snapshot.database->RestoreGroups(groups, next_group_id);
   }
   if (util::Status s = snapshot.database->FinishBulkIngest(); !s.ok()) {
     return s;

@@ -629,13 +629,15 @@ util::Status WalWriter::AppendGroupBatch(
   // Decide per-row position elision up front: a position that bit-equals
   // the route geometry at the row's route distance (the common case — the
   // sender computed it the same way) costs nothing in the log and is
-  // rehydrated exactly on replay.
+  // rehydrated exactly on replay. A route without two points has no
+  // geometry to compare with.
   std::vector<GroupWalRow> rows;
   rows.reserve(updates.size());
   for (const core::PositionUpdate& update : updates) {
     GroupWalRow row;
     row.update = update;
-    if (const auto route = network.FindRoute(update.route); route.ok()) {
+    if (const auto route = network.FindRoute(update.route);
+        route.ok() && (*route)->Valid()) {
       const geo::Point2 p = (*route)->PointAt(update.route_distance);
       row.position_elided = SameBits(p.x, update.position.x) &&
                             SameBits(p.y, update.position.y);

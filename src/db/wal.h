@@ -12,7 +12,6 @@
 #include "core/position_attribute.h"
 #include "core/types.h"
 #include "core/update_policy.h"
-#include "db/group_model.h"
 #include "geo/route_network.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
@@ -26,10 +25,53 @@ enum class WalRecordType : std::uint8_t {
   kUpdate = 2,       // position update message (paper §3.1)
   kErase = 3,        // end of trip
   kUpdateBatch = 4,  // batched mutations: one frame, N nested sub-records
-  kGroupBatch = 5,   // compact member rows + group-membership transitions
+  kGroupBatch = 5,   // compact update rows + convoy transitions (legacy)
 };
 
-/// One member row of a `kGroupBatch` record: a position update whose
+// The `kGroupBatch` framing was written by the retired convoy tracker. Its
+// records are still decoded and replayed: the update rows apply like a
+// `kUpdateBatch`, and the transitions are decoded (so a malformed one
+// still rejects the frame) and then dropped. The structs below describe
+// the transition payload on disk; nothing else reads them.
+
+/// Convoy identifier in a `kGroupBatch` transition.
+using GroupId = std::uint64_t;
+
+/// Shared motion model carried by the kForm and kRefresh transitions: a
+/// line in (time, route-distance) space plus the cohesion tube around it.
+struct GroupModel {
+  geo::RouteId route = geo::kInvalidRouteId;
+  core::TravelDirection direction = core::TravelDirection::kForward;
+  double speed = 0.0;
+  core::Time anchor_time = 0.0;
+  double anchor_distance = 0.0;
+  core::Time window_lo = 0.0;
+  core::Time window_hi = 0.0;
+  double vmax = 0.0;
+  double width = 0.0;
+};
+
+/// Kind of a logged convoy-membership transition (byte values on disk).
+enum class GroupTransitionKind : std::uint8_t {
+  kForm = 1,
+  kJoin = 2,
+  kLeave = 3,
+  kDissolve = 4,
+  kLeaderChange = 5,
+  kRefresh = 6,
+};
+
+/// One logged convoy-membership transition. `model` is encoded for kForm
+/// and kRefresh only.
+struct GroupTransition {
+  GroupTransitionKind kind = GroupTransitionKind::kForm;
+  GroupId group = 0;
+  core::ObjectId leader = core::kInvalidObjectId;
+  GroupModel model;
+  std::vector<core::ObjectId> members;
+};
+
+/// One update row of a `kGroupBatch` record: a position update whose
 /// redundant fields were elided at encode time. A `time_elided` row shares
 /// the chunk's base time (the decoder rehydrates `update.time` itself); a
 /// `position_elided` row carries no (x, y) — the position is bit-identical
@@ -154,15 +196,15 @@ class WalWriter {
   util::Status AppendUpdateBatch(
       const std::vector<core::PositionUpdate>& updates);
 
-  /// Appends one update batch in the compact group framing (`kGroupBatch`):
-  /// member rows elide the update time when it bit-equals the chunk's base
-  /// time and the (x, y) position when it bit-equals the route geometry at
-  /// the row's route distance, and the batch's membership transitions ride
-  /// in the same frame. With group tracking on this replaces
-  /// kUpdate/kUpdateBatch for every accepted batch (batches of one
-  /// included). Oversized batches split into chunks like `AppendBatch`
-  /// (each chunk carries its own base time; the transitions ride the last
-  /// chunk only) with the same prefix-replay failure semantics.
+  /// Appends one update batch in the legacy compact framing
+  /// (`kGroupBatch`): rows elide the update time when it bit-equals the
+  /// chunk's base time and the (x, y) position when it bit-equals the route
+  /// geometry at the row's route distance, and `transitions` ride in the
+  /// same frame. No store logs this framing; it stays because the
+  /// benchmark's WAL replay still times it. Oversized batches split into
+  /// chunks like `AppendBatch` (each chunk carries its own base time; the
+  /// transitions ride the last chunk only) with the same prefix-replay
+  /// failure semantics.
   util::Status AppendGroupBatch(
       const std::vector<core::PositionUpdate>& updates,
       const std::vector<GroupTransition>& transitions,

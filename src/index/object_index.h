@@ -9,7 +9,6 @@
 
 #include "core/position_attribute.h"
 #include "core/types.h"
-#include "geo/box.h"
 #include "geo/polygon.h"
 #include "util/metrics.h"
 #include "util/status.h"
@@ -21,24 +20,9 @@ namespace modb::index {
 /// The pointed-to attribute must stay alive for the duration of the
 /// `ApplyDeltaBatch` / `BulkUpsert` call (the batch write path points into
 /// its own merged-attribute buffer rather than copying).
-///
-/// Group-tracking extensions (only used against indexes that return true
-/// from `supports_group_envelopes()`; the database never sends them
-/// otherwise):
-///  - `hidden`: install `attr` as the object's motion model for the
-///    index's *per-object state* (the attribute consulted by
-///    `WouldMatchWindow`) but store **no tree boxes** for it.
-///    The object is covered by its group's envelope entry instead; hidden
-///    upserts are the group layer's saving — they touch no tree nodes.
-///  - `boxes`: explicit 3-D cover overriding the boxes the index would
-///    derive from `attr` (the group-envelope entries under synthetic ids).
-///    Like `attr`, the pointed-to vector must outlive the call; the index
-///    copies what it keeps. Mutually exclusive with `hidden`.
 struct IndexDelta {
   core::ObjectId id = core::kInvalidObjectId;
   const core::PositionAttribute* attr = nullptr;  // null = remove
-  const std::vector<geo::Box3>* boxes = nullptr;  // non-null = override
-  bool hidden = false;  // true = state-only upsert, no tree boxes
 };
 
 /// Access method the database uses to answer range queries over moving
@@ -79,12 +63,10 @@ class ObjectIndex {
     return BulkUpsert(rows);
   }
 
-  /// Bulk load of `IndexDelta` rows, each object at most once; group rows
-  /// (`hidden`, `boxes`) only against indexes that opt in, as for
-  /// `ApplyDeltaBatch`. The default applies them as one delta batch;
-  /// implementations may override with a packed build that validates every
-  /// row first and leaves the index unchanged on failure (the R*-tree uses
-  /// STR bulk loading).
+  /// Bulk load of `IndexDelta` rows, each object at most once. The default
+  /// applies them as one delta batch; implementations may override with a
+  /// packed build that validates every row first and leaves the index
+  /// unchanged on failure (the R*-tree uses STR bulk loading).
   virtual util::Status BulkUpsert(const std::vector<IndexDelta>& rows) {
     return ApplyDeltaBatch(rows);
   }
@@ -148,35 +130,6 @@ class ObjectIndex {
   /// snapshotted tree; a checkpoint flushes only dirty pages. Default
   /// no-op for indexes without page-backed storage.
   virtual util::Status FlushStorage() { return util::Status::Ok(); }
-
-  /// True when this index understands the group-tracking delta extensions
-  /// (`IndexDelta::hidden`, `IndexDelta::boxes`) and implements
-  /// `WouldMatchWindow` exactly. The database only routes group-collapsed
-  /// deltas to indexes that opt in; against others (the linear scan, the
-  /// route-band index) group tracking stays off.
-  virtual bool supports_group_envelopes() const { return false; }
-
-  /// Exact membership test of the index's own candidate predicate: would
-  /// `id` — if it were stored as a normal (non-hidden) entry with motion
-  /// model `attr` — be returned by `CandidatesInWindow(region, t1, t2)`?
-  /// Point-in-time queries pass t1 == t2. Used by group-envelope expansion
-  /// to reproduce the exact candidate set the index would produce with
-  /// group tracking off (a superset is NOT enough: the o-plane horizon
-  /// makes index filtering semantically lossy, so byte-identical answers
-  /// need byte-identical candidacy). Implementations that return true from
-  /// `supports_group_envelopes()` must override; the default conservative
-  /// `true` is never reached in-tree.
-  virtual bool WouldMatchWindow(core::ObjectId id,
-                                const core::PositionAttribute& attr,
-                                const geo::Polygon& region, core::Time t1,
-                                core::Time t2) const {
-    (void)id;
-    (void)attr;
-    (void)region;
-    (void)t1;
-    (void)t2;
-    return true;
-  }
 
   /// True when the const query paths are additionally safe to call
   /// concurrently with the mutating methods (not just with each other) —

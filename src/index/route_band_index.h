@@ -51,8 +51,7 @@ namespace modb::index {
 /// Concurrency: as `TimeSpaceIndex`. On a resident tree the probes are
 /// lock-free; the writer publishes the route table and end reach before
 /// each tree publication, and a probe loads them after pinning its tree
-/// snapshot (`RTree3::Filter::Begin`). No group-tracking support: the
-/// database keeps grouping off on this kind.
+/// snapshot (`RTree3::Filter::Begin`).
 class RouteBandIndex final : public ObjectIndex {
  public:
   struct Options {
@@ -71,7 +70,7 @@ class RouteBandIndex final : public ObjectIndex {
   /// Packed load in route-key order (`RTree3::Packing::kXOrder`) of every
   /// object, listed or kept. Rows are validated first (index unchanged on
   /// error) and emitted in ascending id order, so identical contents build
-  /// identical trees. Group rows are applied as plain rows.
+  /// identical trees.
   util::Status BulkUpsert(const std::vector<IndexDelta>& rows) override;
   /// Validates every row first (index unchanged on error), then removes
   /// and reinserts each object's one entry inside one tree write batch.

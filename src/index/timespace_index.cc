@@ -18,13 +18,6 @@ void TimeSpaceIndex::SetMetrics(util::MetricsRegistry* registry,
                                 const std::string& prefix) {
   remove_miss_counter_ =
       registry == nullptr ? nullptr : registry->GetCounter(prefix + "remove_miss");
-  group_hidden_counter_ =
-      registry == nullptr ? nullptr
-                          : registry->GetCounter(prefix + "group.hidden_upserts");
-  group_envelope_counter_ =
-      registry == nullptr
-          ? nullptr
-          : registry->GetCounter(prefix + "group.envelope_upserts");
   rtree_.SetMetrics(registry, prefix);
 }
 
@@ -44,15 +37,14 @@ util::Status TimeSpaceIndex::Upsert(core::ObjectId id,
 
 void TimeSpaceIndex::UpsertValidated(core::ObjectId id,
                                      const core::PositionAttribute& attr,
-                                     const geo::Route& route,
-                                     const std::vector<geo::Box3>* override_boxes,
-                                     bool hidden) {
+                                     const geo::Route& route) {
   // Publish the remove+insert pair as one unit to lock-free readers: a
   // candidate probe must never observe the old plane gone with the new one
   // not yet indexed (that would be a false negative, violating MUST
   // soundness).
   RTree3::BatchScope batch(rtree_);
-  std::vector<geo::Box3> boxes = RowBoxes(attr, route, override_boxes, hidden);
+  std::vector<geo::Box3> boxes =
+      BuildOPlaneBoxes(attr, route, options_.oplane);
   // Drop the old o-plane (paper §4.2: remove the object id from the index
   // rectangles intersecting p1) ...
   auto it = boxes_by_object_.find(id);
@@ -63,26 +55,6 @@ void TimeSpaceIndex::UpsertValidated(core::ObjectId id,
   // ... and index the new one (insert into the rectangles intersecting p2).
   for (const geo::Box3& box : boxes) rtree_.Insert(box, id);
   boxes_by_object_[id] = std::move(boxes);
-}
-
-std::vector<geo::Box3> TimeSpaceIndex::RowBoxes(
-    const core::PositionAttribute& attr, const geo::Route& route,
-    const std::vector<geo::Box3>* override_boxes, bool hidden) {
-  if (hidden) {
-    // Group-member row: the object stays known (so `Remove`/`BulkUpsert`
-    // bookkeeping works) but owns no tree boxes — its group's envelope
-    // entry covers it. This branch is the group layer's saving: after the
-    // first hidden install, later hidden updates touch zero tree nodes.
-    if (group_hidden_counter_ != nullptr) group_hidden_counter_->Increment();
-    return {};
-  }
-  if (override_boxes != nullptr) {
-    if (group_envelope_counter_ != nullptr) {
-      group_envelope_counter_->Increment();
-    }
-    return *override_boxes;
-  }
-  return BuildOPlaneBoxes(attr, route, options_.oplane);
 }
 
 util::Status TimeSpaceIndex::ApplyDeltaBatch(
@@ -106,27 +78,9 @@ util::Status TimeSpaceIndex::ApplyDeltaBatch(
       continue;
     }
     const auto route = network_->FindRoute(delta.attr->route);
-    UpsertValidated(delta.id, *delta.attr, **route, delta.boxes, delta.hidden);
+    UpsertValidated(delta.id, *delta.attr, **route);
   }
   return rtree_.storage_status();
-}
-
-bool TimeSpaceIndex::WouldMatchWindow(core::ObjectId id,
-                                      const core::PositionAttribute& attr,
-                                      const geo::Polygon& region, core::Time t1,
-                                      core::Time t2) const {
-  (void)id;  // the time-space predicate depends only on the attribute
-  const auto route = network_->FindRoute(attr.route);
-  if (!route.ok()) return false;
-  // A box whose slab misses [t1, t2] cannot meet the probe, so only the
-  // slabs meeting the window are built (one or two for a time slice).
-  const std::vector<geo::Box3> boxes =
-      BuildOPlaneBoxes(attr, **route, options_.oplane, t1, t2);
-  const geo::Box3 probe(region.BoundingBox(), t1, t2);
-  for (const geo::Box3& box : boxes) {
-    if (box.Intersects(probe)) return true;
-  }
-  return false;
 }
 
 util::Status TimeSpaceIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
@@ -139,9 +93,8 @@ util::Status TimeSpaceIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
       return route.status();
     }
   }
-  // Give every listed object its new boxes (none for a hidden member, the
-  // given cover for an envelope), keep the boxes of unlisted objects, then
-  // rebuild the tree in one packed pass.
+  // Give every listed object its new boxes, keep the boxes of unlisted
+  // objects, then rebuild the tree in one packed pass.
   for (const IndexDelta& row : rows) {
     if (row.attr == nullptr) {
       boxes_by_object_.erase(row.id);
@@ -149,7 +102,7 @@ util::Status TimeSpaceIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
     }
     const auto route = network_->FindRoute(row.attr->route);
     boxes_by_object_[row.id] =
-        RowBoxes(*row.attr, **route, row.boxes, row.hidden);
+        BuildOPlaneBoxes(*row.attr, **route, options_.oplane);
   }
   // Emit the packed-load input in ascending id order (the map iterates in
   // hash order, which varies between otherwise-identical stores): identical

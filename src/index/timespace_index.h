@@ -49,19 +49,15 @@ class TimeSpaceIndex final : public ObjectIndex {
   void Remove(core::ObjectId id) override;
   using ObjectIndex::BulkUpsert;
   /// STR bulk load: replaces the state of every listed object (and keeps
-  /// other objects by re-packing them too). Hidden rows store no boxes and
-  /// `boxes` rows their given cover, so a grouped store restarts in this
-  /// one pass. All rows are validated first; on error the index is
+  /// other objects by re-packing them too). All rows are validated first;
+  /// on error the index is
   /// unchanged. The packed-load input is emitted in ascending object-id
   /// order, so two identical stores bulk-load byte-identical trees
   /// regardless of hash-map iteration order (deterministic recovery/replay).
   util::Status BulkUpsert(const std::vector<IndexDelta>& rows) override;
   /// Batched maintenance: validates every delta's route first (index
   /// unchanged on failure), then applies the remove+reinsert passes over
-  /// the one tree without the per-call validation overhead. Understands the
-  /// group-tracking rows: `hidden` deltas drop the object's boxes and keep
-  /// it as a box-less entry (zero tree-node touches on later hidden
-  /// updates), `boxes` deltas install the given cover verbatim.
+  /// the one tree without the per-call validation overhead.
   util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) override;
   std::vector<core::ObjectId> Candidates(const geo::Polygon& region,
                                          core::Time t) const override;
@@ -72,20 +68,11 @@ class TimeSpaceIndex final : public ObjectIndex {
   core::Time CoverageEnd(const core::PositionAttribute& attr) const override {
     return OPlaneEnd(attr.start_time, options_.oplane);
   }
-  /// Registers `<prefix>remove_miss` (counter), the group-row counters
-  /// (`<prefix>group.hidden_upserts`, `<prefix>group.envelope_upserts`),
-  /// plus the tree's page I/O instruments (`<prefix>splits`,
+  /// Registers `<prefix>remove_miss` (counter) plus the tree's page I/O
+  /// instruments (`<prefix>splits`,
   /// `<prefix>pages.*` — see `RTree3::SetMetrics`) in `registry`.
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix) override;
-  bool supports_group_envelopes() const override { return true; }
-  /// Stateless exact candidacy test: builds the boxes `attr` would be
-  /// stored under for the slabs that meet [t1, t2] — no other slab can meet
-  /// the probe — and intersects them with the probe box, byte-for-byte the
-  /// predicate `CandidatesInWindow` evaluates through the tree.
-  bool WouldMatchWindow(core::ObjectId id, const core::PositionAttribute& attr,
-                        const geo::Polygon& region, core::Time t1,
-                        core::Time t2) const override;
   /// Flushes the R*-tree's dirty pages and commits its page store.
   util::Status FlushStorage() override { return rtree_.FlushStorage(); }
   /// Candidate probes are lock-free when the tree runs its copy-on-write /
@@ -112,18 +99,8 @@ class TimeSpaceIndex final : public ObjectIndex {
  private:
   /// Shared tail of `Upsert` and `ApplyDeltaBatch`: drop the old o-plane,
   /// index the new one. `route` must already be resolved for `attr`.
-  /// `override_boxes` replaces the derived cover (group envelopes);
-  /// `hidden` stores no boxes at all (group members).
   void UpsertValidated(core::ObjectId id, const core::PositionAttribute& attr,
-                       const geo::Route& route,
-                       const std::vector<geo::Box3>* override_boxes = nullptr,
-                       bool hidden = false);
-  /// The boxes a row installs: none when `hidden`, `override_boxes` when
-  /// given, else the o-plane built from `attr`. Counts the group rows.
-  std::vector<geo::Box3> RowBoxes(const core::PositionAttribute& attr,
-                                  const geo::Route& route,
-                                  const std::vector<geo::Box3>* override_boxes,
-                                  bool hidden);
+                       const geo::Route& route);
   /// Removes the object's `boxes` with one `RTree3::RemoveBatch` descent,
   /// counting any box the tree lacks as a remove miss.
   void RemoveBoxes(core::ObjectId id, const std::vector<geo::Box3>& boxes);
@@ -134,8 +111,6 @@ class TimeSpaceIndex final : public ObjectIndex {
   std::unordered_map<core::ObjectId, std::vector<geo::Box3>> boxes_by_object_;
   std::size_t remove_misses_ = 0;
   util::Counter* remove_miss_counter_ = nullptr;  // non-owning, may be null
-  util::Counter* group_hidden_counter_ = nullptr;    // non-owning
-  util::Counter* group_envelope_counter_ = nullptr;  // non-owning
 };
 
 }  // namespace modb::index

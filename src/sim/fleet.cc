@@ -110,42 +110,4 @@ util::Status FleetSimulator::Run() {
   return util::Status::Ok();
 }
 
-std::size_t BuildConvoyFleet(FleetSimulator& fleet,
-                             const geo::RouteNetwork& network,
-                             const ConvoyScenarioOptions& options,
-                             util::Rng& rng) {
-  if (network.size() == 0) return 0;
-  const auto random_route = [&]() -> const geo::Route& {
-    return network.route(static_cast<geo::RouteId>(
-        rng.UniformInt(0, static_cast<std::int64_t>(network.size()) - 1)));
-  };
-  core::PolicyConfig policy;
-  policy.kind = options.policy;
-  policy.update_cost = options.update_cost;
-  policy.max_speed = options.curve.max_speed;
-  core::ObjectId id = options.first_id;
-  for (std::size_t c = 0; c < options.num_convoys; ++c) {
-    const geo::Route& route = random_route();
-    const SpeedCurve profile = MakeConvoyCurve(rng, options.curve);
-    const double base = rng.Uniform(0.0, route.Length() * 0.1);
-    for (std::size_t m = 0; m < options.vehicles_per_convoy; ++m) {
-      const double start = std::min(
-          base + static_cast<double>(m) * options.spacing, route.Length());
-      Trip trip(&route, start, core::TravelDirection::kForward, 0.0, profile);
-      fleet.AddVehicle(std::make_unique<Vehicle>(id++, std::move(trip),
-                                                 core::MakePolicy(policy)));
-    }
-  }
-  for (std::size_t s = 0; s < options.num_singletons; ++s) {
-    const geo::Route& route = random_route();
-    SpeedCurve curve = (s % 2 == 0) ? MakeCityCurve(rng, options.curve)
-                                    : MakeHighwayCurve(rng, options.curve);
-    Trip trip(&route, rng.Uniform(0.0, route.Length() * 0.2),
-              core::TravelDirection::kForward, 0.0, std::move(curve));
-    fleet.AddVehicle(std::make_unique<Vehicle>(id++, std::move(trip),
-                                               core::MakePolicy(policy)));
-  }
-  return static_cast<std::size_t>(id - options.first_id);
-}
-
 }  // namespace modb::sim

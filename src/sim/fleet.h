@@ -7,8 +7,6 @@
 
 #include "core/types.h"
 #include "db/mod_database.h"
-#include "geo/route_network.h"
-#include "sim/speed_curve.h"
 #include "sim/vehicle.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -101,40 +99,6 @@ class FleetSimulator {
   FleetStats stats_;
   bool registered_ = false;
 };
-
-/// Parameters for a convoy-heavy fleet: groups of vehicles travelling
-/// together on a shared route — rush-hour platoons, traffic-jam columns —
-/// plus optional independent background traffic. Built for exercising the
-/// group tracker: every member of a convoy shares one speed curve (see
-/// `MakeConvoyCurve`) and the same policy configuration, so the members
-/// declare identical speeds and stay within a bounded along-route window of
-/// each other for the whole trip.
-struct ConvoyScenarioOptions {
-  std::size_t num_convoys = 4;
-  std::size_t vehicles_per_convoy = 8;
-  /// Independent vehicles on randomly chosen routes with per-vehicle city /
-  /// highway curves (never cohesive with the convoys).
-  std::size_t num_singletons = 0;
-  /// Along-route gap between consecutive convoy members at trip start; the
-  /// convoy spans `(vehicles_per_convoy - 1) * spacing`, which must stay
-  /// under the tracker's cohesion window for the convoy to group.
-  double spacing = 0.5;
-  /// First object id; vehicles get consecutive ids from here.
-  core::ObjectId first_id = 0;
-  core::PolicyKind policy = core::PolicyKind::kCurrentImmediateLinear;
-  double update_cost = 5.0;
-  /// Trip shape; `curve.max_speed` doubles as the policy's declared
-  /// max-speed so all convoy members share one vmax.
-  CurveGenOptions curve;
-};
-
-/// Adds `num_convoys * vehicles_per_convoy + num_singletons` vehicles to
-/// `fleet`, drawing routes and curve shapes from `rng`. Returns the number
-/// of vehicles added. Call before `RegisterAll`.
-std::size_t BuildConvoyFleet(FleetSimulator& fleet,
-                             const geo::RouteNetwork& network,
-                             const ConvoyScenarioOptions& options,
-                             util::Rng& rng);
 
 }  // namespace modb::sim
 

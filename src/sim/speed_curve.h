@@ -87,10 +87,8 @@ SpeedCurve MakeRushHourCurve(util::Rng& rng, const CurveGenOptions& options);
 /// dead-reckoning policy observes the accrued deviation on a cruise step and
 /// its update re-declares the common cruise speed — so every member of a
 /// convoy that shares the curve keeps declaring the same speed no matter
-/// which tick its policy fires on, the condition for the group tracker to
-/// hold a convoy together across member refreshes. Randomness (dip times and
-/// crawl speeds) is per-curve: generate one curve per convoy and copy it to
-/// the members.
+/// which tick its policy fires on. Randomness (dip times and crawl speeds)
+/// is per-curve: generate one curve per convoy and copy it to the members.
 SpeedCurve MakeConvoyCurve(util::Rng& rng, const CurveGenOptions& options);
 
 /// A labelled speed curve.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace modb::db {
 namespace {
@@ -75,6 +77,43 @@ TEST_F(ModDatabaseTest, InsertValidatesAttribute) {
   core::PositionAttribute off_route = Attr(500.0, 1.0);
   EXPECT_EQ(db.Insert(3, "x", off_route).code(),
             util::StatusCode::kInvalidArgument);
+}
+
+TEST_F(ModDatabaseTest, RoutesWithFewerThanTwoPointsAreRefused) {
+  // Position lookups interpolate between two route points; a route with
+  // none or one (equal endpoints collapse) has no segment to place an
+  // object on, even at s = 0.
+  const geo::RouteId empty = network_.AddRoute(geo::Polyline(), "empty");
+  const geo::RouteId stub =
+      network_.AddStraightRoute({7.0, 7.0}, {7.0, 7.0}, "stub");
+  ASSERT_FALSE(network_.route(stub).Valid());
+  for (const geo::RouteId route : {empty, stub}) {
+    SCOPED_TRACE(route);
+    ModDatabase db(&network_);
+    ASSERT_TRUE(db.Insert(1, "cab", Attr(10.0, 1.0)).ok());
+    core::PositionAttribute bad = Attr(0.0, 1.0);
+    bad.route = route;
+    bad.start_position = {7.0, 7.0};
+    EXPECT_EQ(db.Insert(2, "x", bad).code(),
+              util::StatusCode::kInvalidArgument);
+    std::vector<ModDatabase::BulkObject> bulk;
+    bulk.push_back({3, "ok", Attr(20.0, 1.0)});
+    bulk.push_back({4, "x", bad});
+    EXPECT_EQ(db.BulkInsert(std::move(bulk)).code(),
+              util::StatusCode::kInvalidArgument);
+    core::PositionUpdate onto = Update(1, 1.0, 0.0, 1.0);
+    onto.route = route;
+    onto.position = {7.0, 7.0};
+    EXPECT_EQ(db.ApplyUpdate(onto).code(), util::StatusCode::kInvalidArgument);
+    // The store is unchanged: one object, never updated, on its street.
+    EXPECT_EQ(db.num_objects(), 1u);
+    EXPECT_EQ(db.object_index().num_objects(), 1u);
+    const auto rec = db.Get(1);
+    ASSERT_TRUE(rec.ok());
+    EXPECT_EQ((*rec)->update_count, 0u);
+    EXPECT_EQ((*rec)->attr.route, street_);
+    EXPECT_EQ(db.QueryPosition(1, 2.0)->route, street_);
+  }
 }
 
 TEST_F(ModDatabaseTest, QueryPositionExtrapolates) {

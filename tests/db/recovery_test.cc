@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "answer_text.h"
 #include "db/wal.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
@@ -352,6 +354,200 @@ TEST_F(RecoveryTest, SyncEveryAppendSurvivesWithFaultFreeInjector) {
   ASSERT_TRUE(manager.ok());
   ASSERT_TRUE(db.Insert(1, "bus", Attr(5.0, 1.0)).ok());
   ASSERT_TRUE(db.ApplyUpdate(Update(1, 1.0, 6.0)).ok());
+}
+
+// Regression: a checkpoint whose route point count or past-version count
+// claimed more elements than the file holds aborted recovery on the
+// allocation instead of being skipped like any other corrupt checkpoint.
+TEST_F(RecoveryTest, CheckpointWithUnbackedCountFallsBack) {
+  DurabilityOptions options;
+  options.checkpoints_to_keep = 2;
+  const fs::path source = fs::path(dir_) / "source";
+  std::string expected;
+  {
+    ModDatabase db(&network_);
+    auto manager = DurabilityManager::Open(&db, source.string(), options);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(db.Insert(1, "bus", Attr(5.0, 1.0)).ok());
+    ASSERT_TRUE(db.ApplyUpdate(Update(1, 1.0, 6.0)).ok());
+    ASSERT_TRUE((*manager)->Checkpoint().ok());  // checkpoint 2, epoch 2
+    ASSERT_TRUE(db.ApplyUpdate(Update(1, 2.0, 7.0)).ok());
+    ASSERT_TRUE(db.Insert(2, "van", Attr(50.0, 0.5)).ok());
+    expected = Signature(db);
+  }
+  std::string text;
+  {
+    std::ifstream in(source / CheckpointFileName(2));
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  // "route 0 <num_points> ..." and the object line's last token, its past
+  // version count.
+  const auto points_at = text.find("\nroute 0 2 ") + 9;
+  const auto object_end = text.find('\n', text.find("\nobject 1 ") + 1);
+  const auto past_at = text.rfind(' ', object_end) + 1;
+  ASSERT_EQ(text.substr(points_at, 2), "2 ");
+  ASSERT_EQ(text.substr(past_at, object_end - past_at), "0");
+
+  int n = 0;
+  for (const std::string& count :
+       {std::string("100000000000000"), std::string("18446744073709551615")}) {
+    for (const std::size_t at : {points_at, past_at}) {
+      SCOPED_TRACE(count + " at " + std::to_string(at));
+      const fs::path dir = fs::path(dir_) / ("case" + std::to_string(n++));
+      fs::copy(source, dir, fs::copy_options::recursive);
+      std::string corrupt = text;
+      corrupt.replace(at, 1, count);
+      std::ofstream(dir / CheckpointFileName(2), std::ios::trunc) << corrupt;
+
+      auto recovered = Recover(dir.string(), options);
+      ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+      EXPECT_EQ(recovered->report.checkpoint_id, 1u);
+      EXPECT_EQ(recovered->report.checkpoints_skipped, 1u);
+      EXPECT_NE(recovered->report.detail.find("malformed snapshot"),
+                std::string::npos)
+          << recovered->report.detail;
+      EXPECT_EQ(Signature(*recovered->database), expected);
+    }
+  }
+}
+
+TEST_F(RecoveryTest, LegacyGroupBatchReplaysLikeUpdateBatch) {
+  // The same inserts and update batches, logged once in the plain update
+  // framing and once in the retired convoy framing (`kGroupBatch`) with
+  // transitions of every kind, recover to the same records and answers.
+  const geo::RouteId bend = network_.AddRoute(
+      geo::Polyline({{0.0, 10.0}, {30.0, 10.0}, {30.0, 40.0}}), "bend");
+  std::vector<std::vector<core::PositionUpdate>> batches;
+  for (int b = 0; b < 4; ++b) {
+    std::vector<core::PositionUpdate> batch;
+    for (core::ObjectId id = 1; id <= 6; ++id) {
+      core::PositionUpdate u = Update(id, 1.0 + b, 8.0 * id + 2.0 * b);
+      if (id % 2 == 0) {
+        u.route = bend;
+        u.position = network_.route(bend).PointAt(u.route_distance);
+      }
+      batch.push_back(u);
+    }
+    // One row off the route geometry and one at its own time, so those
+    // fields are logged rather than elided.
+    batch[0].position.y += 0.25;
+    batch[1].time += 0.5;
+    batches.push_back(batch);
+  }
+  std::vector<GroupTransition> transitions;
+  for (std::uint8_t kind = 1; kind <= 6; ++kind) {
+    GroupTransition t;
+    t.kind = static_cast<GroupTransitionKind>(kind);
+    t.group = 1;
+    t.leader = 1 + kind % 3;
+    t.members = {1, 3, 5};
+    t.model.route = main_;
+    t.model.speed = 1.0;
+    transitions.push_back(t);
+  }
+
+  const auto write = [&](const std::string& dir, bool legacy) {
+    ModDatabase db(&network_);
+    auto manager = DurabilityManager::Open(&db, dir);
+    ASSERT_TRUE(manager.ok());
+    for (core::ObjectId id = 1; id <= 6; ++id) {
+      ASSERT_TRUE(
+          db.Insert(id, "v" + std::to_string(id), Attr(8.0 * id, 0.25 * id))
+              .ok());
+    }
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      const util::Status s =
+          legacy ? db.wal()->AppendGroupBatch(batches[b], {transitions[b]},
+                                              network_)
+                 : db.wal()->AppendUpdateBatch(batches[b]);
+      ASSERT_TRUE(s.ok()) << s.message();
+    }
+    if (legacy) {
+      // A transitions-only record, as a formation without updates logged.
+      ASSERT_TRUE(db.wal()
+                      ->AppendGroupBatch({}, {transitions[4], transitions[5]},
+                                         network_)
+                      .ok());
+    }
+  };
+  const std::string plain_dir = dir_ + "/plain";
+  const std::string legacy_dir = dir_ + "/legacy";
+  write(plain_dir, false);
+  write(legacy_dir, true);
+
+  // The legacy log really holds the compact framing, with both elisions,
+  // logged fields and every transition kind.
+  std::size_t group_records = 0;
+  std::size_t rows = 0;
+  std::size_t time_elided = 0;
+  std::size_t position_elided = 0;
+  unsigned kinds = 0;
+  const auto replayed = ReplayWal(legacy_dir, 1, [&](const WalRecord& r) {
+    if (r.type != WalRecordType::kGroupBatch) return util::Status::Ok();
+    ++group_records;
+    for (const GroupWalRow& row : r.group_rows) {
+      ++rows;
+      time_elided += row.time_elided ? 1 : 0;
+      position_elided += row.position_elided ? 1 : 0;
+    }
+    for (const GroupTransition& t : r.group_transitions) {
+      kinds |= 1u << static_cast<unsigned>(t.kind);
+    }
+    return util::Status::Ok();
+  });
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(group_records, 5u);
+  EXPECT_EQ(rows, 24u);
+  EXPECT_GT(time_elided, 0u);
+  EXPECT_LT(time_elided, rows);
+  EXPECT_GT(position_elided, 0u);
+  EXPECT_LT(position_elided, rows);
+  EXPECT_EQ(kinds, 0b1111110u);
+
+  auto plain = Recover(plain_dir);
+  ASSERT_TRUE(plain.ok()) << plain.status().message();
+  auto legacy = Recover(legacy_dir);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().message();
+  EXPECT_TRUE(legacy->report.clean) << legacy->report.detail;
+  EXPECT_EQ(legacy->report.wal_records_replayed, 6u + 5u);
+  EXPECT_EQ(legacy->report.wal_records_skipped, 0u);
+  EXPECT_EQ(Signature(*legacy->database), Signature(*plain->database));
+  EXPECT_EQ(AnswerText(*legacy->database), AnswerText(*plain->database));
+}
+
+TEST_F(RecoveryTest, LegacyRowOnRouteWithFewerThanTwoPointsIsSkipped) {
+  // A legacy row whose position was elided is rehydrated from its route
+  // before the update is validated. Replayed against a network where that
+  // route has one point, the row must be rejected, not interpolated past
+  // the route's only point.
+  const geo::RouteId side =
+      network_.AddStraightRoute({0.0, 5.0}, {50.0, 5.0}, "side");
+  {
+    ModDatabase db(&network_);
+    auto manager = DurabilityManager::Open(&db, dir_);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(db.Insert(1, "bus", Attr(5.0, 1.0)).ok());
+    core::PositionUpdate onto = Update(1, 1.0, 10.0);
+    onto.route = side;
+    onto.position = network_.route(side).PointAt(10.0);
+    ASSERT_TRUE(db.wal()->AppendGroupBatch({onto}, {}, network_).ok());
+  }
+  geo::RouteNetwork stubbed;
+  ASSERT_EQ(stubbed.AddStraightRoute({0.0, 0.0}, {100.0, 0.0}, "main st"),
+            main_);
+  ASSERT_EQ(stubbed.AddStraightRoute({3.0, 5.0}, {3.0, 5.0}, "side"), side);
+  ModDatabase db(&stubbed);
+  auto manager = DurabilityManager::Open(&db, dir_);
+  ASSERT_TRUE(manager.ok()) << manager.status().message();
+  const RecoveryReport& report = (*manager)->recovery_report();
+  EXPECT_EQ(report.wal_records_replayed, 2u);
+  EXPECT_EQ(report.wal_records_skipped, 1u);
+  const auto rec = db.Get(1);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ((*rec)->attr.route, main_);
+  EXPECT_EQ((*rec)->update_count, 0u);
 }
 
 }  // namespace

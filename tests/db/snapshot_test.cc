@@ -6,6 +6,8 @@
 #include <sstream>
 #include <string>
 
+#include "answer_text.h"
+
 namespace modb::db {
 namespace {
 
@@ -192,13 +194,16 @@ TEST_F(SnapshotTest, ReadsVersion2SnapshotsWithoutCapField) {
   EXPECT_EQ(loaded->database->num_objects(), 1u);
 }
 
-TEST_F(SnapshotTest, WritesVersion7Header) {
-  // The default store runs the route-band index, kind 2.
+TEST_F(SnapshotTest, WritesVersion8Header) {
+  // The default store runs the route-band index, kind 2; v8 options lines
+  // end after the trajectory fields, and no groups section follows.
   ModDatabase db(&network_);
   std::stringstream stream;
   ASSERT_TRUE(WriteSnapshot(db, stream).ok());
-  EXPECT_EQ(stream.str().rfind("modb-snapshot 7\noptions 2 120 4 0 0 0 ", 0),
+  EXPECT_EQ(stream.str().rfind("modb-snapshot 8\noptions 2 120 4 0 0\nroutes ",
+                               0),
             0u);
+  EXPECT_EQ(stream.str().find("groups"), std::string::npos);
 }
 
 TEST_F(SnapshotTest, ReadsVersion3SnapshotsWithoutVelocityFields) {
@@ -530,26 +535,134 @@ TEST_F(SnapshotTest, RouteBandKindRoundTrips) {
 }
 
 TEST_F(SnapshotTest, IndexKindRangeDependsOnVersion) {
-  const auto kind_loads = [](int version, int kind) {
-    return ReadText("modb-snapshot " + std::to_string(version) +
-                    "\noptions " + std::to_string(kind) + " 120 4 0 0" +
-                    kGroupOptions + kLegacyRoutes + kLegacyObjects +
-                    kNoGroups)
-        .ok();
+  // v5–v7 files carry the group fields and section; v8 files do not.
+  const auto text = [](int version, int kind) {
+    const bool groups = version >= 5 && version <= 7;
+    return "modb-snapshot " + std::to_string(version) + "\noptions " +
+           std::to_string(kind) + " 120 4 0 0" +
+           (groups ? kGroupOptions : "\n") + kLegacyRoutes + kLegacyObjects +
+           (groups ? kNoGroups : "");
   };
-  // v7 knows kinds 0–2; kind 2 did not name the route-band index before.
-  EXPECT_TRUE(kind_loads(7, 0));
-  EXPECT_TRUE(kind_loads(7, 1));
-  EXPECT_TRUE(kind_loads(7, 2));
-  EXPECT_FALSE(kind_loads(7, 3));
-  EXPECT_FALSE(kind_loads(7, -1));
+  const auto kind_loads = [&](int version, int kind) {
+    return ReadText(text(version, kind)).ok();
+  };
+  // v7 and v8 know kinds 0–2; kind 2 did not name the route-band index
+  // before.
+  for (const int version : {7, 8}) {
+    SCOPED_TRACE(version);
+    EXPECT_TRUE(kind_loads(version, 0));
+    EXPECT_TRUE(kind_loads(version, 1));
+    EXPECT_TRUE(kind_loads(version, 2));
+    EXPECT_FALSE(kind_loads(version, 3));
+    EXPECT_FALSE(kind_loads(version, -1));
+    const auto loaded = ReadText(text(version, 2));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->database->options().index_kind, IndexKind::kRouteBand);
+  }
   EXPECT_TRUE(kind_loads(6, 1));
   EXPECT_FALSE(kind_loads(6, 2));
-  const auto v7 = ReadText(std::string("modb-snapshot 7\noptions 2 120 4 0 0") +
-                           kGroupOptions + kLegacyRoutes + kLegacyObjects +
-                           kNoGroups);
-  ASSERT_TRUE(v7.ok()) << v7.status().ToString();
-  EXPECT_EQ(v7->database->options().index_kind, IndexKind::kRouteBand);
+  // A v8 file with the retired group fields is malformed.
+  EXPECT_FALSE(ReadText(std::string("modb-snapshot 8\noptions 2 120 4 0 0") +
+                        kGroupOptions + kLegacyRoutes + kLegacyObjects)
+                   .ok());
+}
+
+// Tracking on, and one three-member convoy in the groups section.
+constexpr char kGroupOptionsOn[] = " 1 8 6 3 0.25 0 64\n";
+constexpr char kThreeMemberGroup[] =
+    "groups 1 2\n"
+    "group 1 2 0 1 0.6 0 20 0 124 1.5 8 3 1 2 3\n";
+
+TEST_F(SnapshotTest, LegacyGroupSectionsLoadUngrouped) {
+  // v5–v7 files written with convoy tracking on load as an ungrouped store
+  // that answers exactly like the same file without groups.
+  const std::string heads[] = {
+      "modb-snapshot 5\noptions 0 120 4 16 0 0 1 0",
+      "modb-snapshot 7\noptions 2 120 4 0 0",
+  };
+  for (const std::string& head : heads) {
+    SCOPED_TRACE(head);
+    const auto grouped = ReadText(head + kGroupOptionsOn + kLegacyRoutes +
+                                  kLegacyObjects + kThreeMemberGroup);
+    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+    const auto plain = ReadText(head + kGroupOptions + kLegacyRoutes +
+                                kLegacyObjects + kNoGroups);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    EXPECT_EQ(grouped->database->num_objects(), 6u);
+    EXPECT_EQ(grouped->database->object_index().num_objects(), 6u);
+    EXPECT_EQ(AnswerText(*grouped->database), AnswerText(*plain->database));
+    // Written back, the store is a v8 file with no trace of the groups.
+    std::stringstream out;
+    ASSERT_TRUE(WriteSnapshot(*grouped->database, out).ok());
+    EXPECT_EQ(out.str().rfind("modb-snapshot 8\n", 0), 0u);
+    EXPECT_EQ(out.str().find("group"), std::string::npos);
+  }
+}
+
+TEST_F(SnapshotTest, MalformedLegacyGroupSectionsRejected) {
+  const std::string head =
+      std::string("modb-snapshot 7\noptions 2 120 4 0 0") + kGroupOptionsOn +
+      kLegacyRoutes + kLegacyObjects;
+  // More groups than objects, a direction that is neither +1 nor -1, more
+  // members than objects, and a member list cut short.
+  for (const std::string& groups :
+       {std::string("groups 7 8\n"),
+        std::string("groups 1 2\ngroup 1 2 0 0 0.6 0 20 0 124 1.5 8 3 1 2 3\n"),
+        std::string("groups 1 2\ngroup 1 2 0 1 0.6 0 20 0 124 1.5 8 7 1 2 3\n"),
+        std::string("groups 1 2\ngroup 1 2 0 1 0.6 0 20 0 124 1.5 8 3 1 2\n")}) {
+    const auto loaded = ReadText(head + groups);
+    ASSERT_FALSE(loaded.ok()) << groups;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << groups;
+  }
+  EXPECT_TRUE(ReadText(head + kThreeMemberGroup).ok());
+}
+
+// Regression: the reader sized the route point and past-version vectors
+// from the counts in the file before reading an element, so a huge count
+// aborted the process (std::bad_alloc / std::length_error).
+TEST_F(SnapshotTest, UnbackedCountsRejectedWithoutAllocating) {
+  ModDatabase db(&network_);
+  ASSERT_TRUE(db.Insert(1, "bus", Attr(main_, 10.0, 1.0)).ok());
+  std::stringstream full;
+  ASSERT_TRUE(WriteSnapshot(db, full).ok());
+  const std::string text = full.str();
+  // "route 0 <num_points> ..." and the object line's last token, its past
+  // version count.
+  const auto points_at = text.find("\nroute 0 2 ") + 9;
+  const auto object_end = text.find('\n', text.find("\nobject 1 ") + 1);
+  const auto past_at = text.rfind(' ', object_end) + 1;
+  ASSERT_EQ(text.substr(points_at, 2), "2 ");
+  ASSERT_EQ(text.substr(past_at, object_end - past_at), "0");
+  for (const std::string& count :
+       {std::string("100000000000000"), std::string("18446744073709551615")}) {
+    for (const std::size_t at : {points_at, past_at}) {
+      std::string corrupt = text;
+      corrupt.replace(at, 1, count);
+      const auto loaded = ReadText(corrupt);
+      ASSERT_FALSE(loaded.ok()) << count << " at " << at;
+      EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(loaded.status().message().rfind("malformed snapshot", 0), 0u)
+          << loaded.status().message();
+    }
+  }
+}
+
+TEST_F(SnapshotTest, ObjectOnRouteWithFewerThanTwoPointsRejected) {
+  // A route needs two distinct points to place anything on it; an object
+  // on a zero- or one-point route makes the file malformed.
+  for (const std::string& route :
+       {std::string("route 0 0 4 main\n"), std::string("route 0 1 5 0 4 main\n"),
+        std::string("route 0 2 5 0 5 0 4 main\n")}) {
+    const auto loaded = ReadText(
+        std::string("modb-snapshot 7\noptions 2 120 4 0 0") + kGroupOptions +
+        "routes 1\n" + route + "objects 1\n" +
+        "object 1 1 a 0 0 0 5 0 1 0.2 0 5 1.5 0 1 1 0 0 0\n" + kNoGroups);
+    ASSERT_FALSE(loaded.ok()) << route;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(loaded.status().message().rfind("malformed snapshot", 0), 0u)
+        << loaded.status().message();
+  }
 }
 
 }  // namespace

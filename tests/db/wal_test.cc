@@ -149,6 +149,192 @@ TEST_F(WalTest, DecodeRejectsMalformedPayloads) {
   EXPECT_FALSE(DecodeWalRecord(bad, &record));
 }
 
+// The retired convoy framing (`kGroupBatch`): old logs hold it, so its
+// decoder stays and must keep round-tripping and rejecting hostile input.
+WalRecord LegacyGroupBatch() {
+  WalRecord record;
+  record.type = WalRecordType::kGroupBatch;
+  record.group_base_time = 6.5;
+  // One row per elision combination: none, time, position, both.
+  for (int flags = 0; flags < 4; ++flags) {
+    GroupWalRow row;
+    row.time_elided = (flags & 1) != 0;
+    row.position_elided = (flags & 2) != 0;
+    row.update = MakeUpdate(static_cast<core::ObjectId>(10 + flags),
+                            row.time_elided ? 6.5 : 7.0 + flags);
+    if (row.position_elided) row.update.position = {};
+    record.group_rows.push_back(row);
+  }
+  for (std::uint8_t kind = 1; kind <= 6; ++kind) {
+    GroupTransition t;
+    t.kind = static_cast<GroupTransitionKind>(kind);
+    t.group = 100 + kind;
+    t.leader = 10 + kind % 4;
+    for (std::uint8_t m = 0; m < kind % 3 + 1; ++m) t.members.push_back(10 + m);
+    if (t.kind == GroupTransitionKind::kForm ||
+        t.kind == GroupTransitionKind::kRefresh) {
+      t.model = {.route = 7,
+                 .direction = core::TravelDirection::kBackward,
+                 .speed = 1.25,
+                 .anchor_time = 6.5,
+                 .anchor_distance = 33.0,
+                 .window_lo = 6.0,
+                 .window_hi = 66.0,
+                 .vmax = 1.5,
+                 .width = 8.0 + kind};
+    }
+    record.group_transitions.push_back(t);
+  }
+  return record;
+}
+
+TEST_F(WalTest, GroupBatchRoundTripsElidedRowsAndEveryTransitionKind) {
+  const WalRecord original = LegacyGroupBatch();
+  WalRecord decoded;
+  ASSERT_TRUE(DecodeWalRecord(EncodeWalRecord(original), &decoded));
+  EXPECT_EQ(decoded.type, WalRecordType::kGroupBatch);
+  EXPECT_EQ(decoded.group_base_time, 6.5);
+  ASSERT_EQ(decoded.group_rows.size(), original.group_rows.size());
+  for (std::size_t i = 0; i < original.group_rows.size(); ++i) {
+    SCOPED_TRACE(i);
+    const GroupWalRow& want = original.group_rows[i];
+    const GroupWalRow& got = decoded.group_rows[i];
+    EXPECT_EQ(got.time_elided, want.time_elided);
+    EXPECT_EQ(got.position_elided, want.position_elided);
+    EXPECT_EQ(got.update.object, want.update.object);
+    // An elided time is rehydrated from the base time.
+    EXPECT_EQ(got.update.time, want.update.time);
+    EXPECT_EQ(got.update.route, want.update.route);
+    EXPECT_EQ(got.update.route_distance, want.update.route_distance);
+    EXPECT_EQ(got.update.direction, want.update.direction);
+    EXPECT_EQ(got.update.speed, want.update.speed);
+    if (!want.position_elided) {
+      EXPECT_EQ(got.update.position.x, want.update.position.x);
+      EXPECT_EQ(got.update.position.y, want.update.position.y);
+    }
+  }
+  ASSERT_EQ(decoded.group_transitions.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    SCOPED_TRACE(i);
+    const GroupTransition& want = original.group_transitions[i];
+    const GroupTransition& got = decoded.group_transitions[i];
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.group, want.group);
+    EXPECT_EQ(got.leader, want.leader);
+    EXPECT_EQ(got.members, want.members);
+    EXPECT_EQ(got.model.route, want.model.route);
+    EXPECT_EQ(got.model.direction, want.model.direction);
+    EXPECT_EQ(got.model.speed, want.model.speed);
+    EXPECT_EQ(got.model.anchor_time, want.model.anchor_time);
+    EXPECT_EQ(got.model.anchor_distance, want.model.anchor_distance);
+    EXPECT_EQ(got.model.window_lo, want.model.window_lo);
+    EXPECT_EQ(got.model.window_hi, want.model.window_hi);
+    EXPECT_EQ(got.model.vmax, want.model.vmax);
+    EXPECT_EQ(got.model.width, want.model.width);
+  }
+}
+
+TEST_F(WalTest, GroupBatchDecodeRejectsHostilePayloads) {
+  WalRecord record;
+  const std::string payload = EncodeWalRecord(LegacyGroupBatch());
+  ASSERT_TRUE(DecodeWalRecord(payload, &record));
+  // Every strict prefix is rejected: truncated rows, transitions and
+  // models alike.
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(
+        DecodeWalRecord(std::string_view(payload).substr(0, len), &record))
+        << "prefix length " << len;
+  }
+  const auto put_u32 = [](std::string* s, std::size_t at, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) (*s)[at + i] = static_cast<char>(v >> 8 * i);
+  };
+  // Layout: type(1) base_time(8) row_count(4), then the first row's flags.
+  constexpr std::size_t kRowCountAt = 1 + 8;
+  for (const std::uint32_t count : {0xffffffffu, 1000u}) {
+    std::string bad = payload;
+    put_u32(&bad, kRowCountAt, count);  // past the bytes that back it
+    EXPECT_FALSE(DecodeWalRecord(bad, &record)) << count;
+  }
+  for (const char flags : {'\x04', '\xff'}) {
+    std::string bad = payload;
+    bad[kRowCountAt + 4] = flags;
+    EXPECT_FALSE(DecodeWalRecord(bad, &record));
+  }
+
+  // A transitions-only record: row_count 0, transition_count(4), then one
+  // kJoin: kind(1) group(8) leader(8) member_count(4) members.
+  WalRecord join;
+  join.type = WalRecordType::kGroupBatch;
+  GroupTransition t;
+  t.kind = GroupTransitionKind::kJoin;
+  t.group = 3;
+  t.leader = 4;
+  t.members = {4};
+  join.group_transitions.push_back(t);
+  const std::string join_payload = EncodeWalRecord(join);
+  ASSERT_TRUE(DecodeWalRecord(join_payload, &record));
+  constexpr std::size_t kTransitionCountAt = kRowCountAt + 4;
+  constexpr std::size_t kKindAt = kTransitionCountAt + 4;
+  constexpr std::size_t kMemberCountAt = kKindAt + 1 + 8 + 8;
+  for (const std::uint32_t count : {0xffffffffu, 2u}) {
+    std::string bad = join_payload;
+    put_u32(&bad, kTransitionCountAt, count);
+    EXPECT_FALSE(DecodeWalRecord(bad, &record)) << count;
+    bad = join_payload;
+    put_u32(&bad, kMemberCountAt, count);
+    EXPECT_FALSE(DecodeWalRecord(bad, &record)) << count;
+  }
+  for (const char kind : {'\x00', '\x07'}) {
+    std::string bad = join_payload;
+    bad[kKindAt] = kind;
+    EXPECT_FALSE(DecodeWalRecord(bad, &record)) << static_cast<int>(kind);
+  }
+  // Turning the kJoin into a kForm makes the decoder expect a model the
+  // payload does not hold.
+  std::string no_model = join_payload;
+  no_model[kKindAt] = static_cast<char>(GroupTransitionKind::kForm);
+  EXPECT_FALSE(DecodeWalRecord(no_model, &record));
+
+  // Nesting depth is one: a kGroupBatch inside a kUpdateBatch is rejected.
+  WalRecord nested;
+  nested.type = WalRecordType::kUpdateBatch;
+  nested.batch = {join};
+  EXPECT_FALSE(DecodeWalRecord(EncodeWalRecord(nested), &record));
+}
+
+TEST_F(WalTest, GroupBatchElidesOnlyPositionsItsRouteCanRecompute) {
+  // Elision compares the position with the route geometry; a route with
+  // fewer than two points has none, so its row keeps its position.
+  geo::RouteNetwork network;
+  const geo::RouteId line =
+      network.AddStraightRoute({0.0, 0.0}, {100.0, 0.0}, "line");
+  const geo::RouteId stub =
+      network.AddStraightRoute({3.0, 5.0}, {3.0, 5.0}, "stub");
+  std::vector<core::PositionUpdate> updates(2);
+  updates[0].object = 1;
+  updates[0].route = line;
+  updates[0].route_distance = 10.0;
+  updates[0].position = network.route(line).PointAt(10.0);
+  updates[1].object = 2;
+  updates[1].route = stub;
+  updates[1].position = {3.0, 5.0};
+  auto writer = WalWriter::Open(dir_, 1, {});
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->AppendGroupBatch(updates, {}, network).ok());
+  ASSERT_TRUE((*writer)->Close().ok());
+  std::vector<GroupWalRow> rows;
+  const auto stats = ReplayWal(dir_, 1, [&](const WalRecord& record) {
+    rows.insert(rows.end(), record.group_rows.begin(), record.group_rows.end());
+    return util::Status::Ok();
+  });
+  ASSERT_TRUE(stats.ok());
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_TRUE(rows[0].position_elided);
+  EXPECT_FALSE(rows[1].position_elided);
+  EXPECT_EQ(rows[1].update.position.x, 3.0);
+  EXPECT_EQ(rows[1].update.position.y, 5.0);
+}
+
 TEST_F(WalTest, WriteThenReplayRoundTrips) {
   WalWriterOptions options;
   auto writer = WalWriter::Open(dir_, 1, options);

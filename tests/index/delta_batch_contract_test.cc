@@ -18,8 +18,8 @@ namespace {
 /// The `ApplyDeltaBatch` validate-all-first contract, uniformly across the
 /// index kinds: a batch with a mid-batch invalid row must fail without
 /// touching the index — no prefix of the batch may be applied (the
-/// database's group layer routes structural rows through the same call and
-/// relies on the all-or-nothing behaviour for its rollback).
+/// database's batch write path relies on the all-or-nothing behaviour for
+/// its rollback).
 class DeltaBatchContractTest
     : public testing::TestWithParam<const char*> {
  protected:
@@ -100,28 +100,6 @@ TEST_P(DeltaBatchContractTest, MidBatchInvalidRouteLeavesIndexUntouched) {
       index->ApplyDeltaBatch({{1, &moved}, {2, nullptr}, {4, &fresh}}).ok());
   EXPECT_EQ(index->num_objects(), objects);  // +1 insert, -1 remove
   EXPECT_NE(Probe(*index), before);
-}
-
-TEST_P(DeltaBatchContractTest, InvalidHiddenRowAlsoLeavesIndexUntouched) {
-  auto index = MakeIndex();
-  // The route-band index has no group extensions either, but validates
-  // every row, hidden ones included, before touching its tree.
-  if (std::string(GetParam()) == "scan") {
-    GTEST_SKIP() << "no group-delta extensions";
-  }
-  const core::PositionAttribute a = Attr(street_, 10.0, 1.0);
-  ASSERT_TRUE(index->ApplyDeltaBatch({{1, &a}}).ok());
-  const std::string before = Probe(*index);
-  // A hidden (state-only) row still names an attribute; an invalid route
-  // in it must poison the whole batch like a normal row's would.
-  core::PositionAttribute bad = Attr(street_, 12.0, 1.0);
-  bad.route = 777;
-  core::PositionAttribute good = Attr(street_, 30.0, 1.0);
-  IndexDelta hidden_bad{2, &bad, nullptr, true};
-  IndexDelta normal_good{3, &good, nullptr, false};
-  EXPECT_FALSE(index->ApplyDeltaBatch({normal_good, hidden_bad}).ok());
-  EXPECT_EQ(index->num_objects(), 1u);
-  EXPECT_EQ(Probe(*index), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, DeltaBatchContractTest,

@@ -96,21 +96,6 @@ TEST(OPlaneTest, BoxesCoverUncertaintyIntervalEverywhere) {
   }
 }
 
-TEST(OPlaneTest, PaddingInflatesBoxes) {
-  const geo::Route route = StraightRoute();
-  OPlaneOptions plain;
-  plain.horizon = 8.0;
-  plain.slab_width = 8.0;
-  OPlaneOptions padded = plain;
-  padded.padding = 2.0;
-  const auto a = BuildOPlaneBoxes(MakeAttr(), route, plain);
-  const auto b = BuildOPlaneBoxes(MakeAttr(), route, padded);
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_DOUBLE_EQ(b[0].min[0], a[0].min[0] - 2.0);
-  EXPECT_DOUBLE_EQ(b[0].max[1], a[0].max[1] + 2.0);
-}
-
 TEST(OPlaneTest, DegenerateOptionsYieldNothing) {
   const geo::Route route = StraightRoute();
   OPlaneOptions options;

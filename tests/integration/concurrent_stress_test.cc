@@ -213,140 +213,5 @@ TEST_F(ConcurrentStressTest, ParallelBulkLoadThenConcurrentReads) {
   EXPECT_EQ(mismatches.load(), 0);  // no writers -> queries are repeatable
 }
 
-// 8 readers racing 1 writer while the group tracker forms, splits and
-// re-forms convoys on the write path. Gates the group layer's mutations
-// (detection cells, membership, envelope rows, shared metrics) under
-// ThreadSanitizer, and checks the final answers byte-for-byte against an
-// ungrouped, unsharded replay of the same update stream.
-TEST_F(ConcurrentStressTest, GroupTrackedConvoysUnderReaderWriterStress) {
-  constexpr std::size_t kConvoys = 3;
-  constexpr std::size_t kMembers = 6;
-  constexpr int kTicks = 120;
-  constexpr int kReaders = 8;
-
-  const auto member_id = [](std::size_t c, std::size_t m) {
-    return static_cast<core::ObjectId>(100 * (c + 1) + m);
-  };
-  // One deterministic update stream, replayed later for the reference:
-  // per tick, every member advances 1.0 at declared speed 1.0 (cohesive);
-  // one member per convoy periodically defects to route 3 and back, so
-  // groups split and re-form while the readers run.
-  const auto build_tick = [&](int tick) {
-    std::vector<core::PositionUpdate> batch;
-    for (std::size_t c = 0; c < kConvoys; ++c) {
-      for (std::size_t m = 0; m < kMembers; ++m) {
-        const bool defector = m == 0 && (tick / 20) % 2 == 1;
-        core::PositionUpdate u;
-        u.object = member_id(c, m);
-        u.time = 1.0 + tick;
-        u.route = defector ? routes_[3] : routes_[c];
-        u.route_distance = 1.0 * (1 + tick) + 0.5 * m;
-        u.position = network_.route(u.route).PointAt(u.route_distance);
-        u.direction = core::TravelDirection::kForward;
-        u.speed = 1.0;
-        batch.push_back(u);
-      }
-    }
-    return batch;
-  };
-
-  ShardedModDatabaseOptions options;
-  options.num_shards = 4;
-  options.num_query_threads = 2;
-  options.db.index_kind = IndexKind::kTimeSpaceRTree;  // the envelope kind
-  options.db.group_tracking.enabled = true;
-  ShardedModDatabase db(&network_, options);
-  for (std::size_t c = 0; c < kConvoys; ++c) {
-    for (std::size_t m = 0; m < kMembers; ++m) {
-      ASSERT_TRUE(db.Insert(member_id(c, m), "convoy",
-                            Attr(routes_[c], 0.5 * m, 1.0))
-                      .ok());
-    }
-  }
-
-  std::atomic<int> update_failures{0};
-  std::atomic<int> malformed_answers{0};
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] {
-    for (int tick = 0; tick < kTicks; ++tick) {
-      const auto batch = build_tick(tick);
-      if (!db.ApplyUpdateBatch(batch).first_error().ok()) {
-        update_failures.fetch_add(1);
-      }
-    }
-  });
-  for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&, r] {
-      util::Rng rng(3000 + r);
-      for (int op = 0; op < 200; ++op) {
-        const double x0 = rng.Uniform(0.0, 400.0);
-        const geo::Polygon region =
-            geo::Polygon::Rectangle(x0, -5.0, x0 + 60.0, 80.0);
-        const core::Time t = rng.Uniform(0.0, 130.0);
-        if (op % 3 == 0) {
-          const NearestAnswer a =
-              db.QueryNearest({x0, rng.Uniform(0.0, 75.0)}, 4, t);
-          if (a.items.size() > 4) malformed_answers.fetch_add(1);
-          continue;
-        }
-        if (op % 3 == 1) {
-          const IntervalRangeAnswer a =
-              db.QueryRangeInterval(region, t, t + 5.0, 2.5);
-          if (!std::includes(a.may.begin(), a.may.end(),
-                             a.must_at_some_time.begin(),
-                             a.must_at_some_time.end())) {
-            malformed_answers.fetch_add(1);
-          }
-          continue;
-        }
-        const RangeAnswer a = db.QueryRange(region, t);
-        if (a.may.size() != a.may_probability.size() ||
-            !std::is_sorted(a.must.begin(), a.must.end()) ||
-            !std::is_sorted(a.may.begin(), a.may.end())) {
-          malformed_answers.fetch_add(1);
-        }
-        for (core::ObjectId id : a.must) {
-          // MUST answers name real member objects, never a group's
-          // synthetic envelope id (bit 63).
-          if ((id >> 63) != 0) malformed_answers.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(update_failures.load(), 0);
-  EXPECT_EQ(malformed_answers.load(), 0);
-
-  // The shards' trackers aggregated their group activity into the shared
-  // registry, and the writer's convoys really formed and split.
-  EXPECT_GT(db.metrics().GetCounter("mod.group.forms")->value(), 0u);
-  EXPECT_GT(db.metrics().GetCounter("mod.group.splits")->value(), 0u);
-
-  // Final answers equal an ungrouped, unsharded replay byte-for-byte.
-  ModDatabase reference(&network_);
-  for (std::size_t c = 0; c < kConvoys; ++c) {
-    for (std::size_t m = 0; m < kMembers; ++m) {
-      ASSERT_TRUE(reference.Insert(member_id(c, m), "convoy",
-                                   Attr(routes_[c], 0.5 * m, 1.0))
-                      .ok());
-    }
-  }
-  for (int tick = 0; tick < kTicks; ++tick) {
-    const auto batch = build_tick(tick);
-    ASSERT_TRUE(reference.ApplyUpdateBatch(batch).first_error().ok());
-  }
-  for (const double x0 : {0.0, 60.0, 120.0, 180.0}) {
-    const geo::Polygon region =
-        geo::Polygon::Rectangle(x0, -5.0, x0 + 70.0, 80.0);
-    for (const double t : {5.0, 60.0, 119.0, 125.0}) {
-      const RangeAnswer got = db.QueryRange(region, t);
-      const RangeAnswer want = reference.QueryRange(region, t);
-      EXPECT_EQ(got.must, want.must) << x0 << "@" << t;
-      EXPECT_EQ(got.may, want.may) << x0 << "@" << t;
-      EXPECT_EQ(got.may_probability, want.may_probability) << x0 << "@" << t;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace modb::db
