@@ -6,7 +6,9 @@
 // placement may change cost but never answers: every configuration must
 // return byte-identical MUST/MAY sets. The table reports the page-hit
 // rate and eviction traffic at each pressure level — the cost curve the
-// buffer pool buys in exchange for a bounded resident set.
+// buffer pool buys in exchange for a bounded resident set — and the page
+// file's size, which must stay within page size x the most pages the
+// index held during the run: a write-back overwrites its page's slot.
 //
 // `--smoke` runs a tiny fleet for CI.
 
@@ -22,6 +24,7 @@
 #include "bench/exp_common.h"
 #include "db/mod_database.h"
 #include "geo/route_network.h"
+#include "index/route_band_index.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -100,9 +103,21 @@ std::unique_ptr<db::ModDatabase> BuildDatabase(
   return database;
 }
 
+/// Pages the store's index holds now. E19 runs the default index kind,
+/// the route-band index.
+std::size_t IndexPages(const db::ModDatabase& database) {
+  return static_cast<const index::RouteBandIndex&>(database.object_index())
+      .rtree()
+      .num_pages();
+}
+
 struct RunResult {
   double us_per_query = 0.0;
   bool identical = true;
+  /// Most pages the index held, sampled after the build and after each
+  /// update. An update removes pages before it adds any, so no peak falls
+  /// between two samples.
+  std::size_t peak_pages = 0;
 };
 
 /// Runs updates + the query sweep, checking every answer against the
@@ -110,7 +125,11 @@ struct RunResult {
 RunResult RunWorkload(db::ModDatabase& database,
                       const db::ModDatabase& reference, const Workload& w) {
   RunResult result;
-  for (const auto& u : w.updates) (void)database.ApplyUpdate(u);
+  result.peak_pages = IndexPages(database);
+  for (const auto& u : w.updates) {
+    (void)database.ApplyUpdate(u);
+    result.peak_pages = std::max(result.peak_pages, IndexPages(database));
+  }
   const auto start = Clock::now();
   for (const auto& region : w.queries) {
     const db::RangeAnswer got = database.QueryRange(region, 15.0);
@@ -158,20 +177,17 @@ int Run(bool smoke) {
     pilot.index_storage.pool_pages = 1u << 20;
     auto database = BuildDatabase(*w, pilot);
     if (database == nullptr) return 1;
-    util::MetricsRegistry registry;
-    database->SetMetrics(&registry, "db.");
-    total_pages =
-        static_cast<std::size_t>(registry.GetGauge("db.index.pages.frames")
-                                     ->value());
+    total_pages = IndexPages(*database);
   }
   std::printf("index working set: %zu pages of %zu objects\n\n", total_pages,
               kObjects);
 
   util::Table table({"config", "pool pages", "hit rate %", "evictions",
-                     "writebacks", "resident pages", "us/query",
-                     "identical"});
+                     "writebacks", "resident pages", "peak pages",
+                     "file KiB", "us/query", "identical"});
   bool all_identical = true;
   bool pressured_evictions = false;
+  bool files_bounded = true;
   for (const std::size_t pressure : {std::size_t{1}, std::size_t{4},
                                      std::size_t{16}}) {
     const std::size_t pool =
@@ -181,9 +197,9 @@ int Run(bool smoke) {
     options.index_storage.path =
         (dir / ("x" + std::to_string(pressure) + ".pages")).string();
     options.index_storage.pool_pages = pool;
+    util::MetricsRegistry registry;  // outlives the store
     auto database = BuildDatabase(*w, options);
     if (database == nullptr) return 1;
-    util::MetricsRegistry registry;
     database->SetMetrics(&registry, "db.");
 
     const RunResult result = RunWorkload(*database, *reference, *w);
@@ -194,6 +210,11 @@ int Run(bool smoke) {
     const auto writebacks =
         registry.GetCounter("db.index.pages.writebacks")->value();
     const auto frames = registry.GetGauge("db.index.pages.frames")->value();
+    const std::uintmax_t file_bytes =
+        fs::file_size(options.index_storage.path);
+    files_bounded =
+        files_bounded && file_bytes <= options.index_storage.page_size *
+                                           result.peak_pages;
     const double hit_rate =
         hits + misses == 0
             ? 100.0
@@ -206,6 +227,8 @@ int Run(bool smoke) {
         .Add(evictions)
         .Add(writebacks)
         .Add(static_cast<std::size_t>(frames))
+        .Add(result.peak_pages)
+        .Add(static_cast<double>(file_bytes) / 1024.0, 1)
         .Add(result.us_per_query, 1)
         .Add(result.identical ? "yes" : "NO");
     all_identical = all_identical && result.identical;
@@ -216,11 +239,13 @@ int Run(bool smoke) {
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  const bool pass = all_identical && pressured_evictions;
+  const bool pass = all_identical && pressured_evictions && files_bounded;
   std::printf("shape check — answers byte-identical at every pressure "
-              "level: %s; 16x pool saw real eviction traffic: %s -> %s\n\n",
+              "level: %s; 16x pool saw real eviction traffic: %s; page "
+              "files within page size x peak pages: %s -> %s\n\n",
               all_identical ? "yes" : "NO",
-              pressured_evictions ? "yes" : "NO", pass ? "PASS" : "FAIL");
+              pressured_evictions ? "yes" : "NO",
+              files_bounded ? "yes" : "NO", pass ? "PASS" : "FAIL");
   fs::remove_all(dir);
   return pass ? 0 : 1;
 }

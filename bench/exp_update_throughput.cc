@@ -217,7 +217,6 @@ int RunComparison(bool smoke, bool speed_gate) {
   std::unique_ptr<db::ModDatabase> mem_baseline;
   bool mem_identical = true;
   double mem_base_rate = 0.0;
-  double mem_batch64_rate = 0.0;
   {
     util::Table table({"batch", "updates/s", "speedup"});
     for (const std::size_t batch : kBatches) {
@@ -239,7 +238,6 @@ int RunComparison(bool smoke, bool speed_gate) {
         mem_identical = mem_identical &&
                         Fingerprint(*db) == mem_baseline_fp &&
                         AnswersAgree(*db, *mem_baseline, *w, t_final);
-        if (batch == 64) mem_batch64_rate = rate;
       }
       table.NewRow().Add(batch).Add(rate, 0).Add(
           mem_base_rate > 0.0 ? rate / mem_base_rate : 1.0, 2);

@@ -171,13 +171,12 @@ util::Status ModDatabase::FinishBulkIngest() {
     return util::Status::FailedPrecondition("no bulk ingest active");
   }
   bulk_ingest_ = false;
-  // Destroy the old index *before* constructing the new one: with
-  // disk-backed index storage both would otherwise hold the same page
-  // file at once, and the old instance's buffered writer could clobber
-  // the fresh generation the new instance opens. (Bulk ingest runs during
-  // recovery, before any reader can hold a `SharedIndex` handle, so the
-  // reset here really does destroy the old instance; the mutex only keeps
-  // the pointer swap itself atomic for `SharedIndex`.)
+  // Destroy the old index *before* constructing the new one, so the two
+  // never hold a buffer pool (and, disk-backed, a page file) at the same
+  // time. (Bulk ingest runs during recovery, before any reader can hold a
+  // `SharedIndex` handle, so the reset here really does destroy the old
+  // instance; the mutex only keeps the pointer swap itself atomic for
+  // `SharedIndex`.)
   {
     std::lock_guard lock(index_mu_);
     index_.reset();

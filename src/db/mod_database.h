@@ -77,12 +77,13 @@ struct ModDatabaseOptions {
   /// tree that owns its nodes in RAM, with no buffer pool and lock-free
   /// probes. Set `kind = kDisk`
   /// with a `path` and a `pool_pages` budget to bound index memory: nodes
-  /// then live in a page file behind a clock-eviction buffer pool, and
-  /// `FlushIndexStorage` commits them (the durability manager does this
-  /// before each snapshot). The sharded layer adds a ".shard<i>" suffix
-  /// per shard. Not persisted in snapshots — storage placement is a
-  /// deployment concern, so a restored database uses whatever config its
-  /// options carry (default: memory).
+  /// then live in a scratch page file behind a clock-eviction buffer pool.
+  /// The file is replaced by an empty one when the index is built and is
+  /// never synced: every restart rebuilds the index from the snapshot and
+  /// the WAL. The
+  /// sharded layer adds a ".shard<i>" suffix per shard. Not persisted in
+  /// snapshots — storage placement is a deployment concern, so a restored
+  /// database uses whatever config its options carry (default: memory).
   storage::StorageConfig index_storage;
   /// Keep superseded attribute versions per object so position queries at
   /// past times are answered from the motion model that was valid then
@@ -305,12 +306,6 @@ class ModDatabase {
     subscriptions_ = engine;
   }
   SubscriptionEngine* subscriptions() const { return subscriptions_; }
-
-  /// Flushes the index's dirty pages and commits its page store (no-op for
-  /// in-memory storage). The durability manager calls this before writing
-  /// a snapshot so the page file on disk is consistent with the snapshot's
-  /// logical state; call it likewise before copying the page file.
-  util::Status FlushIndexStorage() { return index_->FlushStorage(); }
 
   /// Invokes `fn` on every stored record (unspecified order). Used by the
   /// snapshot writer and statistics tooling.

@@ -304,20 +304,9 @@ DurabilityManager::~DurabilityManager() {
 }
 
 util::Status DurabilityManager::StartFreshEpoch(std::uint64_t new_epoch) {
-  // 0. Commit the index's page store (no-op for in-memory index storage)
-  // so the page file on disk is consistent with the logical state the
-  // snapshot below captures. Ordering: the page-store commit must land
-  // before the checkpoint publishes — a checkpoint that points past
-  // un-flushed index pages would recover a store whose index file trails
-  // its records. The reverse (flush lands, checkpoint write then fails)
-  // is harmless: the page file simply carries a newer commit than the
-  // snapshot, and the next index open replays it independently.
-  if (util::Status s = db_->FlushIndexStorage(); !s.ok()) {
-    return util::Status(s.code(), "checkpoint epoch " +
-                                      std::to_string(new_epoch) +
-                                      " index page flush: " + s.message());
-  }
-
+  // The index is not part of a checkpoint (recovery rebuilds it from the
+  // records), so a disk-backed index writes no pages here.
+  //
   // 1. Write the checkpoint to a tmp file and make its bytes durable — but
   // do not publish it yet.
   const fs::path final_path = fs::path(dir_) / CheckpointFileName(new_epoch);

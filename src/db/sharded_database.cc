@@ -99,13 +99,7 @@ ShardedModDatabase::ShardedModDatabase(const geo::RouteNetwork* network,
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
-    ModDatabaseOptions db_options = options_.db;
-    if (db_options.index_storage.kind == storage::StorageKind::kDisk) {
-      // Each shard's index needs its own page file; a shared path would
-      // have every shard clobbering one file's generations.
-      db_options.index_storage.path += ".shard" + std::to_string(i);
-    }
-    shard->db = std::make_unique<ModDatabase>(network, db_options);
+    shard->db = std::make_unique<ModDatabase>(network, ShardDbOptions(i));
     shard->db->SetMetrics(&metrics_);  // shards share the mod.* counters
     if (options_.enable_subscriptions) {
       shard->subscriptions = std::make_unique<SubscriptionEngine>(
@@ -195,6 +189,14 @@ std::string ShardedModDatabase::ShardDirOf(std::size_t i) const {
   char name[32];
   std::snprintf(name, sizeof(name), "shard-%04zu", i);
   return (std::filesystem::path(options_.durable_dir) / name).string();
+}
+
+ModDatabaseOptions ShardedModDatabase::ShardDbOptions(std::size_t i) const {
+  ModDatabaseOptions db_options = options_.db;
+  if (db_options.index_storage.kind == storage::StorageKind::kDisk) {
+    db_options.index_storage.path += ".shard" + std::to_string(i);
+  }
+  return db_options;
 }
 
 std::size_t ShardedModDatabase::ShardOf(core::ObjectId id) const {
@@ -825,7 +827,7 @@ util::Status ShardedModDatabase::RemediateShard(std::size_t s) {
         "shard " + std::to_string(s) +
         " has no durable home to recover from");
   }
-  auto fresh = std::make_unique<ModDatabase>(network_, options_.db);
+  auto fresh = std::make_unique<ModDatabase>(network_, ShardDbOptions(s));
   fresh->SetMetrics(&metrics_);
   // The old manager detaches its WAL in its destructor (touches the old
   // db), so it must die while the old db is still alive — before the swap.

@@ -309,6 +309,9 @@ class ShardedModDatabase {
 
   /// Durable home of shard `i` (`<durable_dir>/shard-<i>`).
   std::string ShardDirOf(std::size_t i) const;
+  /// Options of shard `i`'s store: `options_.db` with the index page file
+  /// (disk storage) suffixed ".shard<i>", so no two shards share one.
+  ModDatabaseOptions ShardDbOptions(std::size_t i) const;
 
   const geo::RouteNetwork* network_;
   // Retained for remediation: rebuilding a shard needs the same db/

@@ -124,13 +124,6 @@ class ObjectIndex {
     (void)prefix;
   }
 
-  /// Writes any dirty index pages back to the backing page store and
-  /// commits it. The checkpoint protocol calls this before publishing a
-  /// snapshot so a disk-backed index's page file is consistent with the
-  /// snapshotted tree; a checkpoint flushes only dirty pages. Default
-  /// no-op for indexes without page-backed storage.
-  virtual util::Status FlushStorage() { return util::Status::Ok(); }
-
   /// True when the const query paths are additionally safe to call
   /// concurrently with the mutating methods (not just with each other) —
   /// i.e. the implementation publishes mutations atomically to readers

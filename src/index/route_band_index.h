@@ -87,7 +87,6 @@ class RouteBandIndex final : public ObjectIndex {
   /// (`RTree3::SetMetrics`).
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix) override;
-  util::Status FlushStorage() override { return rtree_.FlushStorage(); }
   bool lock_free_probes() const override { return rtree_.concurrent_reads(); }
   std::string_view name() const override { return "route"; }
   std::size_t num_objects() const override { return boxes_.size(); }

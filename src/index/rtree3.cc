@@ -355,7 +355,7 @@ RTree3::RTree3(Options options)
   MaybePublish();
 }
 
-RTree3::~RTree3() = default;
+RTree3::~RTree3() { SetMetrics(nullptr, ""); }
 
 RTree3::RTree3(RTree3&& other) noexcept
     : options_(std::move(other.options_)),
@@ -383,6 +383,7 @@ RTree3::RTree3(RTree3&& other) noexcept
 
 RTree3& RTree3::operator=(RTree3&& other) noexcept {
   if (this == &other) return *this;
+  SetMetrics(nullptr, "");  // the replaced tree leaves the shared gauge
   options_ = std::move(other.options_);
   storage_ = std::move(other.storage_);
   pool_ = std::move(other.pool_);
@@ -1378,14 +1379,6 @@ void RTree3::Clear() {
   SyncMetrics();
 }
 
-util::Status RTree3::FlushStorage() {
-  if (util::Status s = storage_status(); !s.ok() || resident_) return s;
-  util::Status s = pool_->FlushDirty();
-  if (!s.ok()) Poison(s);
-  SyncMetrics();
-  return s;
-}
-
 void RTree3::SetMetrics(util::MetricsRegistry* registry,
                         const std::string& prefix) {
   if (registry == nullptr) {
@@ -1393,8 +1386,10 @@ void RTree3::SetMetrics(util::MetricsRegistry* registry,
     // gauge so the registry's sums stay correct.
     if (instruments_.frames != nullptr) {
       std::lock_guard<std::mutex> lock(ctl_->mu);
-      instruments_.frames->Add(-ctl_->pushed.frames);
-      ctl_->pushed.frames = 0;
+      if (ctl_->pushed.frames != 0) {
+        instruments_.frames->Add(-ctl_->pushed.frames);
+        ctl_->pushed.frames = 0;
+      }
     }
     instruments_ = Instruments{};
     return;

@@ -217,12 +217,6 @@ class RTree3 {
   /// path after a storage poison (readers must be quiesced then).
   void Clear();
 
-  /// Writes every dirty node page back and commits the storage manager.
-  /// The checkpoint protocol calls this before snapshotting so a published
-  /// checkpoint's page file covers the tree it snapshotted. A no-op for a
-  /// resident tree, which has no pages.
-  util::Status FlushStorage();
-
   /// Sticky storage-layer error (see the failure model above); OK for the
   /// in-memory backend.
   util::Status storage_status() const;
@@ -230,8 +224,10 @@ class RTree3 {
   /// Registers per-tree I/O and split instruments under `prefix`
   /// (`<prefix>splits`, `<prefix>pages.hits|misses|evictions|writebacks|
   /// reads|writes`, gauge `<prefix>pages.frames`). Several trees may share
-  /// a prefix: counters aggregate by delta. A resident tree has no pages,
-  /// so its page instruments stay at 0.
+  /// a prefix: counters aggregate by delta, and a tree withdraws its frames
+  /// from the gauge when detached or destroyed, so the gauge reads the
+  /// frames of the live trees. A resident tree has no pages, so its page
+  /// instruments stay at 0. The registry must outlive the tree.
   void SetMetrics(util::MetricsRegistry* registry, const std::string& prefix);
 
   /// Buffer-pool and page-store counters; all zero for a resident tree.
@@ -242,6 +238,9 @@ class RTree3 {
     return storage_ ? storage_->stats() : storage::StorageStats{};
   }
   std::size_t pool_frames() const { return pool_ ? pool_->num_frames() : 0; }
+  /// Pages the page store holds (0 for a resident tree). On a healthy
+  /// paged tree this is `num_nodes()`, without the traversal.
+  std::size_t num_pages() const { return storage_ ? storage_->num_pages() : 0; }
   /// Node splits performed. Concurrent-read-safe like `size()`.
   std::uint64_t splits() const {
     return splits_.load(std::memory_order_relaxed);

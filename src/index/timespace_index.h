@@ -73,8 +73,6 @@ class TimeSpaceIndex final : public ObjectIndex {
   /// `<prefix>pages.*` — see `RTree3::SetMetrics`) in `registry`.
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix) override;
-  /// Flushes the R*-tree's dirty pages and commits its page store.
-  util::Status FlushStorage() override { return rtree_.FlushStorage(); }
   /// Candidate probes are lock-free when the tree runs its copy-on-write /
   /// epoch read scheme (in-memory storage, unbounded pool). Mutations are
   /// wrapped in tree write batches, so a reader sees each upsert's

@@ -101,17 +101,6 @@ util::Status BufferPool::Free(PageId id) {
   return util::Status::Ok();
 }
 
-util::Status BufferPool::FlushDirty() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, frame] : frames_) {
-    if (!frame.dirty) continue;
-    if (util::Status s = WriteBackLocked(id, frame); !s.ok()) return s;
-  }
-  if (util::Status s = storage_->Flush(); !s.ok()) return s;
-  ++stats_.flushes;
-  return util::Status::Ok();
-}
-
 util::Status BufferPool::DropAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [id, frame] : frames_) {
@@ -236,13 +225,6 @@ std::size_t BufferPool::num_frames() const {
 std::size_t BufferPool::clock_ring_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return clock_.size();
-}
-
-std::size_t BufferPool::dirty_frames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [id, frame] : frames_) n += frame.dirty ? 1 : 0;
-  return n;
 }
 
 std::size_t BufferPool::pinned_frames() const {

@@ -18,8 +18,8 @@ namespace modb::storage {
 /// Converts between a client's materialised page object and the byte
 /// payload the storage manager persists. The pool caches *objects* (frames
 /// hold the decoded form), so a hit costs a hash lookup, not a decode —
-/// encode/decode run only at the storage boundary: miss, eviction
-/// writeback, and flush.
+/// encode/decode run only at the storage boundary: miss and eviction
+/// writeback.
 struct PageCodec {
   std::function<util::Status(const void* object, std::string* out)> encode;
   std::function<util::Result<std::shared_ptr<void>>(std::string_view)> decode;
@@ -40,13 +40,11 @@ struct BufferPoolStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  /// Dirty frames written back to storage (evictions of dirty frames plus
-  /// `FlushDirty` writes) — with the checkpoint protocol on top, exactly
-  /// the incremental "only dirty pages" write set.
+  /// Dirty frames written back to storage on eviction. Pages are written
+  /// only to make room: a tree that fits its pool never writes one.
   std::uint64_t writebacks = 0;
   std::uint64_t creates = 0;
   std::uint64_t frees = 0;
-  std::uint64_t flushes = 0;
   std::uint64_t overflow_frames = 0;
 };
 
@@ -82,7 +80,7 @@ class BufferPool {
     PageId id() const { return id_; }
     void* get() const { return object_; }
     /// Marks the frame dirty: its object diverged from storage and must be
-    /// written back on eviction / flush.
+    /// written back on eviction.
     void MarkDirty();
     /// Unpins early (idempotent).
     void Release();
@@ -102,17 +100,12 @@ class BufferPool {
   util::Result<Handle> Fetch(PageId id);
 
   /// Allocates a fresh page holding `object` and returns it pinned and
-  /// dirty (nothing touches storage until eviction or flush).
+  /// dirty (nothing touches storage until eviction).
   util::Result<Handle> Create(std::shared_ptr<void> object);
 
   /// Drops the page from the pool and frees it in storage. The frame must
   /// be unpinned (release handles first).
   util::Status Free(PageId id);
-
-  /// Writes every dirty frame back (encode + `WritePage`), then `Flush`es
-  /// the storage manager — the commit point a checkpoint rides on. Clean
-  /// frames are untouched: a quiescent pool flushes nothing.
-  util::Status FlushDirty();
 
   /// Drops every frame without writeback (the index `Clear` path, paired
   /// with `IStorageManager::Reset`). Fails when any frame is pinned.
@@ -120,7 +113,6 @@ class BufferPool {
 
   BufferPoolStats stats() const;
   std::size_t num_frames() const;
-  std::size_t dirty_frames() const;
   std::size_t pinned_frames() const;
   /// Entries in the clock ring, stale ones included. Stays within about
   /// twice `num_frames()`: freed pages leave stale entries behind, which

@@ -1,8 +1,11 @@
 #include "storage/disk_storage_manager.h"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "util/crc32c.h"
 
@@ -10,83 +13,44 @@ namespace modb::storage {
 
 namespace {
 
-constexpr std::uint32_t kPageMagic = 0x4d504447;    // "GDPM"
-constexpr std::uint32_t kCommitMagic = 0x4d434447;  // "GDCM"
+constexpr std::uint32_t kPageMagic = 0x4d504447;  // "GDPM"
 
-void PutU32(std::string* out, std::uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xff);
-  buf[1] = static_cast<char>((v >> 8) & 0xff);
-  buf[2] = static_cast<char>((v >> 16) & 0xff);
-  buf[3] = static_cast<char>((v >> 24) & 0xff);
-  out->append(buf, 4);
+void PutU32(char* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
 }
 
-void PutU64(std::string* out, std::uint64_t v) {
+void PutU64(char* out, std::uint64_t v) {
   PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
+  PutU32(out + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
-std::uint32_t GetU32(std::string_view data, std::size_t pos) {
+std::uint32_t GetU32(const char* data) {
   std::uint32_t v = 0;
   for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint8_t>(data[pos + static_cast<std::size_t>(i)]);
+    v = (v << 8) | static_cast<std::uint8_t>(data[i]);
   }
   return v;
 }
 
-std::uint64_t GetU64(std::string_view data, std::size_t pos) {
-  const std::uint64_t lo = GetU32(data, pos);
-  const std::uint64_t hi = GetU32(data, pos + 4);
-  return (hi << 32) | lo;
+std::uint64_t GetU64(const char* data) {
+  return (static_cast<std::uint64_t>(GetU32(data + 4)) << 32) | GetU32(data);
 }
 
-/// Decoded record header (see `kPageHeaderSize` for the layout).
-struct RecordHeader {
-  std::uint32_t magic = 0;
-  PageId page_id = kInvalidPageId;
-  std::uint64_t sequence = 0;
-  std::uint32_t payload_len = 0;
-  std::uint32_t masked_crc = 0;
-};
-
-RecordHeader ParseHeader(std::string_view data, std::size_t pos) {
-  RecordHeader h;
-  h.magic = GetU32(data, pos);
-  h.page_id = GetU64(data, pos + 4);
-  h.sequence = GetU64(data, pos + 12);
-  h.payload_len = GetU32(data, pos + 20);
-  h.masked_crc = GetU32(data, pos + 24);
-  return h;
+/// Masked CRC32C of a slot's first 16 header bytes and its payload.
+std::uint32_t SlotCrc(const char* slot, std::string_view payload) {
+  const std::uint32_t crc = util::Crc32cExtend(
+      util::Crc32c(std::string_view(slot, kPageHeaderSize - 4)), payload);
+  return util::Crc32cMask(crc);
 }
 
-std::string EncodeHeader(std::uint32_t magic, PageId id, std::uint64_t seq,
-                         std::string_view payload) {
-  std::string header;
-  header.reserve(kPageHeaderSize);
-  PutU32(&header, magic);
-  PutU64(&header, id);
-  PutU64(&header, seq);
-  PutU32(&header, static_cast<std::uint32_t>(payload.size()));
-  const std::uint32_t crc =
-      util::Crc32cExtend(util::Crc32c(header), payload);
-  PutU32(&header, util::Crc32cMask(crc));
-  return header;
-}
-
-bool HeaderCrcOk(const RecordHeader& h, std::string_view data,
-                 std::size_t pos) {
-  // Recompute over the first 24 header bytes + payload.
-  const std::string_view covered = data.substr(pos, kPageHeaderSize - 4);
-  const std::string_view payload =
-      data.substr(pos + kPageHeaderSize, h.payload_len);
-  const std::uint32_t crc =
-      util::Crc32cExtend(util::Crc32c(covered), payload);
-  return util::Crc32cMask(crc) == h.masked_crc;
-}
-
-std::size_t SlotsFor(std::size_t payload_len, std::size_t page_size) {
-  return (kPageHeaderSize + payload_len + page_size - 1) / page_size;
+/// `err` is the errno of the failed call, read before anything else can
+/// overwrite it.
+util::Status IoError(int err, const std::string& what,
+                     const std::string& path) {
+  return util::Status::Internal("page file " + path + " " + what + ": " +
+                                std::strerror(err));
 }
 
 }  // namespace
@@ -104,189 +68,25 @@ util::Result<std::unique_ptr<DiskStorageManager>> DiskStorageManager::Open(
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-
-  auto manager = std::unique_ptr<DiskStorageManager>(
-      new DiskStorageManager(path, options));
-  const bool exists = std::filesystem::exists(path, ec);
-  if (options.truncate || !exists) {
-    if (util::Status s = manager->OpenFreshFile(); !s.ok()) return s;
-  } else {
-    if (util::Status s = manager->ReplayAndCompact(); !s.ok()) return s;
+  // A new inode, not a truncated one: a store still holding the old file
+  // (a shard being remediated) keeps reading its own pages until it closes.
+  ::unlink(path.c_str());
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) {
+    const int err = errno;
+    return util::Status::NotFound("cannot open page file " + path + ": " +
+                                  std::strerror(err));
   }
-  return manager;
+  return std::unique_ptr<DiskStorageManager>(
+      new DiskStorageManager(path, options, fd));
 }
 
-DiskStorageManager::DiskStorageManager(std::string path, Options options)
-    : path_(std::move(path)),
-      options_(options),
-      factory_(options.file_factory ? options.file_factory
-                                    : util::DefaultWritableFileFactory()),
-      reader_(options.reader ? options.reader : util::DefaultFileReader()) {}
+DiskStorageManager::DiskStorageManager(std::string path, Options options,
+                                       int fd)
+    : path_(std::move(path)), options_(std::move(options)), fd_(fd) {}
 
-DiskStorageManager::~DiskStorageManager() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) (void)file_->Close();
-}
-
-util::Status DiskStorageManager::OpenFreshFile() {
-  auto file = factory_(path_);
-  if (!file.ok()) return file.status();
-  file_ = std::move(*file);
-  poison_ = util::Status::Ok();
-  file_size_ = 0;
-  unsynced_.clear();
-  return util::Status::Ok();
-}
-
-util::Status DiskStorageManager::ReplayAndCompact() {
-  auto bytes = reader_(path_);
-  if (!bytes.ok()) {
-    return util::Status(bytes.status().code(),
-                        "page file " + path_ + ": " + bytes.status().message());
-  }
-  const std::string& data = *bytes;
-  const std::size_t page_size = options_.page_size;
-
-  // Scan slot by slot for the newest commit record whose frame and payload
-  // both validate. Invalid slots (torn tail, rotted frames) are skipped one
-  // slot at a time.
-  std::uint64_t next_id = 0;
-  std::unordered_map<PageId, PageLocation> table;
-  std::vector<PageId> free_list;
-  bool have_commit = false;
-
-  std::size_t pos = 0;
-  while (pos + kPageHeaderSize <= data.size()) {
-    const RecordHeader h = ParseHeader(data, pos);
-    const bool magic_ok = h.magic == kPageMagic || h.magic == kCommitMagic;
-    const std::size_t extent =
-        magic_ok ? SlotsFor(h.payload_len, page_size) * page_size : 0;
-    if (!magic_ok || pos + extent > data.size() ||
-        !HeaderCrcOk(h, data, pos)) {
-      pos += page_size;  // skip one slot and resynchronise
-      continue;
-    }
-    if (h.magic == kCommitMagic) {
-      // Decode; a commit whose payload does not parse is treated as absent.
-      const std::string_view payload =
-          std::string_view(data).substr(pos + kPageHeaderSize, h.payload_len);
-      std::uint64_t want = 2 * 8;
-      if (payload.size() >= want) {
-        const std::uint64_t decoded_next = GetU64(payload, 0);
-        const std::uint64_t n_entries = GetU64(payload, 8);
-        want = 16 + n_entries * 20 + 8;
-        if (payload.size() >= want) {
-          const std::uint64_t n_free = GetU64(payload, 16 + n_entries * 20);
-          if (payload.size() >= want + n_free * 8) {
-            std::unordered_map<PageId, PageLocation> t;
-            std::vector<PageId> f;
-            std::size_t p = 16;
-            for (std::uint64_t i = 0; i < n_entries; ++i, p += 20) {
-              PageLocation loc;
-              const PageId id = GetU64(payload, p);
-              loc.offset = GetU64(payload, p + 8);
-              loc.length = GetU32(payload, p + 16);
-              t[id] = loc;
-            }
-            p += 8;
-            for (std::uint64_t i = 0; i < n_free; ++i, p += 8) {
-              f.push_back(GetU64(payload, p));
-            }
-            next_id = decoded_next;
-            table = std::move(t);
-            free_list = std::move(f);
-            have_commit = true;
-          }
-        }
-      }
-    }
-    pos += extent;
-  }
-
-  if (!have_commit) {
-    // Nothing committed — an empty store is the correct recovered state.
-    return OpenFreshFile();
-  }
-
-  // Extract every committed page's payload from the old image, verifying
-  // its frame. A committed page that no longer reads back is data loss the
-  // caller must hear about, not skip.
-  std::vector<std::pair<PageId, std::string>> pages;
-  pages.reserve(table.size());
-  for (const auto& [id, loc] : table) {
-    if (loc.offset + kPageHeaderSize + loc.length > data.size()) {
-      return util::Status::Internal("committed page " + std::to_string(id) +
-                                    " past end of " + path_);
-    }
-    const RecordHeader h = ParseHeader(data, loc.offset);
-    if (h.magic != kPageMagic || h.page_id != id ||
-        h.payload_len != loc.length || !HeaderCrcOk(h, data, loc.offset)) {
-      return util::Status::Internal("committed page " + std::to_string(id) +
-                                    " unreadable in " + path_);
-    }
-    pages.emplace_back(
-        id, std::string(data.substr(loc.offset + kPageHeaderSize, loc.length)));
-  }
-  std::sort(pages.begin(), pages.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Compact: rewrite the live pages densely into a fresh generation and
-  // commit it.
-  if (util::Status s = OpenFreshFile(); !s.ok()) return s;
-  std::lock_guard<std::mutex> lock(mu_);
-  next_id_ = next_id;
-  free_ = std::move(free_list);
-  table_.clear();
-  for (auto& [id, payload] : pages) {
-    std::uint64_t offset = 0;
-    if (util::Status s = AppendRecordLocked(kPageMagic, id, payload, &offset);
-        !s.ok()) {
-      return s;
-    }
-    table_[id] = PageLocation{offset, static_cast<std::uint32_t>(payload.size())};
-    ++stats_.page_writes;
-    stats_.bytes_written += payload.size();
-  }
-  std::uint64_t offset = 0;
-  if (util::Status s = AppendRecordLocked(kCommitMagic, 0,
-                                          EncodeCommitLocked(), &offset);
-      !s.ok()) {
-    return s;
-  }
-  ++stats_.flushes;
-  return SyncLocked();
-}
-
-util::Status DiskStorageManager::AppendRecordLocked(std::uint32_t magic,
-                                                    PageId id,
-                                                    std::string_view payload,
-                                                    std::uint64_t* slot_offset) {
-  if (!poison_.ok()) return poison_;
-  const std::size_t slots = SlotsFor(payload.size(), options_.page_size);
-  std::string record = EncodeHeader(magic, id, sequence_++, payload);
-  record.append(payload);
-  record.resize(slots * options_.page_size, '\0');
-  if (util::Status s = file_->Append(record); !s.ok()) {
-    // The physical file length is unknown after a failed/torn append;
-    // every later append could land at a wrong offset. Poison writes.
-    poison_ = util::Status(s.code(), "page file " + path_ +
-                                         " append: " + s.message());
-    return poison_;
-  }
-  *slot_offset = file_size_;
-  file_size_ += record.size();
-  return util::Status::Ok();
-}
-
-util::Status DiskStorageManager::SyncLocked() {
-  if (!poison_.ok()) return poison_;
-  if (util::Status s = file_->Sync(); !s.ok()) {
-    return util::Status(s.code(),
-                        "page file " + path_ + " sync: " + s.message());
-  }
-  unsynced_.clear();
-  return util::Status::Ok();
-}
+DiskStorageManager::~DiskStorageManager() { ::close(fd_); }
 
 util::Result<PageId> DiskStorageManager::AllocatePage() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -294,15 +94,17 @@ util::Result<PageId> DiskStorageManager::AllocatePage() {
   if (!free_.empty()) {
     const PageId id = free_.back();
     free_.pop_back();
+    slots_[id] = Slot::kAllocated;
     return id;
   }
-  return next_id_++;
+  slots_.push_back(Slot::kAllocated);
+  return static_cast<PageId>(slots_.size() - 1);
 }
 
 util::Status DiskStorageManager::WritePage(PageId id,
                                            std::string_view payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id >= next_id_) {
+  if (id >= slots_.size() || slots_[id] == Slot::kFree) {
     return util::Status::InvalidArgument("write of unallocated page " +
                                          std::to_string(id));
   }
@@ -312,128 +114,106 @@ util::Status DiskStorageManager::WritePage(PageId id,
         " bytes exceeds page payload size " +
         std::to_string(page_payload_size()));
   }
-  std::uint64_t offset = 0;
-  if (util::Status s = AppendRecordLocked(kPageMagic, id, payload, &offset);
-      !s.ok()) {
-    return s;
+  if (!poison_.ok()) return poison_;
+  if (options_.write_hook) {
+    if (util::Status s = options_.write_hook(path_); !s.ok()) {
+      poison_ = util::Status(s.code(),
+                             "page file " + path_ + " write: " + s.message());
+      return poison_;
+    }
   }
-  table_[id] = PageLocation{offset, static_cast<std::uint32_t>(payload.size())};
-  unsynced_[id] = std::string(payload);
+  buffer_.assign(options_.page_size, '\0');
+  char* slot = buffer_.data();
+  PutU32(slot, kPageMagic);
+  PutU64(slot + 4, id);
+  PutU32(slot + 12, static_cast<std::uint32_t>(payload.size()));
+  PutU32(slot + 16, SlotCrc(slot, payload));
+  std::memcpy(slot + kPageHeaderSize, payload.data(), payload.size());
+
+  const auto offset = static_cast<off_t>(id * options_.page_size);
+  for (std::size_t done = 0; done < buffer_.size();) {
+    const ssize_t n = ::pwrite(fd_, slot + done, buffer_.size() - done,
+                               offset + static_cast<off_t>(done));
+    const int err = n < 0 ? errno : EIO;
+    if (n < 0 && err == EINTR) continue;
+    if (n <= 0) {
+      poison_ = IoError(err, "write of page " + std::to_string(id), path_);
+      return poison_;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  slots_[id] = Slot::kWritten;
   ++stats_.page_writes;
   stats_.bytes_written += payload.size();
-  if (unsynced_.size() >= options_.sync_watermark_pages) {
-    return SyncLocked();
-  }
   return util::Status::Ok();
 }
 
 util::Result<std::string> DiskStorageManager::ReadPage(PageId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = unsynced_.find(id); it != unsynced_.end()) {
-    ++stats_.page_reads;
-    stats_.bytes_read += it->second.size();
-    return it->second;
-  }
-  const auto it = table_.find(id);
-  if (it == table_.end()) {
+  if (id >= slots_.size() || slots_[id] != Slot::kWritten) {
     return util::Status::NotFound("page " + std::to_string(id));
   }
-  const PageLocation loc = it->second;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
-    return util::Status::Internal("page file " + path_ + " unreadable");
+  std::string slot(options_.page_size, '\0');
+  const auto offset = static_cast<off_t>(id * options_.page_size);
+  std::size_t done = 0;
+  while (done < slot.size()) {
+    const ssize_t n = ::pread(fd_, slot.data() + done, slot.size() - done,
+                              offset + static_cast<off_t>(done));
+    const int err = n < 0 ? errno : 0;
+    if (n < 0 && err == EINTR) continue;
+    if (n < 0) return IoError(err, "read of page " + std::to_string(id), path_);
+    if (n == 0) break;  // a short file leaves zeros, which fail the checks
+    done += static_cast<std::size_t>(n);
   }
-  std::string slot(kPageHeaderSize + loc.length, '\0');
-  in.seekg(static_cast<std::streamoff>(loc.offset));
-  in.read(slot.data(), static_cast<std::streamsize>(slot.size()));
-  if (!in) {
-    return util::Status::Internal("page " + std::to_string(id) +
-                                  " short read in " + path_);
-  }
-  const RecordHeader h = ParseHeader(slot, 0);
-  if (h.magic != kPageMagic || h.page_id != id ||
-      h.payload_len != loc.length || !HeaderCrcOk(h, slot, 0)) {
+  const std::uint32_t length = GetU32(slot.data() + 12);
+  if (GetU32(slot.data()) != kPageMagic || GetU64(slot.data() + 4) != id ||
+      length > page_payload_size() ||
+      GetU32(slot.data() + 16) !=
+          SlotCrc(slot.data(), std::string_view(slot).substr(
+                                   kPageHeaderSize, length))) {
     return util::Status::Internal("page " + std::to_string(id) +
                                   " corrupt at offset " +
-                                  std::to_string(loc.offset) + " in " + path_);
+                                  std::to_string(offset) + " in " + path_);
   }
   ++stats_.page_reads;
-  stats_.bytes_read += loc.length;
-  return slot.substr(kPageHeaderSize);
+  stats_.bytes_read += length;
+  slot.erase(0, kPageHeaderSize);
+  slot.resize(length);
+  return slot;
 }
 
 util::Status DiskStorageManager::FreePage(PageId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id >= next_id_) {
+  if (id >= slots_.size() || slots_[id] == Slot::kFree) {
     return util::Status::InvalidArgument("free of unallocated page " +
                                          std::to_string(id));
   }
-  table_.erase(id);
-  unsynced_.erase(id);
+  slots_[id] = Slot::kFree;
   free_.push_back(id);
   ++stats_.page_frees;
   return util::Status::Ok();
 }
 
-util::Status DiskStorageManager::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t offset = 0;
-  if (util::Status s = AppendRecordLocked(kCommitMagic, 0,
-                                          EncodeCommitLocked(), &offset);
-      !s.ok()) {
-    return s;
-  }
-  if (util::Status s = SyncLocked(); !s.ok()) return s;
-  ++stats_.flushes;
-  return util::Status::Ok();
-}
-
-std::string DiskStorageManager::EncodeCommitLocked() const {
-  // Sorted for deterministic commit bytes (hygiene, not a contract).
-  std::vector<std::pair<PageId, PageLocation>> entries(table_.begin(),
-                                                       table_.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<PageId> free_sorted = free_;
-  std::sort(free_sorted.begin(), free_sorted.end());
-
-  std::string payload;
-  payload.reserve(16 + entries.size() * 20 + 8 + free_sorted.size() * 8);
-  PutU64(&payload, next_id_);
-  PutU64(&payload, entries.size());
-  for (const auto& [id, loc] : entries) {
-    PutU64(&payload, id);
-    PutU64(&payload, loc.offset);
-    PutU32(&payload, loc.length);
-  }
-  PutU64(&payload, free_sorted.size());
-  for (PageId id : free_sorted) PutU64(&payload, id);
-  return payload;
-}
-
 util::Status DiskStorageManager::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) (void)file_->Close();
-  table_.clear();
+  slots_.clear();
   free_.clear();
-  next_id_ = 0;
-  sequence_ = 0;
-  return OpenFreshFile();
+  if (::ftruncate(fd_, 0) != 0) {
+    poison_ = IoError(errno, "truncate", path_);
+    return poison_;
+  }
+  poison_ = util::Status::Ok();
+  return util::Status::Ok();
 }
 
 std::size_t DiskStorageManager::num_pages() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::size_t>(next_id_) - free_.size();
+  return slots_.size() - free_.size();
 }
 
 StorageStats DiskStorageManager::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-std::uint64_t DiskStorageManager::file_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return file_size_;
 }
 
 }  // namespace modb::storage

@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/storage_manager.h"
@@ -14,72 +13,58 @@
 
 namespace modb::storage {
 
-/// Bytes of the on-disk record header preceding every page payload:
-/// magic (4) + page id (8) + sequence (8) + payload length (4) + masked
-/// CRC32C (4). The CRC covers the header fields and the payload, so header
-/// rot is as detectable as payload rot.
-inline constexpr std::size_t kPageHeaderSize = 28;
+/// Bytes of the slot header preceding every page payload: magic (4) +
+/// page id (8) + payload length (4) + masked CRC32C (4). The CRC covers the
+/// header fields and the payload, so header rot is as detectable as payload
+/// rot.
+inline constexpr std::size_t kPageHeaderSize = 20;
 
 /// Smallest supported physical page.
 inline constexpr std::size_t kMinPageSize = 512;
 
-/// Disk-backed page store: fixed-size pages in one file, each page framed
-/// with a CRC32C header, with a free-page list and an explicit commit
-/// point.
+/// Disk-backed page store: one scratch file of fixed-size slots.
 ///
-/// Layout: the file is a sequence of `page_size`-byte slots, written
-/// append-only (log-structured) through a `util::WritableFile` — which is
-/// what lets `util::FaultInjector` torn-write/failed-sync/fault-window
-/// schedules exercise the page path exactly as they do the WAL. A
-/// `WritePage` appends a fresh version of the page and repoints the
-/// in-memory page table; `Flush` appends a commit record carrying the whole
-/// page table + free list and fsyncs — the commit point. Reopening
-/// (`truncate = false`) replays the newest valid commit record and
-/// compacts: live pages are rewritten densely into a fresh file, so log
-/// garbage does not accumulate across generations. Pages written after the
-/// last commit are discarded by a reopen, which is exactly the contract the
-/// checkpoint protocol wants: index writeback that was not followed by a
-/// published checkpoint must not resurrect.
+/// Page id i lives in the slot at byte offset i × page_size. `WritePage`
+/// overwrites that slot in place and `ReadPage` reads it back, checking
+/// magic, id, length and CRC32C; both use positional I/O on one descriptor.
+/// Freed ids are reused before the file grows, so the file never exceeds
+/// page_size × the peak number of live pages; `Reset` truncates it.
 ///
-/// Read visibility: appended bytes may sit in the writer's buffer until a
-/// sync, so pages written since the last sync are served from a bounded
-/// tail cache; everything older is read from the file at its recorded
-/// offset and CRC-verified.
+/// Nothing here is durable: opening replaces any file at the path with an
+/// empty one, and the file is never synced and never reopened. An index is
+/// derived state — every restart rebuilds it from the snapshot and the WAL
+/// — so its pages only need to outlive their eviction from the buffer
+/// pool, not the process.
 ///
-/// Failure model: a failed append poisons the writer (the physical file
-/// length is no longer known, so later appends could land at wrong
-/// offsets); reads of previously synced pages keep working. A failed sync
-/// is returned to the caller and retried by the next sync point.
+/// Failure model: a failed write poisons the writer (the slot may hold a
+/// torn page, and the tree above no longer matches the file), so every
+/// later write fails with the same status; reads keep working, and a torn
+/// slot fails its CRC check. `Reset` clears the poison.
 class DiskStorageManager final : public IStorageManager {
  public:
   struct Options {
     std::size_t page_size = 4096;
-    /// Truncate an existing file (default) or replay + compact it.
-    bool truncate = true;
-    /// Appends synced (and the tail cache dropped) after this many pages
-    /// accumulate between explicit `Flush` calls.
-    std::size_t sync_watermark_pages = 64;
-    /// Test seams; null = real file I/O.
-    util::WritableFileFactory file_factory;
-    util::FileReader reader;
+    /// Test seam, consulted before each slot write (null = none);
+    /// `util::FaultInjector::write_hook()` fails writes in its append-fault
+    /// window.
+    util::WriteHook write_hook;
   };
 
-  /// Opens (or creates) the page file at `path`. Fails when the file
-  /// cannot be created, or — reopening — when the existing file's committed
-  /// state references an unreadable page.
+  /// Replaces any file at `path` with a new, empty page file (a store that
+  /// still holds the old file keeps its own pages). Fails when the page
+  /// size is below `kMinPageSize` or the file cannot be created.
   static util::Result<std::unique_ptr<DiskStorageManager>> Open(
       const std::string& path, const Options& options);
 
-  ~DiskStorageManager() override;
+  ~DiskStorageManager() override;  // closes the file
+
+  DiskStorageManager(const DiskStorageManager&) = delete;
+  DiskStorageManager& operator=(const DiskStorageManager&) = delete;
 
   util::Result<PageId> AllocatePage() override;
   util::Status WritePage(PageId id, std::string_view payload) override;
   util::Result<std::string> ReadPage(PageId id) override;
   util::Status FreePage(PageId id) override;
-  /// The commit point: appends a commit record (page table + free list)
-  /// and syncs. State not covered by a successful `Flush` does not survive
-  /// a reopen.
-  util::Status Flush() override;
   util::Status Reset() override;
 
   std::size_t page_payload_size() const override {
@@ -89,46 +74,24 @@ class DiskStorageManager final : public IStorageManager {
   StorageStats stats() const override;
   std::string_view name() const override { return "disk"; }
 
-  const std::string& path() const { return path_; }
-  /// Physical file bytes appended so far (slots, including garbage
-  /// versions; reset by `Reset` and by reopen compaction).
-  std::uint64_t file_bytes() const;
-
  private:
-  struct PageLocation {
-    std::uint64_t offset = 0;   // slot start in the file
-    std::uint32_t length = 0;   // payload bytes
-  };
+  /// What page id i's slot holds, from the caller's point of view.
+  enum class Slot : std::uint8_t { kFree, kAllocated, kWritten };
 
-  DiskStorageManager(std::string path, Options options);
-
-  /// Opens a fresh (truncated) writer and resets the log state.
-  util::Status OpenFreshFile();
-  /// Replays the newest valid commit of the existing file, then compacts
-  /// into a fresh generation.
-  util::Status ReplayAndCompact();
-  util::Status AppendRecordLocked(std::uint32_t magic, PageId id,
-                                  std::string_view payload,
-                                  std::uint64_t* slot_offset);
-  util::Status SyncLocked();
-  std::string EncodeCommitLocked() const;
+  DiskStorageManager(std::string path, Options options, int fd);
 
   const std::string path_;
   const Options options_;
-  util::WritableFileFactory factory_;
-  util::FileReader reader_;
+  const int fd_;
 
   mutable std::mutex mu_;
-  std::unique_ptr<util::WritableFile> file_;
   util::Status poison_ = util::Status::Ok();
-  std::uint64_t file_size_ = 0;     // append offset (slot-aligned)
-  std::uint64_t sequence_ = 0;      // monotonic record sequence
-  PageId next_id_ = 0;
-  std::unordered_map<PageId, PageLocation> table_;
+  /// Indexed by page id; ids past the end have never been handed out since
+  /// the last `Reset`.
+  std::vector<Slot> slots_;
   std::vector<PageId> free_;
-  /// Pages appended since the last sync (not yet visible to the read
-  /// handle); bounded by `sync_watermark_pages`.
-  std::unordered_map<PageId, std::string> unsynced_;
+  /// Reused write buffer: one whole slot.
+  std::string buffer_;
   StorageStats stats_;
 };
 

@@ -58,12 +58,6 @@ util::Status MemoryStorageManager::FreePage(PageId id) {
   return util::Status::Ok();
 }
 
-util::Status MemoryStorageManager::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.flushes;
-  return util::Status::Ok();
-}
-
 util::Status MemoryStorageManager::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   pages_.clear();

@@ -12,9 +12,9 @@ namespace modb::storage {
 
 /// In-process page store: a dense id-indexed vector of payloads with a LIFO
 /// free-page list. Backs paged R*-trees that bound their pool without a
-/// page file — page operations never fail (short of `bad_alloc`), `Flush`
-/// is a no-op, and nothing persists. (A resident R*-tree, the default,
-/// owns its nodes and opens no storage manager at all.)
+/// page file — page operations never fail (short of `bad_alloc`). (A
+/// resident R*-tree, the default, owns its nodes and opens no storage
+/// manager at all.)
 class MemoryStorageManager final : public IStorageManager {
  public:
   struct Options {
@@ -31,7 +31,6 @@ class MemoryStorageManager final : public IStorageManager {
   util::Status WritePage(PageId id, std::string_view payload) override;
   util::Result<std::string> ReadPage(PageId id) override;
   util::Status FreePage(PageId id) override;
-  util::Status Flush() override;
   util::Status Reset() override;
 
   std::size_t page_payload_size() const override {

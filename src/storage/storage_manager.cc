@@ -20,9 +20,6 @@ util::Result<std::unique_ptr<IStorageManager>> OpenStorage(
       }
       DiskStorageManager::Options options;
       options.page_size = config.page_size;
-      options.truncate = config.truncate;
-      options.file_factory = config.file_factory;
-      options.reader = config.reader;
       auto disk = DiskStorageManager::Open(config.path, options);
       if (!disk.ok()) return disk.status();
       return std::unique_ptr<IStorageManager>(std::move(*disk));

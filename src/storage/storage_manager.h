@@ -7,7 +7,6 @@
 #include <string>
 #include <string_view>
 
-#include "util/fault_injection.h"
 #include "util/status.h"
 
 namespace modb::storage {
@@ -26,7 +25,6 @@ struct StorageStats {
   std::uint64_t page_writes = 0;
   std::uint64_t page_frees = 0;
   std::uint64_t page_allocs = 0;
-  std::uint64_t flushes = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
 };
@@ -44,9 +42,9 @@ struct StorageStats {
 ///    recycled (free-page list).
 ///  - `WritePage` replaces the page's payload; payloads are opaque bytes up
 ///    to `page_payload_size()`.
-///  - `Flush` is the commit point of the disk manager (pages written since
-///    the previous flush are not guaranteed to survive a reopen without
-///    it); a no-op for the memory manager.
+///  - Nothing is durable: an index is derived state, rebuilt from the
+///    snapshot and the WAL on every restart, so a page store is scratch
+///    space that lives and dies with its index.
 ///  - `Reset` drops every page and recycles every id — the bulk-load /
 ///    clear path of an index that owns its manager exclusively.
 ///
@@ -60,7 +58,6 @@ class IStorageManager {
   virtual util::Status WritePage(PageId id, std::string_view payload) = 0;
   virtual util::Result<std::string> ReadPage(PageId id) = 0;
   virtual util::Status FreePage(PageId id) = 0;
-  virtual util::Status Flush() = 0;
   virtual util::Status Reset() = 0;
 
   /// Largest payload `WritePage` accepts.
@@ -74,7 +71,7 @@ class IStorageManager {
 /// Which backend a `StorageConfig` selects.
 enum class StorageKind {
   kMemory,  // pages live in an in-process map; never fails, never persists
-  kDisk,    // fixed-size pages in one file, CRC32C-framed, commit on Flush
+  kDisk,    // fixed-size CRC32C-framed slots in one scratch file
 };
 
 /// Deployment-time description of an index's page store. This is plumbed
@@ -82,8 +79,8 @@ enum class StorageKind {
 /// database options down to each R*-tree.
 struct StorageConfig {
   StorageKind kind = StorageKind::kMemory;
-  /// Page file path (disk only). The database layers place it under their
-  /// own directories.
+  /// Page file path (disk only), replaced by an empty file when opened.
+  /// The database layers place it under their own directories.
   std::string path;
   /// Physical page size in bytes (disk only; >= 512). Payload capacity is
   /// `page_size - kPageHeaderSize`.
@@ -92,16 +89,6 @@ struct StorageConfig {
   /// the memory backend, 0 (the default) selects a resident tree that owns
   /// its nodes in RAM with no pool and no pages at all.
   std::size_t pool_pages = 0;
-  /// Truncate an existing page file (default) or replay its committed
-  /// state. Index users always truncate: trees are rebuilt from
-  /// snapshot/WAL, never reopened.
-  bool truncate = true;
-  /// Test seams (null = real file I/O). The write side goes through
-  /// `util::WritableFile`, so `util::FaultInjector` chaos schedules (torn
-  /// writes, failed syncs, fault windows) apply to index pages exactly as
-  /// they do to the WAL.
-  util::WritableFileFactory file_factory;
-  util::FileReader reader;
 };
 
 /// Builds the configured manager. Disk managers fail here when the page

@@ -193,6 +193,19 @@ FileReader FaultInjector::reader() {
   };
 }
 
+WriteHook FaultInjector::write_hook() {
+  return [this](const std::string& path) -> Status {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (crashed_) return Status::Internal("injected crash");
+    if (InWindow(appends_++, plan_.fail_appends_after,
+                 plan_.fail_appends_count)) {
+      ++injected_append_faults_;
+      return Status::Internal("injected write failure on " + path);
+    }
+    return Status::Ok();
+  };
+}
+
 Status TruncateFile(const std::string& path, std::uint64_t new_size) {
   std::error_code ec;
   std::filesystem::resize_file(path, new_size, ec);

@@ -47,6 +47,11 @@ using FileReader = std::function<Result<std::string>(const std::string&)>;
 /// The real thing: one binary read of the whole file.
 FileReader DefaultFileReader();
 
+/// Consulted before each write to the file at `path` that writes in place
+/// rather than appending (the index page file); a non-OK status fails that
+/// write before any byte reaches the file.
+using WriteHook = std::function<Status(const std::string& path)>;
+
 /// One deterministic fault scenario. Byte counts address the cumulative
 /// stream written through a single `FaultInjector` (across file rotations),
 /// so a plan can place a crash at any offset of a multi-segment log.
@@ -105,6 +110,11 @@ class FaultInjector {
 
   /// Reader injecting the plan's read faults (capturing `this`).
   FileReader reader();
+
+  /// Write hook drawing from the plan's append-fault window: each call
+  /// counts as one append, and a call inside the window (or after the
+  /// crash) fails (capturing `this`).
+  WriteHook write_hook();
 
   /// True once the planned crash fired; all subsequent writes fail.
   bool crashed() const {

@@ -8,6 +8,8 @@
 #include "db/mod_database.h"
 #include "db/recovery.h"
 #include "db/sharded_database.h"
+#include "index/route_band_index.h"
+#include "util/fault_injection.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -20,7 +22,8 @@ namespace fs = std::filesystem;
 // whose range index lives on disk-backed pages behind a small buffer pool
 // must answer byte-identically to the default all-in-memory configuration,
 // through every write path (Insert/ApplyUpdate/Erase, bulk ingest) and
-// through the checkpoint protocol.
+// across checkpoints, while its page file stays scratch space bounded by
+// the index's live pages.
 
 class PagedIndexDbTest : public testing::Test {
  protected:
@@ -121,8 +124,8 @@ TEST_F(PagedIndexDbTest, DiskBackedIndexMatchesMemoryBackedAnswers) {
 }
 
 TEST_F(PagedIndexDbTest, IndexPageTrafficSurfacesInMetrics) {
+  util::MetricsRegistry registry;  // outlives the store
   ModDatabase db(&network_, DiskOptions("rtree.pages", /*pool_pages=*/4));
-  util::MetricsRegistry registry;
   db.SetMetrics(&registry, "db.");
   util::Rng rng(3);
   for (core::ObjectId id = 1; id <= 200; ++id) {
@@ -169,9 +172,8 @@ TEST_F(PagedIndexDbTest, BulkIngestRebuildsDiskIndexInPlace) {
 }
 
 TEST_F(PagedIndexDbTest, CheckpointFlushesIndexPagesFirst) {
-  // The durability manager's checkpoint protocol calls FlushIndexStorage
-  // before publishing the snapshot; with a disk-backed index this must
-  // commit the page file and keep the store fully usable afterwards.
+  // A checkpoint on a store with a disk-backed index leaves the store
+  // fully usable afterwards.
   ModDatabase db(&network_, DiskOptions("rtree.pages", /*pool_pages=*/8));
   ASSERT_TRUE(db.Insert(1, "one", Attr(main_, 10.0, 1.0)).ok());
   auto manager = DurabilityManager::Open(&db, (dir_ / "store").string());
@@ -187,6 +189,75 @@ TEST_F(PagedIndexDbTest, CheckpointFlushesIndexPagesFirst) {
       db.QueryRange(geo::Polygon::Rectangle(29.0, -1.0, 31.0, 1.0), 4.0);
   EXPECT_NE(std::find(answer.must.begin(), answer.must.end(), 1),
             answer.must.end());
+}
+
+// The index is derived state: a checkpoint writes none of its pages, and
+// an update's write-backs overwrite their pages' slots. Through updates
+// and checkpoints the page file stays within page size x the most pages
+// the index ever held.
+TEST_F(PagedIndexDbTest, PageFileStaysWithinPeakLivePagesAcrossCheckpoints) {
+  const ModDatabaseOptions options = DiskOptions("rtree.pages", 8);
+  ModDatabase db(&network_, options);
+  auto manager = DurabilityManager::Open(&db, (dir_ / "store").string());
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  // An empty store recovers nothing, so its index is never rebuilt or
+  // reset here: allocations minus frees is its live page count.
+  const index::RTree3& tree =
+      static_cast<const index::RouteBandIndex&>(db.object_index()).rtree();
+  const auto live_pages = [&tree] {
+    const storage::StorageStats io = tree.storage_stats();
+    return io.page_allocs - io.page_frees;
+  };
+  std::uint64_t peak = live_pages();
+  util::Rng rng(41);
+  constexpr core::ObjectId kObjects = 400;
+  for (core::ObjectId id = 1; id <= kObjects; ++id) {
+    ASSERT_TRUE(db.Insert(id, "c" + std::to_string(id),
+                          Attr(main_, rng.Uniform(0.0, 99.0), 1.0))
+                    .ok());
+    peak = std::max(peak, live_pages());
+  }
+  for (int round = 1; round <= 20; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      const auto id = static_cast<core::ObjectId>(rng.UniformInt(1, kObjects));
+      ASSERT_TRUE(
+          db.ApplyUpdate(Update(id, round, rng.Uniform(0.0, 99.0))).ok());
+      peak = std::max(peak, live_pages());
+    }
+    const std::uint64_t writes = tree.storage_stats().page_writes;
+    ASSERT_TRUE((*manager)->Checkpoint().ok());
+    EXPECT_EQ(tree.storage_stats().page_writes, writes)
+        << "checkpoint " << round << " wrote index pages";
+  }
+  EXPECT_GT(tree.storage_stats().page_writes, 2000u);
+  const auto size = util::FileSize(options.index_storage.path);
+  ASSERT_TRUE(size.ok());
+  EXPECT_LE(*size, peak * options.index_storage.page_size)
+      << "peak live pages " << peak;
+}
+
+// Each rebuild replaces the index; the replaced tree's frames leave the
+// shared gauge with it, so the gauge reads the live pool's frames.
+TEST_F(PagedIndexDbTest, FramesGaugeMatchesLivePoolAcrossRebuilds) {
+  util::MetricsRegistry registry;  // outlives the store
+  ModDatabase db(&network_, DiskOptions("rtree.pages", /*pool_pages=*/64));
+  db.SetMetrics(&registry, "db.");
+  util::Rng rng(7);
+  for (core::ObjectId id = 1; id <= 500; ++id) {
+    ASSERT_TRUE(db.Insert(id, "g" + std::to_string(id),
+                          Attr(main_, rng.Uniform(0.0, 99.0), 1.0))
+                    .ok());
+  }
+  const util::Gauge* frames = registry.GetGauge("db.index.pages.frames");
+  for (int rebuild = 0; rebuild < 3; ++rebuild) {
+    ASSERT_TRUE(db.BeginBulkIngest().ok());
+    ASSERT_TRUE(db.FinishBulkIngest().ok());
+    const auto& tree =
+        static_cast<const index::RouteBandIndex&>(db.object_index()).rtree();
+    EXPECT_GT(tree.pool_frames(), 0u);
+    EXPECT_EQ(frames->value(), static_cast<std::int64_t>(tree.pool_frames()))
+        << "after rebuild " << rebuild;
+  }
 }
 
 TEST_F(PagedIndexDbTest, ShardedDatabaseUsesOnePageFilePerShard) {

@@ -7,6 +7,7 @@
 
 #include "db/sharded_database.h"
 #include "util/fault_injection.h"
+#include "util/rng.h"
 
 namespace modb::db {
 namespace {
@@ -390,6 +391,71 @@ TEST_F(ShardedDurabilityTest, TornShardLogLosesOnlyThatShardsTail) {
   EXPECT_GT(db.recovery_report().wal_bytes_truncated, 0u);
   // Exactly one record (the torn tail of one shard) is missing.
   EXPECT_EQ(db.num_objects(), 23u);
+}
+
+// Remediation rebuilds a shard's store from its durable home; with a
+// disk-backed index the fresh store must open that shard's own page file.
+// Two shards rebuilt over one shared file overwrite each other's pages:
+// answers go wrong and later writes fail.
+TEST_F(ShardedDurabilityTest, RemediatedShardsKeepTheirOwnPageFiles) {
+  ShardedModDatabaseOptions options = Options();
+  options.supervisor.auto_remediate = false;
+  options.db.index_storage.kind = storage::StorageKind::kDisk;
+  options.db.index_storage.path = (fs::path(dir_) / "index.pages").string();
+  options.db.index_storage.pool_pages = 4;
+  ShardedModDatabase db(&network_, options);
+  ASSERT_TRUE(db.durability_status().ok());
+  ModDatabase control(&network_);
+
+  util::Rng rng(12);
+  for (core::ObjectId id = 1; id <= 300; ++id) {
+    const core::PositionAttribute attr =
+        Attr(rng.Uniform(0.0, 450.0), rng.Uniform(0.5, 2.0));
+    ASSERT_TRUE(db.Insert(id, "r" + std::to_string(id), attr).ok());
+    ASSERT_TRUE(control.Insert(id, "r" + std::to_string(id), attr).ok());
+  }
+  for (const std::size_t shard : {std::size_t{0}, std::size_t{1}}) {
+    db.supervisor().ReportFault(shard, util::Status::Internal("operator"));
+    ASSERT_TRUE(db.supervisor().TryRecoverShard(shard).ok());
+  }
+
+  const auto answers_match = [&](double t) {
+    int mismatches = 0;
+    for (int q = 0; q < 50; ++q) {
+      const double lo = 10.0 * q;
+      const geo::Polygon region =
+          geo::Polygon::Rectangle(lo, -1.0, lo + 40.0, 1.0);
+      const RangeAnswer got = db.QueryRange(region, t);
+      const RangeAnswer want = control.QueryRange(region, t);
+      if (got.must != want.must || got.may != want.may ||
+          got.may_probability != want.may_probability) {
+        ++mismatches;
+      }
+    }
+    return mismatches;
+  };
+  EXPECT_EQ(answers_match(1.0), 0);
+  for (int batch = 0; batch < 50; ++batch) {
+    std::vector<core::PositionUpdate> updates;
+    for (int i = 0; i < 6; ++i) {
+      const auto id = static_cast<core::ObjectId>((batch * 6 + i) % 300 + 1);
+      updates.push_back(Update(id, 2.0 + batch, rng.Uniform(0.0, 450.0)));
+    }
+    const UpdateBatchResult result = db.ApplyUpdateBatch(updates);
+    EXPECT_TRUE(result.all_ok())
+        << "batch " << batch << ": " << result.first_error().message();
+    for (const core::PositionUpdate& u : updates) {
+      ASSERT_TRUE(control.ApplyUpdate(u).ok());
+    }
+  }
+  EXPECT_EQ(answers_match(60.0), 0);
+  for (std::size_t shard = 0; shard < 4; ++shard) {
+    EXPECT_EQ(db.shard_health(shard), ShardHealth::kHealthy)
+        << "shard " << shard;
+    EXPECT_TRUE(fs::exists(options.db.index_storage.path + ".shard" +
+                           std::to_string(shard)));
+  }
+  EXPECT_FALSE(fs::exists(options.db.index_storage.path));
 }
 
 }  // namespace

@@ -117,6 +117,10 @@ TEST_F(WalTest, RecordEncodingRoundTrips) {
       case WalRecordType::kErase:
         EXPECT_EQ(decoded.id, original.id);
         break;
+      case WalRecordType::kUpdateBatch:
+      case WalRecordType::kGroupBatch:
+        ADD_FAILURE() << "batch framing round-tripped as a single record";
+        break;
     }
   }
 }

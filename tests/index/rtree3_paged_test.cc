@@ -9,6 +9,7 @@
 
 #include "geo/box.h"
 #include "index/rtree3.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace modb::index {
@@ -139,18 +140,58 @@ TEST_F(PagedRTreeTest, FlushCommitsAndClearRecovers) {
   for (int i = 0; i < 200; ++i) {
     paged.Insert(RandomBox(rng), static_cast<RTree3::Value>(i));
   }
-  ASSERT_TRUE(paged.FlushStorage().ok());
+  // A 4-frame pool under a 200-entry tree writes pages back as it evicts.
   EXPECT_GT(paged.pool_stats().writebacks, 0u);
   ASSERT_TRUE(paged.storage_status().ok());
   EXPECT_EQ(paged.size(), 200u);
 
-  // Clear resets the page store to a fresh generation; the tree is usable
-  // again immediately.
+  // Clear empties the page store; the tree is usable again immediately.
   paged.Clear();
   EXPECT_EQ(paged.size(), 0u);
   paged.Insert(RandomBox(rng), 1);
   EXPECT_EQ(paged.size(), 1u);
   ASSERT_TRUE(paged.CheckInvariants().ok());
+}
+
+// The page file is scratch space addressed by page id: a write-back
+// overwrites its page's slot, and freed ids are reused before the file
+// grows. However many pages a small pool writes back, the file stays
+// within page size x the most pages the tree ever held.
+TEST_F(PagedRTreeTest, PageFileStaysWithinPeakLivePages) {
+  const RTree3::Options options = PagedOptions(/*pool_pages=*/16);
+  RTree3 paged(options);
+  // Nothing resets the store here, so allocations minus frees is the
+  // number of live pages. Within one insert or remove that number falls
+  // and then rises, so sampling after each one sees every peak.
+  const auto live_pages = [&paged] {
+    const storage::StorageStats io = paged.storage_stats();
+    return io.page_allocs - io.page_frees;
+  };
+  std::uint64_t peak = live_pages();
+  util::Rng rng(5000);
+  constexpr std::size_t kBoxes = 2000;
+  std::vector<geo::Box3> boxes;
+  for (std::size_t i = 0; i < kBoxes; ++i) {
+    boxes.push_back(RandomBox(rng));
+    paged.Insert(boxes.back(), i);
+    peak = std::max(peak, live_pages());
+  }
+  for (int update = 0; update < 20000; ++update) {
+    const auto i = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(kBoxes) - 1));
+    ASSERT_TRUE(paged.Remove(boxes[i], i));
+    peak = std::max(peak, live_pages());
+    boxes[i] = RandomBox(rng);
+    paged.Insert(boxes[i], i);
+    peak = std::max(peak, live_pages());
+  }
+  ASSERT_TRUE(paged.storage_status().ok());
+  ASSERT_TRUE(paged.CheckInvariants().ok());
+  EXPECT_GT(paged.pool_stats().writebacks, 20000u);
+  const auto size = util::FileSize(options.storage.path);
+  ASSERT_TRUE(size.ok());
+  EXPECT_LE(*size, peak * options.storage.page_size)
+      << "peak live pages " << peak;
 }
 
 TEST_F(PagedRTreeTest, PageFitValidationPoisonsOversizedFanout) {

@@ -32,7 +32,6 @@ TEST(BufferPoolConcurrentTest, ParallelFetchOfSharedWorkingSet) {
     ASSERT_TRUE(h.ok());
     ids.push_back(h->id());
   }
-  ASSERT_TRUE(pool.FlushDirty().ok());
 
   constexpr int kThreads = 8;
   constexpr int kReadsPerThread = 2000;
@@ -76,8 +75,9 @@ TEST(BufferPoolConcurrentTest, ParallelFaultInUnderEvictionPressure) {
     ASSERT_TRUE(h.ok());
     ids.push_back(h->id());
   }
-  ASSERT_TRUE(pool.FlushDirty().ok());
-  // Shrink residency down to the cap before the storm.
+  // Shrink residency down to the cap before the storm; this evicts (and
+  // writes back) the last dirty frames, so every page has been written
+  // once.
   for (std::size_t i = 0; i + options.capacity_pages < kPages; ++i) {
     auto h = pool.Fetch(ids[i]);
     ASSERT_TRUE(h.ok());
@@ -110,7 +110,7 @@ TEST(BufferPoolConcurrentTest, ParallelFaultInUnderEvictionPressure) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_GT(pool.stats().evictions, 0u);
   // Clean frames only: eviction pressure must not have written anything
-  // beyond the initial flush.
+  // beyond each page's first writeback.
   EXPECT_EQ(pool.stats().writebacks, static_cast<std::uint64_t>(kPages));
 }
 
@@ -120,9 +120,11 @@ TEST(BufferPoolConcurrentTest, WritersOnDisjointPagesWithSharedPoolState) {
   // a pinned object is the client's concern, and these clients never
   // share one) but the pool bookkeeping — frame map, pin counts, dirty
   // bits, stats — is hammered from every thread at once.
-  MemoryStorageManager mgr;
-  BufferPool pool(&mgr, StringPageCodec(), BufferPoolOptions{});
   constexpr int kWriters = 8;
+  MemoryStorageManager mgr;
+  BufferPoolOptions options;
+  options.capacity_pages = kWriters;  // every page fits: the storm never evicts
+  BufferPool pool(&mgr, StringPageCodec(), options);
   std::vector<PageId> ids;
   for (int i = 0; i < kWriters; ++i) {
     auto h = pool.Create(Obj("0"));
@@ -147,7 +149,9 @@ TEST(BufferPoolConcurrentTest, WritersOnDisjointPagesWithSharedPoolState) {
     });
   }
   for (auto& th : threads) th.join();
-  ASSERT_TRUE(pool.FlushDirty().ok());
+  // Admitting kWriters fresh pages evicts every written page, writing its
+  // last version back.
+  for (int i = 0; i < kWriters; ++i) ASSERT_TRUE(pool.Create(Obj("")).ok());
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(pool.pinned_frames(), 0u);
   for (int w = 0; w < kWriters; ++w) {

@@ -3,19 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "storage/disk_storage_manager.h"
 #include "storage/memory_storage_manager.h"
-#include "util/fault_injection.h"
 
 namespace modb::storage {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::shared_ptr<void> Obj(const std::string& s) {
   return std::make_shared<std::string>(s);
@@ -182,38 +177,6 @@ TEST(BufferPoolTest, DirtyFramesWrittenBackOnEviction) {
   EXPECT_EQ(pool.stats().writebacks, writebacks);
 }
 
-TEST(BufferPoolTest, FlushDirtyWritesOnlyDirtyFrames) {
-  MemoryStorageManager mgr;
-  BufferPool pool(&mgr, StringPageCodec(), BufferPoolOptions{});
-
-  auto a = pool.Create(Obj("a"));
-  auto b = pool.Create(Obj("b"));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const PageId id_a = a->id();
-  a->Release();
-  b->Release();
-  EXPECT_EQ(pool.dirty_frames(), 2u);
-  ASSERT_TRUE(pool.FlushDirty().ok());
-  EXPECT_EQ(pool.dirty_frames(), 0u);
-  EXPECT_EQ(pool.stats().writebacks, 2u);
-  EXPECT_EQ(mgr.stats().flushes, 1u);
-
-  // A quiescent pool flushes nothing (the incremental-checkpoint claim).
-  ASSERT_TRUE(pool.FlushDirty().ok());
-  EXPECT_EQ(pool.stats().writebacks, 2u);
-
-  // Mutate one page: exactly one frame goes back out.
-  auto a2 = pool.Fetch(id_a);
-  ASSERT_TRUE(a2.ok());
-  *static_cast<std::string*>(a2->get()) = "a mutated";
-  a2->MarkDirty();
-  a2->Release();
-  ASSERT_TRUE(pool.FlushDirty().ok());
-  EXPECT_EQ(pool.stats().writebacks, 3u);
-  EXPECT_EQ(*mgr.ReadPage(id_a), "a mutated");
-}
-
 TEST(BufferPoolTest, FreeRefusesPinnedFrames) {
   MemoryStorageManager mgr;
   BufferPool pool(&mgr, StringPageCodec(), BufferPoolOptions{});
@@ -328,61 +291,6 @@ TEST(BufferPoolTest, MoveOnlyHandleTransfersThePin) {
   EXPECT_EQ(pool.pinned_frames(), 1u);
   stolen.Release();
   EXPECT_EQ(pool.pinned_frames(), 0u);
-}
-
-// Crash between dirty-page writeback and the commit record: the reopened
-// store must serve the last *committed* state, never the half-written-back
-// one. This is the window the checkpoint protocol (flush pages, then
-// publish snapshot) leans on.
-TEST(BufferPoolTest, CrashBetweenWritebackAndCommitKeepsOldState) {
-  const fs::path dir =
-      fs::temp_directory_path() / "modb_pool_crash_window";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string path = (dir / "pool.pages").string();
-
-  util::FaultPlan plan;
-  // The v1 page + commit fill the first two 512-byte slots (synced at the
-  // first Flush). The crash tears the NEXT append — v2's dirty-page
-  // writeback — and `lose_unsynced_on_crash` drops the torn tail the way
-  // a dead page cache would.
-  plan.crash_after_bytes = 1100;
-  plan.lose_unsynced_on_crash = true;
-  util::FaultInjector injector(plan);
-
-  DiskStorageManager::Options options;
-  options.page_size = 512;
-  options.sync_watermark_pages = 1000;  // only Flush syncs
-  options.file_factory = injector.factory();
-  {
-    auto mgr = DiskStorageManager::Open(path, options);
-    ASSERT_TRUE(mgr.ok());
-    BufferPool pool(mgr->get(), StringPageCodec(), BufferPoolOptions{});
-    auto h = pool.Create(Obj("committed v1"));
-    ASSERT_TRUE(h.ok());
-    h->Release();
-    ASSERT_TRUE(pool.FlushDirty().ok());  // sync #0 passes — v1 durable
-
-    auto h2 = pool.Fetch(0);
-    ASSERT_TRUE(h2.ok());
-    *static_cast<std::string*>(h2->get()) = "torn v2";
-    h2->MarkDirty();
-    h2->Release();
-    // The writeback append tears mid-crash: the flush must report the
-    // failure, so the caller never publishes the checkpoint built on it.
-    EXPECT_FALSE(pool.FlushDirty().ok());
-    EXPECT_TRUE(injector.crashed());
-  }
-
-  // Reopen without the injector (the "after reboot" view): the newest
-  // valid commit is v1's. The torn v2 writeback is log garbage.
-  DiskStorageManager::Options reopen;
-  reopen.page_size = 512;
-  reopen.truncate = false;
-  auto mgr = DiskStorageManager::Open(path, reopen);
-  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
-  EXPECT_EQ(*(*mgr)->ReadPage(0), "committed v1");
-  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "util/fault_injection.h"
@@ -51,11 +53,9 @@ TEST_F(DiskStorageManagerTest, WriteReadRoundTripAndPayloadCap) {
 }
 
 TEST_F(DiskStorageManagerTest, UnsyncedPagesAreReadableBeforeFlush) {
-  // Appended bytes may sit in the writer's buffer; the tail cache must
-  // serve them anyway.
+  // Nothing is ever synced: a page reads back as soon as it is written.
   DiskStorageManager::Options options;
   options.page_size = 512;
-  options.sync_watermark_pages = 1000;  // never auto-sync
   auto mgr = DiskStorageManager::Open(PageFile(), options);
   ASSERT_TRUE(mgr.ok());
   for (int i = 0; i < 10; ++i) {
@@ -69,94 +69,16 @@ TEST_F(DiskStorageManagerTest, UnsyncedPagesAreReadableBeforeFlush) {
   }
 }
 
-TEST_F(DiskStorageManagerTest, CommittedStateSurvivesReopen) {
-  DiskStorageManager::Options options;
-  options.page_size = 512;
-  {
-    auto mgr = DiskStorageManager::Open(PageFile(), options);
-    ASSERT_TRUE(mgr.ok());
-    for (int i = 0; i < 5; ++i) {
-      const auto id = (*mgr)->AllocatePage();
-      ASSERT_TRUE(id.ok());
-      ASSERT_TRUE((*mgr)->WritePage(*id, "page " + std::to_string(i)).ok());
-    }
-    ASSERT_TRUE((*mgr)->FreePage(3).ok());
-    ASSERT_TRUE((*mgr)->Flush().ok());
-  }
-  DiskStorageManager::Options reopen = options;
-  reopen.truncate = false;
-  auto mgr = DiskStorageManager::Open(PageFile(), reopen);
-  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
-  EXPECT_EQ((*mgr)->num_pages(), 4u);
-  for (int i = 0; i < 5; ++i) {
-    if (i == 3) continue;
-    EXPECT_EQ(*(*mgr)->ReadPage(static_cast<PageId>(i)),
-              "page " + std::to_string(i));
-  }
-  // The freed id is recycled, not leaked, across the reopen.
-  const auto id = (*mgr)->AllocatePage();
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(*id, 3u);
-}
-
-TEST_F(DiskStorageManagerTest, UncommittedWritesDiscardedByReopen) {
-  // The checkpoint contract: page versions not covered by a Flush must not
-  // resurrect after a crash+reopen.
-  DiskStorageManager::Options options;
-  options.page_size = 512;
-  options.sync_watermark_pages = 1000;
-  {
-    auto mgr = DiskStorageManager::Open(PageFile(), options);
-    ASSERT_TRUE(mgr.ok());
-    const auto id = (*mgr)->AllocatePage();
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE((*mgr)->WritePage(*id, "committed").ok());
-    ASSERT_TRUE((*mgr)->Flush().ok());
-    ASSERT_TRUE((*mgr)->WritePage(*id, "uncommitted overwrite").ok());
-    // No flush: the manager is dropped with the new version in flight.
-  }
-  DiskStorageManager::Options reopen = options;
-  reopen.truncate = false;
-  auto mgr = DiskStorageManager::Open(PageFile(), reopen);
-  ASSERT_TRUE(mgr.ok());
-  EXPECT_EQ(*(*mgr)->ReadPage(0), "committed");
-}
-
-TEST_F(DiskStorageManagerTest, ReopenCompactsGarbageVersions) {
-  DiskStorageManager::Options options;
-  options.page_size = 512;
-  std::uint64_t bytes_before_compaction = 0;
-  {
-    auto mgr = DiskStorageManager::Open(PageFile(), options);
-    ASSERT_TRUE(mgr.ok());
-    const auto id = (*mgr)->AllocatePage();
-    ASSERT_TRUE(id.ok());
-    // 50 versions of one page: 49 are log garbage.
-    for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE((*mgr)->WritePage(*id, "v" + std::to_string(i)).ok());
-    }
-    ASSERT_TRUE((*mgr)->Flush().ok());
-    bytes_before_compaction = (*mgr)->file_bytes();
-  }
-  DiskStorageManager::Options reopen = options;
-  reopen.truncate = false;
-  auto mgr = DiskStorageManager::Open(PageFile(), reopen);
-  ASSERT_TRUE(mgr.ok());
-  EXPECT_EQ(*(*mgr)->ReadPage(0), "v49");
-  EXPECT_LT((*mgr)->file_bytes(), bytes_before_compaction);
-}
-
 TEST_F(DiskStorageManagerTest, CorruptedPageDetectedByCrc) {
   DiskStorageManager::Options options;
   options.page_size = 512;
-  options.sync_watermark_pages = 1;  // sync every page so bytes hit the file
   auto mgr = DiskStorageManager::Open(PageFile(), options);
   ASSERT_TRUE(mgr.ok());
   const auto id = (*mgr)->AllocatePage();
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE((*mgr)->WritePage(*id, "precious payload").ok());
-  ASSERT_TRUE((*mgr)->Flush().ok());
-  // Rot a payload byte in the page's slot on disk (header is 28 bytes).
+  // Rot a payload byte in the page's slot on disk (page 0's slot starts the
+  // file; its header is kPageHeaderSize bytes).
   ASSERT_TRUE(util::FlipFileByte(PageFile(), kPageHeaderSize + 3).ok());
   const auto back = (*mgr)->ReadPage(*id);
   ASSERT_FALSE(back.ok());
@@ -164,29 +86,131 @@ TEST_F(DiskStorageManagerTest, CorruptedPageDetectedByCrc) {
   EXPECT_NE(back.status().message().find("corrupt"), std::string::npos);
 }
 
-TEST_F(DiskStorageManagerTest, TornCommitFallsBackToPreviousCommit) {
-  // Chop bytes off the tail (a torn final commit record): reopen must land
-  // on the previous durable commit, not fail and not serve the torn state.
+TEST_F(DiskStorageManagerTest, PageIdAddressesItsSlotAndWritesOverwrite) {
   DiskStorageManager::Options options;
   options.page_size = 512;
-  {
-    auto mgr = DiskStorageManager::Open(PageFile(), options);
-    ASSERT_TRUE(mgr.ok());
+  auto mgr = DiskStorageManager::Open(PageFile(), options);
+  ASSERT_TRUE(mgr.ok());
+  const auto a = (*mgr)->AllocatePage();
+  const auto b = (*mgr)->AllocatePage();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE((*mgr)->WritePage(*b, "second slot").ok());
+  EXPECT_EQ(*util::FileSize(PageFile()), 2u * 512);
+  // 50 versions of one page land in one slot: the file does not grow.
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE((*mgr)->WritePage(*a, "v" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(*util::FileSize(PageFile()), 2u * 512);
+  EXPECT_EQ(*(*mgr)->ReadPage(*a), "v49");
+  EXPECT_EQ(*(*mgr)->ReadPage(*b), "second slot");
+}
+
+TEST_F(DiskStorageManagerTest, FreedIdsAreReusedBeforeTheFileGrows) {
+  DiskStorageManager::Options options;
+  options.page_size = 512;
+  auto mgr = DiskStorageManager::Open(PageFile(), options);
+  ASSERT_TRUE(mgr.ok());
+  for (int i = 0; i < 4; ++i) {
     const auto id = (*mgr)->AllocatePage();
     ASSERT_TRUE(id.ok());
-    ASSERT_TRUE((*mgr)->WritePage(*id, "epoch one").ok());
-    ASSERT_TRUE((*mgr)->Flush().ok());
-    ASSERT_TRUE((*mgr)->WritePage(*id, "epoch two").ok());
-    ASSERT_TRUE((*mgr)->Flush().ok());
+    ASSERT_TRUE((*mgr)->WritePage(*id, "page " + std::to_string(i)).ok());
   }
-  const auto size = util::FileSize(PageFile());
-  ASSERT_TRUE(size.ok());
-  ASSERT_TRUE(util::TruncateFile(PageFile(), *size - 100).ok());
-  DiskStorageManager::Options reopen = options;
-  reopen.truncate = false;
-  auto mgr = DiskStorageManager::Open(PageFile(), reopen);
-  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
-  EXPECT_EQ(*(*mgr)->ReadPage(0), "epoch one");
+  ASSERT_TRUE((*mgr)->FreePage(1).ok());
+  ASSERT_TRUE((*mgr)->FreePage(2).ok());
+  EXPECT_EQ((*mgr)->num_pages(), 2u);
+  EXPECT_EQ((*mgr)->ReadPage(1).status().code(), util::StatusCode::kNotFound);
+  for (int i = 0; i < 2; ++i) {
+    const auto id = (*mgr)->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    EXPECT_LT(*id, 4u) << "a freed id is handed out again";
+    // Allocated but not yet written: the old occupant is not served.
+    EXPECT_EQ((*mgr)->ReadPage(*id).status().code(),
+              util::StatusCode::kNotFound);
+    ASSERT_TRUE((*mgr)->WritePage(*id, "reused").ok());
+  }
+  EXPECT_EQ(*util::FileSize(PageFile()), 4u * 512);
+  EXPECT_EQ(*(*mgr)->ReadPage(3), "page 3");
+}
+
+TEST_F(DiskStorageManagerTest, UnallocatedAndDoublyFreedIdsAreRejected) {
+  DiskStorageManager::Options options;
+  options.page_size = 512;
+  auto mgr = DiskStorageManager::Open(PageFile(), options);
+  ASSERT_TRUE(mgr.ok());
+  EXPECT_EQ((*mgr)->WritePage(0, "x").code(),
+            util::StatusCode::kInvalidArgument);
+  const auto id = (*mgr)->AllocatePage();
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE((*mgr)->FreePage(*id).ok());
+  EXPECT_EQ((*mgr)->FreePage(*id).code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ((*mgr)->WritePage(*id, "x").code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+TEST_F(DiskStorageManagerTest, SlotHoldingAnotherPageIsCorrupt) {
+  // A slot whose frame is intact but names another page id (a misdirected
+  // write) passes the CRC and fails the id check.
+  DiskStorageManager::Options options;
+  options.page_size = 512;
+  auto mgr = DiskStorageManager::Open(PageFile(), options);
+  ASSERT_TRUE(mgr.ok());
+  ASSERT_TRUE((*mgr)->AllocatePage().ok());
+  ASSERT_TRUE((*mgr)->AllocatePage().ok());
+  ASSERT_TRUE((*mgr)->WritePage(0, "zero").ok());
+  ASSERT_TRUE((*mgr)->WritePage(1, "one").ok());
+  std::string image;
+  {
+    std::ifstream in(PageFile(), std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(image.size(), 1024u);
+  {
+    std::ofstream out(PageFile(), std::ios::binary | std::ios::in);
+    out.write(image.data() + 512, 512);  // slot 1's bytes into slot 0
+  }
+  const auto back = (*mgr)->ReadPage(0);
+  ASSERT_FALSE(back.ok());
+  EXPECT_NE(back.status().message().find("corrupt"), std::string::npos);
+  EXPECT_EQ(*(*mgr)->ReadPage(1), "one");
+}
+
+TEST_F(DiskStorageManagerTest, ResetTruncatesTheFile) {
+  DiskStorageManager::Options options;
+  options.page_size = 512;
+  auto mgr = DiskStorageManager::Open(PageFile(), options);
+  ASSERT_TRUE(mgr.ok());
+  for (int i = 0; i < 3; ++i) {
+    const auto id = (*mgr)->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE((*mgr)->WritePage(*id, "p").ok());
+  }
+  ASSERT_TRUE((*mgr)->Reset().ok());
+  EXPECT_EQ(*util::FileSize(PageFile()), 0u);
+  EXPECT_EQ((*mgr)->num_pages(), 0u);
+  EXPECT_EQ((*mgr)->ReadPage(0).status().code(), util::StatusCode::kNotFound);
+  const auto id = (*mgr)->AllocatePage();
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, 0u);
+}
+
+TEST_F(DiskStorageManagerTest, OpeningAPathLeavesItsPreviousHolderIntact) {
+  // A store rebuilt over the same path (a shard being remediated) gets a
+  // new, empty file; the store it replaces keeps reading its own pages
+  // until it closes.
+  DiskStorageManager::Options options;
+  options.page_size = 512;
+  auto old_store = DiskStorageManager::Open(PageFile(), options);
+  ASSERT_TRUE(old_store.ok());
+  ASSERT_TRUE((*old_store)->AllocatePage().ok());
+  ASSERT_TRUE((*old_store)->WritePage(0, "old").ok());
+  auto new_store = DiskStorageManager::Open(PageFile(), options);
+  ASSERT_TRUE(new_store.ok());
+  EXPECT_EQ(*util::FileSize(PageFile()), 0u);
+  ASSERT_TRUE((*new_store)->AllocatePage().ok());
+  ASSERT_TRUE((*new_store)->WritePage(0, "new").ok());
+  EXPECT_EQ(*(*old_store)->ReadPage(0), "old");
+  EXPECT_EQ(*(*new_store)->ReadPage(0), "new");
 }
 
 TEST_F(DiskStorageManagerTest, InjectedAppendFaultPoisonsWriterButKeepsReads) {
@@ -196,8 +220,7 @@ TEST_F(DiskStorageManagerTest, InjectedAppendFaultPoisonsWriterButKeepsReads) {
   util::FaultInjector injector(plan);
   DiskStorageManager::Options options;
   options.page_size = 512;
-  options.sync_watermark_pages = 1;
-  options.file_factory = injector.factory();
+  options.write_hook = injector.write_hook();
   auto mgr = DiskStorageManager::Open(PageFile(), options);
   ASSERT_TRUE(mgr.ok());
   const auto a = (*mgr)->AllocatePage();
@@ -206,15 +229,14 @@ TEST_F(DiskStorageManagerTest, InjectedAppendFaultPoisonsWriterButKeepsReads) {
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE((*mgr)->WritePage(*a, "safe").ok());
   ASSERT_TRUE((*mgr)->WritePage(*b, "also safe").ok());
-  // This append dies in the fault window; the writer is poisoned.
+  // This write dies in the fault window; the writer is poisoned.
   EXPECT_FALSE((*mgr)->WritePage(*b, "doomed").ok());
   EXPECT_EQ(injector.injected_append_faults(), 1u);
   EXPECT_FALSE((*mgr)->WritePage(*a, "still doomed").ok());
-  EXPECT_FALSE((*mgr)->Flush().ok());
-  // Previously synced pages stay readable.
+  // Previously written pages stay readable.
   EXPECT_EQ(*(*mgr)->ReadPage(*a), "safe");
   EXPECT_EQ(*(*mgr)->ReadPage(*b), "also safe");
-  // Reset reopens a fresh generation and clears the poison.
+  // Reset empties the file and clears the poison.
   ASSERT_TRUE((*mgr)->Reset().ok());
   const auto fresh = (*mgr)->AllocatePage();
   ASSERT_TRUE(fresh.ok());
@@ -231,19 +253,16 @@ TEST_F(DiskStorageManagerTest, RejectsUndersizedPageSize) {
 TEST_F(DiskStorageManagerTest, StatsTrackPageTraffic) {
   DiskStorageManager::Options options;
   options.page_size = 512;
-  options.sync_watermark_pages = 1;
   auto mgr = DiskStorageManager::Open(PageFile(), options);
   ASSERT_TRUE(mgr.ok());
   const auto id = (*mgr)->AllocatePage();
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE((*mgr)->WritePage(*id, "abcd").ok());
   ASSERT_TRUE((*mgr)->ReadPage(*id).ok());
-  ASSERT_TRUE((*mgr)->Flush().ok());
   const StorageStats stats = (*mgr)->stats();
   EXPECT_EQ(stats.page_allocs, 1u);
   EXPECT_EQ(stats.page_writes, 1u);
   EXPECT_EQ(stats.page_reads, 1u);
-  EXPECT_GE(stats.flushes, 1u);
   EXPECT_EQ(stats.bytes_written, 4u);
   EXPECT_EQ(stats.bytes_read, 4u);
 }
