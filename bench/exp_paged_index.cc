@@ -167,8 +167,10 @@ int Run(bool smoke) {
   if (reference == nullptr) return 1;
   for (const auto& u : w->updates) (void)reference->ApplyUpdate(u);
 
-  // Pilot: an effectively unbounded pool learns the tree's page count, so
-  // the pressure levels below are sized in units of the real working set.
+  // Pilot: an effectively unbounded pool runs the same workload to learn
+  // the tree's peak page count, so the pressure levels below are sized in
+  // units of the real working set. The update wave grows the tree past its
+  // size after the bulk build.
   std::size_t total_pages = 0;
   {
     db::ModDatabaseOptions pilot = memory_options;
@@ -177,10 +179,10 @@ int Run(bool smoke) {
     pilot.index_storage.pool_pages = 1u << 20;
     auto database = BuildDatabase(*w, pilot);
     if (database == nullptr) return 1;
-    total_pages = IndexPages(*database);
+    total_pages = RunWorkload(*database, *reference, *w).peak_pages;
   }
-  std::printf("index working set: %zu pages of %zu objects\n\n", total_pages,
-              kObjects);
+  std::printf("index working set: %zu pages (peak) of %zu objects\n\n",
+              total_pages, kObjects);
 
   util::Table table({"config", "pool pages", "hit rate %", "evictions",
                      "writebacks", "resident pages", "peak pages",

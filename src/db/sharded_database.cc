@@ -29,7 +29,9 @@ std::size_t ResolveQueryThreads(const ShardedModDatabaseOptions& options,
   }
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw <= 1) return 0;  // fan out inline; extra threads only thrash
-  return std::min<std::size_t>(num_shards, hw - 1);
+  // The caller runs part of every fan-out, so n shards keep at most n - 1
+  // helpers busy.
+  return std::min<std::size_t>(num_shards - 1, hw - 1);
 }
 
 // Re-sorts `may` by id keeping the probability column aligned (the merged

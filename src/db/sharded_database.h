@@ -32,8 +32,10 @@ struct ShardedModDatabaseOptions {
   /// Worker threads in the internal fan-out pool. 0 runs fan-outs inline
   /// on the calling thread — the right choice on single-core hosts. The
   /// default (`kAutoQueryThreads`) resolves to
-  /// min(num_shards, hardware_concurrency - 1), or 0 when the hardware
-  /// offers no parallelism.
+  /// min(num_shards - 1, hardware_concurrency - 1): the calling thread
+  /// runs part of every fan-out, so a fan-out over n shards keeps at most
+  /// n - 1 workers busy, and a 1-shard store gets none. It is 0 when the
+  /// hardware offers no parallelism.
   std::size_t num_query_threads = kAutoQueryThreads;
   /// Options applied to every per-shard `ModDatabase`.
   ModDatabaseOptions db;

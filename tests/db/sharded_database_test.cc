@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -220,6 +222,25 @@ TEST_F(ShardedDatabaseTest, InlineFanOutMatchesPooledFanOut) {
   const RangeAnswer b = inlined.QueryRange(region, 10.0);
   EXPECT_EQ(a.must, b.must);
   EXPECT_EQ(a.may, b.may);
+}
+
+TEST_F(ShardedDatabaseTest, AutoSizedPoolLeavesOneShardToTheCaller) {
+  // A fan-out over n shards hands work to at most n - 1 helpers: the
+  // caller runs the rest.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t helpers = hw <= 1 ? 0 : hw - 1;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    ShardedModDatabaseOptions options;
+    options.num_shards = shards;
+    ShardedModDatabase db(&network_, options);
+    EXPECT_EQ(db.num_query_threads(), std::min(shards - 1, helpers))
+        << shards << " shards";
+    ASSERT_TRUE(db.Insert(1, "a", Attr(street_, 100.0)).ok());
+    ASSERT_TRUE(db.Insert(2, "b", Attr(street_, 120.0)).ok());
+    const RangeAnswer answer = db.QueryRange(
+        geo::Polygon::Rectangle(90.0, -1.0, 130.0, 1.0), 0.0);
+    EXPECT_EQ(answer.must, (std::vector<core::ObjectId>{1, 2}));
+  }
 }
 
 TEST_F(ShardedDatabaseTest, BulkInsertLoadsAllShardsAtomically) {
