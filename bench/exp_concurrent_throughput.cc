@@ -6,8 +6,14 @@
 // nearest queries, against a ShardedModDatabase with S shards. S = 1 is the
 // baseline: every operation funnels through one shard lock, which is
 // exactly a mutex-wrapped single ModDatabase. The table reports aggregate
-// operations per second; the speedup column is relative to the
+// operations per second; both speedup columns are relative to the inline
 // 1-shard/1-thread cell.
+//
+// Each cell runs twice: with fan-outs inline on the calling client thread
+// (`num_query_threads = 0`), and with the store's auto-sized fan-out pool
+// (`kAutoQueryThreads`: min(shards - 1, cores - 1) helpers). The pool
+// column shows what the helpers cost or gain when client threads already
+// outnumber the cores.
 //
 // What scales and why: updates to different shards hold different locks
 // (true parallelism on multicore, and far fewer contended lock handoffs
@@ -79,9 +85,9 @@ void LoadFleet(const geo::RouteNetwork& network, db::ShardedModDatabase* db) {
 }
 
 WorkloadResult RunWorkload(const geo::RouteNetwork& network,
-                           std::size_t shards, std::size_t threads) {
-  db::ShardedModDatabase db = MakeDatabase(network, shards, /*query_threads=*/
-                                           0);
+                           std::size_t shards, std::size_t threads,
+                           std::size_t query_threads) {
+  db::ShardedModDatabase db = MakeDatabase(network, shards, query_threads);
   LoadFleet(network, &db);
 
   std::atomic<std::uint64_t> updates{0};
@@ -172,27 +178,35 @@ int main() {
               "baseline need cores to materialise)\n\n",
               hw);
 
-  modb::util::Table table(
-      {"shards", "threads", "updates", "queries", "ops/s", "speedup"});
-  const double baseline = RunWorkload(network, 1, 1).ops_per_sec;
+  constexpr std::size_t kInline = 0;
+  constexpr std::size_t kAutoPool =
+      modb::db::ShardedModDatabaseOptions::kAutoQueryThreads;
+  modb::util::Table table({"shards", "threads", "updates", "queries",
+                           "ops/s", "speedup", "ops/s (auto pool)",
+                           "speedup (auto pool)"});
+  const double baseline = RunWorkload(network, 1, 1, kInline).ops_per_sec;
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}, std::size_t{8}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}, std::size_t{8}}) {
-      const WorkloadResult r = RunWorkload(network, shards, threads);
+      const WorkloadResult r = RunWorkload(network, shards, threads, kInline);
+      const WorkloadResult pooled =
+          RunWorkload(network, shards, threads, kAutoPool);
       table.NewRow()
           .Add(shards)
           .Add(threads)
           .Add(static_cast<std::size_t>(r.updates))
           .Add(static_cast<std::size_t>(r.queries))
           .Add(r.ops_per_sec, 0)
-          .Add(r.ops_per_sec / baseline, 2);
+          .Add(r.ops_per_sec / baseline, 2)
+          .Add(pooled.ops_per_sec, 0)
+          .Add(pooled.ops_per_sec / baseline, 2);
     }
   }
   std::printf("%s\n", table.ToString().c_str());
 
   std::printf("\nmetrics endpoint sample (8 shards / 8 threads):\n");
-  const WorkloadResult sample = RunWorkload(network, 8, 8);
+  const WorkloadResult sample = RunWorkload(network, 8, 8, kInline);
   std::printf("%s\n", sample.metrics_dump.c_str());
   return 0;
 }

@@ -1,12 +1,13 @@
 // E17 — continuous queries on the delta stream: a registry of standing
-// MAY/MUST region queries maintained incrementally (the subscriptions are
-// themselves a 3-D rectangle set, so each committed delta batch becomes a
-// spatial join) versus the naive architecture that re-evaluates every
+// MAY/MUST region queries maintained incrementally (each subscription's
+// region is clipped once into route-distance intervals, so each committed
+// record becomes a join of its route band against its own route's
+// intervals) versus the naive architecture that re-evaluates every
 // standing query against every committed record. The claim under test:
-// at 10k standing queries the spatial join runs >= 10x fewer predicate
-// evaluations than the naive rescan, at a byte-identical event stream —
-// and the stream is also byte-identical between batched and sequential
-// ingest and between the sharded and unsharded layers.
+// at 10k standing queries the route-space join runs >= 10x fewer
+// predicate evaluations than the naive rescan, at a byte-identical event
+// stream — and the stream is also byte-identical between batched and
+// sequential ingest and between the sharded and unsharded layers.
 //
 // `--smoke` runs small standing-query counts for CI; `--no-eval-gate`
 // reports without failing (not used by CI, kept symmetrical with E16's
@@ -177,8 +178,8 @@ int RunComparison(bool smoke, bool eval_gate) {
 
   const auto w = MakeWorkload(kObjects, kRounds, 1998);
 
-  std::printf("--- standing-query matching: spatial join vs naive rescan "
-              "(%zu objects, batch-64 ingest) ---\n",
+  std::printf("--- standing-query matching: route-space join vs naive "
+              "rescan (%zu objects, batch-64 ingest) ---\n",
               kObjects);
   bool streams_identical = true;
   double gate_ratio = 0.0;
@@ -306,7 +307,7 @@ int RunComparison(bool smoke, bool eval_gate) {
   const bool identical = streams_identical && parity;
   const bool pass =
       identical && (eval_gate ? gate_ratio >= 10.0 : true);
-  std::printf("shape check — spatial join at %zu standing queries runs "
+  std::printf("shape check — route-space join at %zu standing queries runs "
               "%.1fx fewer predicate evaluations than the naive rescan "
               "(claim: >= 10x%s), event streams byte-identical across "
               "matcher modes, ingest shapes, and layers: %s -> %s\n\n",
@@ -319,10 +320,11 @@ int RunComparison(bool smoke, bool eval_gate) {
 int Run(bool smoke, bool eval_gate) {
   PrintHeader(
       "E17: continuous queries — incremental matching vs naive rescan",
-      "indexing the standing queries as a 3-D rectangle set turns each "
-      "delta batch into a spatial join: >= 10x fewer predicate "
-      "evaluations than re-evaluating every standing query per record, "
-      "at a byte-identical transition-event stream");
+      "clipping each standing query into route-distance intervals turns "
+      "each committed record into a join of its route band against its "
+      "own route's intervals: >= 10x fewer predicate evaluations than "
+      "re-evaluating every standing query per record, at a "
+      "byte-identical transition-event stream");
   return RunComparison(smoke, eval_gate);
 }
 

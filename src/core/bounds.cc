@@ -158,4 +158,18 @@ CriticalTimes BoundCriticalTimes(const PositionAttribute& attr) {
   return times;
 }
 
+BandReach MaxBandReach(const PositionAttribute& attr, Duration span) {
+  double slow = std::max(SlowDeviationBound(attr, 0.0),
+                         SlowDeviationBound(attr, span));
+  double fast = std::max(FastDeviationBound(attr, 0.0),
+                         FastDeviationBound(attr, span));
+  for (const Duration c : BoundCriticalTimes(attr)) {
+    if (c >= span) continue;
+    slow = std::max(slow, SlowDeviationBound(attr, c));
+    fast = std::max(fast, FastDeviationBound(attr, c));
+  }
+  if (attr.direction == TravelDirection::kForward) return {slow, fast};
+  return {fast, slow};
+}
+
 }  // namespace modb::core

@@ -53,11 +53,9 @@ struct ShardedModDatabaseOptions {
   /// `SubscriptionEngine` on its delta stream; `Subscribe` registers a
   /// standing query on all of them (each shard matches only the objects it
   /// owns) and `TakeSubscriptionEvents` drains the deterministically
-  /// merged event stream.
+  /// merged event stream. The engines' horizon is `db.oplane_horizon`, so
+  /// a standing query sees exactly the models `QueryRange` sees.
   bool enable_subscriptions = false;
-  /// Options for the per-shard engines (`enable_subscriptions` only). The
-  /// matcher horizon should match `db.oplane_horizon` (both default 120).
-  SubscriptionEngine::Options subscriptions;
   /// Failure-domain isolation (see `ShardSupervisor`): faults quarantine
   /// their shard instead of wedging the store; quarantined shards reject
   /// writes with `Unavailable`, fan-out answers turn partial, and a

@@ -24,25 +24,10 @@ geo::Box3 BandBox(const core::PositionAttribute& attr, double offset,
   if (options.horizon <= 0.0 || options.slab_width <= 0.0) return {};
   const core::Time ts = attr.start_time;
   const core::Time te = OPlaneEnd(ts, options);
-  const core::Duration span = te - ts;
-  // The bounds are monotone between their critical times, so their
-  // maxima over [0, span] sit at 0, span or a critical time inside.
-  double slow = std::max(core::SlowDeviationBound(attr, 0.0),
-                         core::SlowDeviationBound(attr, span));
-  double fast = std::max(core::FastDeviationBound(attr, 0.0),
-                         core::FastDeviationBound(attr, span));
-  for (const core::Duration c : core::BoundCriticalTimes(attr)) {
-    if (c >= span) continue;
-    slow = std::max(slow, core::SlowDeviationBound(attr, c));
-    fast = std::max(fast, core::FastDeviationBound(attr, c));
-  }
-  // Slow is behind the database position along the direction of travel.
-  const bool forward = attr.direction == core::TravelDirection::kForward;
-  const double behind = forward ? slow : fast;
-  const double ahead = forward ? fast : slow;
+  const core::BandReach reach = core::MaxBandReach(attr, te - ts);
   const double w = core::DirectionSign(attr.direction) * attr.speed;
   const double s0 = offset + attr.start_route_distance;
-  return geo::Box3(s0 - behind, w, ts, s0 + ahead, w, te);
+  return geo::Box3(s0 - reach.behind, w, ts, s0 + reach.ahead, w, te);
 }
 
 /// How far the band in `box` gets past either end of the route whose key

@@ -20,9 +20,8 @@ namespace modb::index {
 /// Over its horizon [ts, te] an object's o-plane lies in one band of route
 /// distances: s0 + w·(t − ts) + [−Kb, +Kf], with w the signed speed and Kb,
 /// Kf the largest bounds behind and ahead of the database position over
-/// [0, te − ts] (taken at 0, te − ts and `core::BoundCriticalTimes`; the
-/// slow bound is behind for forward travel and ahead for backward travel,
-/// as in `core::ComputeUncertainty`). The index stores it as one `RTree3`
+/// [0, te − ts] (`core::MaxBandReach`, which the subscription engine's
+/// route-space join shares). The index stores it as one `RTree3`
 /// box over (route key, w, [ts, te]): the key interval is the route's key
 /// offset plus [s0 − Kb, s0 + Kf], the w axis is the point w, and te is the
 /// slab boxes' horizon end (`OPlaneEnd`), so this index and

@@ -127,6 +127,38 @@ TEST_F(ShardedSubscriptionTest, SubscribeIsAllOrNothingAcrossShards) {
   EXPECT_EQ(db.Unsubscribe(1).code(), util::StatusCode::kNotFound);
 }
 
+// The engines take the store's horizon: with `db.oplane_horizon` 60, a
+// standing query 90 units after a model's start sees nothing, exactly as
+// `QueryRange` at that instant does, while one 30 units after sees it.
+TEST_F(ShardedSubscriptionTest, EnginesUseTheStoreHorizon) {
+  ShardedModDatabaseOptions options = WithSubscriptions(2);
+  options.db.oplane_horizon = 60.0;
+  ShardedModDatabase db(&network_, options);
+  // Parked at 100 on the street from t = 0: inside the region throughout.
+  const geo::Polygon region = geo::Polygon::Rectangle(90.0, -2.0, 110.0, 2.0);
+  SubscriptionSpec late;
+  late.region = region;
+  late.time = 90.0;
+  late.mode = SubscriptionMode::kAll;
+  SubscriptionSpec early = late;
+  early.time = 30.0;
+  ASSERT_TRUE(db.Subscribe(1, late).ok());
+  ASSERT_TRUE(db.Subscribe(2, early).ok());
+  ASSERT_TRUE(db.Insert(7, "parked", Attr(street_, 100.0)).ok());
+
+  const RangeAnswer at_late = db.QueryRange(region, 90.0);
+  EXPECT_TRUE(at_late.must.empty());
+  EXPECT_TRUE(at_late.may.empty());
+  const RangeAnswer at_early = db.QueryRange(region, 30.0);
+  EXPECT_EQ(at_early.must, std::vector<core::ObjectId>{7});
+
+  const auto events = db.TakeSubscriptionEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].subscription, 2u);
+  EXPECT_EQ(events[0].object, 7u);
+  EXPECT_EQ(events[0].to, core::RegionRelation::kMustBeIn);
+}
+
 // Satellite of ISSUE 6: the merged cross-shard stream must be
 // byte-identical to an unsharded database fed the same mutations — same
 // events, same order — for every shard count, with batched ingest, single

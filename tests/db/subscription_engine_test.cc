@@ -381,7 +381,7 @@ TEST_F(SubscriptionEngineTest, IncrementalMatchesNaiveRescanByteForByte) {
   }
   ASSERT_GT(naive_events.size(), 0u);
 
-  // The spatial join must have skipped work the rescan paid for.
+  // The route-space join must have skipped work the rescan paid for.
   EXPECT_LT(engine_->evals(), naive.evals());
   EXPECT_GT(engine_->evals_saved(), 0u);
   EXPECT_EQ(engine_->evals() + engine_->evals_saved(), naive.evals());
