@@ -82,6 +82,11 @@ void ModDatabase::SetMetrics(util::MetricsRegistry* registry,
   index_->SetMetrics(registry, prefix + "index.");
 }
 
+void ModDatabase::AttachSubscriptions(SubscriptionEngine* engine) {
+  subscriptions_ = engine;
+  if (engine != nullptr) engine->horizon_ = options_.oplane_horizon;
+}
+
 void ModDatabase::NotifyDeltas(std::span<const AttributeDelta> deltas) {
   subscriptions_->OnDeltaBatch(deltas);
 }
@@ -107,6 +112,17 @@ util::Status ModDatabase::ValidateAttribute(
   }
   if (attr.speed < 0.0) {
     return util::Status::InvalidArgument("negative speed");
+  }
+  // A negative cost, maximum speed, threshold or period makes a deviation
+  // bound negative, which turns the uncertainty interval inside out: the
+  // route-band index and the subscription join, which reach only as far as
+  // the bounds, would then miss objects the model classifies MAY.
+  for (const double field : {attr.update_cost, attr.max_speed,
+                             attr.fixed_threshold, attr.period,
+                             attr.step_threshold}) {
+    if (field < 0.0) {
+      return util::Status::InvalidArgument("negative policy parameter");
+    }
   }
   if (attr.start_route_distance < 0.0 ||
       attr.start_route_distance > (*route)->Length()) {

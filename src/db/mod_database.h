@@ -301,10 +301,10 @@ class ModDatabase {
   /// per-object deduped, so batched and sequential ingest notify
   /// identically). Recovery-style paths that bypass the index
   /// (bulk-ingest sessions, `RestoreTrajectory`) do not notify; finish
-  /// recovery before attaching the engine.
-  void AttachSubscriptions(SubscriptionEngine* engine) {
-    subscriptions_ = engine;
-  }
+  /// recovery before attaching the engine. Attaching sets the engine's
+  /// horizon gate to this store's `oplane_horizon`, so a standing query
+  /// sees exactly the models `QueryRange` sees.
+  void AttachSubscriptions(SubscriptionEngine* engine);
   SubscriptionEngine* subscriptions() const { return subscriptions_; }
 
   /// Invokes `fn` on every stored record (unspecified order). Used by the

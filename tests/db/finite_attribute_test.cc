@@ -1,6 +1,8 @@
 // Every write path refuses a position attribute with a non-finite numeric
 // field (a NaN passes every range check, and an infinite speed or time
-// reaches the index as an unbounded box) and leaves the store unchanged.
+// reaches the index as an unbounded box) or a negative policy parameter (a
+// negative deviation bound turns the uncertainty interval inside out), and
+// leaves the store unchanged.
 
 #include <gtest/gtest.h>
 
@@ -179,6 +181,63 @@ TEST_F(FiniteAttributeTest, SnapshotWithInfiniteSpeedIsRefused) {
   std::istringstream intact(text);
   EXPECT_TRUE(ReadSnapshot(intact).ok());
   EXPECT_EQ(Fingerprint(db), before);
+}
+
+TEST_F(FiniteAttributeTest, NegativePolicyParametersAreRefused) {
+  ModDatabase db(&network_);
+  ASSERT_TRUE(db.Insert(1, "", Attr(10.0)).ok());
+  const std::string before = Fingerprint(db);
+  using A = core::PositionAttribute;
+  const std::vector<std::pair<std::string, double A::*>> fields = {
+      {"update_cost", &A::update_cost},
+      {"max_speed", &A::max_speed},
+      {"fixed_threshold", &A::fixed_threshold},
+      {"period", &A::period},
+      {"step_threshold", &A::step_threshold}};
+  for (const auto& [name, field] : fields) {
+    core::PositionAttribute attr = Attr(20.0);
+    attr.*field = -20.0;
+    EXPECT_EQ(db.Insert(2, "", attr).code(),
+              util::StatusCode::kInvalidArgument)
+        << name;
+    std::vector<ModDatabase::BulkObject> batch;
+    batch.push_back({3, "", Attr(30.0)});
+    batch.push_back({4, "", attr});
+    EXPECT_EQ(db.BulkInsert(std::move(batch)).code(),
+              util::StatusCode::kInvalidArgument)
+        << name;
+    EXPECT_EQ(db.RestoreTrajectory(1, {attr}).code(),
+              util::StatusCode::kInvalidArgument)
+        << name;
+    EXPECT_EQ(Fingerprint(db), before) << name;
+  }
+  // Zero is a valid value of every one of them.
+  core::PositionAttribute zero = Attr(20.0);
+  for (const auto& [name, field] : fields) zero.*field = 0.0;
+  EXPECT_TRUE(db.Insert(2, "", zero).ok());
+}
+
+TEST_F(FiniteAttributeTest, SnapshotWithNegativeUpdateCostIsRefused) {
+  // The counterexample the check closes: an ail object parked at s = 50
+  // with cost -20 has the fast bound 2C/t < 0 (-20 at t = 2), so its
+  // interval at t = 2 is [30, 50], while the band the route-band index and
+  // the subscription join build from the bounds is the point s = 50.
+  ModDatabase db(&network_);
+  core::PositionAttribute parked = Attr(50.0);
+  parked.speed = 0.0;
+  parked.update_cost = 7.25;  // a token that appears nowhere else
+  ASSERT_TRUE(db.Insert(1, "", parked).ok());
+  std::ostringstream saved;
+  ASSERT_TRUE(WriteSnapshot(db, saved).ok());
+  std::string text = saved.str();
+  const std::size_t cost_at = text.find(" 7.25 ");
+  ASSERT_NE(cost_at, std::string::npos);
+  ASSERT_EQ(text.find(" 7.25 ", cost_at + 1), std::string::npos);
+  std::istringstream intact(text);
+  EXPECT_TRUE(ReadSnapshot(intact).ok());
+  text.replace(cost_at + 1, 4, "-20");
+  std::istringstream in(text);
+  EXPECT_FALSE(ReadSnapshot(in).ok());
 }
 
 }  // namespace
