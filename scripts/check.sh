@@ -47,7 +47,6 @@ smoke_benches=(
   "E17 continuous-query matching|exp_continuous_query"
   "E18 shard failure domains|exp_fault_tolerance"
   "E19 paged index storage|exp_paged_index"
-  "E20 lock-free index reads|exp_lockfree_reads"
 )
 for entry in "${smoke_benches[@]}"; do
   label="${entry%%|*}"

@@ -189,15 +189,9 @@ util::Status ModDatabase::FinishBulkIngest() {
   bulk_ingest_ = false;
   // Destroy the old index *before* constructing the new one, so the two
   // never hold a buffer pool (and, disk-backed, a page file) at the same
-  // time. (Bulk ingest runs during recovery, before any reader can hold a
-  // `SharedIndex` handle, so the reset here really does destroy the old
-  // instance; the mutex only keeps the pointer swap itself atomic for
-  // `SharedIndex`.)
-  {
-    std::lock_guard lock(index_mu_);
-    index_.reset();
-    index_ = MakeIndex(network_, options_);
-  }
+  // time.
+  index_.reset();
+  index_ = MakeIndex(network_, options_);
   if (metrics_registry_ != nullptr) {
     index_->SetMetrics(metrics_registry_, metrics_prefix_ + "index.");
   }
@@ -302,7 +296,6 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
   // the per-object registry behind the stage-4 dedup.
   std::unordered_map<core::ObjectId, std::size_t> last_accepted;
   std::size_t num_accepted = 0;
-  std::size_t first_accepted = 0;
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const core::PositionUpdate& update = updates[i];
     const core::PositionAttribute* base = nullptr;
@@ -336,7 +329,6 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     }
     merged[i] = attr;
     accepted[i] = true;
-    if (num_accepted == 0) first_accepted = i;
     ++num_accepted;
     last_accepted[update.object] = i;
   }
@@ -351,17 +343,12 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
   // failed append fails all accepted records before any memory effect; the
   // writer poisons itself, so the log cannot trail the store.
   if (wal_ != nullptr) {
-    util::Status logged;
-    if (num_accepted == 1) {
-      logged = wal_->AppendUpdate(updates[first_accepted]);
-    } else {
-      std::vector<core::PositionUpdate> to_log;
-      to_log.reserve(num_accepted);
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        if (accepted[i]) to_log.push_back(updates[i]);
-      }
-      logged = wal_->AppendUpdateBatch(to_log);
+    std::vector<core::PositionUpdate> to_log;
+    to_log.reserve(num_accepted);
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      if (accepted[i]) to_log.push_back(updates[i]);
     }
+    const util::Status logged = wal_->AppendUpdateBatch(to_log);
     if (!logged.ok()) {
       if (wal_fails_ != nullptr) wal_fails_->Increment();
       for (std::size_t i = 0; i < updates.size(); ++i) {
@@ -633,34 +620,8 @@ RangeAnswer ModDatabase::RefineRange(
 NearestAnswer ModDatabase::QueryNearest(const geo::Point2& point,
                                         std::size_t k, core::Time t) const {
   NearestAnswer answer;
-  QueryNearestSplit(
-      point, k, t,
-      [&](const geo::Polygon& probe) {
-        CountIndexProbe();
-        return index_->Candidates(probe, t);
-      },
-      [](const std::function<void()>& fn) {
-        fn();
-        return true;
-      },
-      &answer);
-  return answer;
-}
-
-bool ModDatabase::QueryNearestSplit(
-    const geo::Point2& point, std::size_t k, core::Time t,
-    const std::function<std::vector<core::ObjectId>(const geo::Polygon&)>&
-        probe,
-    const std::function<bool(const std::function<void()>&)>& locked,
-    NearestAnswer* out) const {
-  NearestAnswer answer;
   answer.query_time = t;
-  bool have_records = false;
-  if (!locked([&] { have_records = !records_.empty(); })) return false;
-  if (k == 0 || !have_records) {
-    *out = std::move(answer);
-    return true;
-  }
+  if (k == 0 || records_.empty()) return answer;
 
   // Expanding probes: grow a square around the query point until it yields
   // at least k *surviving* candidates (or covers the whole network), then
@@ -680,10 +641,15 @@ bool ModDatabase::QueryNearestSplit(
       std::max({point.x - world.min.x, world.max.x - point.x,
                 point.y - world.min.y, world.max.y - point.y}) +
       1.0;
-  std::vector<core::ObjectId> candidates;
 
   core::Refiner refiner;
-  auto build_items = [&](const std::vector<core::ObjectId>& ids) {
+  // Probes the index with the square of half-width `half` around `point`
+  // and refines the candidates into distance-ordered items.
+  auto probe = [&](double half) {
+    const std::vector<core::ObjectId> ids = index_->Candidates(
+        geo::Polygon::CenteredRectangle(point, half, half), t);
+    CountIndexProbe();
+    answer.candidates_examined += ids.size();
     std::vector<NearestAnswer::Item> items;
     items.reserve(ids.size());
     for (core::ObjectId id : ids) {
@@ -710,15 +676,7 @@ bool ModDatabase::QueryNearestSplit(
 
   std::vector<NearestAnswer::Item> items;
   for (;;) {
-    const geo::Polygon probe_region =
-        geo::Polygon::CenteredRectangle(point, radius, radius);
-    candidates = probe(probe_region);
-    if (!locked([&] {
-          answer.candidates_examined += candidates.size();
-          items = build_items(candidates);
-        })) {
-      return false;
-    }
+    items = probe(radius);
     if (items.size() >= k || radius >= cover) break;
     radius *= 2.0;
   }
@@ -726,22 +684,11 @@ bool ModDatabase::QueryNearestSplit(
   if (!items.empty() && radius < cover) {
     const double kth =
         items[std::min(k, items.size()) - 1].db_distance;
-    if (kth > radius) {
-      const geo::Polygon wide =
-          geo::Polygon::CenteredRectangle(point, kth, kth);
-      candidates = probe(wide);
-      if (!locked([&] {
-            answer.candidates_examined += candidates.size();
-            items = build_items(candidates);
-          })) {
-        return false;
-      }
-    }
+    if (kth > radius) items = probe(kth);
   }
   if (items.size() > k) items.resize(k);
   answer.items = std::move(items);
-  *out = std::move(answer);
-  return true;
+  return answer;
 }
 
 IntervalRangeAnswer ModDatabase::QueryRangeInterval(
@@ -759,7 +706,6 @@ IntervalRangeAnswer ModDatabase::RefineRangeInterval(
     core::Duration sample_step,
     const std::vector<core::ObjectId>& candidates) const {
   IntervalRangeAnswer answer;
-  if (t1 > t2) std::swap(t1, t2);
   answer.window_start = t1;
   answer.window_end = t2;
   answer.candidates_examined = candidates.size();

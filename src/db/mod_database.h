@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -74,10 +73,10 @@ struct ModDatabaseOptions {
   double oplane_slab_width = 4.0;
   /// Page storage backing the range index's R*-tree nodes (ignored by the
   /// linear scan). The default (memory, unbounded pool) selects a resident
-  /// tree that owns its nodes in RAM, with no buffer pool and lock-free
-  /// probes. Set `kind = kDisk`
-  /// with a `path` and a `pool_pages` budget to bound index memory: nodes
-  /// then live in a scratch page file behind a clock-eviction buffer pool.
+  /// tree that owns its nodes in RAM, with no buffer pool. Set
+  /// `kind = kDisk` with a `path` and a `pool_pages` budget to bound index
+  /// memory: nodes then live in a scratch page file behind a clock-eviction
+  /// buffer pool.
   /// The file is replaced by an empty one when the index is built and is
   /// never synced: every restart rebuilds the index from the snapshot and
   /// the WAL. The
@@ -205,46 +204,11 @@ class ModDatabase {
   /// starts after t0 is not answered (its model does not cover t0).
   RangeAnswer QueryRange(const geo::Polygon& region, core::Time t) const;
 
-  /// The refinement half of `QueryRange`: classifies `candidates` (already
-  /// probed from the index) into MUST / MAY against the stored records.
-  /// `QueryRange` is exactly `RefineRange(region, t, Candidates(region, t))`.
-  /// The split lets the sharded layer probe the index lock-free (when the
-  /// index supports it) and take the shard's reader lock only for this
-  /// record-map refinement.
-  RangeAnswer RefineRange(const geo::Polygon& region, core::Time t,
-                          const std::vector<core::ObjectId>& candidates) const;
-
-  /// The refinement half of `QueryRangeInterval` (swap-tolerant in t1/t2),
-  /// mirroring `RefineRange`; candidates come from `CandidatesInWindow`.
-  IntervalRangeAnswer RefineRangeInterval(
-      const geo::Polygon& region, core::Time t1, core::Time t2,
-      core::Duration sample_step,
-      const std::vector<core::ObjectId>& candidates) const;
-
   /// "Retrieve the k objects nearest to `point` at time t", with
   /// uncertainty-aware distance brackets. Uses expanding index probes, so
   /// it stays sublinear for small k on large databases.
   NearestAnswer QueryNearest(const geo::Point2& point, std::size_t k,
                              core::Time t) const;
-
-  /// `QueryNearest` with its two kinds of work injected, for callers that
-  /// interleave lock-free index probes with locked record refinement (the
-  /// sharded layer's optimistic read path):
-  ///   - `probe(region)` returns the index candidates for a probe
-  ///     rectangle (called without any lock held by this function);
-  ///   - `locked(fn)` runs `fn` — which reads this database's record map —
-  ///     under whatever exclusion the caller provides, returning false to
-  ///     abort the query (e.g. an optimistic version recheck failed).
-  /// Returns true with `*out` filled on success, false (out untouched,
-  /// beyond possibly-partial scratch) when a `locked` call vetoed; the
-  /// caller then falls back to its fully-locked path. The plain
-  /// `QueryNearest` delegates here with trivial lambdas.
-  bool QueryNearestSplit(
-      const geo::Point2& point, std::size_t k, core::Time t,
-      const std::function<std::vector<core::ObjectId>(const geo::Polygon&)>&
-          probe,
-      const std::function<bool(const std::function<void()>&)>& locked,
-      NearestAnswer* out) const;
 
   /// "Retrieve the objects inside `region` at some time within [t1, t2]".
   /// Each object's window is first clipped to the time its model covers,
@@ -320,28 +284,22 @@ class ModDatabase {
   const geo::RouteNetwork& network() const { return *network_; }
   const ModDatabaseOptions& options() const { return options_; }
 
-  /// Shared handle to the current index, for callers that probe it while
-  /// this database may be swapped out from under them (the sharded layer's
-  /// lock-free read path keeps the index alive across a shard-remediation
-  /// db swap). The handle tracks the index instance current at call time;
-  /// `FinishBulkIngest` installs a fresh instance under the same mutex, so
-  /// a concurrent caller gets either the old complete index or the new one,
-  /// never a torn pointer.
-  std::shared_ptr<const index::ObjectIndex> SharedIndex() const {
-    std::lock_guard lock(index_mu_);
-    return index_;
-  }
-
-  /// Bumps the `<prefix>index_probes` counter (lock-free; see `SetMetrics`).
-  /// Public so the sharded layer's lock-free probe path, which calls the
-  /// index directly through `SharedIndex`, counts its probes identically to
-  /// the in-database query paths.
+ private:
+  util::Status ValidateAttribute(const core::PositionAttribute& attr) const;
+  /// Bumps the `<prefix>index_probes` counter (see `SetMetrics`).
   void CountIndexProbe() const {
     if (index_probes_ != nullptr) index_probes_->Increment();
   }
-
- private:
-  util::Status ValidateAttribute(const core::PositionAttribute& attr) const;
+  /// The refinement half of `QueryRange`: classifies `candidates` (already
+  /// probed from the index) into MUST / MAY against the stored records.
+  RangeAnswer RefineRange(const geo::Polygon& region, core::Time t,
+                          const std::vector<core::ObjectId>& candidates) const;
+  /// The refinement half of `QueryRangeInterval`; `t1 <= t2`, and the
+  /// candidates come from `CandidatesInWindow`.
+  IntervalRangeAnswer RefineRangeInterval(
+      const geo::Polygon& region, core::Time t1, core::Time t2,
+      core::Duration sample_step,
+      const std::vector<core::ObjectId>& candidates) const;
   /// Hands a committed mutation's transition stream to the attached
   /// subscription engine (the pointed-to attributes live only for the
   /// call).
@@ -350,11 +308,7 @@ class ModDatabase {
   const geo::RouteNetwork* network_;
   ModDatabaseOptions options_;
   std::unordered_map<core::ObjectId, MovingObjectRecord> records_;
-  // shared_ptr (not unique_ptr) so `SharedIndex` can hand out handles that
-  // outlive a `FinishBulkIngest` swap; `index_mu_` guards only the pointer
-  // itself, never index operations.
-  std::shared_ptr<index::ObjectIndex> index_;
-  mutable std::mutex index_mu_;
+  std::unique_ptr<index::ObjectIndex> index_;
   std::uint64_t total_updates_ = 0;
   WalWriter* wal_ = nullptr;  // non-owning, see AttachWal
   SubscriptionEngine* subscriptions_ = nullptr;  // non-owning

@@ -211,7 +211,6 @@ util::Status ShardedModDatabase::Insert(core::ObjectId id, std::string label,
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mu);
   util::Status status = shard.db->Insert(id, std::move(label), attr);
-  NoteMutation(shard);
   if (shard.subscriptions != nullptr) {
     // Published while still holding the shard lock so events of
     // serialised same-shard mutations never invert.
@@ -254,7 +253,6 @@ util::Status ShardedModDatabase::BulkInsert(std::vector<BulkObject> objects) {
     // Copied (not moved) into the shard so the partition is still around
     // for cross-shard rollback below.
     statuses[s] = shard.db->BulkInsert(partitions[s]);
-    NoteMutation(shard);
     if (shard.subscriptions != nullptr) {
       // Held back until the whole call is known to succeed; discarded on
       // rollback below.
@@ -297,7 +295,6 @@ util::Status ShardedModDatabase::BulkInsert(std::vector<BulkObject> objects) {
     for (const BulkObject& object : partitions[s]) {
       (void)shard.db->Erase(object.id);
     }
-    NoteMutation(shard);
     if (shard.subscriptions != nullptr) {
       (void)shard.subscriptions->TakeEvents();
     }
@@ -313,7 +310,6 @@ util::Status ShardedModDatabase::ApplyUpdate(
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mu);
   util::Status status = shard.db->ApplyUpdate(update);
-  NoteMutation(shard);
   if (shard.subscriptions != nullptr) {
     PublishShardEvents(shard.subscriptions->TakeEvents());
   }
@@ -357,7 +353,6 @@ UpdateBatchResult ShardedModDatabase::ApplyUpdateBatch(
     Shard& shard = *shards_[s];
     std::unique_lock lock(shard.mu);
     per_shard[s] = shard.db->ApplyUpdateBatch(parts[s]);
-    NoteMutation(shard);
     if (shard.subscriptions != nullptr) {
       // Drained under the shard's exclusive lock, so the run contains
       // exactly this call's events — no cross-call mixing.
@@ -407,7 +402,6 @@ util::Status ShardedModDatabase::Erase(core::ObjectId id) {
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mu);
   util::Status status = shard.db->Erase(id);
-  NoteMutation(shard);
   if (shard.subscriptions != nullptr) {
     PublishShardEvents(shard.subscriptions->TakeEvents());
   }
@@ -517,32 +511,6 @@ void ShardedModDatabase::FanOut(
   pool_.ParallelFor(shards_.size(), per_shard);
 }
 
-template <typename Probe, typename Refine>
-auto ShardedModDatabase::ProbeThenRefine(const Shard& shard,
-                                         const Probe& probe,
-                                         const Refine& refine) {
-  const std::uint64_t v1 = shard.mutations.load(std::memory_order_seq_cst);
-  const std::shared_ptr<ModDatabase> db = SnapshotDb(shard);
-  const std::shared_ptr<const index::ObjectIndex> index = db->SharedIndex();
-  if (index->lock_free_probes()) {
-    // Optimistic split: probe without the shard lock, then refine under
-    // the shared lock only if no mutation completed in between. The
-    // counter recheck makes the answer byte-identical to the locked path.
-    const std::vector<core::ObjectId> candidates = probe(*index);
-    std::shared_lock lock(shard.mu);
-    if (shard.mutations.load(std::memory_order_seq_cst) == v1) {
-      db->CountIndexProbe();
-      return refine(*db, candidates);
-    }
-  }
-  std::shared_lock lock(shard.mu);
-  const ModDatabase& locked = *shard.db;
-  const std::vector<core::ObjectId> candidates =
-      probe(locked.object_index());
-  locked.CountIndexProbe();
-  return refine(locked, candidates);
-}
-
 RangeAnswer ShardedModDatabase::QueryRange(const geo::Polygon& region,
                                            core::Time t) const {
   queries_range_->Increment();
@@ -552,15 +520,9 @@ RangeAnswer ShardedModDatabase::QueryRange(const geo::Polygon& region,
   std::vector<RangeAnswer> per_shard(shards_.size());
   FanOut([&](std::size_t s) {
     if (skip[s] != 0) return;
-    per_shard[s] = ProbeThenRefine(
-        *shards_[s],
-        [&](const index::ObjectIndex& index) {
-          return index.Candidates(region, t);
-        },
-        [&](const ModDatabase& db,
-            const std::vector<core::ObjectId>& candidates) {
-          return db.RefineRange(region, t, candidates);
-        });
+    const Shard& shard = *shards_[s];
+    std::shared_lock lock(shard.mu);
+    per_shard[s] = shard.db->QueryRange(region, t);
   });
   RangeAnswer merged = MergeRangeAnswers(std::move(per_shard), t);
   merged.completeness = std::move(completeness);
@@ -601,36 +563,6 @@ NearestAnswer ShardedModDatabase::QueryNearest(const geo::Point2& point,
   FanOut([&](std::size_t s) {
     if (skip[s] != 0) return;
     const Shard& shard = *shards_[s];
-    const std::uint64_t v1 = shard.mutations.load(std::memory_order_seq_cst);
-    const std::shared_ptr<ModDatabase> db = SnapshotDb(shard);
-    const std::shared_ptr<const index::ObjectIndex> index = db->SharedIndex();
-    if (index->lock_free_probes()) {
-      // Nearest interleaves probes and refinement, so the split runs
-      // inside the database: every expanding probe goes through the
-      // lock-free index handle, every record-map pass re-acquires the
-      // shared lock and re-validates the mutation counter. Any concurrent
-      // write voids the whole query (false) → locked fallback below.
-      NearestAnswer answer;
-      const bool ok = db->QueryNearestSplit(
-          point, k, t,
-          [&](const geo::Polygon& probe) {
-            db->CountIndexProbe();
-            return index->Candidates(probe, t);
-          },
-          [&](const std::function<void()>& fn) {
-            std::shared_lock lock(shard.mu);
-            if (shard.mutations.load(std::memory_order_seq_cst) != v1) {
-              return false;
-            }
-            fn();
-            return true;
-          },
-          &answer);
-      if (ok) {
-        per_shard[s] = std::move(answer);
-        return;
-      }
-    }
     std::shared_lock lock(shard.mu);
     per_shard[s] = shard.db->QueryNearest(point, k, t);
   });
@@ -655,20 +587,11 @@ IntervalRangeAnswer ShardedModDatabase::QueryRangeInterval(
   std::vector<char> skip;
   QueryCompleteness completeness = ExcludedShards(&skip);
   std::vector<IntervalRangeAnswer> per_shard(shards_.size());
-  const core::Time window_lo = std::min(t1, t2);
-  const core::Time window_hi = std::max(t1, t2);
   FanOut([&](std::size_t s) {
     if (skip[s] != 0) return;
-    per_shard[s] = ProbeThenRefine(
-        *shards_[s],
-        [&](const index::ObjectIndex& index) {
-          return index.CandidatesInWindow(region, window_lo, window_hi);
-        },
-        [&](const ModDatabase& db,
-            const std::vector<core::ObjectId>& candidates) {
-          return db.RefineRangeInterval(region, window_lo, window_hi,
-                                        sample_step, candidates);
-        });
+    const Shard& shard = *shards_[s];
+    std::shared_lock lock(shard.mu);
+    per_shard[s] = shard.db->QueryRangeInterval(region, t1, t2, sample_step);
   });
 
   IntervalRangeAnswer merged;
@@ -836,15 +759,7 @@ util::Status ShardedModDatabase::RemediateShard(std::size_t s) {
   auto durability =
       DurabilityManager::Open(fresh.get(), ShardDirOf(s), options_.durability);
   if (!durability.ok()) return durability.status();
-  {
-    // A lock-free probe may be pinning the old database right now; the
-    // swap happens under db_swap_mu so the probe's SnapshotDb saw a whole
-    // pointer, and its shared_ptr keeps the old store alive until the
-    // probe finishes (the mutation bump below voids its answer anyway).
-    std::lock_guard swap_lock(shard.db_swap_mu);
-    shard.db = std::move(fresh);
-  }
-  NoteMutation(shard);
+  shard.db = std::move(fresh);
   shard.durability = std::move(*durability);
   shard.durability->ExportMetrics(&metrics_);
 

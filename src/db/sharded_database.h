@@ -1,7 +1,6 @@
 #ifndef MODB_DB_SHARDED_DATABASE_H_
 #define MODB_DB_SHARDED_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -70,16 +69,9 @@ struct ShardedModDatabaseOptions {
 /// Writes (`Insert` / `ApplyUpdate` / `Erase`) take the owning shard's
 /// exclusive lock, so updates to different shards proceed in parallel.
 /// Fan-out queries (`QueryRange` / `QueryNearest` / `QueryRangeInterval`)
-/// run the per-shard query on the internal thread pool and merge: MUST /
-/// MAY unions re-sorted by id, and a global top-k re-merge for nearest.
-/// When the shard's index allows lock-free probes
-/// (`ObjectIndex::lock_free_probes()` — both R*-tree kinds do on a
-/// resident tree), the per-shard query probes the index *without* the shard lock
-/// and takes the shared lock only for record-map refinement, re-validating
-/// against the shard's mutation counter; a concurrent write voids the
-/// probe and the query reruns under the shared lock, so answers are
-/// byte-identical either way. Other indexes run the whole per-shard query
-/// under the shared lock.
+/// run the per-shard query, index probe and refinement alike, under that
+/// shard's shared lock on the internal thread pool, and merge: MUST / MAY
+/// unions re-sorted by id, and a global top-k re-merge for nearest.
 ///
 /// Consistency: per-object operations are linearisable (one shard, one
 /// lock). A fan-out query does not freeze the whole database — each shard
@@ -223,22 +215,10 @@ class ShardedModDatabase {
 
  private:
   struct alignas(64) Shard {
+    // Guards every operation on `db`, and the pointer itself (a
+    // remediation swaps it under the exclusive lock).
     mutable std::shared_mutex mu;
-    // shared_ptr (not unique_ptr) so the lock-free probe path can pin the
-    // database across a remediation swap; `db_swap_mu` guards only the
-    // pointer itself (see SnapshotDb) — all database *operations* are
-    // still serialised by `mu`.
-    std::shared_ptr<ModDatabase> db;
-    mutable std::mutex db_swap_mu;
-    // Bumped at the end of every mutation's critical section (while `mu`
-    // is still held exclusively) — including a remediation db swap. The
-    // optimistic read path loads it before a lock-free index probe and
-    // re-checks under the shared lock: equality proves no mutation
-    // completed in between (a mutation in flight during the probe has not
-    // yet bumped, but then its exclusive hold of `mu` forces the recheck
-    // to run after its bump), so the probe's candidates are consistent
-    // with the locked refinement state.
-    std::atomic<std::uint64_t> mutations{0};
+    std::unique_ptr<ModDatabase> db;
     // Owns the shard's WAL; declared after db (destroyed first) so the WAL
     // detaches from a still-live database.
     std::unique_ptr<DurabilityManager> durability;
@@ -266,32 +246,6 @@ class ShardedModDatabase {
   /// Read fan-out skip set: marks non-readable shards in `skip` (sized to
   /// the fleet) and returns the matching completeness record.
   QueryCompleteness ExcludedShards(std::vector<char>* skip) const;
-
-  /// Pins the shard's current database for a lock-free probe (the handle
-  /// keeps it alive across a concurrent remediation swap).
-  static std::shared_ptr<ModDatabase> SnapshotDb(const Shard& shard) {
-    std::lock_guard lock(shard.db_swap_mu);
-    return shard.db;
-  }
-
-  /// One shard's part of a `QueryRange` / `QueryRangeInterval` fan-out.
-  /// `probe(index)` returns the index candidates and
-  /// `refine(db, candidates)` classifies them against the record map. When
-  /// the index allows lock-free probes, the probe runs without the shard
-  /// lock and the refinement under the shared lock, provided no mutation
-  /// completed in between (see `Shard::mutations`); otherwise, or when a
-  /// write voided the probe, both run under the shared lock. The probe is
-  /// counted once in `mod.index_probes` either way.
-  template <typename Probe, typename Refine>
-  static auto ProbeThenRefine(const Shard& shard, const Probe& probe,
-                              const Refine& refine);
-
-  /// Marks a completed mutation on shard `s`. Must be called *after* the
-  /// mutation, while the shard's exclusive lock is still held (see the
-  /// `Shard::mutations` protocol comment).
-  static void NoteMutation(Shard& shard) {
-    shard.mutations.fetch_add(1, std::memory_order_seq_cst);
-  }
 
   /// Fault check after a write to shard `s` (shard lock held): a poisoned
   /// WAL or an Internal write status quarantines the shard. Normal

@@ -124,14 +124,6 @@ class ObjectIndex {
     (void)prefix;
   }
 
-  /// True when the const query paths are additionally safe to call
-  /// concurrently with the mutating methods (not just with each other) —
-  /// i.e. the implementation publishes mutations atomically to readers
-  /// (both R*-tree index kinds over a resident copy-on-write tree). The
-  /// sharded database uses this to probe candidates without holding the
-  /// shard's reader lock. Writers always keep external mutual exclusion.
-  virtual bool lock_free_probes() const { return false; }
-
   /// Implementation name for reports ("rtree", "scan", "route").
   virtual std::string_view name() const = 0;
 

@@ -47,29 +47,22 @@ class RouteBandIndex::Probe final : public RTree3::Filter {
  public:
   Probe(const RouteBandIndex& index, const geo::Polygon& region,
         core::Time t1, core::Time t2)
-      : index_(index), region_(region.BoundingBox()), t1_(t1), t2_(t2) {
-    const double scale =
-        std::max({std::abs(region_.min.x), std::abs(region_.min.y),
-                  std::abs(region_.max.x), std::abs(region_.max.y)});
-    region_.Inflate(kSlack * (1.0 + scale));
-  }
-
-  // Loaded here, after the tree snapshot is pinned: the routes and reach
-  // are then at least as new as every band the snapshot holds.
-  void Begin() override {
-    const ProbeState state = index_.LoadProbeState();
-    if (state.routes == nullptr || region_.Empty()) return;
-    for (const auto& slot : *state.routes) {
-      const geo::Polyline& shape = slot->shape;
+      : t1_(t1), t2_(t2) {
+    geo::Box2 box = region.BoundingBox();
+    const double scale = std::max({std::abs(box.min.x), std::abs(box.min.y),
+                                   std::abs(box.max.x), std::abs(box.max.y)});
+    box.Inflate(kSlack * (1.0 + scale));
+    if (box.Empty()) return;
+    for (const RouteSlot& slot : index.routes_) {
+      const geo::Polyline& shape = slot.shape;
       const double length = shape.Length();
-      const double slack = kSlack * (1.0 + std::abs(slot->offset) + length);
-      for (const auto& [a, b] : shape.IntervalsInBox(region_)) {
+      const double slack = kSlack * (1.0 + std::abs(slot.offset) + length);
+      for (const auto& [a, b] : shape.IntervalsInBox(box)) {
         // The uncertainty interval is the band clamped to the route, so a
         // band past an end counts as being at that end.
-        const double lo = a <= 0.0 ? -state.end_reach : a;
-        const double hi = b >= length ? length + state.end_reach : b;
-        keys_.emplace_back(slot->offset + lo - slack,
-                           slot->offset + hi + slack);
+        const double lo = a <= 0.0 ? -index.end_reach_ : a;
+        const double hi = b >= length ? length + index.end_reach_ : b;
+        keys_.emplace_back(slot.offset + lo - slack, slot.offset + hi + slack);
       }
     }
     // Sorted and merged, so `Meets` is one binary search.
@@ -115,8 +108,6 @@ class RouteBandIndex::Probe final : public RTree3::Filter {
     return it != keys_.end() && it->first <= hi;
   }
 
-  const RouteBandIndex& index_;
-  geo::Box2 region_;
   core::Time t1_;
   core::Time t2_;
   std::vector<KeyInterval> keys_;  // sorted, disjoint
@@ -124,12 +115,8 @@ class RouteBandIndex::Probe final : public RTree3::Filter {
 
 RouteBandIndex::RouteBandIndex(const geo::RouteNetwork* network,
                                Options options)
-    : network_(network),
-      options_(options),
-      rtree_(options.rtree),
-      routes_(std::make_shared<const RouteTable>()) {
+    : network_(network), options_(options), rtree_(options.rtree) {
   assert(network_ != nullptr);
-  probe_state_.routes = routes_;
 }
 
 void RouteBandIndex::SetMetrics(util::MetricsRegistry* registry,
@@ -156,46 +143,28 @@ util::Status RouteBandIndex::Validate(
 
 std::vector<geo::Box3> RouteBandIndex::Prepare(
     const std::vector<IndexDelta>& rows) {
-  std::size_t needed = routes_->size();
+  std::size_t needed = routes_.size();
   for (const IndexDelta& row : rows) {
     if (row.attr != nullptr) {
       needed = std::max(needed, static_cast<std::size_t>(row.attr->route) + 1);
     }
   }
-  if (needed > routes_->size()) {
-    auto table = std::make_shared<RouteTable>(*routes_);
-    for (std::size_t id = table->size(); id < needed; ++id) {
-      const geo::Route& route = network_->route(static_cast<geo::RouteId>(id));
-      auto slot = std::make_shared<RouteSlot>();
-      slot->offset = next_base_ + route.Length();
-      slot->shape = route.shape();
-      next_base_ += 3.0 * route.Length();
-      table->push_back(std::move(slot));
-    }
-    routes_ = std::move(table);
+  for (std::size_t id = routes_.size(); id < needed; ++id) {
+    const geo::Route& route = network_->route(static_cast<geo::RouteId>(id));
+    routes_.push_back(RouteSlot{next_base_ + route.Length(), route.shape()});
+    next_base_ += 3.0 * route.Length();
   }
   std::vector<geo::Box3> boxes(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     if (rows[i].attr == nullptr) continue;
-    const RouteSlot& slot = *(*routes_)[rows[i].attr->route];
+    const RouteSlot& slot = routes_[rows[i].attr->route];
     boxes[i] = BandBox(*rows[i].attr, slot.offset, options_.oplane);
     if (boxes[i].Empty()) continue;
     end_reach_ = std::max(
         end_reach_,
         EndReach(boxes[i], slot.offset, slot.offset + slot.shape.Length()));
   }
-  std::lock_guard lock(probe_mu_);
-  probe_state_ = ProbeState{routes_, end_reach_};
   return boxes;
-}
-
-RouteBandIndex::ProbeState RouteBandIndex::LoadProbeState() const {
-  std::lock_guard lock(probe_mu_);
-  return probe_state_;
-}
-
-double RouteBandIndex::end_reach() const {
-  return LoadProbeState().end_reach;
 }
 
 util::Status RouteBandIndex::Upsert(core::ObjectId id,
@@ -224,8 +193,6 @@ util::Status RouteBandIndex::ApplyDeltaBatch(
     const std::vector<IndexDelta>& deltas) {
   if (util::Status s = Validate(deltas); !s.ok()) return s;
   const std::vector<geo::Box3> boxes = Prepare(deltas);
-  // Lock-free readers see the whole batch at once.
-  RTree3::BatchScope batch(rtree_);
   for (std::size_t i = 0; i < deltas.size(); ++i) {
     RemoveEntry(deltas[i].id);
     if (deltas[i].attr == nullptr) continue;
@@ -272,7 +239,7 @@ std::vector<core::ObjectId> RouteBandIndex::CandidatesInWindow(
 std::vector<core::ObjectId> RouteBandIndex::Search(const geo::Polygon& region,
                                                    core::Time t1,
                                                    core::Time t2) const {
-  Probe probe(*this, region, t1, t2);
+  const Probe probe(*this, region, t1, t2);
   std::vector<core::ObjectId> ids = rtree_.SearchIf(probe);
   std::sort(ids.begin(), ids.end());  // one entry per object: no duplicates
   return ids;

@@ -1,8 +1,6 @@
 #ifndef MODB_INDEX_ROUTE_BAND_INDEX_H_
 #define MODB_INDEX_ROUTE_BAND_INDEX_H_
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,12 +43,10 @@ namespace modb::index {
 ///
 /// Routes are registered, in id order, when a row first names them; the
 /// route table copies their geometry, so probes never read the network and
-/// routes appended to it while readers run are safe.
+/// routes appended to it while probes run are safe.
 ///
-/// Concurrency: as `TimeSpaceIndex`. On a resident tree the probes are
-/// lock-free; the writer publishes the route table and end reach before
-/// each tree publication, and a probe loads them after pinning its tree
-/// snapshot (`RTree3::Filter::Begin`).
+/// Concurrency: as `TimeSpaceIndex` — any number of probes, or one writer
+/// alone.
 class RouteBandIndex final : public ObjectIndex {
  public:
   struct Options {
@@ -72,7 +68,7 @@ class RouteBandIndex final : public ObjectIndex {
   /// identical trees.
   util::Status BulkUpsert(const std::vector<IndexDelta>& rows) override;
   /// Validates every row first (index unchanged on error), then removes
-  /// and reinserts each object's one entry inside one tree write batch.
+  /// and reinserts each object's one entry.
   util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) override;
   std::vector<core::ObjectId> Candidates(const geo::Polygon& region,
                                          core::Time t) const override;
@@ -86,42 +82,33 @@ class RouteBandIndex final : public ObjectIndex {
   /// (`RTree3::SetMetrics`).
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix) override;
-  bool lock_free_probes() const override { return rtree_.concurrent_reads(); }
   std::string_view name() const override { return "route"; }
   std::size_t num_objects() const override { return boxes_.size(); }
   std::size_t num_entries() const override { return rtree_.size(); }
 
   /// Largest distance any stored band has reached past an end of its route
-  /// (never lowered, so a probe that read it stays sound).
-  double end_reach() const;
+  /// (never lowered).
+  double end_reach() const { return end_reach_; }
   /// Failed entry removals (0 in a healthy index).
   std::size_t remove_misses() const { return remove_misses_; }
   const RTree3& rtree() const { return rtree_; }
 
  private:
-  /// One registered route: immutable once published.
+  /// One registered route.
   struct RouteSlot {
     double offset = 0.0;  // key of route distance 0
     geo::Polyline shape;
-  };
-  using RouteTable = std::vector<std::shared_ptr<const RouteSlot>>;
-  /// What a probe reads besides the tree, as one consistent pair.
-  struct ProbeState {
-    std::shared_ptr<const RouteTable> routes;
-    double end_reach = 0.0;
   };
   class Probe;
 
   /// Route and storage checks of every row; OK leaves nothing changed.
   util::Status Validate(const std::vector<IndexDelta>& rows) const;
   /// Registers every route up to the largest id `rows` name, computes the
-  /// rows' band boxes (empty for removals), raises the end reach to cover
-  /// them and publishes routes and reach for probes — all before the rows
-  /// touch the tree, so a probe of the new tree sees both.
+  /// rows' band boxes (empty for removals) and raises the end reach to
+  /// cover them.
   std::vector<geo::Box3> Prepare(const std::vector<IndexDelta>& rows);
   /// Removes `id`'s stored entry, if any, counting a miss.
   void RemoveEntry(core::ObjectId id);
-  ProbeState LoadProbeState() const;
   std::vector<core::ObjectId> Search(const geo::Polygon& region,
                                      core::Time t1, core::Time t2) const;
 
@@ -129,13 +116,11 @@ class RouteBandIndex final : public ObjectIndex {
   Options options_;
   RTree3 rtree_;
   std::unordered_map<core::ObjectId, geo::Box3> boxes_;
-  // Writer-side layout: the latest route table and end reach, and the
-  // key where the next route's slot begins.
-  std::shared_ptr<const RouteTable> routes_;
+  // Key layout: the registered routes (index = route id), the end reach,
+  // and the key where the next route's slot begins.
+  std::vector<RouteSlot> routes_;
   double end_reach_ = 0.0;
   double next_base_ = 0.0;
-  mutable std::mutex probe_mu_;  // guards `probe_state_`
-  ProbeState probe_state_;
   std::size_t remove_misses_ = 0;
   util::Counter* remove_miss_counter_ = nullptr;  // non-owning, may be null
 };

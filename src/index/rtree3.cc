@@ -29,14 +29,13 @@ struct RTree3::Entry {
 /// coordinate columns (min x/y/t, max x/y/t), the word column (`word()[i]`
 /// is the value of leaf entry `i`, or the child NodeId of internal entry
 /// `i`) and, for internal nodes only, the child-pointer column that caches
-/// the resident-mode child so lock-free readers traverse without the node
-/// table (nullptr outside resident mode).
-struct RTree3::Node {
+/// the resident-mode child so searches traverse without the node table
+/// (nullptr outside resident mode). The header is padded to the 8-byte
+/// column slot.
+struct alignas(8) RTree3::Node {
   std::uint32_t level = 0;  // 0 == leaf
   std::uint32_t count = 0;
   std::uint32_t capacity = 0;
-  /// Publication generation the node was created in (resident mode).
-  std::uint64_t born = 0;
 
   static std::size_t BlockBytes(std::uint32_t level, std::size_t capacity) {
     static_assert(sizeof(Node) % kSlotBytes == 0);
@@ -94,14 +93,6 @@ struct RTree3::Node {
       std::memmove(col + i * kSlotBytes, col + (i + 1) * kSlotBytes, tail);
     }
     --count;
-  }
-
-  /// Copies `from`'s entries over this node's (same level and capacity).
-  void CopyEntriesFrom(const Node& from) {
-    for (int c = 0; c < columns(); ++c) {
-      std::memcpy(Column(c), from.Column(c), from.count * kSlotBytes);
-    }
-    count = from.count;
   }
 
   Box3 ComputeBox() const {
@@ -182,9 +173,7 @@ struct RTree3::RemoveScan {
 struct RTree3::RemoveStep {
   enum class Kind { kUntouched, kChanged, kDissolved };
   Kind kind = Kind::kUntouched;
-  NodeId id = kInvalidPageId;  // the node's id after copy-on-write
-  const Node* node = nullptr;  // its resident child pointer
-  Box3 box;                    // its new bounding box
+  Box3 box;  // the node's new bounding box (kChanged)
 };
 
 namespace {
@@ -302,8 +291,7 @@ util::Result<std::shared_ptr<void>> RTree3::DecodeNode(
 
 RTree3::RTree3() : RTree3(Options{}) {}
 
-RTree3::RTree3(Options options)
-    : options_(std::move(options)), ctl_(std::make_shared<ControlBlock>()) {
+RTree3::RTree3(Options options) : options_(std::move(options)) {
   assert(options_.max_entries >= 4);
   assert(options_.min_entries >= 2);
   assert(options_.min_entries <= options_.max_entries / 2);
@@ -313,9 +301,7 @@ RTree3::RTree3(Options options)
   // unbounded pool) describes — so no page store is opened at all.
   resident_ = options_.storage.kind == storage::StorageKind::kMemory &&
               options_.storage.pool_pages == 0;
-  if (resident_) {
-    epochs_ = std::make_unique<epoch::EpochManager>();
-  } else {
+  if (!resident_) {
     auto storage = storage::OpenStorage(options_.storage);
     if (storage.ok()) {
       storage_ = std::move(*storage);
@@ -352,79 +338,24 @@ RTree3::RTree3(Options options)
     Pinned root = AllocNode(0);
     if (root) root_ = root.id;
   }
-  MaybePublish();
 }
 
 RTree3::~RTree3() { SetMetrics(nullptr, ""); }
 
-RTree3::RTree3(RTree3&& other) noexcept
-    : options_(std::move(other.options_)),
-      storage_(std::move(other.storage_)),
-      pool_(std::move(other.pool_)),
-      root_(other.root_),
-      size_(other.size_.load(std::memory_order_relaxed)),
-      splits_(other.splits_.load(std::memory_order_relaxed)),
-      ctl_(std::move(other.ctl_)),
-      instruments_(other.instruments_),
-      resident_(other.resident_),
-      nodes_(std::move(other.nodes_)),
-      free_ids_(std::move(other.free_ids_)),
-      generation_(other.generation_),
-      pub_root_(other.pub_root_.load(std::memory_order_relaxed)),
-      epochs_(std::move(other.epochs_)),
-      pending_retire_(std::move(other.pending_retire_)),
-      retired_(std::move(other.retired_)),
-      batch_depth_(other.batch_depth_) {
-  other.root_ = kInvalidPageId;
-  other.resident_ = false;
-  other.pub_root_.store(nullptr, std::memory_order_relaxed);
-  other.instruments_ = Instruments{};
-}
-
-RTree3& RTree3::operator=(RTree3&& other) noexcept {
-  if (this == &other) return *this;
-  SetMetrics(nullptr, "");  // the replaced tree leaves the shared gauge
-  options_ = std::move(other.options_);
-  storage_ = std::move(other.storage_);
-  pool_ = std::move(other.pool_);
-  root_ = other.root_;
-  size_.store(other.size_.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-  splits_.store(other.splits_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  ctl_ = std::move(other.ctl_);
-  instruments_ = other.instruments_;
-  resident_ = other.resident_;
-  nodes_ = std::move(other.nodes_);
-  free_ids_ = std::move(other.free_ids_);
-  generation_ = other.generation_;
-  pub_root_.store(other.pub_root_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  epochs_ = std::move(other.epochs_);
-  pending_retire_ = std::move(other.pending_retire_);
-  retired_ = std::move(other.retired_);
-  batch_depth_ = other.batch_depth_;
-  other.root_ = kInvalidPageId;
-  other.resident_ = false;
-  other.pub_root_.store(nullptr, std::memory_order_relaxed);
-  other.instruments_ = Instruments{};
-  return *this;
-}
-
 util::Status RTree3::storage_status() const {
-  std::lock_guard<std::mutex> lock(ctl_->mu);
-  return ctl_->status;
+  std::lock_guard<std::mutex> lock(ctl_.mu);
+  return ctl_.status;
 }
 
 bool RTree3::healthy() const {
-  return !ctl_->poisoned.load(std::memory_order_acquire);
+  return !ctl_.poisoned.load(std::memory_order_acquire);
 }
 
 void RTree3::Poison(const util::Status& status) const {
   if (status.ok()) return;
-  std::lock_guard<std::mutex> lock(ctl_->mu);
-  if (ctl_->status.ok()) ctl_->status = status;  // first error wins
-  ctl_->poisoned.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(ctl_.mu);
+  if (ctl_.status.ok()) ctl_.status = status;  // first error wins
+  ctl_.poisoned.store(true, std::memory_order_release);
 }
 
 RTree3::NodeBlock RTree3::NewNode(std::uint32_t level) const {
@@ -433,7 +364,6 @@ RTree3::NodeBlock RTree3::NewNode(std::uint32_t level) const {
   NodeBlock node(new (block) Node);
   node->level = level;
   node->capacity = static_cast<std::uint32_t>(capacity);
-  node->born = generation_;
   return node;
 }
 
@@ -488,38 +418,14 @@ RTree3::Pinned RTree3::AllocNode(std::uint32_t level) {
   return pinned;
 }
 
-bool RTree3::IsFresh(const Node& node) const {
-  return node.born == generation_;
-}
-
-RTree3::Pinned RTree3::Writable(Pinned pinned) {
-  if (!pinned || !resident_ || IsFresh(*pinned.node)) return pinned;
-  Pinned clone = AllocNode(pinned.node->level);
-  if (!clone) return clone;
-  clone.node->CopyEntriesFrom(*pinned.node);
-  // Published: a reader may still traverse the original — defer its free
-  // to the epoch scheme (tagged and reclaimed at the next publication).
-  pending_retire_.push_back(pinned.id);
-  return clone;
-}
-
-void RTree3::RetireOrFree(NodeId id) {
+void RTree3::FreeNode(NodeId id) {
   if (resident_) {
-    const Pinned p = Pin(id);
-    if (!p) return;
-    if (IsFresh(*p.node)) {
-      FreeResident(id);  // never published; free immediately
-    } else {
-      pending_retire_.push_back(id);
-    }
+    if (!Pin(id)) return;
+    nodes_[id].reset();
+    free_ids_.push_back(id);
     return;
   }
   if (util::Status s = pool_->Free(id); !s.ok()) Poison(s);
-}
-
-void RTree3::FreeResident(NodeId id) {
-  nodes_[id].reset();
-  free_ids_.push_back(id);
 }
 
 bool RTree3::AppendEntry(Node* node, const Box3& box, std::uint64_t w) {
@@ -549,15 +455,12 @@ void RTree3::Insert(const Box3& box, Value value) {
   entry.value = value;
   InsertEntryAtLevel(entry, 0);
   if (healthy()) size_.fetch_add(1, std::memory_order_relaxed);
-  MaybePublish();
   SyncMetrics();
 }
 
 void RTree3::InsertEntryAtLevel(const Entry& entry, std::size_t level) {
   std::vector<NodeId> path = ChoosePath(entry.box, level);
   if (path.empty()) return;
-  MakePathWritable(&path);
-  if (!healthy()) return;
   const std::size_t depth = path.size() - 1;
   bool overflow = false;
   {
@@ -635,30 +538,6 @@ std::vector<RTree3::NodeId> RTree3::ChoosePath(
     path.push_back(id);
   }
   return path;
-}
-
-void RTree3::MakePathWritable(std::vector<NodeId>* path) {
-  if (!resident_) return;
-  for (std::size_t d = 0; d < path->size(); ++d) {
-    const NodeId old_id = (*path)[d];
-    const Pinned writable = Writable(Pin(old_id));
-    if (!writable) return;
-    const NodeId id = writable.id;
-    if (id == old_id) continue;  // already private to this write
-    if (d == 0) {
-      root_ = id;
-    } else {
-      // The parent was processed in an earlier iteration, so it is fresh
-      // and safe to patch in place.
-      Pinned parent = Pin((*path)[d - 1]);
-      if (!parent) return;
-      const std::size_t slot = FindChildSlot(*parent.node, old_id);
-      if (slot == kNoSlot) return;
-      parent.node->word()[slot] = id;
-      parent.node->SetChild(slot, writable.node);
-    }
-    (*path)[d] = id;
-  }
 }
 
 void RTree3::SplitAlongPath(std::vector<NodeId>& path, std::size_t depth) {
@@ -769,7 +648,7 @@ void RTree3::SplitAlongPath(std::vector<NodeId>& path, std::size_t depth) {
       }
 
       // Refresh the split node's entry box in the parent and add the
-      // sibling. The parent is on the (already writable) path.
+      // sibling. The parent is the previous node on the path.
       Pinned parent = Pin(path[depth - 1]);
       if (!parent) return;
       const std::size_t slot = FindChildSlot(*parent.node, node_id);
@@ -828,7 +707,6 @@ std::size_t RTree3::RemoveBatch(std::span<const Box3> boxes, Value value) {
                                       boxes.size(), &scan);
   if (!healthy() || root.kind == RemoveStep::Kind::kUntouched) return 0;
   const std::size_t removed = boxes.size() - scan.missing;
-  root_ = root.id;
   size_.fetch_sub(removed, std::memory_order_relaxed);
 
   // An internal root whose every child condensed away is empty; restart
@@ -844,7 +722,7 @@ std::size_t RTree3::RemoveBatch(std::span<const Box3> boxes, Value value) {
     Pinned fresh_root = AllocNode(static_cast<std::uint32_t>(top_level));
     if (!fresh_root) return 0;
     root_ = fresh_root.id;
-    RetireOrFree(old_root);
+    FreeNode(old_root);
   }
 
   // Shrink the root while it has a single child.
@@ -858,7 +736,7 @@ std::size_t RTree3::RemoveBatch(std::span<const Box3> boxes, Value value) {
     }
     const NodeId old_root = root_;
     root_ = child_id;
-    RetireOrFree(old_root);
+    FreeNode(old_root);
   }
 
   // Reinsert orphaned subtrees / leaf entries at their original level,
@@ -872,7 +750,6 @@ std::size_t RTree3::RemoveBatch(std::span<const Box3> boxes, Value value) {
     if (!healthy()) break;
     InsertEntryAtLevel(orphan.entry, orphan.level);
   }
-  MaybePublish();
   SyncMetrics();
   return healthy() ? removed : 0;
 }
@@ -888,7 +765,8 @@ RTree3::RemoveStep RTree3::RemoveUnder(NodeId id, bool is_root,
     }
     return false;
   };
-  // Phase 1: find what changes below this node without modifying it.
+  // Phase 1: find what changes below this node; its children apply their
+  // own changes on the way back up.
   std::vector<std::size_t> erased;  // leaf: matched slots, ascending
   std::vector<std::pair<std::size_t, RemoveStep>> changed;  // internal
   Pinned p = Pin(id);
@@ -950,9 +828,9 @@ RTree3::RemoveStep RTree3::RemoveUnder(NodeId id, bool is_root,
     if (changed.empty()) return step;
   }
 
-  // Phase 2: apply the changes to a writable copy of this node (an
-  // internal node's pin was released for the descent).
-  Pinned w = Writable(p ? std::move(p) : Pin(id));
+  // Phase 2: apply the changes to this node (an internal node's pin was
+  // released for the descent).
+  Pinned w = p ? std::move(p) : Pin(id);
   if (!w) return step;
   Node* node = w.node;
   // Descending slot order keeps the lower slots' indices valid.
@@ -964,8 +842,6 @@ RTree3::RemoveStep RTree3::RemoveUnder(NodeId id, bool is_root,
     if (child.kind == RemoveStep::Kind::kDissolved) {
       node->EraseAt(slot);
     } else {
-      node->word()[slot] = child.id;
-      node->SetChild(slot, child.node);
       node->SetBoxAt(slot, child.box);
     }
   }
@@ -983,15 +859,12 @@ RTree3::RemoveStep RTree3::RemoveUnder(NodeId id, bool is_root,
       }
       scan->orphans.push_back(orphan);
     }
-    const NodeId dissolved = w.id;
     w.Release();
-    RetireOrFree(dissolved);
+    FreeNode(id);
     step.kind = RemoveStep::Kind::kDissolved;
     return step;
   }
   step.kind = RemoveStep::Kind::kChanged;
-  step.id = w.id;
-  step.node = resident_ ? node : nullptr;
   step.box = node->ComputeBox();
   return step;
 }
@@ -1078,39 +951,12 @@ RTree3::NodeId RTree3::BuildPacked(std::vector<Entry>* level_entries,
 
 void RTree3::BulkLoad(std::vector<std::pair<Box3, Value>> entries,
                       Packing packing) {
-  if (resident_ && healthy()) {
-    if (entries.empty()) {
-      Clear();
-      return;
-    }
-    // Build the packed tree entirely aside (every node fresh), then swap
-    // it in with one publication: readers see old contents or new, never
-    // a partial load.
-    std::vector<Entry> leaf_entries;
-    leaf_entries.reserve(entries.size());
-    for (auto& [box, value] : entries) {
-      Entry e;
-      e.box = box;
-      e.value = value;
-      leaf_entries.push_back(e);
-    }
-    const NodeId new_root = BuildPacked(&leaf_entries, packing);
-    if (new_root == kInvalidPageId || !healthy()) return;
-    RetireReachable();
-    root_ = new_root;
-    size_.store(entries.size(), std::memory_order_relaxed);
-    MaybePublish();
-    SyncMetrics();
-    return;
-  }
-
   Clear();
   if (!healthy() || entries.empty()) return;
   size_.store(entries.size(), std::memory_order_relaxed);
   // Clear() allocated a fresh empty leaf root; the packed tree replaces it.
-  const NodeId placeholder_root = root_;
+  FreeNode(root_);
   root_ = kInvalidPageId;
-  RetireOrFree(placeholder_root);
 
   std::vector<Entry> leaf_entries;
   leaf_entries.reserve(entries.size());
@@ -1125,76 +971,6 @@ void RTree3::BulkLoad(std::vector<std::pair<Box3, Value>> entries,
   SyncMetrics();
 }
 
-void RTree3::RetireReachable() {
-  if (root_ == kInvalidPageId) return;
-  std::vector<NodeId> stack = {root_};
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    {
-      Pinned p = Pin(id);
-      if (!p) return;
-      if (!p.node->IsLeaf()) {
-        for (std::size_t i = 0; i < p.node->count; ++i) {
-          stack.push_back(static_cast<NodeId>(p.node->word()[i]));
-        }
-      }
-    }
-    RetireOrFree(id);
-  }
-  root_ = kInvalidPageId;
-}
-
-void RTree3::Publish() {
-  if (!resident_) return;
-  const Node* root_ptr = nullptr;
-  if (healthy() && root_ != kInvalidPageId) {
-    Pinned root = Pin(root_);
-    if (root) root_ptr = root.node;
-  }
-  // Order matters (see epoch.h): publish the new root, then tag the pages
-  // the write unlinked with the pre-advance epoch, then advance. A reader
-  // announcing the advanced epoch is guaranteed to observe this root; a
-  // reader still on an older epoch pins MinActive() at or below the tag.
-  pub_root_.store(root_ptr, std::memory_order_seq_cst);
-  const std::uint64_t tag = epochs_->current();
-  retired_.reserve(retired_.size() + pending_retire_.size());
-  for (const NodeId id : pending_retire_) retired_.push_back({tag, id});
-  pending_retire_.clear();
-  ++generation_;  // every node created so far is now published
-  epochs_->Advance();
-  ReclaimRetired();
-}
-
-void RTree3::MaybePublish() {
-  if (resident_ && batch_depth_ == 0) Publish();
-}
-
-void RTree3::ReclaimRetired() {
-  if (retired_.empty()) return;
-  const std::uint64_t min_active = epochs_->MinActive();
-  std::size_t kept = 0;
-  for (const RetiredPage& page : retired_) {
-    if (page.tag < min_active) {
-      FreeResident(page.id);
-    } else {
-      retired_[kept++] = page;
-    }
-  }
-  retired_.resize(kept);
-}
-
-void RTree3::BeginWriteBatch() {
-  if (resident_) ++batch_depth_;
-}
-
-void RTree3::EndWriteBatch() {
-  if (!resident_) return;
-  assert(batch_depth_ > 0);
-  if (batch_depth_ > 0) --batch_depth_;
-  if (batch_depth_ == 0) Publish();
-}
-
 void RTree3::Search(const Box3& query, const Visitor& visitor) const {
   // An empty query intersects nothing (Box3::Intersects) — also the
   // kernel's precondition that the query box is non-empty.
@@ -1207,14 +983,13 @@ void RTree3::Search(const Box3& query, const Visitor& visitor) const {
 }
 
 void RTree3::SearchResident(const Box3& query, const Visitor& visitor) const {
-  if (ctl_->poisoned.load(std::memory_order_relaxed)) return;
-  epoch::ReadGuard guard(*epochs_);
-  const Node* root = pub_root_.load(std::memory_order_seq_cst);
-  if (root == nullptr) return;
-  // Iterative DFS over the immutable snapshot — no locks, no pool, no
-  // metrics push (the writer publishes those).
+  if (!healthy()) return;
+  const Pinned root = Pin(root_);
+  if (!root) return;
+  // Iterative DFS along the child-pointer column — no node table lookups,
+  // no pool, no metrics push (the writer pushes those).
   std::vector<std::uint32_t> hits(options_.max_entries + 1);
-  std::vector<const Node*> stack = {root};
+  std::vector<const Node*> stack = {root.node};
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
@@ -1268,7 +1043,7 @@ std::vector<RTree3::Value> RTree3::SearchValues(const Box3& query) const {
   return out;
 }
 
-std::vector<RTree3::Value> RTree3::SearchIf(Filter& filter) const {
+std::vector<RTree3::Value> RTree3::SearchIf(const Filter& filter) const {
   std::vector<Value> out;
   // Tests one node's entries; `push(i)` queues internal entry i's child.
   auto visit = [&](const Node& node, const auto& push) {
@@ -1281,12 +1056,10 @@ std::vector<RTree3::Value> RTree3::SearchIf(Filter& filter) const {
     }
   };
   if (resident_) {
-    if (ctl_->poisoned.load(std::memory_order_relaxed)) return out;
-    epoch::ReadGuard guard(*epochs_);
-    const Node* root = pub_root_.load(std::memory_order_seq_cst);
-    if (root == nullptr) return out;
-    filter.Begin();
-    std::vector<const Node*> stack = {root};
+    if (!healthy()) return out;
+    const Pinned root = Pin(root_);
+    if (!root) return out;
+    std::vector<const Node*> stack = {root.node};
     while (!stack.empty()) {
       const Node* node = stack.back();
       stack.pop_back();
@@ -1295,7 +1068,6 @@ std::vector<RTree3::Value> RTree3::SearchIf(Filter& filter) const {
     return out;
   }
   if (size() == 0 || !healthy()) return out;
-  filter.Begin();
   std::vector<NodeId> stack = {root_};
   while (!stack.empty()) {
     Pinned p = Pin(stack.back());
@@ -1336,23 +1108,8 @@ std::size_t RTree3::num_nodes() const {
 }
 
 void RTree3::Clear() {
-  if (resident_ && healthy()) {
-    // Copy-on-write clear: retire the whole reachable tree and publish a
-    // fresh empty root — safe under concurrent readers.
-    RetireReachable();
-    size_.store(0, std::memory_order_relaxed);
-    Pinned root = AllocNode(0);
-    if (root) root_ = root.id;
-    MaybePublish();
-    SyncMetrics();
-    return;
-  }
-  // Storage-reset clear, which is also the recovery path out of a poison.
-  // This drops every node (including ones a reader might hold), so it
-  // requires quiesced readers.
-  pub_root_.store(nullptr, std::memory_order_seq_cst);
-  pending_retire_.clear();
-  retired_.clear();
+  // Resetting the store frees every node at once; it is also the recovery
+  // path out of a poison.
   if (resident_) {
     nodes_.clear();
     free_ids_.clear();
@@ -1367,15 +1124,14 @@ void RTree3::Clear() {
     }
   }
   {
-    std::lock_guard<std::mutex> lock(ctl_->mu);
-    ctl_->status = util::Status::Ok();
-    ctl_->poisoned.store(false, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(ctl_.mu);
+    ctl_.status = util::Status::Ok();
+    ctl_.poisoned.store(false, std::memory_order_release);
   }
   root_ = kInvalidPageId;
   size_.store(0, std::memory_order_relaxed);
   Pinned root = AllocNode(0);
   if (root) root_ = root.id;
-  MaybePublish();
   SyncMetrics();
 }
 
@@ -1385,10 +1141,10 @@ void RTree3::SetMetrics(util::MetricsRegistry* registry,
     // Withdraw this tree's contribution from the (possibly shared) frames
     // gauge so the registry's sums stay correct.
     if (instruments_.frames != nullptr) {
-      std::lock_guard<std::mutex> lock(ctl_->mu);
-      if (ctl_->pushed.frames != 0) {
-        instruments_.frames->Add(-ctl_->pushed.frames);
-        ctl_->pushed.frames = 0;
+      std::lock_guard<std::mutex> lock(ctl_.mu);
+      if (ctl_.pushed.frames != 0) {
+        instruments_.frames->Add(-ctl_.pushed.frames);
+        ctl_.pushed.frames = 0;
       }
     }
     instruments_ = Instruments{};
@@ -1411,8 +1167,8 @@ void RTree3::SyncMetrics() const {
   const storage::StorageStats storage_stats = this->storage_stats();
   const auto frames = static_cast<std::int64_t>(pool_frames());
   const std::uint64_t splits = splits_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(ctl_->mu);
-  Pushed& last = ctl_->pushed;
+  std::lock_guard<std::mutex> lock(ctl_.mu);
+  Pushed& last = ctl_.pushed;
   instruments_.splits->Increment(splits - last.splits);
   last.splits = splits;
   instruments_.hits->Increment(pool_stats.hits - last.hits);
@@ -1500,8 +1256,7 @@ util::Status RTree3::CheckInvariants() const {
     status = util::Status::Internal("size mismatch");
   }
   if (status.ok() && resident_ &&
-      nodes_.size() - free_ids_.size() !=
-          reachable + pending_retire_.size() + retired_.size()) {
+      nodes_.size() - free_ids_.size() != reachable) {
     status = util::Status::Internal("node table leak");
   }
   return status;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "geo/box.h"
-#include "index/epoch.h"
 #include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
 #include "util/metrics.h"
@@ -38,10 +37,9 @@ namespace modb::index {
 /// count, capacity) followed by six coordinate columns, the word column
 /// and, for internal nodes, the resident child-pointer column, each sized
 /// `max_entries + 1` at run time. The per-node intersection test is one
-/// batched compare over contiguous doubles (`soa::IntersectBoxes`), and a
-/// copy-on-write clone is one allocation plus eight short copies. Nodes
+/// batched compare over contiguous doubles (`soa::IntersectBoxes`). Nodes
 /// carry no parent links; the mutation paths operate on explicit
-/// root-to-leaf paths.
+/// root-to-leaf paths and edit the nodes on them in place.
 ///
 /// Node storage: nodes are addressed by `NodeId`. A resident tree (the
 /// default: in-memory storage, unbounded pool) owns its blocks directly in
@@ -49,36 +47,22 @@ namespace modb::index {
 /// manager, no serialisation. A paged tree (disk storage or a bounded pool)
 /// keeps its nodes as pages behind a `storage::BufferPool` in front of a
 /// `storage::IStorageManager`, so its RAM footprint is the pool, not the
-/// index; the page encoding is unchanged.
+/// index; the page encoding is unchanged. A node that leaves the tree is
+/// freed at once in both.
 ///
-/// Concurrent reads — two regimes:
-///   - Resident mode (in-memory backend and unbounded pool, the defaults):
-///     `Search` / `SearchValues` are lock-free and safe *concurrently with
-///     a writer*. Mutations are copy-on-write — a writer path-copies every
-///     node it changes into fresh nodes, publishes the new root atomically,
-///     and retires the replaced nodes behind an epoch-based grace period
-///     (`epoch::EpochManager`), so readers always traverse an immutable
-///     snapshot. Writers still need external mutual exclusion among
-///     themselves. `BeginWriteBatch` / `EndWriteBatch` defer publication so
-///     a multi-step mutation (an upsert's removes + inserts) becomes
-///     visible to readers atomically.
-///   - Paged mode (disk backend or bounded pool): mutations are in-place
-///     and readers need the historical contract — any number of threads
-///     may query simultaneously provided no mutation is in flight.
-/// `size()`, `splits()` and `pool_stats()` are safe to call concurrently
-/// with anything (atomic counters / internally locked pool, or no pool);
-/// `height()` / `num_nodes()` / `CheckInvariants()` keep the
-/// no-mutation-in-flight requirement in both modes.
+/// Concurrency: any number of threads may search at once, or one thread
+/// may mutate alone — never both. `size()`, `splits()` and `pool_stats()`
+/// may be read at any time (atomic counters / internally locked pool, or
+/// no pool).
 ///
 /// Failure model: a resident tree cannot fail, but a disk backend can
 /// (injected faults, full disk). Because the classic R-tree API is
 /// void/bool, storage errors poison the tree instead of being returned
 /// per-call: `storage_status()` turns sticky-non-OK, mutations become
-/// no-ops, searches return what is reachable (lock-free searches return
-/// nothing — a poisoned resident tree stops publishing). `TimeSpaceIndex`
+/// no-ops, and searches return nothing once the poison is set (a search
+/// that hits the fault midway returns what it reached). `TimeSpaceIndex`
 /// surfaces the poison as a `Status` on its own API; `Clear()` (which
-/// resets the backing store) is the recovery path — on a poisoned tree it
-/// requires readers to be quiesced, since recovery drops every node.
+/// resets the backing store) is the recovery path.
 class RTree3 {
  public:
   struct Options {
@@ -115,11 +99,6 @@ class RTree3 {
   class Filter {
    public:
     virtual ~Filter() = default;
-    /// Called once per search, after the search has pinned the tree
-    /// snapshot it traverses and before any test. Side state a writer
-    /// publishes before the tree's next publication and a filter loads
-    /// here is at least as new as that snapshot.
-    virtual void Begin() {}
     virtual bool Enter(const geo::Box3& box) const = 0;
     virtual bool Accept(const geo::Box3& box) const = 0;
   };
@@ -130,10 +109,8 @@ class RTree3 {
 
   RTree3(const RTree3&) = delete;
   RTree3& operator=(const RTree3&) = delete;
-  /// Moves require the source to be quiesced (no concurrent readers or
-  /// writers) — they reseat atomics non-atomically.
-  RTree3(RTree3&&) noexcept;
-  RTree3& operator=(RTree3&&) noexcept;
+  RTree3(RTree3&&) = delete;
+  RTree3& operator=(RTree3&&) = delete;
 
   /// Inserts `value` with bounding box `box` (must be non-empty).
   void Insert(const geo::Box3& box, Value value);
@@ -142,9 +119,7 @@ class RTree3 {
   /// default with the Sort-Tile-Recursive (STR) algorithm: O(n log n) and
   /// produces nearly full, well-clustered nodes — much faster than
   /// repeated `Insert` for the initial fleet load (benchmarked in E8b /
-  /// exp_bulk_load). In resident mode the packed tree is built aside and
-  /// swapped in with one root publication, so concurrent readers see
-  /// either the old contents or the new, never a partial load.
+  /// exp_bulk_load). The old tree is dropped first (`Clear`).
   void BulkLoad(std::vector<std::pair<geo::Box3, Value>> entries,
                 Packing packing = Packing::kSortTileRecursive);
 
@@ -169,35 +144,8 @@ class RTree3 {
   std::vector<Value> SearchValues(const geo::Box3& query) const;
 
   /// Collects the values of the leaf entries `filter` accepts, descending
-  /// only below the internal entries it enters. Same concurrency contract
-  /// as `Search`: lock-free on a resident tree.
-  std::vector<Value> SearchIf(Filter& filter) const;
-
-  /// True when this tree runs the copy-on-write / epoch scheme, i.e.
-  /// `Search` / `SearchValues` are lock-free and safe concurrently with a
-  /// (single, externally serialised) writer.
-  bool concurrent_reads() const { return resident_; }
-
-  /// Defers publication of mutations to concurrent readers until the
-  /// matching `EndWriteBatch`, making the batch atomic to them (no state
-  /// where an upsert's removes are visible but its inserts are not).
-  /// Nestable; no-ops outside resident mode. Prefer `BatchScope`.
-  void BeginWriteBatch();
-  void EndWriteBatch();
-
-  /// RAII `BeginWriteBatch` / `EndWriteBatch` bracket.
-  class BatchScope {
-   public:
-    explicit BatchScope(RTree3& tree) : tree_(tree) {
-      tree_.BeginWriteBatch();
-    }
-    ~BatchScope() { tree_.EndWriteBatch(); }
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-
-   private:
-    RTree3& tree_;
-  };
+  /// only below the internal entries it enters.
+  std::vector<Value> SearchIf(const Filter& filter) const;
 
   /// Number of stored (box, value) entries. Safe to read concurrently with
   /// mutations (the value is exact between operations, momentarily stale
@@ -211,10 +159,8 @@ class RTree3 {
   /// Number of nodes (for index-size accounting in benchmarks).
   std::size_t num_nodes() const;
 
-  /// Removes all entries. In healthy resident mode this publishes a fresh
-  /// empty root and retires the old tree (safe under concurrent readers);
-  /// otherwise it resets the backing store, which is also the recovery
-  /// path after a storage poison (readers must be quiesced then).
+  /// Removes all entries: frees the whole tree and resets the backing
+  /// store, which is also the recovery path after a storage poison.
   void Clear();
 
   /// Sticky storage-layer error (see the failure model above); OK for the
@@ -246,14 +192,9 @@ class RTree3 {
     return splits_.load(std::memory_order_relaxed);
   }
 
-  /// Nodes retired by copy-on-write mutations and not yet reclaimed (their
-  /// grace period still covers an active reader epoch). 0 outside resident
-  /// mode. Exposed for the epoch-reclamation tests.
-  std::size_t retired_pages() const { return retired_.size(); }
-
   /// Validates the structural invariants (entry counts, bounding boxes,
   /// uniform leaf depth, resident child pointers, and — resident — that
-  /// every live node-table slot is reachable or awaiting reclamation).
+  /// every live node-table slot is reachable).
   /// Also fails when the tree is poisoned. Used by tests.
   util::Status CheckInvariants() const;
 
@@ -276,34 +217,20 @@ class RTree3 {
   NodeBlock NewNode(std::uint32_t level) const;
   Pinned Pin(NodeId id) const;
   Pinned AllocNode(std::uint32_t level);
-  /// Resident mode: true when `node` was created since the last
-  /// publication — still private to the writer, mutable in place.
-  bool IsFresh(const Node& node) const;
-  /// Makes a pinned node mutable. Resident mode copies a published node
-  /// into a fresh one (returned with its new id; the original is retired)
-  /// and the caller repoints the parent; otherwise returns `pinned`.
-  Pinned Writable(Pinned pinned);
   /// Appends (box, word) to `node`, resolving the resident child pointer
   /// for internal entries. Returns false on storage failure.
   bool AppendEntry(Node* node, const geo::Box3& box, std::uint64_t word);
   /// Index of the slot in `node` whose word is `child` (npos = poisoned).
   std::size_t FindChildSlot(const Node& node, NodeId child) const;
-  /// Drops a node that left the tree: frees it immediately when it was
-  /// never published (or outside resident mode), otherwise defers the free
-  /// to the epoch scheme.
-  void RetireOrFree(NodeId id);
-  /// Resident mode: returns a node-table slot to the free list.
-  void FreeResident(NodeId id);
+  /// Frees a node that left the tree (resident: returns its node-table
+  /// slot to the free list; paged: frees its page).
+  void FreeNode(NodeId id);
   void Poison(const util::Status& status) const;
 
   /// Root-to-target descent (R* ChooseSubtree scoring); returns the id
   /// path, empty on storage failure.
   std::vector<NodeId> ChoosePath(const geo::Box3& box,
                                  std::size_t target_level) const;
-  /// Resident mode: path-copies every non-fresh node on `path` into new
-  /// nodes (ids updated in place) so subsequent in-place mutation never
-  /// touches a published node. No-op in paged mode.
-  void MakePathWritable(std::vector<NodeId>* path);
   void SplitAlongPath(std::vector<NodeId>& path, std::size_t depth);
   void AdjustPathBoxes(const std::vector<NodeId>& path, std::size_t depth);
   void InsertEntryAtLevel(const Entry& entry, std::size_t level);
@@ -316,16 +243,6 @@ class RTree3 {
   /// Packs `level_entries` (leaf entries on entry) bottom-up into fresh
   /// nodes; returns the new root id or kInvalidPageId on storage failure.
   NodeId BuildPacked(std::vector<Entry>* level_entries, Packing packing);
-
-  /// Retires every node reachable from the current root (resident
-  /// tree-swap operations: Clear, BulkLoad).
-  void RetireReachable();
-  /// Resident mode: publishes the current root to readers, tags the
-  /// pending retirements, advances the epoch and reclaims what is past its
-  /// grace period. Deferred while a write batch is open.
-  void Publish();
-  void MaybePublish();
-  void ReclaimRetired();
 
   void SearchResident(const geo::Box3& query, const Visitor& visitor) const;
   void SearchPaged(const geo::Box3& query, const Visitor& visitor) const;
@@ -353,22 +270,14 @@ class RTree3 {
     std::uint64_t writes = 0;
     std::int64_t frames = 0;
   };
-  /// Shared mutable state the const query paths may touch concurrently
-  /// (poison writes, metric-delta baselines). Behind a `shared_ptr` so the
-  /// tree stays movable (`std::mutex` is not).
+  /// Shared mutable state concurrent searches may touch (poison writes,
+  /// metric-delta baselines).
   struct ControlBlock {
     std::mutex mu;
     util::Status status;
-    /// Mirrors `status.ok()` for the lock-free read path, which must not
-    /// take `mu`.
+    /// Mirrors `status.ok()`, so the per-node health checks take no lock.
     std::atomic<bool> poisoned{false};
     Pushed pushed;
-  };
-
-  /// One copy-on-write retirement awaiting its grace period.
-  struct RetiredPage {
-    std::uint64_t tag = 0;
-    NodeId id = storage::kInvalidPageId;
   };
 
   Options options_;
@@ -378,26 +287,14 @@ class RTree3 {
   NodeId root_ = storage::kInvalidPageId;
   std::atomic<std::size_t> size_{0};
   std::atomic<std::uint64_t> splits_{0};
-  std::shared_ptr<ControlBlock> ctl_;
+  mutable ControlBlock ctl_;
   Instruments instruments_;
 
-  // ---- Resident node ownership and concurrent-read machinery ----
+  // ---- Resident node ownership ----
   bool resident_ = false;
   /// Node table: slot `id` owns node `id`; null slots are on `free_ids_`.
   std::vector<NodeBlock> nodes_;
   std::vector<NodeId> free_ids_;
-  /// Publication generation. A node whose `born` equals it was created
-  /// since the last publication: still private to the writer, mutable in
-  /// place, freeable without a grace period.
-  std::uint64_t generation_ = 1;
-  /// Root of the snapshot readers traverse; stores happen in `Publish`.
-  std::atomic<const Node*> pub_root_{nullptr};
-  std::unique_ptr<epoch::EpochManager> epochs_;
-  /// Published nodes unlinked by the current write (batch); tagged and
-  /// moved to `retired_` at publication.
-  std::vector<NodeId> pending_retire_;
-  std::vector<RetiredPage> retired_;
-  std::size_t batch_depth_ = 0;
 };
 
 }  // namespace modb::index

@@ -38,11 +38,6 @@ util::Status TimeSpaceIndex::Upsert(core::ObjectId id,
 void TimeSpaceIndex::UpsertValidated(core::ObjectId id,
                                      const core::PositionAttribute& attr,
                                      const geo::Route& route) {
-  // Publish the remove+insert pair as one unit to lock-free readers: a
-  // candidate probe must never observe the old plane gone with the new one
-  // not yet indexed (that would be a false negative, violating MUST
-  // soundness).
-  RTree3::BatchScope batch(rtree_);
   std::vector<geo::Box3> boxes =
       BuildOPlaneBoxes(attr, route, options_.oplane);
   // Drop the old o-plane (paper §4.2: remove the object id from the index
@@ -69,9 +64,7 @@ util::Status TimeSpaceIndex::ApplyDeltaBatch(
     }
   }
   // One pass over the tree: the per-delta work is the same remove+reinsert
-  // as `Upsert`, minus the repeated validation. The whole batch publishes
-  // to lock-free readers at once.
-  RTree3::BatchScope batch(rtree_);
+  // as `Upsert`, minus the repeated validation.
   for (const IndexDelta& delta : deltas) {
     if (delta.attr == nullptr) {
       Remove(delta.id);
@@ -132,8 +125,6 @@ util::Status TimeSpaceIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
 void TimeSpaceIndex::Remove(core::ObjectId id) {
   auto it = boxes_by_object_.find(id);
   if (it == boxes_by_object_.end()) return;
-  // All of the object's boxes vanish from lock-free readers atomically.
-  RTree3::BatchScope batch(rtree_);
   RemoveBoxes(id, it->second);
   boxes_by_object_.erase(it);
 }

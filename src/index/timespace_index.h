@@ -73,12 +73,6 @@ class TimeSpaceIndex final : public ObjectIndex {
   /// `<prefix>pages.*` — see `RTree3::SetMetrics`) in `registry`.
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix) override;
-  /// Candidate probes are lock-free when the tree runs its copy-on-write /
-  /// epoch read scheme (in-memory storage, unbounded pool). Mutations are
-  /// wrapped in tree write batches, so a reader sees each upsert's
-  /// remove+insert pair atomically — never a state with an object's old
-  /// plane dropped but its new one missing.
-  bool lock_free_probes() const override { return rtree_.concurrent_reads(); }
   std::string_view name() const override { return "rtree"; }
   std::size_t num_objects() const override { return boxes_by_object_.size(); }
   std::size_t num_entries() const override { return rtree_.size(); }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <span>
 #include <sstream>
@@ -313,6 +315,63 @@ TEST_F(BatchIngestDurabilityTest, BulkInsertLogsOneBatchedRecord) {
   EXPECT_EQ(top_level, 1u);
   EXPECT_EQ(replayed.num_objects(), 50u);
   EXPECT_EQ(Signature(replayed), Signature(db));
+}
+
+// A batch that accepts one record logs it exactly as `ApplyUpdate` does:
+// one plain kUpdate frame, byte for byte, not a batch of one.
+TEST_F(BatchIngestDurabilityTest, SingleAcceptedRecordLogsOnePlainUpdate) {
+  const auto log_bytes = [](const fs::path& dir) {
+    std::string bytes;
+    std::size_t segments = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+      ++segments;
+    }
+    EXPECT_EQ(segments, 1u);
+    return bytes;
+  };
+  const core::PositionUpdate accepted = Update(1, 2.0, 20.0, 1.0);
+  core::PositionUpdate bad_route = Update(2, 2.0, 30.0, 1.0);
+  bad_route.route = 77;
+  const std::vector<core::PositionUpdate> batch = {
+      Update(99, 2.0, 10.0, 1.0), accepted, bad_route};
+
+  const fs::path batched_dir = fs::path(dir_) / "batched";
+  const fs::path single_dir = fs::path(dir_) / "single";
+  util::MetricsRegistry registry;
+  {
+    auto writer = WalWriter::Open(batched_dir.string(), 1, WalWriterOptions{});
+    ASSERT_TRUE(writer.ok());
+    (*writer)->SetMetrics(&registry);
+    ModDatabase db(&network_);
+    Seed(db, 2);
+    db.AttachWal(writer->get());
+    const UpdateBatchResult r = db.ApplyUpdateBatch(batch);
+    EXPECT_EQ(r.applied, 1u);
+    EXPECT_EQ(r.rejected, 2u);
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  {
+    auto writer = WalWriter::Open(single_dir.string(), 1, WalWriterOptions{});
+    ASSERT_TRUE(writer.ok());
+    ModDatabase db(&network_);
+    Seed(db, 2);
+    db.AttachWal(writer->get());
+    ASSERT_TRUE(db.ApplyUpdate(accepted).ok());
+    ASSERT_TRUE((*writer)->Close().ok());
+  }
+  EXPECT_EQ(registry.GetCounter("wal.appends")->value(), 1u);
+  EXPECT_EQ(log_bytes(batched_dir), log_bytes(single_dir));
+
+  std::vector<WalRecordType> types;
+  auto stats = ReplayWal(batched_dir.string(), 1, [&](const WalRecord& record) {
+    types.push_back(record.type);
+    EXPECT_EQ(record.update.object, accepted.object);
+    return util::Status::Ok();
+  });
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(types, std::vector<WalRecordType>{WalRecordType::kUpdate});
 }
 
 TEST_F(BatchIngestDurabilityTest, MidBatchWalFailureFailsWholeBatchCleanly) {

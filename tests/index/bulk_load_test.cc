@@ -110,12 +110,10 @@ TEST(BulkLoadTest, ReplacesPreviousContents) {
 class IntersectsFilter final : public RTree3::Filter {
  public:
   explicit IntersectsFilter(const Box3& query) : query_(query) {}
-  void Begin() override { ++begins; }
   bool Enter(const Box3& box) const override { return box.Intersects(query_); }
   bool Accept(const Box3& box) const override {
     return box.Intersects(query_);
   }
-  int begins = 0;
 
  private:
   Box3 query_;
@@ -136,9 +134,8 @@ TEST(BulkLoadTest, XOrderPackingAnswersAsStrWithFilteredSearch) {
     const double t = rng.Uniform(0.0, 200.0);
     const Box3 query(x, y, t, x + 20.0, y + 20.0, t + 20.0);
     std::vector<RTree3::Value> expected = str.SearchValues(query);
-    IntersectsFilter filter(query);
+    const IntersectsFilter filter(query);
     std::vector<RTree3::Value> got = x_order.SearchIf(filter);
-    EXPECT_EQ(filter.begins, 1);
     std::sort(expected.begin(), expected.end());
     std::sort(got.begin(), got.end());
     EXPECT_EQ(got, expected) << "query " << q;

@@ -1,8 +1,8 @@
-// Readers probing the route-band index while a writer applies delta
-// batches and appends routes. The `Concurrent` fixture name puts this file
-// inside the ThreadSanitizer ctest gate: TSan checks that probes read no
-// state the writer mutates (the route table and end reach are published
-// before the tree), the asserts that every probe sees whole batches.
+// Readers probing the route-band index under a reader/writer lock while a
+// writer applies delta batches and appends routes. The `Concurrent`
+// fixture name puts this file inside the ThreadSanitizer ctest gate: TSan
+// checks the probes against the writer, the asserts that every probe sees
+// whole batches.
 
 #include <gtest/gtest.h>
 
@@ -39,19 +39,17 @@ core::PositionAttribute Parked(const geo::RouteNetwork& network,
 
 // A stable population the writer never touches, and a churn population
 // the writer moves, batch by batch, onto a route it has just appended to
-// the network. `locked` serialises readers against the writer with a
-// reader/writer lock, the way the sharded store runs a paged index.
-// std::shared_mutex may prefer readers, and four readers that relock at
-// once can keep the writer out for good, so a reader that sees the
-// writer waiting stands back until it has had its turn.
-void RunProbesUnderWriter(const storage::StorageConfig& storage,
-                          bool locked) {
+// the network. A reader/writer lock serialises readers against the
+// writer, the way the sharded store runs every index. std::shared_mutex
+// may prefer readers, and four readers that relock at once can keep the
+// writer out for good, so a reader that sees the writer waiting stands
+// back until it has had its turn.
+void RunProbesUnderWriter(const storage::StorageConfig& storage) {
   geo::RouteNetwork network;
   network.AddStraightRoute({0.0, 0.0}, {100.0, 0.0}, "base");
   RouteBandIndex::Options options;
   options.rtree.storage = storage;
   RouteBandIndex index(&network, options);
-  ASSERT_EQ(index.lock_free_probes(), !locked);
 
   constexpr core::ObjectId kStable = 200;
   constexpr core::ObjectId kChurnBase = 1000;
@@ -76,12 +74,9 @@ void RunProbesUnderWriter(const storage::StorageConfig& storage,
     std::vector<core::PositionAttribute> moved(kChurn);
     std::vector<IndexDelta> batch(kChurn);
     for (int round = 0; round < kRounds; ++round) {
-      std::unique_lock lock(mu, std::defer_lock);
-      if (locked) {
-        writer_waiting.store(true, std::memory_order_release);
-        lock.lock();
-        writer_waiting.store(false, std::memory_order_release);
-      }
+      writer_waiting.store(true, std::memory_order_release);
+      std::unique_lock lock(mu);
+      writer_waiting.store(false, std::memory_order_release);
       // Each round's route lies above the last; the batch moves every
       // churn object onto it.
       const double y = 10.0 + static_cast<double>(round);
@@ -107,20 +102,17 @@ void RunProbesUnderWriter(const storage::StorageConfig& storage,
       // do-while: every reader probes at least once, even one that
       // starts after the writer is done.
       do {
-        std::shared_lock lock(mu, std::defer_lock);
-        if (locked) {
-          while (writer_waiting.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-          lock.lock();
+        while (writer_waiting.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
         }
+        std::shared_lock lock(mu);
         const std::vector<core::ObjectId> ids = index.Candidates(everything, 2.0);
         std::size_t stable = 0;
         std::size_t churn = 0;
         for (const core::ObjectId id : ids) (id < kStable ? stable : churn)++;
         EXPECT_EQ(stable, kStable);
         // The batch and the route it moves onto arrive together: 0 before
-        // the first publication, every churn object after it.
+        // the first batch, every churn object after it.
         EXPECT_TRUE(churn == 0 || churn == kChurn) << "torn batch: " << churn;
         (void)index.num_entries();
         reads.fetch_add(1, std::memory_order_relaxed);
@@ -136,8 +128,8 @@ void RunProbesUnderWriter(const storage::StorageConfig& storage,
   EXPECT_TRUE(index.rtree().CheckInvariants().ok());
 }
 
-TEST(ConcurrentRouteBandProbeTest, LockFreeProbesSeeWholeBatchesAndNewRoutes) {
-  RunProbesUnderWriter(storage::StorageConfig{}, /*locked=*/false);
+TEST(ConcurrentRouteBandProbeTest, ResidentProbesUnderShardLockSeeWholeBatches) {
+  RunProbesUnderWriter(storage::StorageConfig{});
 }
 
 TEST(ConcurrentRouteBandProbeTest, DiskProbesUnderShardLockSeeWholeBatches) {
@@ -148,7 +140,7 @@ TEST(ConcurrentRouteBandProbeTest, DiskProbesUnderShardLockSeeWholeBatches) {
   storage.kind = storage::StorageKind::kDisk;
   storage.path = (dir / "index.pages").string();
   storage.pool_pages = 64;
-  RunProbesUnderWriter(storage, /*locked=*/true);
+  RunProbesUnderWriter(storage);
   fs::remove_all(dir);
 }
 

@@ -117,14 +117,6 @@ TEST(RTree3Test, ClearResets) {
   EXPECT_TRUE(tree.SearchValues(Box3(-1e9, -1e9, -1e9, 1e9, 1e9, 1e9)).empty());
 }
 
-TEST(RTree3Test, MoveConstruction) {
-  RTree3 tree;
-  tree.Insert(UnitBoxAt(0, 0, 0), 1);
-  RTree3 moved = std::move(tree);
-  EXPECT_EQ(moved.size(), 1u);
-  EXPECT_EQ(moved.SearchValues(UnitBoxAt(0, 0, 0)).size(), 1u);
-}
-
 // Reference implementation for the randomized differential test.
 class NaiveIndex {
  public:

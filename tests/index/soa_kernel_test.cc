@@ -116,18 +116,18 @@ TEST(SoAKernelTest, EmptyInputYieldsNoHits) {
   EXPECT_TRUE(RunKernel(columns, Box3(0, 0, 0, 1, 1, 1)).empty());
 }
 
-// Tree-level differential: the resident SoA/copy-on-write tree and a tree
-// running the in-place configuration must answer every query with the same
-// value multiset through an interleaved insert/remove workload.
+// Tree-level differential: the resident tree (node table, child-pointer
+// traversal) and a paged tree must answer every query with the same value
+// multiset through an interleaved insert/remove workload.
 TEST(SoAKernelTest, ResidentTreeMatchesLegacyTree) {
-  RTree3 resident;  // defaults: resident, concurrent reads on
-  // A bounded memory pool selects in-place mutation; this one holds the
-  // whole tree, so nothing is evicted.
+  RTree3 resident;  // defaults: resident
+  // A bounded memory pool selects a paged tree; this one holds the whole
+  // tree, so nothing is evicted.
   RTree3::Options legacy_options;
   legacy_options.storage.pool_pages = 1 << 16;
   RTree3 legacy(legacy_options);
-  ASSERT_TRUE(resident.concurrent_reads());
-  ASSERT_FALSE(legacy.concurrent_reads());
+  ASSERT_EQ(resident.num_pages(), 0u);
+  ASSERT_GT(legacy.num_pages(), 0u);
 
   util::Rng rng(7);
   std::vector<std::pair<Box3, RTree3::Value>> live;
