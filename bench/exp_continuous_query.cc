@@ -224,7 +224,8 @@ int RunComparison(bool smoke, bool eval_gate) {
 
   // --- Ingest-shape parity: the event stream must not depend on how the
   // mutations were framed (sequential / batch-64) or on the concurrency
-  // layer (4-shard store with per-shard engines, merged by input slot).
+  // layer (4-shard store matching into one registry's per-shard
+  // partitions, merged by input slot).
   std::printf("--- ingest-shape parity (%zu standing queries, full "
               "stream) ---\n",
               std::min<std::size_t>(kSubCounts.front(), 1000));

@@ -1,6 +1,7 @@
 #include "db/mod_database.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "core/bounds.h"
@@ -82,13 +83,20 @@ void ModDatabase::SetMetrics(util::MetricsRegistry* registry,
   index_->SetMetrics(registry, prefix + "index.");
 }
 
-void ModDatabase::AttachSubscriptions(SubscriptionEngine* engine) {
+void ModDatabase::AttachSubscriptions(SubscriptionEngine* engine,
+                                      std::size_t partition) {
+  assert(engine == nullptr || partition < engine->num_partitions());
   subscriptions_ = engine;
-  if (engine != nullptr) engine->horizon_ = options_.oplane_horizon;
+  subscription_partition_ = partition;
+  // Written only when it changes: a shard re-attaching to the sharded
+  // store's engine, which other shards may be reading, has it already.
+  if (engine != nullptr && engine->horizon_ != options_.oplane_horizon) {
+    engine->horizon_ = options_.oplane_horizon;
+  }
 }
 
 void ModDatabase::NotifyDeltas(std::span<const AttributeDelta> deltas) {
-  subscriptions_->OnDeltaBatch(deltas);
+  subscriptions_->OnDeltaBatch(deltas, subscription_partition_);
 }
 
 util::Status ModDatabase::ValidateAttribute(
@@ -597,23 +605,7 @@ RangeAnswer ModDatabase::RefineRange(
         break;
     }
   }
-  std::sort(answer.must.begin(), answer.must.end());
-  // Sort `may` keeping its probability column aligned.
-  std::vector<std::size_t> order(answer.may.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return answer.may[a] < answer.may[b];
-  });
-  std::vector<core::ObjectId> sorted_may;
-  std::vector<double> sorted_prob;
-  sorted_may.reserve(order.size());
-  sorted_prob.reserve(order.size());
-  for (std::size_t i : order) {
-    sorted_may.push_back(answer.may[i]);
-    sorted_prob.push_back(answer.may_probability[i]);
-  }
-  answer.may = std::move(sorted_may);
-  answer.may_probability = std::move(sorted_prob);
+  answer.SortById();
   return answer;
 }
 

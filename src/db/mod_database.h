@@ -267,9 +267,12 @@ class ModDatabase {
   /// (bulk-ingest sessions, `RestoreTrajectory`) do not notify; finish
   /// recovery before attaching the engine. Attaching sets the engine's
   /// horizon gate to this store's `oplane_horizon`, so a standing query
-  /// sees exactly the models `QueryRange` sees.
-  void AttachSubscriptions(SubscriptionEngine* engine);
+  /// sees exactly the models `QueryRange` sees. The store matches into
+  /// the engine's partition `partition` (< `num_partitions()`).
+  void AttachSubscriptions(SubscriptionEngine* engine,
+                           std::size_t partition = 0);
   SubscriptionEngine* subscriptions() const { return subscriptions_; }
+  std::size_t subscription_partition() const { return subscription_partition_; }
 
   /// Invokes `fn` on every stored record (unspecified order). Used by the
   /// snapshot writer and statistics tooling.
@@ -312,6 +315,7 @@ class ModDatabase {
   std::uint64_t total_updates_ = 0;
   WalWriter* wal_ = nullptr;  // non-owning, see AttachWal
   SubscriptionEngine* subscriptions_ = nullptr;  // non-owning
+  std::size_t subscription_partition_ = 0;
   bool bulk_ingest_ = false;  // index updates deferred, see BeginBulkIngest
   // Metrics attachment, remembered so a rebuilt index (FinishBulkIngest)
   // re-registers its instruments. Non-owning, may be null.

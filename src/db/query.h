@@ -1,6 +1,9 @@
 #ifndef MODB_DB_QUERY_H_
 #define MODB_DB_QUERY_H_
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/position_attribute.h"
@@ -122,6 +125,27 @@ struct RangeAnswer {
   /// Fleet coverage; see `QueryCompleteness`. MUST stays sound when
   /// partial; MAY is incomplete.
   QueryCompleteness completeness;
+
+  /// Sorts `must` and `may` by id and drops repeated ids, keeping
+  /// `may_probability` aligned with `may` (a repeated MAY id keeps its
+  /// lowest probability).
+  void SortById() {
+    std::sort(must.begin(), must.end());
+    must.erase(std::unique(must.begin(), must.end()), must.end());
+    std::vector<std::pair<core::ObjectId, double>> rows;
+    rows.reserve(may.size());
+    for (std::size_t i = 0; i < may.size(); ++i) {
+      rows.emplace_back(may[i], may_probability[i]);
+    }
+    std::sort(rows.begin(), rows.end());
+    may.clear();
+    may_probability.clear();
+    for (const auto& [id, probability] : rows) {
+      if (!may.empty() && may.back() == id) continue;
+      may.push_back(id);
+      may_probability.push_back(probability);
+    }
+  }
 };
 
 }  // namespace modb::db

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 #include <vector>
 
 namespace modb::db {
@@ -467,7 +468,7 @@ std::string FormatSubscribed(const SubscribeSpec& spec) {
   return buf;
 }
 
-// ---- Degraded-read plumbing (sharded executor) ----
+// ---- Degraded reads ----
 
 std::string ExcludedShardList(const QueryCompleteness& completeness) {
   std::string out;
@@ -478,27 +479,29 @@ std::string ExcludedShardList(const QueryCompleteness& completeness) {
   return out;
 }
 
-// STRICT gate: a partial answer is refused with the typed Unavailable
-// unless the query opted in with ALLOW PARTIAL.
-util::Status PartialityGate(const QueryCompleteness& completeness,
-                            bool allow_partial) {
-  if (completeness.complete || allow_partial) return util::Status::Ok();
-  return util::Status::Unavailable(
-      "partial answer refused (STRICT): shard(s) " +
-      ExcludedShardList(completeness) +
-      " quarantined; retry later or query with ALLOW PARTIAL");
-}
-
-// Rendering suffix for an accepted partial answer. MUST entries are still
-// sound (each listed object provably satisfies the predicate); the lists
-// are lower bounds because the excluded shards' objects are unseen.
-std::string FormatCompleteness(const QueryCompleteness& completeness) {
-  if (completeness.complete) return "";
-  return "\n  partial (excluded shards: " + ExcludedShardList(completeness) +
+// `rendered`, the answer's text, when the answer is complete. A partial
+// one is refused with the typed Unavailable unless the query opted in
+// with ALLOW PARTIAL (STRICT gate); an accepted one gets a suffix naming
+// the excluded shards. MUST entries are still sound (each listed object
+// provably satisfies the predicate); the lists are lower bounds because
+// the excluded shards' objects are unseen.
+util::Result<std::string> Gated(const QueryCompleteness& completeness,
+                                bool allow_partial, std::string rendered) {
+  if (completeness.complete) return rendered;
+  if (!allow_partial) {
+    return util::Status::Unavailable(
+        "partial answer refused (STRICT): shard(s) " +
+        ExcludedShardList(completeness) +
+        " quarantined; retry later or query with ALLOW PARTIAL");
+  }
+  return rendered + "\n  partial (excluded shards: " +
+         ExcludedShardList(completeness) +
          "; listed MUST answers remain sound)";
 }
 
-util::Result<SubscriptionEngine*> EngineOf(const ModDatabase& db) {
+// SUBSCRIBE, UNSUBSCRIBE and EVENTS reach the engine attached to an
+// unsharded store, or the sharded store's own registry.
+util::Result<SubscriptionEngine*> RegistryOf(const ModDatabase& db) {
   SubscriptionEngine* engine = db.subscriptions();
   if (engine == nullptr) {
     return util::Status::FailedPrecondition(
@@ -506,6 +509,77 @@ util::Result<SubscriptionEngine*> EngineOf(const ModDatabase& db) {
         "ModDatabase::AttachSubscriptions)");
   }
   return engine;
+}
+
+util::Result<ShardedModDatabase*> RegistryOf(ShardedModDatabase& db) {
+  if (!db.subscriptions_enabled()) {
+    return util::Status::FailedPrecondition(
+        "subscriptions are not enabled on this database");
+  }
+  return &db;
+}
+
+/// `ExecuteQuery` on either store. An unsharded store's answers always
+/// read complete, so the STRICT gate passes and the partial suffix is
+/// empty there.
+template <typename Store>
+util::Result<std::string> Execute(Store& db, std::string_view text) {
+  const auto parsed = ParseQuery(text);
+  if (!parsed.ok()) return parsed.status();
+
+  if (const auto* position = std::get_if<PositionQuerySpec>(&*parsed)) {
+    // Per-object: the owning shard either answers or is down — the
+    // Unavailable (with its retry hint) passes through untouched.
+    const auto answer = db.QueryPosition(position->id, position->time);
+    if (!answer.ok()) return answer.status();
+    return FormatPosition(*answer);
+  }
+  if (const auto* range = std::get_if<RangeQuerySpec>(&*parsed)) {
+    if (range->windowed) {
+      const IntervalRangeAnswer answer = db.QueryRangeInterval(
+          range->region, range->time, range->window_end);
+      return Gated(answer.completeness, range->allow_partial,
+                   FormatWindow(*range, answer));
+    }
+    const RangeAnswer answer = db.QueryRange(range->region, range->time);
+    return Gated(answer.completeness, range->allow_partial,
+                 FormatRange(*range, answer));
+  }
+  if (const auto* nearest = std::get_if<NearestQuerySpec>(&*parsed)) {
+    const NearestAnswer answer =
+        db.QueryNearest(nearest->point, nearest->k, nearest->time);
+    return Gated(answer.completeness, nearest->allow_partial,
+                 FormatNearest(*nearest, answer));
+  }
+  const auto registry = RegistryOf(db);
+  if (!registry.ok()) return registry.status();
+  if (const auto* subscribe = std::get_if<SubscribeSpec>(&*parsed)) {
+    if (util::Status status =
+            (*registry)->Subscribe(subscribe->id, subscribe->subscription);
+        !status.ok()) {
+      return status;
+    }
+    return FormatSubscribed(*subscribe);
+  }
+  if (const auto* unsubscribe = std::get_if<UnsubscribeSpec>(&*parsed)) {
+    if (util::Status status = (*registry)->Unsubscribe(unsubscribe->id);
+        !status.ok()) {
+      return status;
+    }
+    return "unsubscribed " + std::to_string(unsubscribe->id);
+  }
+  std::vector<SubscriptionEvent> events;  // EventsSpec
+  if constexpr (std::is_same_v<Store, ShardedModDatabase>) {
+    events = db.TakeSubscriptionEvents();
+  } else {
+    events = (*registry)->TakeEvents(db.subscription_partition());
+  }
+  std::string out = "events:";
+  if (events.empty()) return out + " (none)";
+  for (const auto& event : events) {
+    out += "\n  " + event.ToString();
+  }
+  return out;
 }
 
 }  // namespace
@@ -519,127 +593,12 @@ util::Result<ParsedQuery> ParseQuery(std::string_view text) {
 
 util::Result<std::string> ExecuteQuery(const ModDatabase& db,
                                        std::string_view text) {
-  const auto parsed = ParseQuery(text);
-  if (!parsed.ok()) return parsed.status();
-
-  if (const auto* position = std::get_if<PositionQuerySpec>(&*parsed)) {
-    const auto answer = db.QueryPosition(position->id, position->time);
-    if (!answer.ok()) return answer.status();
-    return FormatPosition(*answer);
-  }
-  if (const auto* range = std::get_if<RangeQuerySpec>(&*parsed)) {
-    if (range->windowed) {
-      return FormatWindow(*range, db.QueryRangeInterval(
-                                      range->region, range->time,
-                                      range->window_end));
-    }
-    return FormatRange(*range, db.QueryRange(range->region, range->time));
-  }
-  if (const auto* nearest = std::get_if<NearestQuerySpec>(&*parsed)) {
-    return FormatNearest(*nearest,
-                         db.QueryNearest(nearest->point, nearest->k,
-                                         nearest->time));
-  }
-  if (const auto* subscribe = std::get_if<SubscribeSpec>(&*parsed)) {
-    auto engine = EngineOf(db);
-    if (!engine.ok()) return engine.status();
-    if (util::Status status =
-            (*engine)->Subscribe(subscribe->id, subscribe->subscription);
-        !status.ok()) {
-      return status;
-    }
-    return FormatSubscribed(*subscribe);
-  }
-  if (const auto* unsubscribe = std::get_if<UnsubscribeSpec>(&*parsed)) {
-    auto engine = EngineOf(db);
-    if (!engine.ok()) return engine.status();
-    if (util::Status status = (*engine)->Unsubscribe(unsubscribe->id);
-        !status.ok()) {
-      return status;
-    }
-    return "unsubscribed " + std::to_string(unsubscribe->id);
-  }
-  auto engine = EngineOf(db);  // EventsSpec
-  if (!engine.ok()) return engine.status();
-  std::string out = "events:";
-  const auto events = (*engine)->TakeEvents();
-  if (events.empty()) return out + " (none)";
-  for (const auto& event : events) {
-    out += "\n  " + event.ToString();
-  }
-  return out;
+  return Execute(db, text);
 }
 
 util::Result<std::string> ExecuteQuery(ShardedModDatabase& db,
                                        std::string_view text) {
-  const auto parsed = ParseQuery(text);
-  if (!parsed.ok()) return parsed.status();
-
-  if (const auto* position = std::get_if<PositionQuerySpec>(&*parsed)) {
-    // Per-object: the owning shard either answers or is down — the
-    // Unavailable (with its retry hint) passes through untouched.
-    const auto answer = db.QueryPosition(position->id, position->time);
-    if (!answer.ok()) return answer.status();
-    return FormatPosition(*answer);
-  }
-  if (const auto* range = std::get_if<RangeQuerySpec>(&*parsed)) {
-    if (range->windowed) {
-      IntervalRangeAnswer answer = db.QueryRangeInterval(
-          range->region, range->time, range->window_end);
-      if (util::Status gate =
-              PartialityGate(answer.completeness, range->allow_partial);
-          !gate.ok()) {
-        return gate;
-      }
-      return FormatWindow(*range, answer) +
-             FormatCompleteness(answer.completeness);
-    }
-    RangeAnswer answer = db.QueryRange(range->region, range->time);
-    if (util::Status gate =
-            PartialityGate(answer.completeness, range->allow_partial);
-        !gate.ok()) {
-      return gate;
-    }
-    return FormatRange(*range, answer) +
-           FormatCompleteness(answer.completeness);
-  }
-  if (const auto* nearest = std::get_if<NearestQuerySpec>(&*parsed)) {
-    NearestAnswer answer =
-        db.QueryNearest(nearest->point, nearest->k, nearest->time);
-    if (util::Status gate =
-            PartialityGate(answer.completeness, nearest->allow_partial);
-        !gate.ok()) {
-      return gate;
-    }
-    return FormatNearest(*nearest, answer) +
-           FormatCompleteness(answer.completeness);
-  }
-  if (const auto* subscribe = std::get_if<SubscribeSpec>(&*parsed)) {
-    if (util::Status status =
-            db.Subscribe(subscribe->id, subscribe->subscription);
-        !status.ok()) {
-      return status;
-    }
-    return FormatSubscribed(*subscribe);
-  }
-  if (const auto* unsubscribe = std::get_if<UnsubscribeSpec>(&*parsed)) {
-    if (util::Status status = db.Unsubscribe(unsubscribe->id); !status.ok()) {
-      return status;
-    }
-    return "unsubscribed " + std::to_string(unsubscribe->id);
-  }
-  // EventsSpec: drain the merged cross-shard stream.
-  if (!db.subscriptions_enabled()) {
-    return util::Status::FailedPrecondition(
-        "subscriptions are not enabled on this database");
-  }
-  std::string out = "events:";
-  const auto events = db.TakeSubscriptionEvents();
-  if (events.empty()) return out + " (none)";
-  for (const auto& event : events) {
-    out += "\n  " + event.ToString();
-  }
-  return out;
+  return Execute(db, text);
 }
 
 }  // namespace modb::db

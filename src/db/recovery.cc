@@ -198,7 +198,8 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-/// Loads the newest checkpoint that parses, skipping corrupt ones.
+/// Loads the newest checkpoint that parses, skipping corrupt ones, still
+/// inside its bulk-ingest session (unindexed).
 util::Result<LoadedSnapshot> LoadNewestCheckpoint(const std::string& dir,
                                                   RecoveryReport* report) {
   const std::vector<CheckpointInfo> checkpoints = ListCheckpoints(dir);
@@ -206,7 +207,7 @@ util::Result<LoadedSnapshot> LoadNewestCheckpoint(const std::string& dir,
     return util::Status::NotFound("no checkpoint in " + dir);
   }
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    auto loaded = LoadSnapshot(it->path);
+    auto loaded = LoadSnapshotInBulkIngest(it->path);
     if (loaded.ok()) {
       report->checkpoint_id = it->id;
       report->recovered = true;
@@ -255,8 +256,9 @@ util::Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     if (!loaded.ok()) return loaded.status();
 
     // Stage checkpoint restore + replay at record-map speed; the index is
-    // rebuilt once at the end with the bulk path (~10× faster than indexed
-    // replay on recovery-sized streams, E14).
+    // built once at the end with the bulk path (~10× faster than indexed
+    // replay on recovery-sized streams, E14); the checkpoint's own store,
+    // copied from, is never indexed.
     if (util::Status s = db->BeginBulkIngest(); !s.ok()) return s;
 
     // Restore the checkpoint's objects into the caller's database; its
@@ -432,7 +434,6 @@ util::Result<RecoveredDatabase> Recover(const std::string& dir,
   result.database = std::move(loaded->database);
 
   ModDatabase* db = result.database.get();
-  if (util::Status s = db->BeginBulkIngest(); !s.ok()) return s;
   const util::Status replayed =
       ReplayEpochChain(dir, result.report.checkpoint_id, db, &result.report,
                        options.wal_reader);

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <mutex>
 #include <thread>
+#include <tuple>
 
 namespace modb::db {
 
@@ -34,56 +35,35 @@ std::size_t ResolveQueryThreads(const ShardedModDatabaseOptions& options,
   return std::min<std::size_t>(num_shards - 1, hw - 1);
 }
 
-// Re-sorts `may` by id keeping the probability column aligned (the merged
-// concatenation of per-shard answers is sorted within but not across
-// shards).
-void SortMayWithProbabilities(std::vector<core::ObjectId>* may,
-                              std::vector<double>* probability) {
-  std::vector<std::size_t> order(may->size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return (*may)[a] < (*may)[b];
-  });
-  std::vector<core::ObjectId> sorted_may;
-  std::vector<double> sorted_prob;
-  sorted_may.reserve(order.size());
-  sorted_prob.reserve(order.size());
-  for (std::size_t i : order) {
-    sorted_may.push_back((*may)[i]);
-    sorted_prob.push_back((*probability)[i]);
-  }
-  *may = std::move(sorted_may);
-  *probability = std::move(sorted_prob);
-}
-
 // Defensive cross-shard dedup: every object is owned by exactly one shard,
 // so a duplicate in a merged answer would mean shard-straddling state.
 // The merge dedups regardless, keeping the answer well-formed and the
-// merge deterministic. Inputs must be sorted by id; for MAY the first
-// occurrence's probability is kept.
+// merge deterministic. Inputs must be sorted by id.
 void DedupSortedIds(std::vector<core::ObjectId>* ids) {
   ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
 
-void DedupMayWithProbabilities(std::vector<core::ObjectId>* may,
-                               std::vector<double>* probability) {
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < may->size(); ++i) {
-    if (out > 0 && (*may)[i] == (*may)[out - 1]) continue;
-    (*may)[out] = (*may)[i];
-    (*probability)[out] = (*probability)[i];
-    ++out;
+// Merges one call's per-shard event runs into one deterministic stream:
+// shard-local ordinals become global input slots (`slots[s][j]` is the
+// input slot of shard s's j-th record), then events sort by (slot,
+// subscription id). At most one event exists per (record, subscription)
+// pair, so the order is total and independent of shard count and fan-out
+// timing.
+std::vector<SubscriptionEvent> MergeShardEvents(
+    std::vector<std::vector<SubscriptionEvent>> shard_events,
+    const std::vector<std::vector<std::size_t>>& slots) {
+  std::vector<SubscriptionEvent> merged;
+  for (std::size_t s = 0; s < shard_events.size(); ++s) {
+    for (SubscriptionEvent& event : shard_events[s]) {
+      event.ordinal = slots[s][event.ordinal];
+      merged.push_back(std::move(event));
+    }
   }
-  may->resize(out);
-  probability->resize(out);
-}
-
-// Deterministic cross-shard event order within one mutation call: input
-// record slot first, then subscription id. At most one event exists per
-// (record, subscription) pair, so the key is total.
-bool EventOrder(const SubscriptionEvent& a, const SubscriptionEvent& b) {
-  if (a.ordinal != b.ordinal) return a.ordinal < b.ordinal;
-  return a.subscription < b.subscription;
+  std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.ordinal, a.subscription) <
+           std::tie(b.ordinal, b.subscription);
+  });
+  return merged;
 }
 
 }  // namespace
@@ -98,16 +78,18 @@ ShardedModDatabase::ShardedModDatabase(const geo::RouteNetwork* network,
   supervisor_ = std::make_unique<ShardSupervisor>(num_shards,
                                                   options_.supervisor,
                                                   &metrics_);
+  if (options_.enable_subscriptions) {
+    subscriptions_ = std::make_unique<SubscriptionEngine>(
+        network, SubscriptionEngine::Options{}, num_shards);
+    subscriptions_->SetMetrics(&metrics_, "sub.");
+  }
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->db = std::make_unique<ModDatabase>(network, ShardDbOptions(i));
     shard->db->SetMetrics(&metrics_);  // shards share the mod.* counters
-    if (options_.enable_subscriptions) {
-      shard->subscriptions = std::make_unique<SubscriptionEngine>(network);
-      // Engines share the sub.* instruments, like the mod.* aggregation.
-      shard->subscriptions->SetMetrics(&metrics_, "sub.");
-      shard->db->AttachSubscriptions(shard->subscriptions.get());
+    if (subscriptions_ != nullptr) {
+      shard->db->AttachSubscriptions(subscriptions_.get(), i);
     }
     shards_.push_back(std::move(shard));
   }
@@ -211,10 +193,10 @@ util::Status ShardedModDatabase::Insert(core::ObjectId id, std::string label,
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mu);
   util::Status status = shard.db->Insert(id, std::move(label), attr);
-  if (shard.subscriptions != nullptr) {
+  if (subscriptions_ != nullptr) {
     // Published while still holding the shard lock so events of
     // serialised same-shard mutations never invert.
-    PublishShardEvents(shard.subscriptions->TakeEvents());
+    PublishShardEvents(subscriptions_->TakeEvents(s));
   }
   NoteWriteOutcome(s, status);
   return status;
@@ -253,10 +235,10 @@ util::Status ShardedModDatabase::BulkInsert(std::vector<BulkObject> objects) {
     // Copied (not moved) into the shard so the partition is still around
     // for cross-shard rollback below.
     statuses[s] = shard.db->BulkInsert(partitions[s]);
-    if (shard.subscriptions != nullptr) {
+    if (subscriptions_ != nullptr) {
       // Held back until the whole call is known to succeed; discarded on
       // rollback below.
-      shard_events[s] = shard.subscriptions->TakeEvents();
+      shard_events[s] = subscriptions_->TakeEvents(s);
     }
     NoteWriteOutcome(s, statuses[s]);
   });
@@ -269,22 +251,12 @@ util::Status ShardedModDatabase::BulkInsert(std::vector<BulkObject> objects) {
     }
   }
   if (first_error.ok()) {
-    std::vector<SubscriptionEvent> merged_events;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      for (SubscriptionEvent& event : shard_events[s]) {
-        event.ordinal = rows[s][event.ordinal];
-        merged_events.push_back(std::move(event));
-      }
-    }
-    if (!merged_events.empty()) {
-      std::sort(merged_events.begin(), merged_events.end(), EventOrder);
-      PublishShardEvents(std::move(merged_events));
-    }
+    PublishShardEvents(MergeShardEvents(std::move(shard_events), rows));
     return util::Status::Ok();
   }
 
   // Atomicity across shards: undo the partitions that did load. The undo
-  // erases re-notify the shard engines; those events (and the held-back
+  // erases re-notify the engine; those events (and the held-back
   // insert events) describe a batch that never happened, so both are
   // drained and dropped — engine membership state round-trips to Outside
   // either way.
@@ -295,9 +267,7 @@ util::Status ShardedModDatabase::BulkInsert(std::vector<BulkObject> objects) {
     for (const BulkObject& object : partitions[s]) {
       (void)shard.db->Erase(object.id);
     }
-    if (shard.subscriptions != nullptr) {
-      (void)shard.subscriptions->TakeEvents();
-    }
+    if (subscriptions_ != nullptr) (void)subscriptions_->TakeEvents(s);
   });
   return first_error;
 }
@@ -310,8 +280,8 @@ util::Status ShardedModDatabase::ApplyUpdate(
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mu);
   util::Status status = shard.db->ApplyUpdate(update);
-  if (shard.subscriptions != nullptr) {
-    PublishShardEvents(shard.subscriptions->TakeEvents());
+  if (subscriptions_ != nullptr) {
+    PublishShardEvents(subscriptions_->TakeEvents(s));
   }
   NoteWriteOutcome(s, status);
   return status;
@@ -353,10 +323,10 @@ UpdateBatchResult ShardedModDatabase::ApplyUpdateBatch(
     Shard& shard = *shards_[s];
     std::unique_lock lock(shard.mu);
     per_shard[s] = shard.db->ApplyUpdateBatch(parts[s]);
-    if (shard.subscriptions != nullptr) {
+    if (subscriptions_ != nullptr) {
       // Drained under the shard's exclusive lock, so the run contains
       // exactly this call's events — no cross-call mixing.
-      shard_events[s] = shard.subscriptions->TakeEvents();
+      shard_events[s] = subscriptions_->TakeEvents(s);
     }
     // The first Internal status (if any) is the representative fault of
     // the shard's whole sub-batch; NoteWriteOutcome is thread-safe.
@@ -378,21 +348,7 @@ UpdateBatchResult ShardedModDatabase::ApplyUpdateBatch(
     result.rejected += per_shard[s].rejected;
   }
 
-  // Merge the per-shard event runs into one deterministic stream: rewrite
-  // shard-local ordinals back to global input slots (members[s][j] is the
-  // input slot of shard s's j-th record), then order by (slot,
-  // subscription) — independent of shard count and fan-out timing.
-  std::vector<SubscriptionEvent> merged_events;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    for (SubscriptionEvent& event : shard_events[s]) {
-      event.ordinal = members[s][event.ordinal];
-      merged_events.push_back(std::move(event));
-    }
-  }
-  if (!merged_events.empty()) {
-    std::sort(merged_events.begin(), merged_events.end(), EventOrder);
-    PublishShardEvents(std::move(merged_events));
-  }
+  PublishShardEvents(MergeShardEvents(std::move(shard_events), members));
   return result;
 }
 
@@ -402,63 +358,45 @@ util::Status ShardedModDatabase::Erase(core::ObjectId id) {
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mu);
   util::Status status = shard.db->Erase(id);
-  if (shard.subscriptions != nullptr) {
-    PublishShardEvents(shard.subscriptions->TakeEvents());
+  if (subscriptions_ != nullptr) {
+    PublishShardEvents(subscriptions_->TakeEvents(s));
   }
   NoteWriteOutcome(s, status);
   return status;
 }
 
-bool ShardedModDatabase::subscriptions_enabled() const {
-  return shards_[0]->subscriptions != nullptr;
+std::vector<std::unique_lock<std::shared_mutex>>
+ShardedModDatabase::LockAllShards() {
+  std::vector<std::unique_lock<std::shared_mutex>> locks;
+  locks.reserve(shards_.size());
+  for (const auto& shard : shards_) locks.emplace_back(shard->mu);
+  return locks;
 }
 
 util::Status ShardedModDatabase::Subscribe(SubscriptionId id,
                                            const SubscriptionSpec& spec) {
-  if (!subscriptions_enabled()) {
+  if (subscriptions_ == nullptr) {
     return util::Status::FailedPrecondition(
         "subscriptions are not enabled on this database");
   }
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::unique_lock lock(shard.mu);
-    util::Status status = shard.subscriptions->Subscribe(id, spec);
-    if (!status.ok()) {
-      lock.unlock();
-      // All-or-nothing: withdraw from the shards already registered.
-      for (std::size_t r = 0; r < s; ++r) {
-        Shard& undo = *shards_[r];
-        std::unique_lock undo_lock(undo.mu);
-        (void)undo.subscriptions->Unsubscribe(id);
-      }
-      return status;
-    }
-  }
-  return util::Status::Ok();
+  const auto locks = LockAllShards();
+  return subscriptions_->Subscribe(id, spec);
 }
 
 util::Status ShardedModDatabase::Unsubscribe(SubscriptionId id) {
-  if (!subscriptions_enabled()) {
+  if (subscriptions_ == nullptr) {
     return util::Status::FailedPrecondition(
         "subscriptions are not enabled on this database");
   }
-  // Every shard holds the same registry, so the statuses agree; the first
-  // one is the answer.
-  util::Status first;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    std::unique_lock lock(shard.mu);
-    util::Status status = shard.subscriptions->Unsubscribe(id);
-    if (s == 0) first = std::move(status);
-  }
-  return first;
+  const auto locks = LockAllShards();
+  return subscriptions_->Unsubscribe(id);
 }
 
 std::size_t ShardedModDatabase::num_subscriptions() const {
-  if (!subscriptions_enabled()) return 0;
-  const Shard& shard = *shards_[0];
-  std::shared_lock lock(shard.mu);
-  return shard.subscriptions->num_subscriptions();
+  if (subscriptions_ == nullptr) return 0;
+  // Any one shard's lock keeps the registry still: its writers hold all.
+  std::shared_lock lock(shards_[0]->mu);
+  return subscriptions_->num_subscriptions();
 }
 
 void ShardedModDatabase::PublishShardEvents(
@@ -541,10 +479,9 @@ RangeAnswer ShardedModDatabase::MergeRangeAnswers(
                                   a.may_probability.begin(),
                                   a.may_probability.end());
   }
-  std::sort(merged.must.begin(), merged.must.end());
-  DedupSortedIds(&merged.must);
-  SortMayWithProbabilities(&merged.may, &merged.may_probability);
-  DedupMayWithProbabilities(&merged.may, &merged.may_probability);
+  // Sorted within each shard but not across them; the dedup is defensive
+  // (see DedupSortedIds).
+  merged.SortById();
   return merged;
 }
 
@@ -763,17 +700,18 @@ util::Status ShardedModDatabase::RemediateShard(std::size_t s) {
   shard.durability = std::move(*durability);
   shard.durability->ExportMetrics(&metrics_);
 
-  if (shard.subscriptions != nullptr) {
+  if (subscriptions_ != nullptr) {
     // Attached only after Open so the recovery replay emits no events.
-    shard.db->AttachSubscriptions(shard.subscriptions.get());
-    // Silent repriming: forget the dead store's memberships, then set each
-    // recovered object's relation without emitting. The recovered store
-    // holds exactly the durably-committed attributes, so the engine ends
-    // up in the state those commits produced and the post-recovery event
-    // stream continues as if the fault never happened.
-    shard.subscriptions->ResetTracking();
+    shard.db->AttachSubscriptions(subscriptions_.get(), s);
+    // Silent repriming of this shard's partition alone (the other shards
+    // may be matching into theirs): forget the dead store's memberships,
+    // then set each recovered object's relation without emitting. The
+    // recovered store holds exactly the durably-committed attributes, so
+    // the partition ends up in the state those commits produced and the
+    // post-recovery event stream continues as if the fault never happened.
+    subscriptions_->ResetTracking(s);
     shard.db->ForEachRecord([&](const MovingObjectRecord& rec) {
-      shard.subscriptions->PrimeObject(rec.id, rec.attr);
+      subscriptions_->PrimeObject(rec.id, rec.attr, s);
     });
   }
   return util::Status::Ok();

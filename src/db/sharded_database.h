@@ -48,12 +48,13 @@ struct ShardedModDatabaseOptions {
   std::string durable_dir;
   /// WAL + checkpoint knobs, used when `durable_dir` is set.
   DurabilityOptions durability;
-  /// Continuous queries: when true, every shard gets its own
-  /// `SubscriptionEngine` on its delta stream; `Subscribe` registers a
-  /// standing query on all of them (each shard matches only the objects it
-  /// owns) and `TakeSubscriptionEvents` drains the deterministically
-  /// merged event stream. The engines' horizon is `db.oplane_horizon`, so
-  /// a standing query sees exactly the models `QueryRange` sees.
+  /// Continuous queries: when true, the store owns one
+  /// `SubscriptionEngine` with a partition per shard; `Subscribe` registers
+  /// a standing query once, each shard matches the objects it owns into
+  /// its own partition, and `TakeSubscriptionEvents` drains the
+  /// deterministically merged event stream. The engine's horizon is
+  /// `db.oplane_horizon`, so a standing query sees exactly the models
+  /// `QueryRange` sees.
   bool enable_subscriptions = false;
   /// Failure-domain isolation (see `ShardSupervisor`): faults quarantine
   /// their shard instead of wedging the store; quarantined shards reject
@@ -92,9 +93,9 @@ struct ShardedModDatabaseOptions {
 /// from the surviving shards with `completeness` marking the exclusion
 /// (MUST stays sound per object; MAY becomes a lower bound), and the
 /// supervisor re-runs that shard's recovery under capped backoff until it
-/// is re-admitted — subscription engines are silently re-primed from the
-/// recovered state, so the merged event stream continues as if the fault
-/// never happened.
+/// is re-admitted — the shard's subscription partition is silently
+/// re-primed from the recovered state, so the merged event stream
+/// continues as if the fault never happened.
 class ShardedModDatabase {
  public:
   using BulkObject = ModDatabase::BulkObject;
@@ -160,13 +161,13 @@ class ShardedModDatabase {
   /// Shard that owns `id` (stable hash; exposed for tests and tooling).
   std::size_t ShardOf(core::ObjectId id) const;
 
-  /// Registers a standing query on every shard (each shard's engine
-  /// matches the objects it owns). All-or-nothing: a failure on one shard
-  /// rolls the registration back everywhere. FailedPrecondition when
+  /// Register / drop a standing query in the store's one registry, under
+  /// every shard's exclusive lock (taken in shard order), so no shard
+  /// matches while it changes. FailedPrecondition when
   /// `enable_subscriptions` is off.
   util::Status Subscribe(SubscriptionId id, const SubscriptionSpec& spec);
   util::Status Unsubscribe(SubscriptionId id);
-  bool subscriptions_enabled() const;
+  bool subscriptions_enabled() const { return subscriptions_ != nullptr; }
   std::size_t num_subscriptions() const;
 
   /// Drains the merged cross-shard event stream (oldest mutation first).
@@ -222,12 +223,10 @@ class ShardedModDatabase {
     // Owns the shard's WAL; declared after db (destroyed first) so the WAL
     // detaches from a still-live database.
     std::unique_ptr<DurabilityManager> durability;
-    // Continuous-query engine on this shard's delta stream (may be null;
-    // a non-owning pointer to it lives in `db`, so it is declared after it
-    // and destroyed first only once `db` stops mutating — the destructor
-    // runs with no concurrent calls by the thread-compat contract).
-    std::unique_ptr<SubscriptionEngine> subscriptions;
   };
+
+  /// Every shard's exclusive lock, taken in shard order.
+  std::vector<std::unique_lock<std::shared_mutex>> LockAllShards();
 
   /// Runs `per_shard(shard_index)` for every shard on the pool (inline
   /// when the pool is empty) and blocks until all shards finished.
@@ -257,8 +256,8 @@ class ShardedModDatabase {
   /// callback. Takes the shard's exclusive lock. Two flavours: a poisoned
   /// WAL on an intact store is rotated in place (`TryReopenWal` +
   /// checkpoint); anything else replays the shard's durable home into a
-  /// fresh store and swaps it in, re-attaching the subscription engine
-  /// (silently re-primed).
+  /// fresh store and swaps it in, re-attaching it to its subscription
+  /// partition (silently re-primed).
   util::Status RemediateShard(std::size_t s);
 
   /// Durable home of shard `i` (`<durable_dir>/shard-<i>`).
@@ -274,6 +273,10 @@ class ShardedModDatabase {
   util::MetricsRegistry metrics_;
   util::Status durability_status_;
   RecoveryReport recovery_report_;
+  // The standing queries, partition i fed by shard i (null when
+  // `enable_subscriptions` is off); declared before shards_, so it
+  // outlives the stores that point at it.
+  std::unique_ptr<SubscriptionEngine> subscriptions_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // Merged cross-shard subscription events awaiting TakeSubscriptionEvents.
   std::mutex events_mu_;

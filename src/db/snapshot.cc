@@ -161,7 +161,11 @@ util::Status SaveSnapshot(const ModDatabase& db, const std::string& path) {
   return WriteSnapshot(db, file);
 }
 
-util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
+namespace {
+
+/// `ReadSnapshot` up to, not including, the `FinishBulkIngest` that builds
+/// the index.
+util::Result<LoadedSnapshot> ReadSnapshotInBulkIngest(std::istream& in) {
   const auto malformed = [](const std::string& what) {
     return util::Status::InvalidArgument("malformed snapshot: " + what);
   };
@@ -281,9 +285,9 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
   if (!ExpectToken(in, "objects")) return malformed("objects");
   std::size_t num_objects = 0;
   if (!(in >> num_objects)) return malformed("object count");
-  // Stage all objects at record-map speed and build the index once at the
-  // end with the packed bulk path — restore time is dominated by the index
-  // build otherwise.
+  // Stage all objects at record-map speed; the caller builds the index
+  // once at the end with the packed bulk path — restore time is dominated
+  // by the index build otherwise.
   if (util::Status s = snapshot.database->BeginBulkIngest(); !s.ok()) {
     return s;
   }
@@ -355,16 +359,28 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
       }
     }
   }
-  if (util::Status s = snapshot.database->FinishBulkIngest(); !s.ok()) {
-    return s;
-  }
   return snapshot;
+}
+
+}  // namespace
+
+util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in) {
+  auto loaded = ReadSnapshotInBulkIngest(in);
+  if (!loaded.ok()) return loaded;
+  if (util::Status s = loaded->database->FinishBulkIngest(); !s.ok()) return s;
+  return loaded;
 }
 
 util::Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   std::ifstream file(path);
   if (!file) return util::Status::NotFound("cannot open " + path);
   return ReadSnapshot(file);
+}
+
+util::Result<LoadedSnapshot> LoadSnapshotInBulkIngest(const std::string& path) {
+  std::ifstream file(path);
+  if (!file) return util::Status::NotFound("cannot open " + path);
+  return ReadSnapshotInBulkIngest(file);
 }
 
 }  // namespace modb::db

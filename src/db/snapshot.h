@@ -36,6 +36,11 @@ util::Result<LoadedSnapshot> ReadSnapshot(std::istream& in);
 /// `ReadSnapshot` from a file path (NotFound when unreadable).
 util::Result<LoadedSnapshot> LoadSnapshot(const std::string& path);
 
+/// `LoadSnapshot` without the index build: the database stays inside its
+/// bulk-ingest session, so recovery replays the WAL into it before the one
+/// `FinishBulkIngest` that builds the index.
+util::Result<LoadedSnapshot> LoadSnapshotInBulkIngest(const std::string& path);
+
 }  // namespace modb::db
 
 #endif  // MODB_DB_SNAPSHOT_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -86,8 +87,10 @@ std::string SubscriptionEvent::ToString() const {
 }
 
 SubscriptionEngine::SubscriptionEngine(const geo::RouteNetwork* network,
-                                       Options options)
-    : network_(network), options_(options) {}
+                                       Options options, std::size_t partitions)
+    : network_(network),
+      options_(options),
+      partitions_(std::max<std::size_t>(partitions, 1)) {}
 
 void SubscriptionEngine::SetMetrics(util::MetricsRegistry* registry,
                                     const std::string& prefix) {
@@ -121,9 +124,7 @@ util::Status SubscriptionEngine::Subscribe(SubscriptionId id,
   // Bring the table up to the network first, so the clip below covers
   // every route once.
   CoverNewRoutes();
-  Subscription sub;
-  sub.spec = std::move(spec);
-  Clip(*subs_.emplace(id, std::move(sub)).first, 0);
+  Clip(*subs_.emplace(id, std::move(spec)).first, 0);
   return util::Status::Ok();
 }
 
@@ -134,7 +135,7 @@ util::Status SubscriptionEngine::Unsubscribe(SubscriptionId id) {
   }
   // The same clip finds the same routes: only they hold its entries.
   const Node* node = &*it;
-  const geo::Box2 box = ClipBox(it->second.spec.region);
+  const geo::Box2 box = ClipBox(it->second.region);
   for (std::size_t r = 0; r < routes_.size(); ++r) {
     if (network_->route(static_cast<geo::RouteId>(r))
             .shape()
@@ -144,12 +145,21 @@ util::Status SubscriptionEngine::Unsubscribe(SubscriptionId id) {
     }
     std::erase_if(routes_[r], [node](const Entry& e) { return e.sub == node; });
   }
+  for (Partition& part : partitions_) {
+    for (auto object = part.tracked.begin(); object != part.tracked.end();) {
+      std::erase_if(object->second,
+                    [id](const Tracked& t) { return t.subscription == id; });
+      object = object->second.empty() ? part.tracked.erase(object)
+                                      : std::next(object);
+    }
+  }
   subs_.erase(it);
+  CoverNewRoutes();  // as Subscribe does: matching never grows the table
   return util::Status::Ok();
 }
 
-void SubscriptionEngine::Clip(Node& node, std::size_t first) {
-  const geo::Box2 box = ClipBox(node.second.spec.region);
+void SubscriptionEngine::Clip(const Node& node, std::size_t first) {
+  const geo::Box2 box = ClipBox(node.second.region);
   for (std::size_t r = first; r < routes_.size(); ++r) {
     const geo::Polyline& shape =
         network_->route(static_cast<geo::RouteId>(r)).shape();
@@ -169,12 +179,17 @@ void SubscriptionEngine::CoverNewRoutes() {
   const std::size_t first = routes_.size();
   if (network_->size() <= first) return;
   routes_.resize(network_->size());
-  for (Node& node : subs_) Clip(node, first);
+  for (const Node& node : subs_) Clip(node, first);
 }
 
-void SubscriptionEngine::MatchBand(const core::PositionAttribute& attr) {
-  if (attr.route >= routes_.size()) CoverNewRoutes();
-  if (attr.route >= routes_.size()) return;  // no such route
+void SubscriptionEngine::MatchBand(Partition& part,
+                                   const core::PositionAttribute& attr) const {
+  if (attr.route >= routes_.size()) {
+    // Not clipped yet: matching only reads the table, so it falls back to
+    // every live subscription, which is what the naive rescan evaluates.
+    for (const Node& node : subs_) part.matched.emplace_back(node.first, &node);
+    return;
+  }
   // The band over EvaluatePair's gate [ts, te]: every uncertainty interval
   // it can classify lies in [lo, hi] + w·(t − ts).
   const core::Time ts = attr.start_time;
@@ -190,7 +205,7 @@ void SubscriptionEngine::MatchBand(const core::PositionAttribute& attr) {
   const double hull_hi = hi + std::max(0.0, drift);
   for (const Entry& e : routes_[attr.route]) {
     if (hull_lo > e.hi || hull_hi < e.lo) continue;
-    const SubscriptionSpec& spec = e.sub->second.spec;
+    const SubscriptionSpec& spec = e.sub->second;
     // The window clipped to the gate, exactly as EvaluatePair clips it.
     const core::Time u1 = std::max(spec.time, ts);
     const core::Time u2 =
@@ -199,89 +214,117 @@ void SubscriptionEngine::MatchBand(const core::PositionAttribute& attr) {
     const double a = w * (u1 - ts);
     const double b = w * (u2 - ts);
     if (lo + std::min(a, b) > e.hi || hi + std::max(a, b) < e.lo) continue;
-    matched_.emplace_back(e.sub->first, e.sub);
+    part.matched.emplace_back(e.sub->first, e.sub);
   }
 }
 
-void SubscriptionEngine::Match(const core::PositionAttribute* before,
-                               const core::PositionAttribute* after) {
-  matched_.clear();
-  if (before != nullptr) MatchBand(*before);
-  if (after != nullptr) MatchBand(*after);
-  std::sort(matched_.begin(), matched_.end());
-  matched_.erase(std::unique(matched_.begin(), matched_.end()),
-                 matched_.end());
+void SubscriptionEngine::Match(Partition& part,
+                               const core::PositionAttribute* before,
+                               const core::PositionAttribute* after) const {
+  part.matched.clear();
+  if (before != nullptr) MatchBand(part, *before);
+  if (after != nullptr) MatchBand(part, *after);
+  std::sort(part.matched.begin(), part.matched.end());
+  part.matched.erase(std::unique(part.matched.begin(), part.matched.end()),
+                     part.matched.end());
 }
 
 core::RegionRelation SubscriptionEngine::RelationOf(
     SubscriptionId id, core::ObjectId object) const {
-  const auto it = subs_.find(id);
-  if (it == subs_.end()) return core::RegionRelation::kOutside;
-  const auto rel = it->second.state.find(object);
-  return rel == it->second.state.end() ? core::RegionRelation::kOutside
-                                       : rel->second;
+  for (const Partition& part : partitions_) {
+    const auto rows = part.tracked.find(object);
+    if (rows == part.tracked.end()) continue;
+    for (const Tracked& t : rows->second) {
+      if (t.subscription == id) return t.relation;
+    }
+  }
+  return core::RegionRelation::kOutside;
 }
 
 core::RegionRelation SubscriptionEngine::EvaluatePair(
-    const Subscription& sub, const core::PositionAttribute& attr,
-    const geo::Route& route) {
+    const SubscriptionSpec& spec, const core::PositionAttribute& attr,
+    const geo::Route& route, core::Refiner& refiner) const {
   // Clip the subscribed time(s) against the attribute's visibility window
   // [start, start + horizon] — the same horizon gate the database's
   // indexes implement, so standing queries match what ad-hoc queries see.
   const core::Time start = attr.start_time;
   const core::Time hend = start + horizon_;
-  const core::Time t1 = sub.spec.time;
-  const core::Time t2 = sub.spec.windowed ? sub.spec.window_end : sub.spec.time;
+  const core::Time t1 = spec.time;
+  const core::Time t2 = spec.windowed ? spec.window_end : spec.time;
   const core::Time w1 = std::max(t1, start);
   const core::Time w2 = std::min(t2, hend);
   if (w1 > w2) return core::RegionRelation::kOutside;
 
-  if (!sub.spec.windowed) {
+  if (!spec.windowed) {
     // AT form: exact classification at the (clipped) instant.
-    return refiner_.Classify(sub.spec.region, route.shape(),
-                             core::ComputeUncertainty(attr, route, w1));
+    return refiner.Classify(spec.region, route.shape(),
+                            core::ComputeUncertainty(attr, route, w1));
   }
   // DURING form, as `QueryRangeInterval` evaluates it.
-  return refiner_.ClassifyDuring(sub.spec.region, attr, route, w1, w2,
-                                 kMustSampleStep);
+  return refiner.ClassifyDuring(spec.region, attr, route, w1, w2,
+                                kMustSampleStep);
 }
 
-void SubscriptionEngine::EvaluateOne(SubscriptionId id, Subscription& sub,
+void SubscriptionEngine::EvaluateOne(Partition& part, TrackedRows& rows,
+                                     const Node& node,
                                      const AttributeDelta& delta,
                                      const geo::Route* route_after) {
+  const SubscriptionSpec& spec = node.second;
   core::RegionRelation to = core::RegionRelation::kOutside;
   if (delta.after != nullptr && route_after != nullptr) {
-    to = EvaluatePair(sub, *delta.after, *route_after);
+    to = EvaluatePair(spec, *delta.after, *route_after, part.refiner);
   }
-  const auto it = sub.state.find(delta.id);
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), node.first,
+      [](const Tracked& t, SubscriptionId id) { return t.subscription < id; });
+  const bool tracked = it != rows.end() && it->subscription == node.first;
   const core::RegionRelation from =
-      it == sub.state.end() ? core::RegionRelation::kOutside : it->second;
+      tracked ? it->relation : core::RegionRelation::kOutside;
   if (to == core::RegionRelation::kOutside) {
-    if (it != sub.state.end()) sub.state.erase(it);
-  } else if (it != sub.state.end()) {
-    it->second = to;
+    if (tracked) rows.erase(it);
+  } else if (tracked) {
+    it->relation = to;
   } else {
-    sub.state.emplace(delta.id, to);
+    rows.insert(it, {node.first, to});
   }
-  if (from == to || !ModeCares(sub.spec.mode, from, to)) return;
+  if (from == to || !ModeCares(spec.mode, from, to)) return;
   SubscriptionEvent event;
-  event.subscription = id;
+  event.subscription = node.first;
   event.object = delta.id;
   event.from = from;
   event.to = to;
   event.at = delta.after != nullptr ? delta.after->start_time
                                     : delta.before->start_time;
   event.ordinal = delta.ordinal;
-  events_.push_back(std::move(event));
-  ++events_emitted_;
+  part.events.push_back(std::move(event));
+  ++part.events_emitted;
   if (events_counter_ != nullptr) events_counter_->Increment();
 }
 
-void SubscriptionEngine::OnDeltaBatch(std::span<const AttributeDelta> deltas) {
+void SubscriptionEngine::OnDeltaBatch(std::span<const AttributeDelta> deltas,
+                                      std::size_t partition) {
   if (subs_.empty() || deltas.empty()) return;
   util::ScopedLatencyTimer timer(match_latency_);
+  Partition& part = partitions_[partition];
 
   for (const AttributeDelta& delta : deltas) {
+    // The naive baseline evaluates every subscription. The route-space
+    // join evaluates those the bands of the before and after models meet
+    // on their routes: one missed here has relation Outside under both
+    // models — no transition to report.
+    std::size_t evaluated = subs_.size();
+    if (!options_.naive_rescan) {
+      Match(part, delta.before, delta.after);
+      evaluated = part.matched.size();
+      part.evals_saved += subs_.size() - evaluated;
+      if (evals_saved_counter_ != nullptr) {
+        evals_saved_counter_->Increment(subs_.size() - evaluated);
+      }
+    }
+    part.evals += evaluated;
+    if (evals_counter_ != nullptr) evals_counter_->Increment(evaluated);
+    if (evaluated == 0) continue;
+
     // Resolve the after-route once per record: the join can visit many
     // subscriptions and the naive baseline visits all of them.
     const geo::Route* route_after = nullptr;
@@ -291,59 +334,56 @@ void SubscriptionEngine::OnDeltaBatch(std::span<const AttributeDelta> deltas) {
         route_after = *route;
       }
     }
+    TrackedRows& rows = part.tracked[delta.id];
     if (options_.naive_rescan) {
-      for (auto& [id, sub] : subs_) {
-        EvaluateOne(id, sub, delta, route_after);
+      for (const Node& node : subs_) {
+        EvaluateOne(part, rows, node, delta, route_after);
       }
-      evals_ += subs_.size();
-      if (evals_counter_ != nullptr) evals_counter_->Increment(subs_.size());
-      continue;
+    } else {
+      for (const auto& [id, node] : part.matched) {
+        EvaluateOne(part, rows, *node, delta, route_after);
+      }
     }
-
-    // Route-space join: the bands of the before and after models against
-    // their routes' entries. A subscription missed here has relation
-    // Outside under both models — no transition to report.
-    Match(delta.before, delta.after);
-    for (const auto& [id, node] : matched_) {
-      EvaluateOne(id, node->second, delta, route_after);
-    }
-    evals_ += matched_.size();
-    evals_saved_ += subs_.size() - matched_.size();
-    if (evals_counter_ != nullptr) evals_counter_->Increment(matched_.size());
-    if (evals_saved_counter_ != nullptr) {
-      evals_saved_counter_->Increment(subs_.size() - matched_.size());
-    }
+    if (rows.empty()) part.tracked.erase(delta.id);
   }
 }
 
-void SubscriptionEngine::ResetTracking() {
-  for (auto& [id, sub] : subs_) sub.state.clear();
+void SubscriptionEngine::ResetTracking(std::size_t partition) {
+  partitions_[partition].tracked.clear();
 }
 
 void SubscriptionEngine::PrimeObject(core::ObjectId id,
-                                     const core::PositionAttribute& attr) {
+                                     const core::PositionAttribute& attr,
+                                     std::size_t partition) {
   if (subs_.empty()) return;
   const geo::Route* route = nullptr;
   if (const auto r = network_->FindRoute(attr.route); r.ok()) route = *r;
   if (route == nullptr) return;
-  // Every subscription the band misses is Outside, which reset tracking
-  // already says.
-  Match(nullptr, &attr);
-  for (const auto& [sid, node] : matched_) {
-    Subscription& sub = node->second;
-    const core::RegionRelation rel = EvaluatePair(sub, attr, *route);
-    if (rel == core::RegionRelation::kOutside) {
-      sub.state.erase(id);
-    } else {
-      sub.state[id] = rel;
-    }
+  Partition& part = partitions_[partition];
+  Match(part, nullptr, &attr);
+  TrackedRows rows;  // `matched` is sorted by id, so `rows` is too
+  for (const auto& [sid, node] : part.matched) {
+    const core::RegionRelation rel =
+        EvaluatePair(node->second, attr, *route, part.refiner);
+    if (rel != core::RegionRelation::kOutside) rows.push_back({sid, rel});
+  }
+  if (rows.empty()) {
+    part.tracked.erase(id);
+  } else {
+    part.tracked[id] = std::move(rows);
   }
 }
 
-std::vector<SubscriptionEvent> SubscriptionEngine::TakeEvents() {
-  std::vector<SubscriptionEvent> out = std::move(events_);
-  events_.clear();
-  return out;
+std::vector<SubscriptionEvent> SubscriptionEngine::TakeEvents(
+    std::size_t partition) {
+  return std::exchange(partitions_[partition].events, {});
+}
+
+std::uint64_t SubscriptionEngine::Total(
+    std::uint64_t Partition::*field) const {
+  std::uint64_t total = 0;
+  for (const Partition& part : partitions_) total += part.*field;
+  return total;
 }
 
 }  // namespace modb::db

@@ -102,9 +102,16 @@ struct SubscriptionEvent {
 /// s0 + Kf] moving at the signed speed over [start, start + horizon],
 /// `core::MaxBandReach` — against only its own route's entries, over each
 /// subscription's window, and re-evaluates the subscriptions it meets. A
-/// route the table has not seen yet is clipped against every live
-/// subscription when a delta first names it. `Unsubscribe` clips the
-/// region again to find the routes that hold its entries.
+/// delta on a route the table has not clipped yet (one appended to the
+/// network since the last `Subscribe` or `Unsubscribe`) meets every live
+/// subscription, the naive superset; the next `Subscribe` or `Unsubscribe`
+/// clips it. `Unsubscribe` clips the region again to find the routes that
+/// hold its entries.
+///
+/// Partitions: the registry (the specs and the route table) is kept once;
+/// what matching writes — tracked relations, events, scratch, totals —
+/// lives in one partition per store feeding the engine (shard i of the
+/// sharded store matches into partition i, an unsharded store into 0).
 ///
 /// Determinism: the relation of an object to a subscription is a pure
 /// function of (current attribute, subscription spec) — `EvaluatePair`
@@ -122,9 +129,10 @@ struct SubscriptionEvent {
 /// 1.0 time units plus the window edges — `QueryRangeInterval`'s default
 /// step.
 ///
-/// Thread-compatibility: not internally synchronised, same contract as
-/// `ModDatabase` (the sharded layer drives each shard's engine under that
-/// shard's exclusive lock).
+/// Thread-compatibility: not internally synchronised. A partition's calls
+/// need the exclusion of the store feeding it; different partitions may
+/// match concurrently, but not while `Subscribe` or `Unsubscribe` rewrites
+/// the registry (the sharded store holds every shard's lock for those).
 class SubscriptionEngine final {
  public:
   struct Options {
@@ -133,8 +141,10 @@ class SubscriptionEngine final {
     bool naive_rescan = false;
   };
 
-  /// `network` must outlive the engine.
-  SubscriptionEngine(const geo::RouteNetwork* network, Options options);
+  /// `network` must outlive the engine. `partitions` (0 is promoted to 1)
+  /// is the number of stores that match into it.
+  SubscriptionEngine(const geo::RouteNetwork* network, Options options,
+                     std::size_t partitions = 1);
   explicit SubscriptionEngine(const geo::RouteNetwork* network)
       : SubscriptionEngine(network, Options{}) {}
 
@@ -154,70 +164,70 @@ class SubscriptionEngine final {
 
   bool contains(SubscriptionId id) const { return subs_.contains(id); }
   std::size_t num_subscriptions() const { return subs_.size(); }
+  std::size_t num_partitions() const { return partitions_.size(); }
 
   /// Delta-stream hook, called by `ModDatabase` after every committed
   /// mutation (the pointed-to attributes live only for the call; `deltas`
   /// arrive in ascending ordinal): re-evaluates affected subscriptions
-  /// record by record and buffers transition events. Within one record,
-  /// events are emitted in ascending subscription id; across records, in
-  /// record (ordinal) order.
-  void OnDeltaBatch(std::span<const AttributeDelta> deltas);
+  /// record by record and buffers transition events in `partition`.
+  /// Within one record, events are emitted in ascending subscription id;
+  /// across records, in record (ordinal) order.
+  void OnDeltaBatch(std::span<const AttributeDelta> deltas,
+                    std::size_t partition = 0);
 
-  /// Drains the buffered events (oldest first).
-  std::vector<SubscriptionEvent> TakeEvents();
-  std::size_t num_pending_events() const { return events_.size(); }
+  /// Drains `partition`'s buffered events (oldest first).
+  std::vector<SubscriptionEvent> TakeEvents(std::size_t partition = 0);
+  std::size_t num_pending_events(std::size_t partition = 0) const {
+    return partitions_[partition].events.size();
+  }
 
-  /// Drops every subscription's tracked per-object state (specs stay
-  /// registered). Step one of re-attaching the engine to a recovered
+  /// Drops `partition`'s tracked per-object state (specs stay
+  /// registered). Step one of re-attaching a partition to a recovered
   /// store: forget the dead store's memberships, then `PrimeObject` each
   /// recovered object.
-  void ResetTracking();
+  void ResetTracking(std::size_t partition = 0);
 
   /// Silently sets the tracked relation of `id` under every subscription
-  /// from `attr` — no events are emitted. After `ResetTracking` this
-  /// reprimes the engine after a shard recovery swap: the recovered store
-  /// holds exactly the durably-committed attributes, so priming from them
-  /// leaves the engine in the same state it had after those commits, and
-  /// the post-recovery event stream continues as if the crash never
-  /// happened (events are a pure function of each object's update
-  /// sequence). Requires `ResetTracking` first: it evaluates only the
-  /// subscriptions the route table matches and leaves every other pair as
-  /// it is, which is Outside only after a reset.
-  void PrimeObject(core::ObjectId id, const core::PositionAttribute& attr);
+  /// from `attr` in `partition` — no events are emitted. It evaluates only
+  /// the subscriptions the route table matches; every other one is
+  /// Outside. After `ResetTracking` this reprimes the partition after a
+  /// shard recovery swap: the recovered store holds exactly the
+  /// durably-committed attributes, so priming from them leaves the
+  /// partition in the same state it had after those commits, and the
+  /// post-recovery event stream continues as if the crash never happened
+  /// (events are a pure function of each object's update sequence).
+  void PrimeObject(core::ObjectId id, const core::PositionAttribute& attr,
+                   std::size_t partition = 0);
 
   /// Registers counters `<prefix>evals` (pair evaluations run),
   /// `<prefix>evals_saved` (evaluations the route-space join skipped vs. a
   /// naive rescan), `<prefix>events_emitted`, and the
   /// `<prefix>match_latency_us` histogram (one OnDeltaBatch call).
-  /// nullptr detaches. Counters are shared across engines given the same
-  /// registry and prefix (the sharded layer's per-shard engines).
+  /// nullptr detaches. Every partition records into the same instruments.
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix = "sub.");
 
-  /// Lifetime totals, also kept locally so tests need no registry.
-  std::uint64_t evals() const { return evals_; }
-  std::uint64_t evals_saved() const { return evals_saved_; }
-  std::uint64_t events_emitted() const { return events_emitted_; }
+  /// Lifetime totals over every partition, also kept locally so tests
+  /// need no registry. Read them only while no partition is matching.
+  std::uint64_t evals() const { return Total(&Partition::evals); }
+  std::uint64_t evals_saved() const { return Total(&Partition::evals_saved); }
+  std::uint64_t events_emitted() const {
+    return Total(&Partition::events_emitted);
+  }
 
-  const Options& options() const { return options_; }
   /// The horizon gate: a model is visible over [start, start + horizon].
   /// The attached store's `oplane_horizon`; 120 (that option's default)
   /// before the engine is first attached.
   core::Duration horizon() const { return horizon_; }
 
-  /// The tracked relation of `object` under subscription `id` (kOutside
-  /// for untracked pairs or unknown subscriptions). For tests.
+  /// The tracked relation of `object` under subscription `id` in any
+  /// partition (kOutside for untracked pairs or unknown subscriptions).
+  /// For tests.
   core::RegionRelation RelationOf(SubscriptionId id,
                                   core::ObjectId object) const;
 
  private:
-  struct Subscription {
-    SubscriptionSpec spec;
-    // Tracked relation per object; absence means kOutside, so the map
-    // only holds objects currently MAY or MUST.
-    std::unordered_map<core::ObjectId, core::RegionRelation> state;
-  };
-  using SubscriptionMap = std::map<SubscriptionId, Subscription>;
+  using SubscriptionMap = std::map<SubscriptionId, SubscriptionSpec>;
   using Node = SubscriptionMap::value_type;  // map nodes never move
 
   /// One route-distance interval where a route lies in a subscription's
@@ -226,33 +236,61 @@ class SubscriptionEngine final {
   struct Entry {
     float lo;
     float hi;
-    Node* sub;
+    const Node* sub;
   };
   static_assert(sizeof(Entry) <= 16, "the table's memory budget");
 
+  /// An object's tracked relation to one subscription.
+  struct Tracked {
+    SubscriptionId subscription;
+    core::RegionRelation relation;
+  };
+  using TrackedRows = std::vector<Tracked>;  // ascending subscription id
+
+  /// What matching writes for one store. Aligned so that two partitions
+  /// matching on different threads never share a cache line.
+  struct alignas(64) Partition {
+    // Per object, its MAY/MUST relations (absence means kOutside); a row
+    // per object takes less than half the memory of a node per pair.
+    std::unordered_map<core::ObjectId, TrackedRows> tracked;
+    // The subscriptions `Match` found, sorted by id.
+    std::vector<std::pair<SubscriptionId, const Node*>> matched;
+    std::vector<SubscriptionEvent> events;
+    core::Refiner refiner;  // EvaluatePair's scratch, reused across pairs
+    std::uint64_t evals = 0;
+    std::uint64_t evals_saved = 0;
+    std::uint64_t events_emitted = 0;
+  };
+
+  /// `field` summed over every partition.
+  std::uint64_t Total(std::uint64_t Partition::*field) const;
   /// Clips `node`'s region bounding box against routes
   /// [first, routes_.size()) and appends its entries there.
-  void Clip(Node& node, std::size_t first);
+  void Clip(const Node& node, std::size_t first);
   /// Clips every live subscription against the routes the network has
   /// gained since the table last grew.
   void CoverNewRoutes();
-  /// Appends the (id, node) of every subscription whose entries on
-  /// `attr`'s route meet `attr`'s band within the subscription's window.
-  void MatchBand(const core::PositionAttribute& attr);
+  /// Appends to `part.matched` the (id, node) of every subscription whose
+  /// entries on `attr`'s route meet `attr`'s band within the
+  /// subscription's window — every live one on a route the table has not
+  /// clipped.
+  void MatchBand(Partition& part, const core::PositionAttribute& attr) const;
   /// `MatchBand` of `before` and `after` (either may be null), then sorted
-  /// by subscription id and deduplicated, into `matched_`.
-  void Match(const core::PositionAttribute* before,
-             const core::PositionAttribute* after);
+  /// by subscription id and deduplicated, into `part.matched`.
+  void Match(Partition& part, const core::PositionAttribute* before,
+             const core::PositionAttribute* after) const;
 
   /// The pure relation function (see class comment). `route` is the
   /// resolved route of `attr`.
-  core::RegionRelation EvaluatePair(const Subscription& sub,
+  core::RegionRelation EvaluatePair(const SubscriptionSpec& spec,
                                     const core::PositionAttribute& attr,
-                                    const geo::Route& route);
+                                    const geo::Route& route,
+                                    core::Refiner& refiner) const;
 
-  /// Re-evaluates one (subscription, record) pair: updates tracked state
-  /// and buffers an event when the transition passes the mode filter.
-  void EvaluateOne(SubscriptionId id, Subscription& sub,
+  /// Re-evaluates one (subscription, record) pair: updates the record's
+  /// object's tracked `rows` in `part` and buffers an event when the
+  /// transition passes the mode filter.
+  void EvaluateOne(Partition& part, TrackedRows& rows, const Node& node,
                    const AttributeDelta& delta, const geo::Route* route_after);
 
   // Sets `horizon_` to the store's `oplane_horizon` on attach.
@@ -261,16 +299,12 @@ class SubscriptionEngine final {
   const geo::RouteNetwork* network_;
   Options options_;
   core::Duration horizon_ = 120.0;
+  // The registry: written only by Subscribe / Unsubscribe.
   SubscriptionMap subs_;  // ordered: deterministic
   // The route table: routes_[r] holds route r's entries.
   std::vector<std::vector<Entry>> routes_;
-  std::vector<std::pair<SubscriptionId, Node*>> matched_;  // scratch
-  std::vector<SubscriptionEvent> events_;
-  core::Refiner refiner_;  // EvaluatePair's scratch, reused across pairs
+  std::vector<Partition> partitions_;
 
-  std::uint64_t evals_ = 0;
-  std::uint64_t evals_saved_ = 0;
-  std::uint64_t events_emitted_ = 0;
   // Optional instruments (see SetMetrics); non-owning, may be null.
   util::Counter* evals_counter_ = nullptr;
   util::Counter* evals_saved_counter_ = nullptr;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "util/crc32c.h"
+#include "util/little_endian.h"
 
 namespace modb::db {
 
@@ -25,26 +26,9 @@ constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 // batch (a single update encodes to ~70 bytes; ~3700 fit per chunk).
 constexpr std::size_t kBatchChunkPayloadBytes = 256u << 10;
 
-void PutU32(std::string* out, std::uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xff);
-  buf[1] = static_cast<char>((v >> 8) & 0xff);
-  buf[2] = static_cast<char>((v >> 16) & 0xff);
-  buf[3] = static_cast<char>((v >> 24) & 0xff);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void PutF64(std::string* out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
+using util::PutF64;
+using util::PutU32;
+using util::PutU64;
 
 void PutU8(std::string* out, std::uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -62,30 +46,9 @@ class Cursor {
     return true;
   }
 
-  bool GetU32(std::uint32_t* v) {
-    if (data_.size() < 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<std::uint8_t>(data_[i]);
-    }
-    data_.remove_prefix(4);
-    return true;
-  }
-
-  bool GetU64(std::uint64_t* v) {
-    std::uint32_t lo = 0;
-    std::uint32_t hi = 0;
-    if (!GetU32(&lo) || !GetU32(&hi)) return false;
-    *v = (static_cast<std::uint64_t>(hi) << 32) | lo;
-    return true;
-  }
-
-  bool GetF64(double* v) {
-    std::uint64_t bits = 0;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(bits));
-    return true;
-  }
+  bool GetU32(std::uint32_t* v) { return Get(v, util::GetU32); }
+  bool GetU64(std::uint64_t* v) { return Get(v, util::GetU64); }
+  bool GetF64(double* v) { return Get(v, util::GetF64); }
 
   bool GetString(std::string* s) {
     std::uint32_t len = 0;
@@ -99,6 +62,14 @@ class Cursor {
   bool AtEnd() const { return data_.empty(); }
 
  private:
+  template <typename T>
+  bool Get(T* v, T (*decode)(const char*)) {
+    if (data_.size() < sizeof(T)) return false;
+    *v = decode(data_.data());
+    data_.remove_prefix(sizeof(T));
+    return true;
+  }
+
   std::string_view data_;
 };
 

@@ -10,6 +10,7 @@
 
 #include "index/soa_kernel.h"
 #include "storage/memory_storage_manager.h"
+#include "util/little_endian.h"
 
 namespace modb::index {
 
@@ -198,61 +199,19 @@ bool SameBox(const Box3& a, const Box3& b) {
 constexpr std::size_t kNodeHeaderBytes = 16;
 constexpr std::size_t kEntryBytes = 6 * 8 + 8;
 
-void PutU32(std::string* out, std::uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xff);
-  buf[1] = static_cast<char>((v >> 8) & 0xff);
-  buf[2] = static_cast<char>((v >> 16) & 0xff);
-  buf[3] = static_cast<char>((v >> 24) & 0xff);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  PutU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void PutF64(std::string* out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-std::uint32_t GetU32(std::string_view data, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<std::uint8_t>(data[pos + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(std::string_view data, std::size_t pos) {
-  const std::uint64_t lo = GetU32(data, pos);
-  const std::uint64_t hi = GetU32(data, pos + 4);
-  return (hi << 32) | lo;
-}
-
-double GetF64(std::string_view data, std::size_t pos) {
-  const std::uint64_t bits = GetU64(data, pos);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 }  // namespace
 
 util::Status RTree3::EncodeNode(const void* object, std::string* out) {
   const auto* node = static_cast<const Node*>(object);
   out->clear();
   out->reserve(kNodeHeaderBytes + node->count * kEntryBytes);
-  PutU32(out, node->level);
-  PutU64(out, kInvalidPageId);  // fossil parent field (see layout comment)
-  PutU32(out, node->count);
+  util::PutU32(out, node->level);
+  util::PutU64(out, kInvalidPageId);  // fossil parent (see layout comment)
+  util::PutU32(out, node->count);
   for (std::size_t i = 0; i < node->count; ++i) {
-    for (int d = 0; d < 3; ++d) PutF64(out, node->lo(d)[i]);
-    for (int d = 0; d < 3; ++d) PutF64(out, node->hi(d)[i]);
-    PutU64(out, node->word()[i]);
+    for (int d = 0; d < 3; ++d) util::PutF64(out, node->lo(d)[i]);
+    for (int d = 0; d < 3; ++d) util::PutF64(out, node->hi(d)[i]);
+    util::PutU64(out, node->word()[i]);
   }
   return util::Status::Ok();
 }
@@ -263,8 +222,8 @@ util::Result<std::shared_ptr<void>> RTree3::DecodeNode(
     return util::Status::Internal("node page truncated: " +
                                   std::to_string(bytes.size()) + " bytes");
   }
-  const std::uint32_t level = GetU32(bytes, 0);
-  const std::uint32_t count = GetU32(bytes, 12);
+  const std::uint32_t level = util::GetU32(bytes.data());
+  const std::uint32_t count = util::GetU32(bytes.data() + 12);
   if (bytes.size() != kNodeHeaderBytes + std::size_t{count} * kEntryBytes) {
     return util::Status::Internal(
         "node page size mismatch: " + std::to_string(bytes.size()) +
@@ -281,10 +240,11 @@ util::Result<std::shared_ptr<void>> RTree3::DecodeNode(
   node->capacity = static_cast<std::uint32_t>(capacity);
   std::size_t pos = kNodeHeaderBytes;
   for (std::uint32_t i = 0; i < count; ++i, pos += kEntryBytes) {
-    const Box3 box(GetF64(bytes, pos), GetF64(bytes, pos + 8),
-                   GetF64(bytes, pos + 16), GetF64(bytes, pos + 24),
-                   GetF64(bytes, pos + 32), GetF64(bytes, pos + 40));
-    node->PushEntry(box, GetU64(bytes, pos + 48), nullptr);
+    const char* e = bytes.data() + pos;
+    const Box3 box(util::GetF64(e), util::GetF64(e + 8), util::GetF64(e + 16),
+                   util::GetF64(e + 24), util::GetF64(e + 32),
+                   util::GetF64(e + 40));
+    node->PushEntry(box, util::GetU64(e + 48), nullptr);
   }
   return std::shared_ptr<void>(std::move(node));
 }

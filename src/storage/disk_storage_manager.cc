@@ -8,35 +8,13 @@
 #include <filesystem>
 
 #include "util/crc32c.h"
+#include "util/little_endian.h"
 
 namespace modb::storage {
 
 namespace {
 
 constexpr std::uint32_t kPageMagic = 0x4d504447;  // "GDPM"
-
-void PutU32(char* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-}
-
-void PutU64(char* out, std::uint64_t v) {
-  PutU32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  PutU32(out + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t GetU32(const char* data) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint8_t>(data[i]);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(const char* data) {
-  return (static_cast<std::uint64_t>(GetU32(data + 4)) << 32) | GetU32(data);
-}
 
 /// Masked CRC32C of a slot's first 16 header bytes and its payload.
 std::uint32_t SlotCrc(const char* slot, std::string_view payload) {
@@ -124,10 +102,10 @@ util::Status DiskStorageManager::WritePage(PageId id,
   }
   buffer_.assign(options_.page_size, '\0');
   char* slot = buffer_.data();
-  PutU32(slot, kPageMagic);
-  PutU64(slot + 4, id);
-  PutU32(slot + 12, static_cast<std::uint32_t>(payload.size()));
-  PutU32(slot + 16, SlotCrc(slot, payload));
+  util::StoreU32(slot, kPageMagic);
+  util::StoreU64(slot + 4, id);
+  util::StoreU32(slot + 12, static_cast<std::uint32_t>(payload.size()));
+  util::StoreU32(slot + 16, SlotCrc(slot, payload));
   std::memcpy(slot + kPageHeaderSize, payload.data(), payload.size());
 
   const auto offset = static_cast<off_t>(id * options_.page_size);
@@ -165,10 +143,11 @@ util::Result<std::string> DiskStorageManager::ReadPage(PageId id) {
     if (n == 0) break;  // a short file leaves zeros, which fail the checks
     done += static_cast<std::size_t>(n);
   }
-  const std::uint32_t length = GetU32(slot.data() + 12);
-  if (GetU32(slot.data()) != kPageMagic || GetU64(slot.data() + 4) != id ||
+  const std::uint32_t length = util::GetU32(slot.data() + 12);
+  if (util::GetU32(slot.data()) != kPageMagic ||
+      util::GetU64(slot.data() + 4) != id ||
       length > page_payload_size() ||
-      GetU32(slot.data() + 16) !=
+      util::GetU32(slot.data() + 16) !=
           SlotCrc(slot.data(), std::string_view(slot).substr(
                                    kPageHeaderSize, length))) {
     return util::Status::Internal("page " + std::to_string(id) +

@@ -127,7 +127,7 @@ TEST_F(ShardedSubscriptionTest, SubscribeIsAllOrNothingAcrossShards) {
   EXPECT_EQ(db.Unsubscribe(1).code(), util::StatusCode::kNotFound);
 }
 
-// The engines take the store's horizon: with `db.oplane_horizon` 60, a
+// The engine takes the store's horizon: with `db.oplane_horizon` 60, a
 // standing query 90 units after a model's start sees nothing, exactly as
 // `QueryRange` at that instant does, while one 30 units after sees it.
 TEST_F(ShardedSubscriptionTest, EnginesUseTheStoreHorizon) {
@@ -159,10 +159,11 @@ TEST_F(ShardedSubscriptionTest, EnginesUseTheStoreHorizon) {
   EXPECT_EQ(events[0].to, core::RegionRelation::kMustBeIn);
 }
 
-// Satellite of ISSUE 6: the merged cross-shard stream must be
-// byte-identical to an unsharded database fed the same mutations — same
-// events, same order — for every shard count, with batched ingest, single
-// updates, erases, and bulk loads mixed together.
+// The merged cross-shard stream must be byte-identical to an unsharded
+// database fed the same mutations — same events, same order — for every
+// shard count, with batched ingest, single updates, erases, bulk loads,
+// and updates on a route appended after the standing queries mixed
+// together.
 TEST_F(ShardedSubscriptionTest, EventStreamMatchesUnshardedForAnyShardCount) {
   for (const std::size_t shards : {1u, 2u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -225,6 +226,25 @@ TEST_F(ShardedSubscriptionTest, EventStreamMatchesUnshardedForAnyShardCount) {
       ASSERT_EQ(single.ApplyUpdate(loner).ok(), sharded.ApplyUpdate(loner).ok());
       drain();
     }
+
+    // A lane inside every standing query's region, appended after them:
+    // neither registry has clipped it, so its deltas meet every live
+    // subscription (the naive superset) on both sides.
+    const geo::RouteId lane =
+        network_.AddStraightRoute({0.0, 1.0}, {400.0, 1.0}, "lane");
+    for (const core::Time t : {20.0, 22.0}) {
+      std::vector<core::PositionUpdate> on_lane;
+      for (core::ObjectId id = 20; id < 30; ++id) {
+        core::PositionUpdate update = Update(
+            id, t, rng.Uniform(0.0, 380.0), rng.Uniform(0.0, 1.4));
+        update.route = lane;
+        update.position = network_.route(lane).PointAt(update.route_distance);
+        on_lane.push_back(update);
+      }
+      ASSERT_TRUE(single.ApplyUpdateBatch(on_lane).all_ok());
+      ASSERT_TRUE(sharded.ApplyUpdateBatch(on_lane).all_ok());
+      drain();
+    }
     ASSERT_TRUE(single.Erase(5).ok());
     ASSERT_TRUE(sharded.Erase(5).ok());
     drain();
@@ -270,9 +290,11 @@ TEST_F(ShardedSubscriptionTest, BulkInsertRollbackDiscardsEvents) {
 }
 
 // ThreadSanitizer stress: concurrent writers on disjoint object ranges,
-// fan-out readers, and an event-drain thread, all against the same
-// sharded database. Correctness of the interleaved stream is covered by
-// the deterministic tests above; this one is about data races.
+// fan-out readers, an event-drain thread, and a thread that subscribes and
+// unsubscribes a rotating id (each call rewrites the shared registry under
+// every shard lock while the shards match), all against the same sharded
+// database. Correctness of the interleaved stream is covered by the
+// deterministic tests above; this one is about data races.
 TEST_F(ShardedSubscriptionTest, ConcurrentMutationsQueriesAndDrainsAreRaceFree) {
   ShardedModDatabase db(&network_, WithSubscriptions(4));
   for (const auto& [id, spec] : StandingQueries()) {
@@ -314,6 +336,23 @@ TEST_F(ShardedSubscriptionTest, ConcurrentMutationsQueriesAndDrainsAreRaceFree) 
       (void)db.QueryRange(region, 30.0);
     }
   });
+  std::atomic<std::size_t> churned{0};
+  threads.emplace_back([&] {
+    // Ids 1000..1003 in turn; the previous one stays live while the next
+    // registers, so the shards always match one churned query.
+    SubscriptionSpec spec = StandingQueries().front().second;
+    spec.region = geo::Polygon::Rectangle(100, -2, 200, 2);
+    SubscriptionId live = 1000;
+    EXPECT_TRUE(db.Subscribe(live, spec).ok());
+    do {
+      const SubscriptionId next = 1000 + (live - 1000 + 1) % 4;
+      EXPECT_TRUE(db.Subscribe(next, spec).ok());
+      EXPECT_TRUE(db.Unsubscribe(live).ok());
+      live = next;
+      churned.fetch_add(1, std::memory_order_relaxed);
+    } while (!stop.load(std::memory_order_acquire));
+    EXPECT_TRUE(db.Unsubscribe(live).ok());
+  });
   for (std::size_t w = 0; w < kWriters; ++w) threads[w].join();
   stop.store(true, std::memory_order_release);
   for (std::size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
@@ -321,6 +360,8 @@ TEST_F(ShardedSubscriptionTest, ConcurrentMutationsQueriesAndDrainsAreRaceFree) 
   drained.fetch_add(db.TakeSubscriptionEvents().size(),
                     std::memory_order_relaxed);
   EXPECT_GT(drained.load(), 0u);
+  EXPECT_GT(churned.load(), 0u);
+  EXPECT_EQ(db.num_subscriptions(), StandingQueries().size());
 }
 
 }  // namespace

@@ -322,8 +322,10 @@ class SubscriptionJoinCaseTest : public testing::Test {
   geo::RouteId street_ = geo::kInvalidRouteId;
 };
 
-// A route appended after the standing query registered is clipped against
-// it when a delta first names it.
+// A route appended after the standing query registered is not in the
+// route table until the next Subscribe or Unsubscribe: a delta on it meets
+// every live subscription, the naive superset, so the one query here is
+// evaluated once and sees the object.
 TEST_F(SubscriptionJoinCaseTest, RouteAddedAfterSubscribeIsMatched) {
   ModDatabase db(&network_);
   SubscriptionEngine engine(&network_);

@@ -272,7 +272,7 @@ TEST_F(SubscriptionRecoveryTest, WalReopenHealPreservesEventStream) {
   ExpectSameStream(control_stream, healed_stream);
 }
 
-// Restart recovery: construction replays the epoch chain with the engines
+// Restart recovery: construction replays the epoch chain with the engine
 // already attached, and must emit zero events. Fresh subscriptions on the
 // recovered store then behave exactly like fresh subscriptions on a store
 // that reached the same state without ever restarting.
@@ -304,7 +304,7 @@ TEST_F(SubscriptionRecoveryTest, RestartReplayIsSilentAndStreamsContinue) {
   }
   (void)control.TakeSubscriptionEvents();
 
-  // Phase 2: reopen. Recovery replay runs with engines attached and must
+  // Phase 2: reopen. Recovery replay runs with the engine attached and must
   // surface nothing; registrations start empty.
   ShardedModDatabase reopened(&network_, DurableOptions());
   ASSERT_TRUE(reopened.durability_status().ok());
