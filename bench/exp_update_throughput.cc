@@ -1,10 +1,10 @@
 // E16 — staged batch ingest: the same position-update stream driven
 // through the per-update write path (one WAL frame, one group-commit
-// check, one index remove+reinsert per message) versus the four-stage
+// check, one index remove+reinsert per message) versus the five-stage
 // batch engine (one frame, one grouped index delta per batch). The cost
 // model behind the claim: a durable per-update ingest pays one fsync per
-// message, a batch of B amortises the fsync — and the validate/log/mutate/
-// index stages — over B messages. The claim under test: >= 2x ingest
+// message, a batch of B amortises the fsync — and the validate/log/index/
+// commit stages — over B messages. The claim under test: >= 2x ingest
 // throughput at batch >= 64 on the durable path, at a byte-identical final
 // store (same records, same query answers).
 //
@@ -170,7 +170,7 @@ struct DurableRun {
 /// the strictest no-loss setting — E14 measured the WAL knobs themselves),
 /// so the frame amortisation of the batch path is visible as fewer syncs.
 /// The store runs on the linear-scan index to hold index maintenance at its
-/// E7 floor: this table isolates the write-path (validate/log/mutate) cost,
+/// E7 floor: this table isolates the write-path (validate/log/commit) cost,
 /// while the in-memory tables above and E7/E15 cover the index side.
 DurableRun RunDurable(const Workload& w, const fs::path& dir,
                       std::size_t batch) {

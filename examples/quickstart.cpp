@@ -87,9 +87,9 @@ int main() {
 
   // 6. A base station hands over a whole window of reports at once.
   //    ApplyUpdateBatch runs the same staged write path as ApplyUpdate —
-  //    validate, log, mutate, index — but pays the per-call costs once for
-  //    the window and reports a status per record (a bad record never
-  //    blocks the rest of the batch).
+  //    validate, log, index, commit, notify — but pays the per-call costs
+  //    once for the window and reports a status per record (a bad record
+  //    never blocks the rest of the batch).
   std::vector<PositionUpdate> window;
   for (int i = 0; i < 3; ++i) {
     PositionUpdate u = update;

@@ -141,35 +141,35 @@ util::Status ModDatabase::ValidateAttribute(
 
 util::Status ModDatabase::Insert(core::ObjectId id, std::string label,
                                  const core::PositionAttribute& attr) {
-  // Stage 1: validate — no side effects before this point succeeds.
+  // Validate — no side effects before this point succeeds.
   if (records_.contains(id)) {
     return util::Status::AlreadyExists("object " + std::to_string(id));
   }
   if (util::Status s = ValidateAttribute(attr); !s.ok()) return s;
-  // Stage 2: log.
+  // Log.
   if (wal_ != nullptr) {
     if (util::Status s = wal_->AppendInsert(id, label, attr); !s.ok()) {
       if (wal_fails_ != nullptr) wal_fails_->Increment();
       return s;
     }
   }
-  // Stage 3: mutate.
+  // Index delta: the last stage that can fail, so a failure leaves the
+  // record map as it was.
+  if (!bulk_ingest_) {
+    if (util::Status s =
+            index_->ApplyDeltaBatch({index::IndexDelta{id, &attr}});
+        !s.ok()) {
+      return s;
+    }
+  }
+  // Commit.
   MovingObjectRecord record;
   record.id = id;
   record.label = std::move(label);
   record.attr = attr;
   record.insert_time = attr.start_time;
   records_.emplace(id, std::move(record));
-  // Stage 4: index-delta.
-  if (!bulk_ingest_) {
-    if (util::Status s = index_->Upsert(id, attr); !s.ok()) {
-      // Unreachable after ValidateAttribute (the route exists), but the
-      // index reports maintenance failures as errors now — roll the record
-      // back so memory stays consistent and propagate.
-      records_.erase(id);
-      return s;
-    }
-  }
+  // Notify.
   if (!bulk_ingest_ && subscriptions_ != nullptr) {
     const AttributeDelta delta{0, id, nullptr, &attr};
     NotifyDeltas({&delta, 1});
@@ -223,7 +223,7 @@ util::Status ModDatabase::BulkInsert(std::vector<BulkObject> objects) {
     if (util::Status s = ValidateAttribute(object.attr); !s.ok()) return s;
   }
   if (wal_ != nullptr) {
-    // One batched record for the whole call instead of a frame per row:
+    // Log one batched record for the whole call instead of a frame per row:
     // same kUpdateBatch framing the update path uses, so a bulk load of N
     // objects costs one CRC frame and one group-commit trigger check, not
     // N. Replay is prefix-exact: a torn batch frame drops the whole call,
@@ -244,37 +244,36 @@ util::Status ModDatabase::BulkInsert(std::vector<BulkObject> objects) {
       return s;
     }
   }
-  std::vector<std::pair<core::ObjectId, core::PositionAttribute>> for_index;
-  for_index.reserve(objects.size());
+  // Index delta: the last stage that can fail, so a failure leaves the
+  // record map as it was.
+  if (!bulk_ingest_) {
+    std::vector<index::IndexDelta> rows;
+    rows.reserve(objects.size());
+    for (const BulkObject& object : objects) {
+      rows.push_back(index::IndexDelta{object.id, &object.attr});
+    }
+    if (util::Status s = index_->BulkUpsert(rows); !s.ok()) return s;
+  }
+  // Commit.
   for (BulkObject& object : objects) {
     MovingObjectRecord record;
     record.id = object.id;
     record.label = std::move(object.label);
     record.attr = object.attr;
     record.insert_time = object.attr.start_time;
-    for_index.emplace_back(object.id, object.attr);
     records_.emplace(object.id, std::move(record));
   }
-  if (!bulk_ingest_) {
-    if (util::Status s = index_->BulkUpsert(for_index); !s.ok()) {
-      // Unreachable after up-front validation; keep the "unchanged on
-      // failure" contract by rolling the batch's records back.
-      for (const auto& [id, attr] : for_index) records_.erase(id);
-      return s;
-    }
-  }
+  // Notify: one insert transition per row, in input order.
   if (!bulk_ingest_ && subscriptions_ != nullptr) {
-    // One insert transition per row, in input order (`for_index` was
-    // built in input order).
     std::vector<AttributeDelta> stream;
-    stream.reserve(for_index.size());
-    for (std::size_t i = 0; i < for_index.size(); ++i) {
+    stream.reserve(objects.size());
+    for (std::size_t i = 0; i < objects.size(); ++i) {
       stream.push_back(
-          AttributeDelta{i, for_index[i].first, nullptr, &for_index[i].second});
+          AttributeDelta{i, objects[i].id, nullptr, &objects[i].attr});
     }
     NotifyDeltas(stream);
   }
-  if (inserts_ != nullptr) inserts_->Increment(for_index.size());
+  if (inserts_ != nullptr) inserts_->Increment(objects.size());
   return util::Status::Ok();
 }
 
@@ -300,9 +299,13 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
   // store — so acceptance matches the sequential path exactly.
   std::vector<core::PositionAttribute> merged(updates.size());
   std::vector<bool> accepted(updates.size(), false);
-  // Object -> index into `merged` of its last accepted update; doubles as
-  // the per-object registry behind the stage-4 dedup.
+  // Object -> index into `merged` of its last accepted update.
   std::unordered_map<core::ObjectId, std::size_t> last_accepted;
+  // The touched objects in first-touch order and, for the notify stage
+  // only, their pre-batch attributes (the commit stage overwrites them).
+  std::vector<core::ObjectId> touched;
+  std::vector<core::PositionAttribute> pre_batch;
+  const bool notify = !bulk_ingest_ && subscriptions_ != nullptr;
   std::size_t num_accepted = 0;
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const core::PositionUpdate& update = updates[i];
@@ -338,13 +341,24 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     merged[i] = attr;
     accepted[i] = true;
     ++num_accepted;
-    last_accepted[update.object] = i;
+    if (last_accepted.insert_or_assign(update.object, i).second) {
+      // First touch: `base` is the stored record's attribute.
+      touched.push_back(update.object);
+      if (notify) pre_batch.push_back(*base);
+    }
   }
   result.rejected = updates.size() - num_accepted;
   if (result.rejected > 0 && validate_rejects_ != nullptr) {
     validate_rejects_->Increment(result.rejected);
   }
   if (num_accepted == 0) return result;
+
+  // Fails every accepted record with `s`; the store is unchanged.
+  const auto fail_accepted = [&](const util::Status& s) {
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      if (accepted[i]) result.statuses[i] = s;
+    }
+  };
 
   // --- Stage 2: log. One framed kUpdateBatch record holds every accepted
   // update (a batch of one logs the historical plain kUpdate framing). A
@@ -356,120 +370,70 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     for (std::size_t i = 0; i < updates.size(); ++i) {
       if (accepted[i]) to_log.push_back(updates[i]);
     }
-    const util::Status logged = wal_->AppendUpdateBatch(to_log);
-    if (!logged.ok()) {
+    if (util::Status s = wal_->AppendUpdateBatch(to_log); !s.ok()) {
       if (wal_fails_ != nullptr) wal_fails_->Increment();
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        if (accepted[i]) result.statuses[i] = logged;
-      }
+      fail_accepted(s);
       return result;
     }
   }
 
-  // --- Stage 3: mutate. Commit the fleet map in batch order; every
-  // superseded version lands in the trajectory history exactly as the
-  // sequential path would. Each touched object's pre-batch state is saved
-  // so the index-delta stage can roll the whole batch back — unreachable
-  // with the in-tree indexes (stage 1 validated every row and they
-  // validate again before touching a tree), but a handled error, not a
-  // torn store.
-  struct Saved {
-    core::ObjectId id = core::kInvalidObjectId;
-    core::PositionAttribute attr;
-    std::uint64_t update_count = 0;
-    std::size_t past_size = 0;
-    // Trajectory entries the version cap evicted during this batch, oldest
-    // first (empty in the common path; needed to restore exactly).
-    std::vector<core::PositionAttribute> evicted;
-  };
-  std::vector<Saved> saved;
-  saved.reserve(last_accepted.size());
-  std::unordered_map<core::ObjectId, std::size_t> saved_of;
+  // --- Stage 3: index delta. One ApplyDeltaBatch call with each touched
+  // object's *final* merged attribute, in first-touch order (intermediate
+  // models would be dead work — the index only ever serves the current
+  // one, and queries refine candidates exactly). It is the last stage that
+  // can fail, and nothing in memory has changed yet.
+  if (!bulk_ingest_) {
+    std::vector<index::IndexDelta> deltas;
+    deltas.reserve(touched.size());
+    for (const core::ObjectId id : touched) {
+      deltas.push_back(
+          index::IndexDelta{id, &merged[last_accepted.find(id)->second]});
+    }
+    if (util::Status s = index_->ApplyDeltaBatch(deltas); !s.ok()) {
+      fail_accepted(s);
+      return result;
+    }
+  }
+
+  // --- Stage 4: commit. The record map takes the batch in batch order;
+  // every superseded version lands in the trajectory history exactly as
+  // the sequential path would.
   for (std::size_t i = 0; i < updates.size(); ++i) {
     if (!accepted[i]) continue;
     MovingObjectRecord& record = records_.find(updates[i].object)->second;
-    const auto [sit, first_touch] =
-        saved_of.try_emplace(updates[i].object, saved.size());
-    if (first_touch) {
-      Saved sv;
-      sv.id = updates[i].object;
-      sv.attr = record.attr;
-      sv.update_count = record.update_count;
-      sv.past_size = record.past.size();
-      saved.push_back(std::move(sv));
-    }
     if (options_.keep_trajectory) {
       record.past.push_back(record.attr);
       const std::size_t cap = options_.max_trajectory_versions;
       if (cap > 0 && record.past.size() > cap) {
-        const auto cut =
-            record.past.end() - static_cast<std::ptrdiff_t>(cap);
-        Saved& sv = saved[sit->second];
-        sv.evicted.insert(sv.evicted.end(), record.past.begin(), cut);
-        record.past.erase(record.past.begin(), cut);
+        record.past.erase(record.past.begin(),
+                          record.past.end() - static_cast<std::ptrdiff_t>(cap));
       }
     }
     record.attr = merged[i];
     ++record.update_count;
   }
 
-  // --- Stage 4: index-delta. One ApplyDeltaBatch call with each touched
-  // object's *final* merged attribute, in first-touch order (deterministic
-  // input; intermediate models would be dead work — the index only ever
-  // serves the current one, and queries refine candidates exactly).
-  if (!bulk_ingest_) {
-    std::vector<index::IndexDelta> deltas;
-    deltas.reserve(saved.size());
-    for (const Saved& sv : saved) {
-      deltas.push_back(index::IndexDelta{
-          sv.id, &merged[last_accepted.find(sv.id)->second]});
+  // --- Stage 5: notify. Per-record transition stream, chained through the
+  // batch-local intermediate attributes: record i's `before` is the
+  // previous accepted merged attribute of the same object (or its
+  // pre-batch attribute on first touch), NOT the stage-3 deduped final —
+  // so a batch notifies exactly what sequential ingest would, and a
+  // superseded mid-batch excursion through a region still reports its
+  // enter/leave pair instead of a spurious or missing transition.
+  if (notify) {
+    std::unordered_map<core::ObjectId, const core::PositionAttribute*> before;
+    before.reserve(touched.size());
+    for (std::size_t k = 0; k < touched.size(); ++k) {
+      before.emplace(touched[k], &pre_batch[k]);
     }
-    if (util::Status s = index_->ApplyDeltaBatch(deltas); !s.ok()) {
-      // Restore every touched record. The concatenation evicted+past is
-      // the full uncapped history in order, so its first past_size entries
-      // are exactly the pre-batch trajectory.
-      for (Saved& sv : saved) {
-        MovingObjectRecord& record = records_.find(sv.id)->second;
-        record.attr = std::move(sv.attr);
-        record.update_count = sv.update_count;
-        if (record.past.size() != sv.past_size || !sv.evicted.empty()) {
-          std::vector<core::PositionAttribute> past = std::move(sv.evicted);
-          past.insert(past.end(),
-                      std::make_move_iterator(record.past.begin()),
-                      std::make_move_iterator(record.past.end()));
-          past.resize(sv.past_size);
-          record.past = std::move(past);
-        }
-      }
-      for (std::size_t i = 0; i < updates.size(); ++i) {
-        if (accepted[i]) result.statuses[i] = s;
-      }
-      return result;
-    }
-  }
-
-  // Success bookkeeping, deferred to here so the rollback above never has
-  // to unwind it.
-  if (!bulk_ingest_ && subscriptions_ != nullptr) {
-    // Per-record transition stream, chained through the batch-local
-    // intermediate attributes: record i's `before` is the previous
-    // accepted merged attribute of the same object (or the saved
-    // pre-batch attribute on first touch), NOT the stage-4 deduped final
-    // — so a batch notifies exactly what sequential ingest would, and a
-    // superseded mid-batch excursion through a region still reports its
-    // enter/leave pair instead of a spurious or missing transition.
     std::vector<AttributeDelta> stream;
     stream.reserve(num_accepted);
-    std::unordered_map<core::ObjectId, const core::PositionAttribute*> prev;
     for (std::size_t i = 0; i < updates.size(); ++i) {
       if (!accepted[i]) continue;
-      const auto [pit, first_touch] =
-          prev.try_emplace(updates[i].object, nullptr);
-      const core::PositionAttribute* before =
-          first_touch ? &saved[saved_of.find(updates[i].object)->second].attr
-                      : pit->second;
-      stream.push_back(AttributeDelta{i, updates[i].object, before, &merged[i]});
-      pit->second = &merged[i];
+      const core::PositionAttribute*& prev =
+          before.find(updates[i].object)->second;
+      stream.push_back(AttributeDelta{i, updates[i].object, prev, &merged[i]});
+      prev = &merged[i];
     }
     NotifyDeltas(stream);
   }
@@ -499,24 +463,28 @@ util::Status ModDatabase::RestoreTrajectory(
 }
 
 util::Status ModDatabase::Erase(core::ObjectId id) {
-  // Stage 1: validate.
+  // Validate.
   const auto it = records_.find(id);
   if (it == records_.end()) {
     return util::Status::NotFound("object " + std::to_string(id));
   }
-  // Stage 2: log.
+  // Log.
   if (wal_ != nullptr) {
     if (util::Status s = wal_->AppendErase(id); !s.ok()) {
       if (wal_fails_ != nullptr) wal_fails_->Increment();
       return s;
     }
   }
-  // Stage 3: mutate; stage 4: index-delta.
-  const core::PositionAttribute before = it->second.attr;
-  records_.erase(it);
-  if (!bulk_ingest_) index_->Remove(id);
+  // Index delta. Its answer is not checked: an entry the index kept is a
+  // stale candidate, which refinement drops once the record is gone.
+  if (!bulk_ingest_) {
+    (void)index_->ApplyDeltaBatch({index::IndexDelta{id, nullptr}});
+  }
+  // Commit; the extracted record lives on for the notify stage.
+  const auto erased = records_.extract(it);
+  // Notify.
   if (!bulk_ingest_ && subscriptions_ != nullptr) {
-    const AttributeDelta delta{0, id, &before, nullptr};
+    const AttributeDelta delta{0, id, &erased.mapped().attr, nullptr};
     NotifyDeltas({&delta, 1});
   }
   if (erases_ != nullptr) erases_->Increment();
@@ -729,8 +697,7 @@ IntervalRangeAnswer ModDatabase::RefineRangeInterval(
         break;
     }
   }
-  std::sort(answer.may.begin(), answer.may.end());
-  std::sort(answer.must_at_some_time.begin(), answer.must_at_some_time.end());
+  answer.SortById();
   return answer;
 }
 

@@ -30,8 +30,8 @@ class SubscriptionEngine;
 
 /// Per-record outcome of `ApplyUpdateBatch` (index-aligned with the input
 /// batch). Validation failures are per-record: the rejected record gets its
-/// error, the rest of the batch proceeds. A log (WAL) failure fails every
-/// accepted record and nothing is applied.
+/// error, the rest of the batch proceeds. A log (WAL) or index failure
+/// fails every accepted record and nothing is applied.
 struct UpdateBatchResult {
   std::vector<util::Status> statuses;
   /// Records committed to the store (map + index).
@@ -120,7 +120,9 @@ class ModDatabase {
   /// with the store unchanged, for a route with fewer than two distinct
   /// points, a negative speed, a start off the route or any non-finite
   /// numeric field (times, distances, position, speed and the policy
-  /// parameters); this holds for every write path.
+  /// parameters); this holds for every write path. Runs the stages of
+  /// `ApplyUpdateBatch` with a one-row index delta: a log or index failure
+  /// returns its status with no record written.
   util::Status Insert(core::ObjectId id, std::string label,
                       const core::PositionAttribute& attr);
 
@@ -131,9 +133,10 @@ class ModDatabase {
     core::PositionAttribute attr;
   };
 
-  /// Registers a whole fleet at once. All rows are validated first (the
-  /// database is unchanged on failure); the index is built with its packed
-  /// bulk path — much faster than per-object `Insert` for large fleets.
+  /// Registers a whole fleet at once. All rows are validated first; the
+  /// index is built with its packed bulk path — much faster than
+  /// per-object `Insert` for large fleets — and the records are written
+  /// only once it succeeded, so the database is unchanged on any failure.
   /// Logs one batched WAL record for the whole call instead of one per row
   /// (see `AttachWal` for the mid-batch failure semantics).
   util::Status BulkInsert(std::vector<BulkObject> objects);
@@ -147,7 +150,7 @@ class ModDatabase {
   /// staged write path.
   util::Status ApplyUpdate(const core::PositionUpdate& update);
 
-  /// Applies a batch of position updates through the four-stage write
+  /// Applies a batch of position updates through the five-stage write
   /// path, observably equivalent to applying the records sequentially
   /// with `ApplyUpdate`:
   ///
@@ -159,17 +162,26 @@ class ModDatabase {
   ///      record (one CRC frame, one group-commit trigger check; a batch
   ///      of one logs the historical plain record). A failed append fails
   ///      every accepted record and aborts before any memory effect.
-  ///   3. mutate — fleet-map commit in batch order; every intermediate
-  ///      version lands in the trajectory history exactly as the
-  ///      sequential path would.
-  ///   4. index-delta — one `ApplyDeltaBatch` call with each touched
+  ///   3. index delta — one `ApplyDeltaBatch` call with each touched
   ///      object's *final* merged attribute (per-object dedup: the index
   ///      only ever serves the current model, so intermediate upserts
-  ///      would be dead work).
+  ///      would be dead work). A failure fails every accepted record; the
+  ///      record map is still untouched, so nothing is rolled back.
+  ///   4. commit — the record map takes the batch in batch order; every
+  ///      intermediate version lands in the trajectory history exactly as
+  ///      the sequential path would.
+  ///   5. notify — the per-record transition stream goes to the attached
+  ///      subscription engine (see `AttachSubscriptions`).
+  ///
+  /// Only the log and index stages can fail, and both run before the
+  /// commit, so a failed write has nothing to undo.
   UpdateBatchResult ApplyUpdateBatch(
       std::span<const core::PositionUpdate> updates);
 
-  /// Removes an object (end of trip).
+  /// Removes an object (end of trip), through the same stages with a
+  /// one-row removal delta. Once logged, the record goes whatever the index
+  /// answers: an entry the index kept is a stale candidate, which query
+  /// refinement drops.
   util::Status Erase(core::ObjectId id);
 
   /// Starts a bulk-ingest session: until `FinishBulkIngest`, mutations

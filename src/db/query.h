@@ -105,6 +105,14 @@ struct IntervalRangeAnswer {
   std::size_t candidates_examined = 0;
   /// Fleet coverage; see `QueryCompleteness`.
   QueryCompleteness completeness;
+
+  /// Sorts `may` and `must_at_some_time` by id and drops repeated ids.
+  void SortById() {
+    for (std::vector<core::ObjectId>* ids : {&may, &must_at_some_time}) {
+      std::sort(ids->begin(), ids->end());
+      ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+    }
+  }
 };
 
 /// Answer to "retrieve the objects which are inside polygon G at time t0"

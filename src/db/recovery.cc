@@ -154,8 +154,7 @@ void MergeReplayStats(const WalReplayStats& stats, RecoveryReport* report) {
 /// restart and, worse, interleaving re-logged records with live ones.
 util::Status ReplayEpochChain(const std::string& dir,
                               std::uint64_t first_epoch, ModDatabase* db,
-                              RecoveryReport* report,
-                              const util::FileReader& reader) {
+                              RecoveryReport* report) {
   if (db->wal() != nullptr) {
     return util::Status::FailedPrecondition(
         "WAL replay into a database that is itself logging (epoch " +
@@ -175,7 +174,7 @@ util::Status ReplayEpochChain(const std::string& dir,
   std::uint64_t expected = first_epoch;
   for (std::uint64_t epoch : epochs) {
     if (epoch != expected++) break;  // epoch gap: same rule as a torn frame
-    auto stats = ReplayWal(dir, epoch, apply, reader);
+    auto stats = ReplayWal(dir, epoch, apply);
     if (!stats.ok()) {
       // A replay *setup* failure (unreadable segment) is not graceful
       // corruption: the epoch's records exist but could not be applied, so
@@ -281,7 +280,7 @@ util::Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     if (restore_error.ok()) {
       restore_error =
           ReplayEpochChain(dir, manager->report_.checkpoint_id, db,
-                           &manager->report_, options.wal_reader);
+                           &manager->report_);
     }
     // Rebuild the index even on a failed restore: the caller gets back a
     // database whose index matches whatever records made it in.
@@ -435,8 +434,7 @@ util::Result<RecoveredDatabase> Recover(const std::string& dir,
 
   ModDatabase* db = result.database.get();
   const util::Status replayed =
-      ReplayEpochChain(dir, result.report.checkpoint_id, db, &result.report,
-                       options.wal_reader);
+      ReplayEpochChain(dir, result.report.checkpoint_id, db, &result.report);
   if (util::Status s = db->FinishBulkIngest(); !s.ok()) return s;
   if (!replayed.ok()) return replayed;
 

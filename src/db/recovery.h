@@ -20,10 +20,6 @@ struct DurabilityOptions {
   /// more than one lets recovery fall back when the newest checkpoint file
   /// itself is corrupt.
   std::size_t checkpoints_to_keep = 2;
-  /// Read backend for WAL replay; null uses real reads. Chaos schedules
-  /// inject read failures here (a failed segment read fails recovery with
-  /// a status naming the epoch + path — the quarantine reason).
-  util::FileReader wal_reader;
 };
 
 /// What recovery found and did. Returned instead of failing: corruption

@@ -35,14 +35,6 @@ std::size_t ResolveQueryThreads(const ShardedModDatabaseOptions& options,
   return std::min<std::size_t>(num_shards - 1, hw - 1);
 }
 
-// Defensive cross-shard dedup: every object is owned by exactly one shard,
-// so a duplicate in a merged answer would mean shard-straddling state.
-// The merge dedups regardless, keeping the answer well-formed and the
-// merge deterministic. Inputs must be sorted by id.
-void DedupSortedIds(std::vector<core::ObjectId>* ids) {
-  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-}
-
 // Merges one call's per-shard event runs into one deterministic stream:
 // shard-local ordinals become global input slots (`slots[s][j]` is the
 // input slot of shard s's j-th record), then events sort by (slot,
@@ -186,20 +178,35 @@ std::size_t ShardedModDatabase::ShardOf(core::ObjectId id) const {
   return static_cast<std::size_t>(MixId(id) % shards_.size());
 }
 
+template <typename Write>
+util::Status ShardedModDatabase::WriteShard(
+    std::size_t s, const Write& write,
+    std::vector<SubscriptionEvent>* held_events) {
+  Shard& shard = *shards_[s];
+  std::unique_lock lock(shard.mu);
+  util::Status status = write(*shard.db);
+  if (subscriptions_ != nullptr) {
+    // Drained under the shard's exclusive lock, so the run holds exactly
+    // this write's events. A single write publishes them before the lock
+    // is released, so events of serialised same-shard writes never invert.
+    std::vector<SubscriptionEvent> events = subscriptions_->TakeEvents(s);
+    if (held_events != nullptr) {
+      *held_events = std::move(events);
+    } else {
+      PublishShardEvents(std::move(events));
+    }
+  }
+  NoteWriteOutcome(s, status);
+  return status;
+}
+
 util::Status ShardedModDatabase::Insert(core::ObjectId id, std::string label,
                                         const core::PositionAttribute& attr) {
   const std::size_t s = ShardOf(id);
   if (!supervisor_->writable(s)) return supervisor_->UnavailableStatus(s);
-  Shard& shard = *shards_[s];
-  std::unique_lock lock(shard.mu);
-  util::Status status = shard.db->Insert(id, std::move(label), attr);
-  if (subscriptions_ != nullptr) {
-    // Published while still holding the shard lock so events of
-    // serialised same-shard mutations never invert.
-    PublishShardEvents(subscriptions_->TakeEvents(s));
-  }
-  NoteWriteOutcome(s, status);
-  return status;
+  return WriteShard(s, [&](ModDatabase& db) {
+    return db.Insert(id, std::move(label), attr);
+  });
 }
 
 util::Status ShardedModDatabase::BulkInsert(std::vector<BulkObject> objects) {
@@ -230,17 +237,12 @@ util::Status ShardedModDatabase::BulkInsert(std::vector<BulkObject> objects) {
   std::vector<std::vector<SubscriptionEvent>> shard_events(shards_.size());
   FanOut([&](std::size_t s) {
     if (partitions[s].empty()) return;
-    Shard& shard = *shards_[s];
-    std::unique_lock lock(shard.mu);
     // Copied (not moved) into the shard so the partition is still around
-    // for cross-shard rollback below.
-    statuses[s] = shard.db->BulkInsert(partitions[s]);
-    if (subscriptions_ != nullptr) {
-      // Held back until the whole call is known to succeed; discarded on
-      // rollback below.
-      shard_events[s] = subscriptions_->TakeEvents(s);
-    }
-    NoteWriteOutcome(s, statuses[s]);
+    // for cross-shard rollback below. The events are held back until the
+    // whole call is known to succeed, and discarded on rollback.
+    statuses[s] = WriteShard(
+        s, [&](ModDatabase& db) { return db.BulkInsert(partitions[s]); },
+        &shard_events[s]);
   });
 
   util::Status first_error;
@@ -277,14 +279,8 @@ util::Status ShardedModDatabase::ApplyUpdate(
   util::ScopedLatencyTimer timer(latency_update_);
   const std::size_t s = ShardOf(update.object);
   if (!supervisor_->writable(s)) return supervisor_->UnavailableStatus(s);
-  Shard& shard = *shards_[s];
-  std::unique_lock lock(shard.mu);
-  util::Status status = shard.db->ApplyUpdate(update);
-  if (subscriptions_ != nullptr) {
-    PublishShardEvents(subscriptions_->TakeEvents(s));
-  }
-  NoteWriteOutcome(s, status);
-  return status;
+  return WriteShard(
+      s, [&](ModDatabase& db) { return db.ApplyUpdate(update); });
 }
 
 UpdateBatchResult ShardedModDatabase::ApplyUpdateBatch(
@@ -320,24 +316,18 @@ UpdateBatchResult ShardedModDatabase::ApplyUpdateBatch(
   std::vector<std::vector<SubscriptionEvent>> shard_events(shards_.size());
   FanOut([&](std::size_t s) {
     if (parts[s].empty()) return;
-    Shard& shard = *shards_[s];
-    std::unique_lock lock(shard.mu);
-    per_shard[s] = shard.db->ApplyUpdateBatch(parts[s]);
-    if (subscriptions_ != nullptr) {
-      // Drained under the shard's exclusive lock, so the run contains
-      // exactly this call's events — no cross-call mixing.
-      shard_events[s] = subscriptions_->TakeEvents(s);
-    }
-    // The first Internal status (if any) is the representative fault of
-    // the shard's whole sub-batch; NoteWriteOutcome is thread-safe.
-    util::Status fault;
-    for (const util::Status& st : per_shard[s].statuses) {
-      if (st.code() == util::StatusCode::kInternal) {
-        fault = st;
-        break;
-      }
-    }
-    NoteWriteOutcome(s, fault);
+    WriteShard(
+        s,
+        [&](ModDatabase& db) {
+          per_shard[s] = db.ApplyUpdateBatch(parts[s]);
+          // The first Internal status (if any) is the representative fault
+          // of the shard's whole sub-batch.
+          for (const util::Status& st : per_shard[s].statuses) {
+            if (st.code() == util::StatusCode::kInternal) return st;
+          }
+          return util::Status::Ok();
+        },
+        &shard_events[s]);
   });
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -355,14 +345,7 @@ UpdateBatchResult ShardedModDatabase::ApplyUpdateBatch(
 util::Status ShardedModDatabase::Erase(core::ObjectId id) {
   const std::size_t s = ShardOf(id);
   if (!supervisor_->writable(s)) return supervisor_->UnavailableStatus(s);
-  Shard& shard = *shards_[s];
-  std::unique_lock lock(shard.mu);
-  util::Status status = shard.db->Erase(id);
-  if (subscriptions_ != nullptr) {
-    PublishShardEvents(subscriptions_->TakeEvents(s));
-  }
-  NoteWriteOutcome(s, status);
-  return status;
+  return WriteShard(s, [&](ModDatabase& db) { return db.Erase(id); });
 }
 
 std::vector<std::unique_lock<std::shared_mutex>>
@@ -479,8 +462,8 @@ RangeAnswer ShardedModDatabase::MergeRangeAnswers(
                                   a.may_probability.begin(),
                                   a.may_probability.end());
   }
-  // Sorted within each shard but not across them; the dedup is defensive
-  // (see DedupSortedIds).
+  // Sorted within each shard but not across them. Every object lives on
+  // one shard, so the dedup is defensive only.
   merged.SortById();
   return merged;
 }
@@ -542,10 +525,7 @@ IntervalRangeAnswer ShardedModDatabase::QueryRangeInterval(
                                     a.must_at_some_time.begin(),
                                     a.must_at_some_time.end());
   }
-  std::sort(merged.may.begin(), merged.may.end());
-  std::sort(merged.must_at_some_time.begin(), merged.must_at_some_time.end());
-  DedupSortedIds(&merged.may);
-  DedupSortedIds(&merged.must_at_some_time);
+  merged.SortById();  // as in MergeRangeAnswers
   return merged;
 }
 

@@ -232,6 +232,18 @@ class ShardedModDatabase {
   /// when the pool is empty) and blocks until all shards finished.
   void FanOut(const std::function<void(std::size_t)>& per_shard) const;
 
+  /// The step every write to shard `s` runs: take the shard's exclusive
+  /// lock, call `write` on its store, drain the shard's subscription
+  /// partition, and check the status `write` returns for a fault
+  /// (`NoteWriteOutcome`); returns that status. The drained events go to
+  /// `*held_events` when it is given (a fan-out merges them after every
+  /// shard is done), else they are published before the lock is released.
+  /// Fan-outs run it for different shards at once.
+  template <typename Write>
+  util::Status WriteShard(std::size_t s, const Write& write,
+                          std::vector<SubscriptionEvent>* held_events =
+                              nullptr);
+
   /// Appends an already-merged event run to the pending stream under the
   /// events mutex.
   void PublishShardEvents(std::vector<SubscriptionEvent> events);

@@ -21,17 +21,6 @@ class LinearScanIndex final : public ObjectIndex {
   explicit LinearScanIndex(const geo::RouteNetwork* network)
       : network_(network) {}
 
-  util::Status Upsert(core::ObjectId id,
-                      const core::PositionAttribute& attr) override {
-    // Same unknown-route contract as the tree indexes: a handled error
-    // that leaves the index unchanged.
-    if (const auto route = network_->FindRoute(attr.route); !route.ok()) {
-      return route.status();
-    }
-    attrs_[id] = attr;
-    return util::Status::Ok();
-  }
-  void Remove(core::ObjectId id) override { attrs_.erase(id); }
   util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) override {
     // Validate every row first so a failure leaves the index unchanged.
     for (const IndexDelta& delta : deltas) {

@@ -41,19 +41,24 @@ class ObjectIndex {
  public:
   virtual ~ObjectIndex() = default;
 
-  /// Inserts `id` or replaces its stored motion model with `attr`
-  /// (a position update, paper §4.2: drop the old o-plane, index the new).
-  /// An attribute naming an unknown route is a handled error (NotFound)
-  /// that leaves the index unchanged — never undefined behaviour, in any
-  /// build mode.
-  virtual util::Status Upsert(core::ObjectId id,
-                              const core::PositionAttribute& attr) = 0;
+  /// Applies a batch of deltas — the index stage of every store write.
+  /// A row with an attribute installs it as its object's motion model (a
+  /// position update, paper §4.2: drop the old o-plane, index the new); a
+  /// row with a null attribute removes its object (end of trip; an id the
+  /// index does not hold is a no-op). Rows apply in order, each object at
+  /// most once per batch (the database dedups to the final attribute).
+  /// Every row is validated first: a row naming an unknown route
+  /// (NotFound) or a poisoned page store fails the whole batch with the
+  /// index unchanged — a handled error, never undefined behaviour, in any
+  /// build mode. A storage fault during the batch poisons the index and is
+  /// returned; every later call then fails up front. The database commits
+  /// an insert or update to its record map only after this returned OK, so
+  /// it never undoes a write.
+  virtual util::Status ApplyDeltaBatch(
+      const std::vector<IndexDelta>& deltas) = 0;
 
-  /// Removes `id` from the index (end of trip).
-  virtual void Remove(core::ObjectId id) = 0;
-
-  /// Bulk variant of `Upsert` for the initial fleet load: the row form
-  /// below with one plain row per pair.
+  /// Bulk variant of `ApplyDeltaBatch` for the initial fleet load: the row
+  /// form below with one plain row per pair.
   util::Status BulkUpsert(
       const std::vector<std::pair<core::ObjectId, core::PositionAttribute>>&
           objects) {
@@ -63,34 +68,12 @@ class ObjectIndex {
     return BulkUpsert(rows);
   }
 
-  /// Bulk load of `IndexDelta` rows, each object at most once. The default
-  /// applies them as one delta batch; implementations may override with a
-  /// packed build that validates every row first and leaves the index
-  /// unchanged on failure (the R*-tree uses STR bulk loading).
+  /// Bulk load of `IndexDelta` rows, each object at most once, validated
+  /// as `ApplyDeltaBatch` validates. The default applies them as one delta
+  /// batch; the R*-tree indexes override it with a packed build of every
+  /// object, listed or kept.
   virtual util::Status BulkUpsert(const std::vector<IndexDelta>& rows) {
     return ApplyDeltaBatch(rows);
-  }
-
-  /// Applies a batch of deltas — the index-delta stage of the batched
-  /// write path. Deltas are applied in order; each object appears at most
-  /// once per batch (the database dedups to the final attribute before
-  /// calling). Implementations should validate every row first so a
-  /// failure (unknown route) leaves the index unchanged, and may group the
-  /// per-tree work so a batch costs less than the equivalent
-  /// `Upsert`/`Remove` loop — both in-tree indexes do both. The default is
-  /// the plain loop, which stops at the first error with the
-  /// deltas before it applied; the database pre-validates every attribute,
-  /// so with an in-tree index a mid-batch failure is an internal-invariant
-  /// breach, not a reachable state.
-  virtual util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) {
-    for (const IndexDelta& delta : deltas) {
-      if (delta.attr == nullptr) {
-        Remove(delta.id);
-        continue;
-      }
-      if (util::Status s = Upsert(delta.id, *delta.attr); !s.ok()) return s;
-    }
-    return util::Status::Ok();
   }
 
   /// Ids of objects that may be inside `region` at time `t` (superset).

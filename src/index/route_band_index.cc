@@ -167,16 +167,6 @@ std::vector<geo::Box3> RouteBandIndex::Prepare(
   return boxes;
 }
 
-util::Status RouteBandIndex::Upsert(core::ObjectId id,
-                                    const core::PositionAttribute& attr) {
-  return ApplyDeltaBatch({IndexDelta{id, &attr}});
-}
-
-void RouteBandIndex::Remove(core::ObjectId id) {
-  if (!boxes_.contains(id)) return;
-  (void)ApplyDeltaBatch({IndexDelta{id, nullptr}});
-}
-
 void RouteBandIndex::RemoveEntry(core::ObjectId id) {
   const auto it = boxes_.find(id);
   if (it == boxes_.end()) return;

@@ -58,9 +58,6 @@ class RouteBandIndex final : public ObjectIndex {
   /// `network` must outlive the index.
   RouteBandIndex(const geo::RouteNetwork* network, Options options);
 
-  util::Status Upsert(core::ObjectId id,
-                      const core::PositionAttribute& attr) override;
-  void Remove(core::ObjectId id) override;
   using ObjectIndex::BulkUpsert;
   /// Packed load in route-key order (`RTree3::Packing::kXOrder`) of every
   /// object, listed or kept. Rows are validated first (index unchanged on

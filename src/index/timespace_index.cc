@@ -21,39 +21,10 @@ void TimeSpaceIndex::SetMetrics(util::MetricsRegistry* registry,
   rtree_.SetMetrics(registry, prefix);
 }
 
-util::Status TimeSpaceIndex::Upsert(core::ObjectId id,
-                                    const core::PositionAttribute& attr) {
-  // Resolve the route before touching any state: an unknown route is a
-  // handled error in every build mode, not an assert, and must leave the
-  // object's old plane intact.
-  const auto route = network_->FindRoute(attr.route);
-  if (!route.ok()) return route.status();
-  // A poisoned page store would silently drop the mutation and desync the
-  // per-object bookkeeping — refuse up front instead.
-  if (util::Status s = rtree_.storage_status(); !s.ok()) return s;
-  UpsertValidated(id, attr, **route);
-  return rtree_.storage_status();
-}
-
-void TimeSpaceIndex::UpsertValidated(core::ObjectId id,
-                                     const core::PositionAttribute& attr,
-                                     const geo::Route& route) {
-  std::vector<geo::Box3> boxes =
-      BuildOPlaneBoxes(attr, route, options_.oplane);
-  // Drop the old o-plane (paper §4.2: remove the object id from the index
-  // rectangles intersecting p1) ...
-  auto it = boxes_by_object_.find(id);
-  if (it != boxes_by_object_.end()) {
-    RemoveBoxes(id, it->second);
-    it->second.clear();
-  }
-  // ... and index the new one (insert into the rectangles intersecting p2).
-  for (const geo::Box3& box : boxes) rtree_.Insert(box, id);
-  boxes_by_object_[id] = std::move(boxes);
-}
-
 util::Status TimeSpaceIndex::ApplyDeltaBatch(
     const std::vector<IndexDelta>& deltas) {
+  // A poisoned page store would silently drop the mutation and desync the
+  // per-object bookkeeping — refuse up front instead.
   if (util::Status s = rtree_.storage_status(); !s.ok()) return s;
   // Validate every row first so a failure leaves the index unchanged.
   for (const IndexDelta& delta : deltas) {
@@ -63,15 +34,22 @@ util::Status TimeSpaceIndex::ApplyDeltaBatch(
       return route.status();
     }
   }
-  // One pass over the tree: the per-delta work is the same remove+reinsert
-  // as `Upsert`, minus the repeated validation.
   for (const IndexDelta& delta : deltas) {
+    // Drop the old o-plane (paper §4.2: remove the object id from the
+    // index rectangles intersecting p1) ...
+    const auto it = boxes_by_object_.find(delta.id);
+    if (it != boxes_by_object_.end()) RemoveBoxes(delta.id, it->second);
     if (delta.attr == nullptr) {
-      Remove(delta.id);
+      if (it != boxes_by_object_.end()) boxes_by_object_.erase(it);
       continue;
     }
+    // ... and index the new one (insert into the rectangles intersecting
+    // p2).
     const auto route = network_->FindRoute(delta.attr->route);
-    UpsertValidated(delta.id, *delta.attr, **route);
+    std::vector<geo::Box3> boxes =
+        BuildOPlaneBoxes(*delta.attr, **route, options_.oplane);
+    for (const geo::Box3& box : boxes) rtree_.Insert(box, delta.id);
+    boxes_by_object_[delta.id] = std::move(boxes);
   }
   return rtree_.storage_status();
 }
@@ -122,20 +100,13 @@ util::Status TimeSpaceIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
   return rtree_.storage_status();
 }
 
-void TimeSpaceIndex::Remove(core::ObjectId id) {
-  auto it = boxes_by_object_.find(id);
-  if (it == boxes_by_object_.end()) return;
-  RemoveBoxes(id, it->second);
-  boxes_by_object_.erase(it);
-}
-
 void TimeSpaceIndex::RemoveBoxes(core::ObjectId id,
                                  const std::vector<geo::Box3>& boxes) {
   const std::size_t misses = boxes.size() - rtree_.RemoveBatch(boxes, id);
   if (misses == 0) return;
   // Internal-invariant breach: the bookkeeping says these boxes exist but
   // the tree disagrees. Count them (a stale ghost box would mean duplicate
-  // candidates / leaked entries) and keep going — an upsert's new plane is
+  // candidates / leaked entries) and keep going — a delta's new plane is
   // still installed correctly.
   remove_misses_ += misses;
   if (remove_miss_counter_ != nullptr) remove_miss_counter_->Increment(misses);

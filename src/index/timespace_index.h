@@ -21,13 +21,13 @@ namespace modb::index {
 /// of each object's last update; later time points fall outside the indexed
 /// planes, mirroring the paper's bounded time span T.
 ///
-/// Maintenance-path error handling: an upsert naming an unknown route is a
+/// Maintenance-path error handling: a delta naming an unknown route is a
 /// NotFound error that leaves the index unchanged (checked in every build
-/// mode — no assert-guarded UB). A failed box removal during an upsert
-/// (an internal-invariant breach: the bookkeeping says the box is there
-/// but the tree disagrees) is surfaced through the `<prefix>remove_miss`
+/// mode — no assert-guarded UB). A failed box removal during a delta (an
+/// internal-invariant breach: the bookkeeping says the box is there but
+/// the tree disagrees) is surfaced through the `<prefix>remove_miss`
 /// counter (see `SetMetrics`) and the `remove_misses()` accessor instead
-/// of being silently ignored; the upsert still installs the new plane so
+/// of being silently ignored; the delta still installs the new plane so
 /// the index keeps no stale model for the object.
 ///
 /// Satisfies the `ObjectIndex` thread-compatibility contract: the const
@@ -44,9 +44,6 @@ class TimeSpaceIndex final : public ObjectIndex {
   explicit TimeSpaceIndex(const geo::RouteNetwork* network);
   TimeSpaceIndex(const geo::RouteNetwork* network, Options options);
 
-  util::Status Upsert(core::ObjectId id,
-                      const core::PositionAttribute& attr) override;
-  void Remove(core::ObjectId id) override;
   using ObjectIndex::BulkUpsert;
   /// STR bulk load: replaces the state of every listed object (and keeps
   /// other objects by re-packing them too). All rows are validated first;
@@ -55,9 +52,9 @@ class TimeSpaceIndex final : public ObjectIndex {
   /// order, so two identical stores bulk-load byte-identical trees
   /// regardless of hash-map iteration order (deterministic recovery/replay).
   util::Status BulkUpsert(const std::vector<IndexDelta>& rows) override;
-  /// Batched maintenance: validates every delta's route first (index
-  /// unchanged on failure), then applies the remove+reinsert passes over
-  /// the one tree without the per-call validation overhead.
+  /// Validates every delta's route first (index unchanged on failure),
+  /// then drops each object's old boxes in one descent and inserts the new
+  /// ones.
   util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) override;
   std::vector<core::ObjectId> Candidates(const geo::Polygon& region,
                                          core::Time t) const override;
@@ -80,7 +77,7 @@ class TimeSpaceIndex final : public ObjectIndex {
   const RTree3& rtree() const { return rtree_; }
   const Options& options() const { return options_; }
 
-  /// Failed box removals observed on the upsert path (0 in a healthy
+  /// Failed box removals observed on the delta path (0 in a healthy
   /// index; see the class comment).
   std::size_t remove_misses() const { return remove_misses_; }
 
@@ -89,10 +86,6 @@ class TimeSpaceIndex final : public ObjectIndex {
   RTree3& rtree_for_testing() { return rtree_; }
 
  private:
-  /// Shared tail of `Upsert` and `ApplyDeltaBatch`: drop the old o-plane,
-  /// index the new one. `route` must already be resolved for `attr`.
-  void UpsertValidated(core::ObjectId id, const core::PositionAttribute& attr,
-                       const geo::Route& route);
   /// Removes the object's `boxes` with one `RTree3::RemoveBatch` descent,
   /// counting any box the tree lacks as a remove miss.
   void RemoveBoxes(core::ObjectId id, const std::vector<geo::Box3>& boxes);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "delta_rows.h"
 #include "index/rtree3.h"
 #include "index/timespace_index.h"
 #include "util/rng.h"
@@ -162,7 +163,7 @@ TEST(TimeSpaceBulkUpsertTest, MatchesIncrementalUpserts) {
   TimeSpaceIndex bulk(&network);
   bulk.BulkUpsert(objects);
   TimeSpaceIndex incremental(&network);
-  for (const auto& [id, attr] : objects) incremental.Upsert(id, attr);
+  for (const auto& [id, attr] : objects) UpsertRow(incremental, id, attr);
 
   EXPECT_EQ(bulk.num_objects(), incremental.num_objects());
   EXPECT_EQ(bulk.num_entries(), incremental.num_entries());
@@ -256,7 +257,7 @@ TEST(TimeSpaceBulkUpsertTest, UpdatesAfterBulkLoadWork) {
   // A later single-object upsert replaces only that object's plane.
   attr.start_time = 50.0;
   attr.start_route_distance = 200.0;
-  index.Upsert(1, attr);
+  UpsertRow(index, 1, attr);
   EXPECT_EQ(index.num_objects(), 2u);
   EXPECT_TRUE(index.rtree().CheckInvariants().ok());
   const geo::Polygon near_start =

@@ -18,8 +18,8 @@ namespace {
 /// The `ApplyDeltaBatch` validate-all-first contract, uniformly across the
 /// index kinds: a batch with a mid-batch invalid row must fail without
 /// touching the index — no prefix of the batch may be applied (the
-/// database's batch write path relies on the all-or-nothing behaviour for
-/// its rollback).
+/// database writes its record map only after the index stage succeeded,
+/// so a failed batch must leave the index matching the unchanged map).
 class DeltaBatchContractTest
     : public testing::TestWithParam<const char*> {
  protected:

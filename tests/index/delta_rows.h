@@ -1,0 +1,25 @@
+#ifndef MODB_TESTS_INDEX_DELTA_ROWS_H_
+#define MODB_TESTS_INDEX_DELTA_ROWS_H_
+
+#include "core/position_attribute.h"
+#include "core/types.h"
+#include "index/object_index.h"
+#include "util/status.h"
+
+namespace modb::index {
+
+/// One-row `ApplyDeltaBatch`: installs `attr` as the motion model of `id`.
+inline util::Status UpsertRow(ObjectIndex& index, core::ObjectId id,
+                              const core::PositionAttribute& attr) {
+  return index.ApplyDeltaBatch({IndexDelta{id, &attr}});
+}
+
+/// One-row `ApplyDeltaBatch`: removes `id` (a no-op for an id the index
+/// does not hold).
+inline util::Status RemoveRow(ObjectIndex& index, core::ObjectId id) {
+  return index.ApplyDeltaBatch({IndexDelta{id, nullptr}});
+}
+
+}  // namespace modb::index
+
+#endif  // MODB_TESTS_INDEX_DELTA_ROWS_H_

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/uncertainty.h"
+#include "delta_rows.h"
 #include "geo/polygon.h"
 #include "geo/route_network.h"
 #include "util/rng.h"
@@ -54,17 +55,18 @@ class RouteBandIndexTest : public testing::Test {
 TEST_F(RouteBandIndexTest, OneEntryPerObject) {
   RouteBandIndex index(&network_, Small());
   for (core::ObjectId id = 0; id < 20; ++id) {
-    ASSERT_TRUE(index.Upsert(id, Attr(id % 2 ? street_ : bend_,
-                                      static_cast<double>(id) * 3.0, 1.0))
+    ASSERT_TRUE(UpsertRow(index, id,
+                          Attr(id % 2 ? street_ : bend_,
+                               static_cast<double>(id) * 3.0, 1.0))
                     .ok());
   }
   EXPECT_EQ(index.num_objects(), 20u);
   EXPECT_EQ(index.num_entries(), 20u);
   for (core::ObjectId id = 0; id < 20; id += 3) {
-    ASSERT_TRUE(index.Upsert(id, Attr(street_, 50.0, 0.5, 2.0)).ok());
+    ASSERT_TRUE(UpsertRow(index, id, Attr(street_, 50.0, 0.5, 2.0)).ok());
   }
-  index.Remove(7);
-  index.Remove(7);  // unknown ids are a no-op
+  RemoveRow(index, 7);
+  RemoveRow(index, 7);  // unknown ids are a no-op
   EXPECT_EQ(index.num_objects(), 19u);
   EXPECT_EQ(index.num_entries(), 19u);
   EXPECT_EQ(index.remove_misses(), 0u);
@@ -75,7 +77,7 @@ TEST_F(RouteBandIndexTest, BandPastTheFarEndIsFoundFromTheEndSegment) {
   RouteBandIndex index(&network_, Small());
   // At 1 unit/time from s = 90 the database position leaves the route at
   // t = 10; from then on the object waits at the end, (100, 0).
-  ASSERT_TRUE(index.Upsert(1, Attr(street_, 90.0, 1.0)).ok());
+  ASSERT_TRUE(UpsertRow(index, 1, Attr(street_, 90.0, 1.0)).ok());
   EXPECT_GT(index.end_reach(), 40.0);
   const geo::Polygon end = geo::Polygon::Rectangle(99.0, -1.0, 101.0, 1.0);
   for (const double t : {12.0, 30.0, 60.0}) {
@@ -95,11 +97,12 @@ TEST_F(RouteBandIndexTest, BackwardBandPastTheStartIsFound) {
   RouteBandIndex index(&network_, Small());
   // Backward along the bend from s = 80: off its start, (0, 20), from
   // t ≈ 53.3 on.
-  ASSERT_TRUE(index
-                  .Upsert(2, Attr(bend_, 80.0, 1.5, 0.0,
-                                  core::TravelDirection::kBackward))
+  ASSERT_TRUE(UpsertRow(index, 2,
+                        Attr(bend_, 80.0, 1.5, 0.0,
+                             core::TravelDirection::kBackward))
                   .ok());
-  ASSERT_TRUE(index.Upsert(3, Attr(street_, 10.0, 0.2)).ok());  // elsewhere
+  // A second object, elsewhere.
+  ASSERT_TRUE(UpsertRow(index, 3, Attr(street_, 10.0, 0.2)).ok());
   const geo::Polygon start = geo::Polygon::Rectangle(-1.0, 19.0, 1.0, 21.0);
   EXPECT_TRUE(index.Candidates(start, 10.0).empty());
   EXPECT_EQ(index.Candidates(start, 59.0), std::vector<core::ObjectId>{2});
@@ -124,7 +127,7 @@ TEST_F(RouteBandIndexTest, BulkLoadAnswersAsIncrementalInserts) {
                  rng.Uniform(0.0, 1.0) < 0.5
                      ? core::TravelDirection::kForward
                      : core::TravelDirection::kBackward));
-    ASSERT_TRUE(incremental.Upsert(id, fleet.back().second).ok());
+    ASSERT_TRUE(UpsertRow(incremental, id, fleet.back().second).ok());
   }
   ASSERT_TRUE(bulk.BulkUpsert(fleet).ok());
   EXPECT_EQ(bulk.num_entries(), incremental.num_entries());
@@ -162,7 +165,7 @@ TEST_F(RouteBandIndexTest, CandidatesCoverEveryIntervalMeetingTheRegion) {
                          rng.Uniform(0.0, 1.4), 0.0,
                          id % 3 ? core::TravelDirection::kForward
                                 : core::TravelDirection::kBackward));
-    ASSERT_TRUE(index.Upsert(id, attrs.back()).ok());
+    ASSERT_TRUE(UpsertRow(index, id, attrs.back()).ok());
   }
   for (int q = 0; q < 300; ++q) {
     const double x = rng.Uniform(-5.0, 105.0);
@@ -187,16 +190,16 @@ TEST_F(RouteBandIndexTest, CandidatesCoverEveryIntervalMeetingTheRegion) {
 
 TEST_F(RouteBandIndexTest, RoutesAddedAfterConstructionAreProbed) {
   RouteBandIndex index(&network_, Small());
-  ASSERT_TRUE(index.Upsert(1, Attr(street_, 50.0, 0.0)).ok());
+  ASSERT_TRUE(UpsertRow(index, 1, Attr(street_, 50.0, 0.0)).ok());
   const geo::RouteId late =
       network_.AddStraightRoute({0.0, -50.0}, {100.0, -50.0}, "late");
-  ASSERT_TRUE(index.Upsert(2, Attr(late, 50.0, 0.0)).ok());
+  ASSERT_TRUE(UpsertRow(index, 2, Attr(late, 50.0, 0.0)).ok());
   const geo::Polygon around = geo::Polygon::Rectangle(45.0, -55.0, 55.0, 5.0);
   EXPECT_EQ(index.Candidates(around, 1.0),
             (std::vector<core::ObjectId>{1, 2}));
   core::PositionAttribute unknown = Attr(late, 1.0, 0.0);
   unknown.route = 99;
-  EXPECT_EQ(index.Upsert(3, unknown).code(), util::StatusCode::kNotFound);
+  EXPECT_EQ(UpsertRow(index, 3, unknown).code(), util::StatusCode::kNotFound);
   EXPECT_EQ(index.num_objects(), 2u);
 }
 

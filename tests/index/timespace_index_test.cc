@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "delta_rows.h"
 #include "index/linear_scan_index.h"
 #include "util/rng.h"
 
@@ -38,8 +39,8 @@ class TimeSpaceIndexTest : public testing::Test {
 
 TEST_F(TimeSpaceIndexTest, UpsertAndCandidates) {
   TimeSpaceIndex index(&network_);
-  index.Upsert(1, AttrOnRoute(h0_, 10.0, 1.0));
-  index.Upsert(2, AttrOnRoute(h1_, 10.0, 1.0));
+  UpsertRow(index, 1, AttrOnRoute(h0_, 10.0, 1.0));
+  UpsertRow(index, 2, AttrOnRoute(h1_, 10.0, 1.0));
   EXPECT_EQ(index.num_objects(), 2u);
   EXPECT_GT(index.num_entries(), 0u);
 
@@ -53,11 +54,11 @@ TEST_F(TimeSpaceIndexTest, UpsertAndCandidates) {
 
 TEST_F(TimeSpaceIndexTest, UpsertReplacesOldPlane) {
   TimeSpaceIndex index(&network_);
-  index.Upsert(1, AttrOnRoute(h0_, 10.0, 1.0));
+  UpsertRow(index, 1, AttrOnRoute(h0_, 10.0, 1.0));
   const std::size_t entries_before = index.num_entries();
   // The object reports from the vertical street; the old o-plane must be
   // gone (paper §4.2 update processing).
-  index.Upsert(1, AttrOnRoute(v0_, 0.0, 1.0, 50.0));
+  UpsertRow(index, 1, AttrOnRoute(v0_, 0.0, 1.0, 50.0));
   EXPECT_EQ(index.num_objects(), 1u);
   EXPECT_EQ(index.num_entries(), entries_before);
   const geo::Polygon old_region =
@@ -70,13 +71,13 @@ TEST_F(TimeSpaceIndexTest, UpsertReplacesOldPlane) {
 
 TEST_F(TimeSpaceIndexTest, RemoveDeletesAllBoxes) {
   TimeSpaceIndex index(&network_);
-  index.Upsert(1, AttrOnRoute(h0_, 10.0, 1.0));
-  index.Remove(1);
+  UpsertRow(index, 1, AttrOnRoute(h0_, 10.0, 1.0));
+  RemoveRow(index, 1);
   EXPECT_EQ(index.num_objects(), 0u);
   EXPECT_EQ(index.num_entries(), 0u);
   EXPECT_TRUE(index.rtree().CheckInvariants().ok());
   // Removing a missing object is a no-op.
-  index.Remove(99);
+  RemoveRow(index, 99);
 }
 
 TEST_F(TimeSpaceIndexTest, FutureQueriesWithinHorizon) {
@@ -84,7 +85,7 @@ TEST_F(TimeSpaceIndexTest, FutureQueriesWithinHorizon) {
   options.oplane.horizon = 100.0;
   options.oplane.slab_width = 5.0;
   TimeSpaceIndex index(&network_, options);
-  index.Upsert(1, AttrOnRoute(h0_, 0.0, 1.0));
+  UpsertRow(index, 1, AttrOnRoute(h0_, 0.0, 1.0));
   // At t=80 the database position is x=80.
   const geo::Polygon region = geo::Polygon::Rectangle(70.0, -5.0, 90.0, 5.0);
   EXPECT_EQ(index.Candidates(region, 80.0).size(), 1u);
@@ -98,7 +99,7 @@ TEST_F(TimeSpaceIndexTest, CandidatesAreDeduplicated) {
   TimeSpaceIndex::Options options;
   options.oplane.slab_width = 1.0;  // many boxes per object
   TimeSpaceIndex index(&network_, options);
-  index.Upsert(1, AttrOnRoute(h0_, 10.0, 0.0));  // parked: boxes overlap
+  UpsertRow(index, 1, AttrOnRoute(h0_, 10.0, 0.0));  // parked: boxes overlap
   const geo::Polygon region = geo::Polygon::Rectangle(0.0, -5.0, 40.0, 5.0);
   const auto candidates = index.Candidates(region, 10.0);
   EXPECT_EQ(candidates.size(), 1u);
@@ -118,8 +119,8 @@ TEST_F(TimeSpaceIndexTest, LinearScanAgreesWithRTree) {
     const double max_start = network_.route(route).Length() * 0.5;
     const auto attr = AttrOnRoute(route, rng.Uniform(0.0, max_start),
                                   rng.Uniform(0.2, 1.2));
-    rtree.Upsert(id, attr);
-    scan.Upsert(id, attr);
+    UpsertRow(rtree, id, attr);
+    UpsertRow(scan, id, attr);
   }
   for (int q = 0; q < 50; ++q) {
     const double cx = rng.Uniform(0.0, 200.0);
@@ -142,16 +143,16 @@ TEST_F(TimeSpaceIndexTest, UnknownRouteUpsertIsHandledError) {
   // Regression: this used to be an assert-guarded dereference — release
   // builds walked straight into undefined behaviour on an unknown route.
   TimeSpaceIndex index(&network_);
-  ASSERT_TRUE(index.Upsert(1, AttrOnRoute(h0_, 10.0, 1.0)).ok());
+  ASSERT_TRUE(UpsertRow(index, 1, AttrOnRoute(h0_, 10.0, 1.0)).ok());
   const std::size_t entries = index.num_entries();
 
-  const util::Status s = index.Upsert(2, AttrOnRoute(999, 0.0, 1.0));
+  const util::Status s = UpsertRow(index, 2, AttrOnRoute(999, 0.0, 1.0));
   EXPECT_EQ(s.code(), util::StatusCode::kNotFound);
   EXPECT_EQ(index.num_objects(), 1u);
   EXPECT_EQ(index.num_entries(), entries);
 
   // The existing object is untouched even when *it* reports a bad route.
-  const util::Status s2 = index.Upsert(1, AttrOnRoute(999, 0.0, 1.0));
+  const util::Status s2 = UpsertRow(index, 1, AttrOnRoute(999, 0.0, 1.0));
   EXPECT_EQ(s2.code(), util::StatusCode::kNotFound);
   EXPECT_EQ(index.num_entries(), entries);
   const geo::Polygon region = geo::Polygon::Rectangle(0.0, -5.0, 40.0, 5.0);
@@ -167,7 +168,7 @@ TEST_F(TimeSpaceIndexTest, RemoveMissIsSurfacedNotSwallowed) {
   TimeSpaceIndex index(&network_);
   index.SetMetrics(&registry, "index.");
   const auto attr = AttrOnRoute(h0_, 10.0, 1.0);
-  ASSERT_TRUE(index.Upsert(1, attr).ok());
+  ASSERT_TRUE(UpsertRow(index, 1, attr).ok());
   EXPECT_EQ(index.remove_misses(), 0u);
 
   const std::vector<geo::Box3> boxes =
@@ -177,7 +178,7 @@ TEST_F(TimeSpaceIndexTest, RemoveMissIsSurfacedNotSwallowed) {
 
   // The re-upsert tries to drop all recorded boxes; one is already gone.
   const auto moved = AttrOnRoute(h0_, 50.0, 1.0, 5.0);
-  ASSERT_TRUE(index.Upsert(1, moved).ok());
+  ASSERT_TRUE(UpsertRow(index, 1, moved).ok());
   EXPECT_EQ(index.remove_misses(), 1u);
   EXPECT_EQ(registry.GetCounter("index.remove_miss")->value(), 1u);
   // The new plane is fully installed regardless.
@@ -196,15 +197,15 @@ TEST_F(TimeSpaceIndexTest, NamesAndOptions) {
 
 TEST_F(TimeSpaceIndexTest, ScanIndexBasics) {
   LinearScanIndex scan(&network_);
-  scan.Upsert(1, AttrOnRoute(h0_, 10.0, 1.0));
-  scan.Upsert(2, AttrOnRoute(h1_, 10.0, 1.0));
+  UpsertRow(scan, 1, AttrOnRoute(h0_, 10.0, 1.0));
+  UpsertRow(scan, 2, AttrOnRoute(h1_, 10.0, 1.0));
   EXPECT_EQ(scan.num_objects(), 2u);
   EXPECT_EQ(scan.num_entries(), 2u);
   const geo::Polygon region = geo::Polygon::Rectangle(0.0, -5.0, 40.0, 5.0);
   const auto candidates = scan.Candidates(region, 10.0);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0], 1u);
-  scan.Remove(1);
+  RemoveRow(scan, 1);
   EXPECT_TRUE(scan.Candidates(region, 10.0).empty());
 }
 
