@@ -9,6 +9,8 @@
 // buffer pool buys in exchange for a bounded resident set — and the page
 // file's size, which must stay within page size x the most pages the
 // index held during the run: a write-back overwrites its page's slot.
+// Every update removes the entry the index rebuilds from the stored model,
+// so the index's remove-miss counter must read 0 at every level.
 //
 // `--smoke` runs a tiny fleet for CI.
 
@@ -186,10 +188,11 @@ int Run(bool smoke) {
 
   util::Table table({"config", "pool pages", "hit rate %", "evictions",
                      "writebacks", "resident pages", "peak pages",
-                     "file KiB", "us/query", "identical"});
+                     "file KiB", "remove misses", "us/query", "identical"});
   bool all_identical = true;
   bool pressured_evictions = false;
   bool files_bounded = true;
+  bool no_remove_miss = true;
   for (const std::size_t pressure : {std::size_t{1}, std::size_t{4},
                                      std::size_t{16}}) {
     const std::size_t pool =
@@ -212,6 +215,9 @@ int Run(bool smoke) {
     const auto writebacks =
         registry.GetCounter("db.index.pages.writebacks")->value();
     const auto frames = registry.GetGauge("db.index.pages.frames")->value();
+    const auto remove_misses =
+        registry.GetCounter("db.index.remove_miss")->value();
+    no_remove_miss = no_remove_miss && remove_misses == 0;
     const std::uintmax_t file_bytes =
         fs::file_size(options.index_storage.path);
     files_bounded =
@@ -231,6 +237,7 @@ int Run(bool smoke) {
         .Add(static_cast<std::size_t>(frames))
         .Add(result.peak_pages)
         .Add(static_cast<double>(file_bytes) / 1024.0, 1)
+        .Add(remove_misses)
         .Add(result.us_per_query, 1)
         .Add(result.identical ? "yes" : "NO");
     all_identical = all_identical && result.identical;
@@ -241,13 +248,16 @@ int Run(bool smoke) {
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  const bool pass = all_identical && pressured_evictions && files_bounded;
+  const bool pass = all_identical && pressured_evictions && files_bounded &&
+                    no_remove_miss;
   std::printf("shape check — answers byte-identical at every pressure "
               "level: %s; 16x pool saw real eviction traffic: %s; page "
-              "files within page size x peak pages: %s -> %s\n\n",
+              "files within page size x peak pages: %s; no remove miss at "
+              "any level: %s -> %s\n\n",
               all_identical ? "yes" : "NO",
               pressured_evictions ? "yes" : "NO",
-              files_bounded ? "yes" : "NO", pass ? "PASS" : "FAIL");
+              files_bounded ? "yes" : "NO", no_remove_miss ? "yes" : "NO",
+              pass ? "PASS" : "FAIL");
   fs::remove_all(dir);
   return pass ? 0 : 1;
 }

@@ -4,7 +4,7 @@
 // batch engine (one frame, one grouped index delta per batch). The cost
 // model behind the claim: a durable per-update ingest pays one fsync per
 // message, a batch of B amortises the fsync — and the validate/log/index/
-// commit stages — over B messages. The claim under test: >= 2x ingest
+// notify/commit stages — over B messages. The claim under test: >= 2x ingest
 // throughput at batch >= 64 on the durable path, at a byte-identical final
 // store (same records, same query answers).
 //

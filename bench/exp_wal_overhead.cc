@@ -7,10 +7,10 @@
 // appends one ~60-byte checksummed frame per update before the in-memory
 // commit; "group" fsyncs once per MiB of frames (bounding power-cut loss
 // to that window); "fsync" forces every frame to durable storage (group
-// commit of 1 — the worst case). Recovery bulk-replays the whole log into
-// an empty store restored from the bootstrap checkpoint: records are
-// staged into the fleet map and the index is rebuilt once via its packed
-// bulk load.
+// commit of 1 — the worst case). Recovery opens the directory for an
+// empty store (`DurabilityManager::Open`), which copies in the bootstrap
+// checkpoint and bulk-replays the whole log: records are staged into the
+// fleet map and the index is rebuilt once via its packed bulk load.
 //
 // Shape checks (exit non-zero on failure):
 //   - WAL-on (no fsync) sustains at least half the WAL-off throughput;
@@ -158,15 +158,17 @@ RecoveryResult RunRecovery(const geo::RouteNetwork& network,
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  auto recovered = db::Recover(dir);
+  db::ModDatabase recovered(&network);
+  auto durability = db::DurabilityManager::Open(&recovered, dir, {});
   const double seconds = Seconds(t0, std::chrono::steady_clock::now());
   RecoveryResult result;
   result.log_records = log_records;
   result.recover_ms = seconds * 1e3;
-  if (recovered.ok()) {
-    result.replayed = recovered->report.wal_records_replayed;
-    result.objects = recovered->database->num_objects();
-    result.clean = recovered->report.clean;
+  if (durability.ok()) {
+    const db::RecoveryReport& report = (*durability)->recovery_report();
+    result.replayed = report.wal_records_replayed;
+    result.objects = recovered.num_objects();
+    result.clean = report.clean;
   }
   fs::remove_all(dir);
   return result;

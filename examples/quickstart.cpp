@@ -87,7 +87,7 @@ int main() {
 
   // 6. A base station hands over a whole window of reports at once.
   //    ApplyUpdateBatch runs the same staged write path as ApplyUpdate —
-  //    validate, log, index, commit, notify — but pays the per-call costs
+  //    validate, log, index, notify, commit — but pays the per-call costs
   //    once for the window and reports a status per record (a bad record
   //    never blocks the rest of the batch).
   std::vector<PositionUpdate> window;

@@ -153,13 +153,18 @@ util::Status ModDatabase::Insert(core::ObjectId id, std::string label,
       return s;
     }
   }
-  // Index delta: the last stage that can fail, so a failure leaves the
-  // record map as it was.
   if (!bulk_ingest_) {
+    // Index delta: the last stage that can fail, so a failure leaves the
+    // record map as it was.
     if (util::Status s =
             index_->ApplyDeltaBatch({index::IndexDelta{id, &attr}});
         !s.ok()) {
       return s;
+    }
+    // Notify.
+    if (subscriptions_ != nullptr) {
+      const AttributeDelta delta{0, id, nullptr, &attr};
+      NotifyDeltas({&delta, 1});
     }
   }
   // Commit.
@@ -169,11 +174,6 @@ util::Status ModDatabase::Insert(core::ObjectId id, std::string label,
   record.attr = attr;
   record.insert_time = attr.start_time;
   records_.emplace(id, std::move(record));
-  // Notify.
-  if (!bulk_ingest_ && subscriptions_ != nullptr) {
-    const AttributeDelta delta{0, id, nullptr, &attr};
-    NotifyDeltas({&delta, 1});
-  }
   if (inserts_ != nullptr) inserts_->Increment();
   return util::Status::Ok();
 }
@@ -203,12 +203,17 @@ util::Status ModDatabase::FinishBulkIngest() {
   if (metrics_registry_ != nullptr) {
     index_->SetMetrics(metrics_registry_, metrics_prefix_ + "index.");
   }
+  return index_->BulkUpsert(RecordRows(0));
+}
+
+std::vector<index::IndexDelta> ModDatabase::RecordRows(
+    std::size_t extra) const {
   std::vector<index::IndexDelta> rows;
-  rows.reserve(records_.size());
+  rows.reserve(records_.size() + extra);
   for (const auto& [id, record] : records_) {
     rows.push_back(index::IndexDelta{id, &record.attr});
   }
-  return index_->BulkUpsert(rows);
+  return rows;
 }
 
 util::Status ModDatabase::BulkInsert(std::vector<BulkObject> objects) {
@@ -244,15 +249,25 @@ util::Status ModDatabase::BulkInsert(std::vector<BulkObject> objects) {
       return s;
     }
   }
-  // Index delta: the last stage that can fail, so a failure leaves the
-  // record map as it was.
   if (!bulk_ingest_) {
-    std::vector<index::IndexDelta> rows;
-    rows.reserve(objects.size());
+    // Index delta: a packed build of the stored records plus the new rows.
+    // The last stage that can fail, so a failure leaves the record map as
+    // it was.
+    std::vector<index::IndexDelta> rows = RecordRows(objects.size());
     for (const BulkObject& object : objects) {
       rows.push_back(index::IndexDelta{object.id, &object.attr});
     }
     if (util::Status s = index_->BulkUpsert(rows); !s.ok()) return s;
+    // Notify: one insert transition per row, in input order.
+    if (subscriptions_ != nullptr) {
+      std::vector<AttributeDelta> stream;
+      stream.reserve(objects.size());
+      for (std::size_t i = 0; i < objects.size(); ++i) {
+        stream.push_back(
+            AttributeDelta{i, objects[i].id, nullptr, &objects[i].attr});
+      }
+      NotifyDeltas(stream);
+    }
   }
   // Commit.
   for (BulkObject& object : objects) {
@@ -262,16 +277,6 @@ util::Status ModDatabase::BulkInsert(std::vector<BulkObject> objects) {
     record.attr = object.attr;
     record.insert_time = object.attr.start_time;
     records_.emplace(object.id, std::move(record));
-  }
-  // Notify: one insert transition per row, in input order.
-  if (!bulk_ingest_ && subscriptions_ != nullptr) {
-    std::vector<AttributeDelta> stream;
-    stream.reserve(objects.size());
-    for (std::size_t i = 0; i < objects.size(); ++i) {
-      stream.push_back(
-          AttributeDelta{i, objects[i].id, nullptr, &objects[i].attr});
-    }
-    NotifyDeltas(stream);
   }
   if (inserts_ != nullptr) inserts_->Increment(objects.size());
   return util::Status::Ok();
@@ -299,20 +304,20 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
   // store — so acceptance matches the sequential path exactly.
   std::vector<core::PositionAttribute> merged(updates.size());
   std::vector<bool> accepted(updates.size(), false);
-  // Object -> index into `merged` of its last accepted update.
-  std::unordered_map<core::ObjectId, std::size_t> last_accepted;
-  // The touched objects in first-touch order and, for the notify stage
-  // only, their pre-batch attributes (the commit stage overwrites them).
-  std::vector<core::ObjectId> touched;
-  std::vector<core::PositionAttribute> pre_batch;
-  const bool notify = !bulk_ingest_ && subscriptions_ != nullptr;
+  // One index row per touched object, in first-touch order: its latest
+  // accepted merged attribute and the stored model it replaces. The
+  // record map is written only by the commit stage, so `before` points
+  // into it until then.
+  std::vector<index::IndexDelta> deltas;
+  // Object -> its row in `deltas`.
+  std::unordered_map<core::ObjectId, std::size_t> row_of;
   std::size_t num_accepted = 0;
   for (std::size_t i = 0; i < updates.size(); ++i) {
     const core::PositionUpdate& update = updates[i];
     const core::PositionAttribute* base = nullptr;
-    if (const auto pending = last_accepted.find(update.object);
-        pending != last_accepted.end()) {
-      base = &merged[pending->second];
+    const auto pending = row_of.find(update.object);
+    if (pending != row_of.end()) {
+      base = deltas[pending->second].attr;
     } else if (const auto it = records_.find(update.object);
                it != records_.end()) {
       base = &it->second.attr;
@@ -341,10 +346,12 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     merged[i] = attr;
     accepted[i] = true;
     ++num_accepted;
-    if (last_accepted.insert_or_assign(update.object, i).second) {
+    if (pending != row_of.end()) {
+      deltas[pending->second].attr = &merged[i];
+    } else {
       // First touch: `base` is the stored record's attribute.
-      touched.push_back(update.object);
-      if (notify) pre_batch.push_back(*base);
+      row_of.emplace(update.object, deltas.size());
+      deltas.push_back(index::IndexDelta{update.object, &merged[i], base});
     }
   }
   result.rejected = updates.size() - num_accepted;
@@ -377,25 +384,44 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     }
   }
 
-  // --- Stage 3: index delta. One ApplyDeltaBatch call with each touched
-  // object's *final* merged attribute, in first-touch order (intermediate
-  // models would be dead work — the index only ever serves the current
-  // one, and queries refine candidates exactly). It is the last stage that
-  // can fail, and nothing in memory has changed yet.
   if (!bulk_ingest_) {
-    std::vector<index::IndexDelta> deltas;
-    deltas.reserve(touched.size());
-    for (const core::ObjectId id : touched) {
-      deltas.push_back(
-          index::IndexDelta{id, &merged[last_accepted.find(id)->second]});
-    }
+    // --- Stage 3: index delta. One ApplyDeltaBatch call with each touched
+    // object's *final* merged attribute, in first-touch order
+    // (intermediate models would be dead work — the index only ever serves
+    // the current one, and queries refine candidates exactly). It is the
+    // last stage that can fail, and nothing in memory has changed yet.
     if (util::Status s = index_->ApplyDeltaBatch(deltas); !s.ok()) {
       fail_accepted(s);
       return result;
     }
+
+    // --- Stage 4: notify. Per-record transition stream, chained through
+    // the batch-local intermediate attributes: record i's `before` is the
+    // previous accepted merged attribute of the same object (or its stored
+    // attribute on first touch), NOT the stage-3 deduped final — so a
+    // batch notifies exactly what sequential ingest would, and a
+    // superseded mid-batch excursion through a region still reports its
+    // enter/leave pair instead of a spurious or missing transition.
+    if (subscriptions_ != nullptr) {
+      std::vector<const core::PositionAttribute*> prev(deltas.size());
+      for (std::size_t k = 0; k < deltas.size(); ++k) {
+        prev[k] = deltas[k].before;
+      }
+      std::vector<AttributeDelta> stream;
+      stream.reserve(num_accepted);
+      for (std::size_t i = 0; i < updates.size(); ++i) {
+        if (!accepted[i]) continue;
+        const core::PositionAttribute*& before =
+            prev[row_of.find(updates[i].object)->second];
+        stream.push_back(
+            AttributeDelta{i, updates[i].object, before, &merged[i]});
+        before = &merged[i];
+      }
+      NotifyDeltas(stream);
+    }
   }
 
-  // --- Stage 4: commit. The record map takes the batch in batch order;
+  // --- Stage 5: commit. The record map takes the batch in batch order;
   // every superseded version lands in the trajectory history exactly as
   // the sequential path would.
   for (std::size_t i = 0; i < updates.size(); ++i) {
@@ -411,31 +437,6 @@ UpdateBatchResult ModDatabase::ApplyUpdateBatch(
     }
     record.attr = merged[i];
     ++record.update_count;
-  }
-
-  // --- Stage 5: notify. Per-record transition stream, chained through the
-  // batch-local intermediate attributes: record i's `before` is the
-  // previous accepted merged attribute of the same object (or its
-  // pre-batch attribute on first touch), NOT the stage-3 deduped final —
-  // so a batch notifies exactly what sequential ingest would, and a
-  // superseded mid-batch excursion through a region still reports its
-  // enter/leave pair instead of a spurious or missing transition.
-  if (notify) {
-    std::unordered_map<core::ObjectId, const core::PositionAttribute*> before;
-    before.reserve(touched.size());
-    for (std::size_t k = 0; k < touched.size(); ++k) {
-      before.emplace(touched[k], &pre_batch[k]);
-    }
-    std::vector<AttributeDelta> stream;
-    stream.reserve(num_accepted);
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      if (!accepted[i]) continue;
-      const core::PositionAttribute*& prev =
-          before.find(updates[i].object)->second;
-      stream.push_back(AttributeDelta{i, updates[i].object, prev, &merged[i]});
-      prev = &merged[i];
-    }
-    NotifyDeltas(stream);
   }
   total_updates_ += num_accepted;
   if (updates_applied_ != nullptr) updates_applied_->Increment(num_accepted);
@@ -475,18 +476,19 @@ util::Status ModDatabase::Erase(core::ObjectId id) {
       return s;
     }
   }
-  // Index delta. Its answer is not checked: an entry the index kept is a
-  // stale candidate, which refinement drops once the record is gone.
   if (!bulk_ingest_) {
-    (void)index_->ApplyDeltaBatch({index::IndexDelta{id, nullptr}});
+    const core::PositionAttribute& stored = it->second.attr;
+    // Index delta. Its answer is not checked: an entry the index kept is a
+    // stale candidate, which refinement drops once the record is gone.
+    (void)index_->ApplyDeltaBatch({index::IndexDelta{id, nullptr, &stored}});
+    // Notify.
+    if (subscriptions_ != nullptr) {
+      const AttributeDelta delta{0, id, &stored, nullptr};
+      NotifyDeltas({&delta, 1});
+    }
   }
-  // Commit; the extracted record lives on for the notify stage.
-  const auto erased = records_.extract(it);
-  // Notify.
-  if (!bulk_ingest_ && subscriptions_ != nullptr) {
-    const AttributeDelta delta{0, id, &erased.mapped().attr, nullptr};
-    NotifyDeltas({&delta, 1});
-  }
+  // Commit.
+  records_.erase(it);
   if (erases_ != nullptr) erases_->Increment();
   return util::Status::Ok();
 }

@@ -122,7 +122,7 @@ class ModDatabase {
   /// numeric field (times, distances, position, speed and the policy
   /// parameters); this holds for every write path. Runs the stages of
   /// `ApplyUpdateBatch` with a one-row index delta: a log or index failure
-  /// returns its status with no record written.
+  /// returns its status with no record written (see "In doubt" there).
   util::Status Insert(core::ObjectId id, std::string label,
                       const core::PositionAttribute& attr);
 
@@ -133,12 +133,14 @@ class ModDatabase {
     core::PositionAttribute attr;
   };
 
-  /// Registers a whole fleet at once. All rows are validated first; the
-  /// index is built with its packed bulk path — much faster than
-  /// per-object `Insert` for large fleets — and the records are written
-  /// only once it succeeded, so the database is unchanged on any failure.
-  /// Logs one batched WAL record for the whole call instead of one per row
-  /// (see `AttachWal` for the mid-batch failure semantics).
+  /// Registers a whole fleet at once, through the stages of
+  /// `ApplyUpdateBatch`. All rows are validated first; the index stage
+  /// rebuilds the index with its packed bulk path from the stored records
+  /// plus the new rows — much faster than per-object `Insert` for large
+  /// fleets — and the records are written only once it succeeded, so the
+  /// database is unchanged on any failure. Logs one batched WAL record for
+  /// the whole call instead of one per row (see `AttachWal` for the
+  /// mid-batch failure semantics).
   util::Status BulkInsert(std::vector<BulkObject> objects);
 
   /// Applies a position update from a moving object: replaces
@@ -165,23 +167,35 @@ class ModDatabase {
   ///   3. index delta — one `ApplyDeltaBatch` call with each touched
   ///      object's *final* merged attribute (per-object dedup: the index
   ///      only ever serves the current model, so intermediate upserts
-  ///      would be dead work). A failure fails every accepted record; the
-  ///      record map is still untouched, so nothing is rolled back.
-  ///   4. commit — the record map takes the batch in batch order; every
+  ///      would be dead work) and, as `before`, the stored model it
+  ///      replaces. A failure fails every accepted record; the record map
+  ///      is still untouched, so nothing is rolled back.
+  ///   4. notify — the per-record transition stream goes to the attached
+  ///      subscription engine (see `AttachSubscriptions`).
+  ///   5. commit — the record map takes the batch in batch order; every
   ///      intermediate version lands in the trajectory history exactly as
   ///      the sequential path would.
-  ///   5. notify — the per-record transition stream goes to the attached
-  ///      subscription engine (see `AttachSubscriptions`).
   ///
   /// Only the log and index stages can fail, and both run before the
-  /// commit, so a failed write has nothing to undo.
+  /// commit, so a failed write has nothing to undo. The commit is the only
+  /// stage that overwrites a model, so it runs last: until then the index
+  /// and notify stages point into the record map for each object's stored
+  /// model, and the store keeps no other copy of it.
+  ///
+  /// In doubt: a write the index stage refuses is already in the log. The
+  /// caller gets the index's error, yet re-recovery replays the write, as
+  /// it replays the logged chunks of a batch whose later chunk failed to
+  /// append (see `AttachWal`). The store's index refuses a validated write
+  /// only once its page store is poisoned (`ObjectIndex::storage_status`),
+  /// and the sharded store then quarantines the shard.
   UpdateBatchResult ApplyUpdateBatch(
       std::span<const core::PositionUpdate> updates);
 
   /// Removes an object (end of trip), through the same stages with a
-  /// one-row removal delta. Once logged, the record goes whatever the index
-  /// answers: an entry the index kept is a stale candidate, which query
-  /// refinement drops.
+  /// one-row removal delta whose `before` is the stored model. Once logged,
+  /// the record goes and OK is returned whatever the index answers: an
+  /// entry the index kept is a stale candidate, which query refinement
+  /// drops.
   util::Status Erase(core::ObjectId id);
 
   /// Starts a bulk-ingest session: until `FinishBulkIngest`, mutations
@@ -192,10 +206,10 @@ class ModDatabase {
   /// miss objects — callers finish the session before serving reads.
   util::Status BeginBulkIngest();
 
-  /// Ends the session: rebuilds the index once from the surviving records
+  /// Ends the session: rebuilds the index once from every surviving record
   /// via the packed bulk path (~12× faster than repeated insertion,
-  /// E10). The rebuild starts from a fresh index so in-session erases and
-  /// route changes cannot leave stale entries behind.
+  /// E10). The rebuild starts from a fresh index, so a disk-backed one
+  /// gets a new page file.
   util::Status FinishBulkIngest();
 
   bool bulk_ingest_active() const { return bulk_ingest_; }
@@ -271,8 +285,9 @@ class ModDatabase {
   /// Attaches the subscription engine (non-owning; must outlive the
   /// attachment; nullptr detaches), which the query language's SUBSCRIBE /
   /// UNSUBSCRIBE / EVENTS statements resolve through `subscriptions()`.
-  /// The engine is notified after every committed mutation — insert,
-  /// update batch, erase — with the ordered per-record attribute
+  /// The engine is notified of every mutation the index stage took —
+  /// insert, update batch, erase — just before its commit, with the
+  /// ordered per-record attribute
   /// transitions (see `AttributeDelta`: the stream is per record, not
   /// per-object deduped, so batched and sequential ingest notify
   /// identically). Recovery-style paths that bypass the index
@@ -315,10 +330,12 @@ class ModDatabase {
       const geo::Polygon& region, core::Time t1, core::Time t2,
       core::Duration sample_step,
       const std::vector<core::ObjectId>& candidates) const;
-  /// Hands a committed mutation's transition stream to the attached
+  /// Hands an indexed mutation's transition stream to the attached
   /// subscription engine (the pointed-to attributes live only for the
   /// call).
   void NotifyDeltas(std::span<const AttributeDelta> deltas);
+  /// One `BulkUpsert` row per stored record, with room for `extra` more.
+  std::vector<index::IndexDelta> RecordRows(std::size_t extra) const;
 
   const geo::RouteNetwork* network_;
   ModDatabaseOptions options_;

@@ -418,37 +418,4 @@ void DurabilityManager::ExportMetrics(util::MetricsRegistry* registry,
   if (wal_ != nullptr) wal_->SetMetrics(registry, wal_prefix);
 }
 
-util::Result<RecoveredDatabase> Recover(const std::string& dir,
-                                        const DurabilityOptions& options) {
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec) || ec) {
-    return util::Status::NotFound("no durable directory at " + dir);
-  }
-
-  const auto started = std::chrono::steady_clock::now();
-  RecoveredDatabase result;
-  auto loaded = LoadNewestCheckpoint(dir, &result.report);
-  if (!loaded.ok()) return loaded.status();
-  result.network = std::move(loaded->network);
-  result.database = std::move(loaded->database);
-
-  ModDatabase* db = result.database.get();
-  const util::Status replayed =
-      ReplayEpochChain(dir, result.report.checkpoint_id, db, &result.report);
-  if (util::Status s = db->FinishBulkIngest(); !s.ok()) return s;
-  if (!replayed.ok()) return replayed;
-
-  std::unique_ptr<DurabilityManager> manager(
-      new DurabilityManager(db, dir, options));
-  manager->report_ = result.report;
-  if (util::Status s = manager->StartFreshEpoch(MaxEpochOnDisk(dir) + 1);
-      !s.ok()) {
-    return s;
-  }
-  manager->report_.duration_ms = ElapsedMs(started);
-  result.report.duration_ms = manager->report_.duration_ms;
-  result.durability = std::move(manager);
-  return result;
-}
-
 }  // namespace modb::db

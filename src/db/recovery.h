@@ -73,8 +73,12 @@ class DurabilityManager {
   ///    database's own route network), replays the matching WAL epoch up to
   ///    the first torn/corrupt record, then checkpoints the recovered state
   ///    and starts a fresh epoch (recovery never appends to old segments).
-  /// On success the WAL is attached to `*db`. `*db` must outlive the
-  /// manager.
+  ///    Corruption never fails recovery — it bounds it, and
+  ///    `recovery_report()` says exactly what was lost; only a directory
+  ///    whose every checkpoint is unreadable fails.
+  /// This is the one recovery entry point: the caller builds `*db` on its
+  /// own network with the options it wrote with. On success the WAL is
+  /// attached to `*db`. `*db` must outlive the manager.
   static util::Result<std::unique_ptr<DurabilityManager>> Open(
       ModDatabase* db, const std::string& dir,
       const DurabilityOptions& options = {});
@@ -122,9 +126,6 @@ class DurabilityManager {
   util::Status StartFreshEpoch(std::uint64_t new_epoch);
   util::Status Prune();
 
-  friend util::Result<struct RecoveredDatabase> Recover(
-      const std::string& dir, const DurabilityOptions& options);
-
   ModDatabase* db_;
   std::string dir_;
   DurabilityOptions options_;
@@ -133,25 +134,6 @@ class DurabilityManager {
   util::MetricsRegistry* metrics_ = nullptr;  // see ExportMetrics
   std::string wal_metrics_prefix_;
 };
-
-/// A database recovered from a durable directory, bundled with the network
-/// the checkpoint carried and a live durability manager (fresh WAL epoch,
-/// already attached). Destruction order — members in reverse — detaches the
-/// WAL before the database and network die.
-struct RecoveredDatabase {
-  std::unique_ptr<geo::RouteNetwork> network;
-  std::unique_ptr<ModDatabase> database;
-  std::unique_ptr<DurabilityManager> durability;
-  RecoveryReport report;
-};
-
-/// Standalone crash recovery: loads the newest readable checkpoint in `dir`
-/// (falling back across corrupt ones), replays the WAL suffix up to the
-/// first torn/corrupt record, and returns the result with a fresh epoch
-/// started. Corruption never fails recovery — it bounds it; the report says
-/// exactly what was lost. Fails only when no checkpoint is readable at all.
-util::Result<RecoveredDatabase> Recover(const std::string& dir,
-                                        const DurabilityOptions& options = {});
 
 /// File name of checkpoint `id` ("checkpoint-<id>.snap", zero-padded).
 std::string CheckpointFileName(std::uint64_t id);

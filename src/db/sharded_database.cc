@@ -632,6 +632,13 @@ void ShardedModDatabase::NoteWriteOutcome(std::size_t s,
       return;
     }
   }
+  // A poisoned index refuses every later write, whatever status this one
+  // returned (an erase returns OK regardless).
+  if (util::Status poison = shard.db->object_index().storage_status();
+      !poison.ok()) {
+    supervisor_->ReportFault(s, poison);
+    return;
+  }
   // An Internal status without WAL poison (e.g. an in-memory-only shard's
   // write failing inside the store) is still a fault; the store's normal
   // rejections use NotFound/AlreadyExists/InvalidArgument and stay

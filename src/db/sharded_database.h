@@ -87,13 +87,13 @@ struct ShardedModDatabaseOptions {
 /// `DumpMetrics()`.
 ///
 /// Failure domains: each shard is supervised (see `ShardSupervisor`). A
-/// fault — WAL poison, durability bootstrap failure, an Internal write
-/// status — quarantines only its shard: writes routed there return
-/// `Unavailable` with a retry-after hint, fan-out queries keep answering
-/// from the surviving shards with `completeness` marking the exclusion
-/// (MUST stays sound per object; MAY becomes a lower bound), and the
-/// supervisor re-runs that shard's recovery under capped backoff until it
-/// is re-admitted — the shard's subscription partition is silently
+/// fault — WAL poison, index storage poison, durability bootstrap failure,
+/// an Internal write status — quarantines only its shard: writes routed
+/// there return `Unavailable` with a retry-after hint, fan-out queries keep
+/// answering from the surviving shards with `completeness` marking the
+/// exclusion (MUST stays sound per object; MAY becomes a lower bound), and
+/// the supervisor re-runs that shard's recovery under capped backoff until
+/// it is re-admitted — the shard's subscription partition is silently
 /// re-primed from the recovered state, so the merged event stream
 /// continues as if the fault never happened.
 class ShardedModDatabase {
@@ -259,9 +259,10 @@ class ShardedModDatabase {
   QueryCompleteness ExcludedShards(std::vector<char>* skip) const;
 
   /// Fault check after a write to shard `s` (shard lock held): a poisoned
-  /// WAL or an Internal write status quarantines the shard. Normal
-  /// rejections (NotFound, AlreadyExists, InvalidArgument...) are not
-  /// faults.
+  /// WAL, a poisoned index (`ObjectIndex::storage_status`, whatever
+  /// `status` says) or an Internal write status quarantines the shard.
+  /// Normal rejections (NotFound, AlreadyExists, InvalidArgument...) are
+  /// not faults.
   void NoteWriteOutcome(std::size_t s, const util::Status& status);
 
   /// One re-recovery attempt for shard `s` — the supervisor's remediation

@@ -21,7 +21,7 @@
 
 namespace modb::db {
 
-/// One committed attribute transition on the database's delta stream: the
+/// One accepted attribute transition on the database's delta stream: the
 /// motion model of `id` changed from `before` to `after`. A null `before`
 /// is an insert, a null `after` an erase (never both null).
 ///
@@ -31,8 +31,8 @@ namespace modb::db {
 /// object twice produces two transitions, chained through the intermediate
 /// attribute, exactly as sequential ingest would. Continuous queries need
 /// that chain (a mid-batch excursion through a region is an enter+leave
-/// pair, not silence), so the stream must not be collapsed by the stage-4
-/// supersede dedup.
+/// pair, not silence), so the stream must not be collapsed to the index
+/// stage's one row per object.
 struct AttributeDelta {
   /// Input slot of the record within the originating call (0 for
   /// single-record mutations). The sharded layer rewrites shard-local

@@ -6,6 +6,28 @@
 
 namespace modb::index {
 
+util::Status LinearScanIndex::ApplyDeltaBatch(
+    const std::vector<IndexDelta>& deltas) {
+  if (util::Status s = CheckRoutes(*network_, deltas); !s.ok()) return s;
+  for (const IndexDelta& delta : deltas) {
+    if (delta.attr == nullptr) {
+      attrs_.erase(delta.id);
+    } else {
+      attrs_[delta.id] = *delta.attr;
+    }
+  }
+  return util::Status::Ok();
+}
+
+util::Status LinearScanIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
+  if (util::Status s = CheckRoutes(*network_, rows); !s.ok()) return s;
+  attrs_.clear();
+  for (const IndexDelta& row : rows) {
+    if (row.attr != nullptr) attrs_[row.id] = *row.attr;
+  }
+  return util::Status::Ok();
+}
+
 std::vector<core::ObjectId> LinearScanIndex::Candidates(
     const geo::Polygon& region, core::Time t) const {
   return CandidatesInWindow(region, t, t);

@@ -21,24 +21,9 @@ class LinearScanIndex final : public ObjectIndex {
   explicit LinearScanIndex(const geo::RouteNetwork* network)
       : network_(network) {}
 
-  util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) override {
-    // Validate every row first so a failure leaves the index unchanged.
-    for (const IndexDelta& delta : deltas) {
-      if (delta.attr == nullptr) continue;
-      if (const auto route = network_->FindRoute(delta.attr->route);
-          !route.ok()) {
-        return route.status();
-      }
-    }
-    for (const IndexDelta& delta : deltas) {
-      if (delta.attr == nullptr) {
-        attrs_.erase(delta.id);
-      } else {
-        attrs_[delta.id] = *delta.attr;
-      }
-    }
-    return util::Status::Ok();
-  }
+  util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) override;
+  using ObjectIndex::BulkUpsert;
+  util::Status BulkUpsert(const std::vector<IndexDelta>& rows) override;
   std::vector<core::ObjectId> Candidates(const geo::Polygon& region,
                                          core::Time t) const override;
   std::vector<core::ObjectId> CandidatesInWindow(const geo::Polygon& region,

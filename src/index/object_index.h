@@ -10,6 +10,7 @@
 #include "core/position_attribute.h"
 #include "core/types.h"
 #include "geo/polygon.h"
+#include "geo/route_network.h"
 #include "util/metrics.h"
 #include "util/status.h"
 
@@ -17,13 +18,32 @@ namespace modb::index {
 
 /// One element of a batched index-maintenance pass or bulk load: install
 /// `attr` as the motion model of `id`, or remove `id` when `attr` is null.
-/// The pointed-to attribute must stay alive for the duration of the
-/// `ApplyDeltaBatch` / `BulkUpsert` call (the batch write path points into
-/// its own merged-attribute buffer rather than copying).
+/// `before` is the model the store held for `id` when the call began (null
+/// when it held none), so `{id, &attr}` is a new object. The database keeps
+/// the only copy of each model; an index that needs the old one to find
+/// the entry to drop (the route-band index) rebuilds that entry from
+/// `before`.
+/// The pointed-to attributes must stay alive for the duration of the
+/// `ApplyDeltaBatch` / `BulkUpsert` call.
 struct IndexDelta {
   core::ObjectId id = core::kInvalidObjectId;
-  const core::PositionAttribute* attr = nullptr;  // null = remove
+  const core::PositionAttribute* attr = nullptr;    // null = remove
+  const core::PositionAttribute* before = nullptr;  // null = not indexed
 };
+
+/// NotFound for the first row whose attribute names a route `network` does
+/// not hold, else OK: the route check every index makes of a whole batch
+/// before it changes anything.
+inline util::Status CheckRoutes(const geo::RouteNetwork& network,
+                                const std::vector<IndexDelta>& rows) {
+  for (const IndexDelta& row : rows) {
+    if (row.attr == nullptr) continue;
+    if (const auto route = network.FindRoute(row.attr->route); !route.ok()) {
+      return route.status();
+    }
+  }
+  return util::Status::Ok();
+}
 
 /// Access method the database uses to answer range queries over moving
 /// objects. Implementations return a *superset* of the objects whose
@@ -44,21 +64,19 @@ class ObjectIndex {
   /// Applies a batch of deltas — the index stage of every store write.
   /// A row with an attribute installs it as its object's motion model (a
   /// position update, paper §4.2: drop the old o-plane, index the new); a
-  /// row with a null attribute removes its object (end of trip; an id the
-  /// index does not hold is a no-op). Rows apply in order, each object at
-  /// most once per batch (the database dedups to the final attribute).
-  /// Every row is validated first: a row naming an unknown route
-  /// (NotFound) or a poisoned page store fails the whole batch with the
-  /// index unchanged — a handled error, never undefined behaviour, in any
-  /// build mode. A storage fault during the batch poisons the index and is
-  /// returned; every later call then fails up front. The database commits
-  /// an insert or update to its record map only after this returned OK, so
-  /// it never undoes a write.
+  /// row with a null attribute removes its object. Rows apply in order,
+  /// each object at most once per batch (the database dedups to the final
+  /// attribute), and each row's `before` must be the model the index last
+  /// took for that object: an entry `before` does not find counts as a
+  /// remove miss. Every row is validated first: a row naming an unknown
+  /// route (NotFound) or a poisoned page store fails the whole batch with
+  /// the index unchanged — a handled error, never undefined behaviour, in
+  /// any build mode. A storage fault during the batch poisons the index
+  /// and is returned; every later call then fails up front.
   virtual util::Status ApplyDeltaBatch(
       const std::vector<IndexDelta>& deltas) = 0;
 
-  /// Bulk variant of `ApplyDeltaBatch` for the initial fleet load: the row
-  /// form below with one plain row per pair.
+  /// `BulkUpsert` of one plain row per pair.
   util::Status BulkUpsert(
       const std::vector<std::pair<core::ObjectId, core::PositionAttribute>>&
           objects) {
@@ -68,13 +86,16 @@ class ObjectIndex {
     return BulkUpsert(rows);
   }
 
-  /// Bulk load of `IndexDelta` rows, each object at most once, validated
-  /// as `ApplyDeltaBatch` validates. The default applies them as one delta
-  /// batch; the R*-tree indexes override it with a packed build of every
-  /// object, listed or kept.
-  virtual util::Status BulkUpsert(const std::vector<IndexDelta>& rows) {
-    return ApplyDeltaBatch(rows);
-  }
+  /// Bulk load: afterwards the index holds exactly the rows' objects, each
+  /// with its row's attribute, whatever it held before (rows name distinct
+  /// objects; a row with a null attribute adds nothing; `before` is
+  /// ignored). Rows are validated as `ApplyDeltaBatch` validates them, and
+  /// a failed validation leaves the index unchanged.
+  virtual util::Status BulkUpsert(const std::vector<IndexDelta>& rows) = 0;
+
+  /// OK, or the sticky fault of the index's page store: once it is set,
+  /// every mutation fails. Default OK (an index with no page store).
+  virtual util::Status storage_status() const { return util::Status::Ok(); }
 
   /// Ids of objects that may be inside `region` at time `t` (superset).
   virtual std::vector<core::ObjectId> Candidates(const geo::Polygon& region,

@@ -128,17 +128,10 @@ void RouteBandIndex::SetMetrics(util::MetricsRegistry* registry,
 
 util::Status RouteBandIndex::Validate(
     const std::vector<IndexDelta>& rows) const {
-  // A poisoned page store would silently drop the mutation and desync the
-  // per-object bookkeeping — refuse up front instead.
+  // A poisoned page store would silently drop the mutation — refuse up
+  // front instead.
   if (util::Status s = rtree_.storage_status(); !s.ok()) return s;
-  for (const IndexDelta& row : rows) {
-    if (row.attr == nullptr) continue;
-    if (const auto route = network_->FindRoute(row.attr->route);
-        !route.ok()) {
-      return route.status();
-    }
-  }
-  return util::Status::Ok();
+  return CheckRoutes(*network_, rows);
 }
 
 std::vector<geo::Box3> RouteBandIndex::Prepare(
@@ -167,16 +160,17 @@ std::vector<geo::Box3> RouteBandIndex::Prepare(
   return boxes;
 }
 
-void RouteBandIndex::RemoveEntry(core::ObjectId id) {
-  const auto it = boxes_.find(id);
-  if (it == boxes_.end()) return;
-  if (!it->second.Empty() && !rtree_.Remove(it->second, id)) {
-    // Internal-invariant breach: the bookkeeping says the entry exists
-    // but the tree disagrees.
-    ++remove_misses_;
-    if (remove_miss_counter_ != nullptr) remove_miss_counter_->Increment();
+void RouteBandIndex::RemoveEntry(core::ObjectId id,
+                                 const core::PositionAttribute& before) {
+  if (before.route < routes_.size()) {
+    const geo::Box3 box =
+        BandBox(before, routes_[before.route].offset, options_.oplane);
+    if (box.Empty() || rtree_.Remove(box, id)) return;
   }
-  boxes_.erase(it);
+  // Internal-invariant breach: the store says the entry exists but the
+  // tree disagrees.
+  ++remove_misses_;
+  if (remove_miss_counter_ != nullptr) remove_miss_counter_->Increment();
 }
 
 util::Status RouteBandIndex::ApplyDeltaBatch(
@@ -184,10 +178,10 @@ util::Status RouteBandIndex::ApplyDeltaBatch(
   if (util::Status s = Validate(deltas); !s.ok()) return s;
   const std::vector<geo::Box3> boxes = Prepare(deltas);
   for (std::size_t i = 0; i < deltas.size(); ++i) {
-    RemoveEntry(deltas[i].id);
-    if (deltas[i].attr == nullptr) continue;
+    if (deltas[i].before != nullptr) {
+      RemoveEntry(deltas[i].id, *deltas[i].before);
+    }
     if (!boxes[i].Empty()) rtree_.Insert(boxes[i], deltas[i].id);
-    boxes_[deltas[i].id] = boxes[i];
   }
   return rtree_.storage_status();
 }
@@ -195,19 +189,12 @@ util::Status RouteBandIndex::ApplyDeltaBatch(
 util::Status RouteBandIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
   if (util::Status s = Validate(rows); !s.ok()) return s;
   const std::vector<geo::Box3> boxes = Prepare(rows);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].attr == nullptr) {
-      boxes_.erase(rows[i].id);
-    } else {
-      boxes_[rows[i].id] = boxes[i];
-    }
-  }
   // Ascending id order in, so identical contents pack identical trees
-  // (the map iterates in hash order).
+  // whatever order the rows came in.
   std::vector<std::pair<geo::Box3, RTree3::Value>> entries;
-  entries.reserve(boxes_.size());
-  for (const auto& [id, box] : boxes_) {
-    if (!box.Empty()) entries.emplace_back(box, id);
+  entries.reserve(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (!boxes[i].Empty()) entries.emplace_back(boxes[i], rows[i].id);
   }
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });

@@ -2,7 +2,6 @@
 #define MODB_INDEX_ROUTE_BAND_INDEX_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/polyline.h"
@@ -45,6 +44,13 @@ namespace modb::index {
 /// route table copies their geometry, so probes never read the network and
 /// routes appended to it while probes run are safe.
 ///
+/// The index keeps no per-object state: the database holds each object's
+/// model, and a delta's `before` names the model whose entry to drop. The
+/// box rebuilt from it is bit-identical to the one inserted, because
+/// `BandBox` reads only the attribute, its route's key offset (fixed once
+/// the route is registered) and the o-plane options. A `before` the tree
+/// does not hold, or on a route never registered, is a remove miss.
+///
 /// Concurrency: as `TimeSpaceIndex` — any number of probes, or one writer
 /// alone.
 class RouteBandIndex final : public ObjectIndex {
@@ -59,13 +65,13 @@ class RouteBandIndex final : public ObjectIndex {
   RouteBandIndex(const geo::RouteNetwork* network, Options options);
 
   using ObjectIndex::BulkUpsert;
-  /// Packed load in route-key order (`RTree3::Packing::kXOrder`) of every
-  /// object, listed or kept. Rows are validated first (index unchanged on
-  /// error) and emitted in ascending id order, so identical contents build
-  /// identical trees.
+  /// Packed load of the rows in route-key order
+  /// (`RTree3::Packing::kXOrder`), replacing the tree. Rows are validated
+  /// first (index unchanged on error) and emitted in ascending id order,
+  /// so identical contents build identical trees.
   util::Status BulkUpsert(const std::vector<IndexDelta>& rows) override;
   /// Validates every row first (index unchanged on error), then removes
-  /// and reinserts each object's one entry.
+  /// each row's `before` entry and inserts its new one.
   util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) override;
   std::vector<core::ObjectId> Candidates(const geo::Polygon& region,
                                          core::Time t) const override;
@@ -79,8 +85,12 @@ class RouteBandIndex final : public ObjectIndex {
   /// (`RTree3::SetMetrics`).
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix) override;
+  util::Status storage_status() const override {
+    return rtree_.storage_status();
+  }
   std::string_view name() const override { return "route"; }
-  std::size_t num_objects() const override { return boxes_.size(); }
+  /// One entry per object: the tree's size.
+  std::size_t num_objects() const override { return rtree_.size(); }
   std::size_t num_entries() const override { return rtree_.size(); }
 
   /// Largest distance any stored band has reached past an end of its route
@@ -104,15 +114,14 @@ class RouteBandIndex final : public ObjectIndex {
   /// rows' band boxes (empty for removals) and raises the end reach to
   /// cover them.
   std::vector<geo::Box3> Prepare(const std::vector<IndexDelta>& rows);
-  /// Removes `id`'s stored entry, if any, counting a miss.
-  void RemoveEntry(core::ObjectId id);
+  /// Removes the entry `id` got for the model `before`, counting a miss.
+  void RemoveEntry(core::ObjectId id, const core::PositionAttribute& before);
   std::vector<core::ObjectId> Search(const geo::Polygon& region,
                                      core::Time t1, core::Time t2) const;
 
   const geo::RouteNetwork* network_;
   Options options_;
   RTree3 rtree_;
-  std::unordered_map<core::ObjectId, geo::Box3> boxes_;
   // Key layout: the registered routes (index = route id), the end reach,
   // and the key where the next route's slot begins.
   std::vector<RouteSlot> routes_;

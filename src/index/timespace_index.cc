@@ -21,19 +21,17 @@ void TimeSpaceIndex::SetMetrics(util::MetricsRegistry* registry,
   rtree_.SetMetrics(registry, prefix);
 }
 
-util::Status TimeSpaceIndex::ApplyDeltaBatch(
-    const std::vector<IndexDelta>& deltas) {
+util::Status TimeSpaceIndex::Validate(
+    const std::vector<IndexDelta>& rows) const {
   // A poisoned page store would silently drop the mutation and desync the
   // per-object bookkeeping — refuse up front instead.
   if (util::Status s = rtree_.storage_status(); !s.ok()) return s;
-  // Validate every row first so a failure leaves the index unchanged.
-  for (const IndexDelta& delta : deltas) {
-    if (delta.attr == nullptr) continue;
-    if (const auto route = network_->FindRoute(delta.attr->route);
-        !route.ok()) {
-      return route.status();
-    }
-  }
+  return CheckRoutes(*network_, rows);
+}
+
+util::Status TimeSpaceIndex::ApplyDeltaBatch(
+    const std::vector<IndexDelta>& deltas) {
+  if (util::Status s = Validate(deltas); !s.ok()) return s;
   for (const IndexDelta& delta : deltas) {
     // Drop the old o-plane (paper §4.2: remove the object id from the
     // index rectangles intersecting p1) ...
@@ -55,46 +53,26 @@ util::Status TimeSpaceIndex::ApplyDeltaBatch(
 }
 
 util::Status TimeSpaceIndex::BulkUpsert(const std::vector<IndexDelta>& rows) {
-  if (util::Status s = rtree_.storage_status(); !s.ok()) return s;
-  // Validate every row first so a failure leaves the index unchanged.
+  if (util::Status s = Validate(rows); !s.ok()) return s;
+  // Emit the packed-load input in ascending id order, whatever order the
+  // rows came in: identical logical contents must bulk-load structurally
+  // identical trees so recovery/replay is deterministic.
+  std::vector<const IndexDelta*> ordered;
+  ordered.reserve(rows.size());
   for (const IndexDelta& row : rows) {
-    if (row.attr == nullptr) continue;
-    if (const auto route = network_->FindRoute(row.attr->route);
-        !route.ok()) {
-      return route.status();
-    }
-  }
-  // Give every listed object its new boxes, keep the boxes of unlisted
-  // objects, then rebuild the tree in one packed pass.
-  for (const IndexDelta& row : rows) {
-    if (row.attr == nullptr) {
-      boxes_by_object_.erase(row.id);
-      continue;
-    }
-    const auto route = network_->FindRoute(row.attr->route);
-    boxes_by_object_[row.id] =
-        BuildOPlaneBoxes(*row.attr, **route, options_.oplane);
-  }
-  // Emit the packed-load input in ascending id order (the map iterates in
-  // hash order, which varies between otherwise-identical stores): identical
-  // logical contents must bulk-load structurally identical trees so
-  // recovery/replay is deterministic.
-  std::vector<const std::pair<const core::ObjectId, std::vector<geo::Box3>>*>
-      ordered;
-  ordered.reserve(boxes_by_object_.size());
-  std::size_t total_boxes = 0;
-  for (const auto& entry : boxes_by_object_) {
-    ordered.push_back(&entry);
-    total_boxes += entry.second.size();
+    if (row.attr != nullptr) ordered.push_back(&row);
   }
   std::sort(ordered.begin(), ordered.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+            [](const IndexDelta* a, const IndexDelta* b) {
+              return a->id < b->id;
+            });
+  boxes_by_object_.clear();
   std::vector<std::pair<geo::Box3, RTree3::Value>> entries;
-  entries.reserve(total_boxes);
-  for (const auto* entry : ordered) {
-    for (const geo::Box3& box : entry->second) {
-      entries.emplace_back(box, entry->first);
-    }
+  for (const IndexDelta* row : ordered) {
+    const auto route = network_->FindRoute(row->attr->route);
+    std::vector<geo::Box3>& boxes = boxes_by_object_[row->id];
+    boxes = BuildOPlaneBoxes(*row->attr, **route, options_.oplane);
+    for (const geo::Box3& box : boxes) entries.emplace_back(box, row->id);
   }
   rtree_.BulkLoad(std::move(entries));
   return rtree_.storage_status();

@@ -45,16 +45,16 @@ class TimeSpaceIndex final : public ObjectIndex {
   TimeSpaceIndex(const geo::RouteNetwork* network, Options options);
 
   using ObjectIndex::BulkUpsert;
-  /// STR bulk load: replaces the state of every listed object (and keeps
-  /// other objects by re-packing them too). All rows are validated first;
-  /// on error the index is
-  /// unchanged. The packed-load input is emitted in ascending object-id
-  /// order, so two identical stores bulk-load byte-identical trees
-  /// regardless of hash-map iteration order (deterministic recovery/replay).
+  /// STR bulk load of exactly the rows' objects, replacing the tree. All
+  /// rows are validated first; on error the index is unchanged. The
+  /// packed-load input is emitted in ascending object-id order, so two
+  /// identical stores bulk-load byte-identical trees regardless of row
+  /// order (deterministic recovery/replay).
   util::Status BulkUpsert(const std::vector<IndexDelta>& rows) override;
   /// Validates every delta's route first (index unchanged on failure),
   /// then drops each object's old boxes in one descent and inserts the new
-  /// ones.
+  /// ones. The old boxes come from the index's own per-object lists, so
+  /// `before` is ignored.
   util::Status ApplyDeltaBatch(const std::vector<IndexDelta>& deltas) override;
   std::vector<core::ObjectId> Candidates(const geo::Polygon& region,
                                          core::Time t) const override;
@@ -70,6 +70,9 @@ class TimeSpaceIndex final : public ObjectIndex {
   /// `<prefix>pages.*` — see `RTree3::SetMetrics`) in `registry`.
   void SetMetrics(util::MetricsRegistry* registry,
                   const std::string& prefix) override;
+  util::Status storage_status() const override {
+    return rtree_.storage_status();
+  }
   std::string_view name() const override { return "rtree"; }
   std::size_t num_objects() const override { return boxes_by_object_.size(); }
   std::size_t num_entries() const override { return rtree_.size(); }
@@ -86,6 +89,8 @@ class TimeSpaceIndex final : public ObjectIndex {
   RTree3& rtree_for_testing() { return rtree_; }
 
  private:
+  /// Storage and route checks of every row; OK leaves nothing changed.
+  util::Status Validate(const std::vector<IndexDelta>& rows) const;
   /// Removes the object's `boxes` with one `RTree3::RemoveBatch` descent,
   /// counting any box the tree lacks as a remove miss.
   void RemoveBoxes(core::ObjectId id, const std::vector<geo::Box3>& boxes);

@@ -83,7 +83,9 @@ struct StorageConfig {
   /// The database layers place it under their own directories.
   std::string path;
   /// Physical page size in bytes (disk only; >= 512). Payload capacity is
-  /// `page_size - kPageHeaderSize`.
+  /// `page_size - kPageHeaderSize`. An R*-tree node must fit one page: at
+  /// the default fan-out of 16 that is a 968-byte payload, so page_size
+  /// >= 988; a smaller page poisons the tree when it is built.
   std::size_t page_size = 4096;
   /// Buffer-pool frame budget for page-backed trees; 0 = unbounded. With
   /// the memory backend, 0 (the default) selects a resident tree that owns

@@ -39,9 +39,9 @@ using WritableFileFactory =
 /// The real thing: buffered stdio writes, fsync-backed `Sync`.
 WritableFileFactory DefaultWritableFileFactory();
 
-/// Reads the whole file at `path`. The recovery read side (WAL replay,
-/// checkpoint load) goes through this so chaos schedules can fail reads the
-/// same way they fail writes.
+/// Reads the whole file at `path`. WAL replay (`ReplayWal`) reads through
+/// this so chaos schedules can fail reads the same way they fail writes;
+/// checkpoints load with `std::ifstream` and do not.
 using FileReader = std::function<Result<std::string>(const std::string&)>;
 
 /// The real thing: one binary read of the whole file.

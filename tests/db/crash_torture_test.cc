@@ -9,6 +9,7 @@
 
 #include "db/recovery.h"
 #include "db/wal.h"
+#include "reopen.h"
 #include "util/fault_injection.h"
 
 namespace modb::db {
@@ -225,14 +226,14 @@ TEST_F(CrashTortureTest, PowerLossAtEveryWalOffsetRecoversTheExactPrefix) {
       }
     }
 
-    auto recovered = Recover(dir, options);
+    auto recovered = Reopen(&network_, dir, options);
     ASSERT_TRUE(recovered.ok()) << recovered.status().message();
     // Exactly the applied prefix: aborted mutations and torn frames are
     // invisible, committed ones all survive.
     EXPECT_EQ(Signature(*recovered->database), signatures[applied]);
     if (checkpointed) {
       EXPECT_GE(applied, records_at_checkpoint_);
-      EXPECT_GE(recovered->report.checkpoint_id, 2u);
+      EXPECT_GE(recovered->report().checkpoint_id, 2u);
     }
   }
 }
@@ -314,7 +315,7 @@ TEST_F(CrashTortureTest, GroupCommitPowerLossStaysWithinTheSyncWindow) {
       }
     }
 
-    auto recovered = Recover(dir, options);
+    auto recovered = Reopen(&network_, dir, options);
     ASSERT_TRUE(recovered.ok()) << recovered.status().message();
     const std::size_t prefix =
         FindPrefix(signatures, Signature(*recovered->database));
@@ -359,7 +360,7 @@ TEST_F(CrashTortureTest, BitRotAtEveryWalByteRecoversAConsistentPrefix) {
           (fs::path(dir) / fs::path(seg.path).filename()).string();
       ASSERT_TRUE(util::FlipFileByte(victim, offset).ok());
 
-      auto recovered = Recover(dir, options);
+      auto recovered = Reopen(&network_, dir, options);
       ASSERT_TRUE(recovered.ok()) << recovered.status().message();
       const std::size_t prefix =
           FindPrefix(signatures, Signature(*recovered->database));
@@ -399,7 +400,7 @@ TEST_F(CrashTortureTest, TruncatedWalTailRecoversAConsistentPrefix) {
             (fs::path(dir) / fs::path(last.path).filename()).string(), keep)
             .ok());
 
-    auto recovered = Recover(dir, options);
+    auto recovered = Reopen(&network_, dir, options);
     ASSERT_TRUE(recovered.ok()) << recovered.status().message();
     const std::size_t prefix =
         FindPrefix(signatures, Signature(*recovered->database));
@@ -426,27 +427,16 @@ TEST_F(CrashTortureTest, RepeatedCrashRecoverCyclesConverge) {
     DurabilityOptions faulty = options;
     faulty.wal.file_factory = injector.factory();
 
-    auto recovered = Recover(dir, faulty);
-    std::unique_ptr<ModDatabase> owned;
-    std::unique_ptr<DurabilityManager> manager;
-    ModDatabase* db = nullptr;
-    if (recovered.ok()) {
-      ASSERT_EQ(Signature(*recovered->database), signatures[applied]);
-      db = recovered->database.get();
-    } else {
-      owned = std::make_unique<ModDatabase>(&network_);
-      auto opened = DurabilityManager::Open(owned.get(), dir, faulty);
-      ASSERT_TRUE(opened.ok()) << opened.status().message();
-      manager = std::move(*opened);
-      db = owned.get();
-    }
+    auto recovered = Reopen(&network_, dir, faulty);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+    ASSERT_EQ(Signature(*recovered->database), signatures[applied]);
+    ModDatabase* db = recovered->database.get();
 
     while (script_pos < script_.size()) {
       const Op& op = script_[script_pos];
       util::Status s;
       if (op.kind == Op::kCheckpoint) {
-        s = recovered.ok() ? recovered->durability->Checkpoint()
-                           : manager->Checkpoint();
+        s = recovered->durability->Checkpoint();
       } else {
         s = ApplyOp(db, op);
       }
@@ -460,7 +450,7 @@ TEST_F(CrashTortureTest, RepeatedCrashRecoverCyclesConverge) {
     }
   }
   EXPECT_GT(crashes, 0) << "the plan never fired; weaken crash_after_bytes";
-  auto final_state = Recover(dir, options);
+  auto final_state = Reopen(&network_, dir, options);
   ASSERT_TRUE(final_state.ok());
   EXPECT_EQ(Signature(*final_state->database), signatures.back());
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "db/mod_database.h"
+#include "db/sharded_database.h"
 #include "db/snapshot.h"
 #include "db/subscription_engine.h"
 #include "index/route_band_index.h"
@@ -184,6 +185,30 @@ TEST_F(IndexFailureTest, SameBatchOnAHealthyIndexCommitsAndNotifies) {
   ASSERT_EQ((*record)->past.size(), 2u);
   EXPECT_EQ((*record)->past.front().start_time, 2.0);
   EXPECT_GT(engine.num_pending_events(), 0u);
+}
+
+TEST_F(IndexFailureTest, IndexStorageFaultQuarantinesItsShard) {
+  // A poisoned index refuses every write, so the sharded store takes its
+  // shard out of service on the first refusal instead of logging and
+  // refusing each later write.
+  ShardedModDatabaseOptions options;
+  options.num_shards = 2;
+  options.num_query_threads = 0;
+  options.db = Options(/*poisoned_index=*/true);
+  options.supervisor.auto_remediate = false;
+  ShardedModDatabase db(&network_, options);
+  // The same index on its own store, for its poison status.
+  const ModDatabase reference(&network_, Options(/*poisoned_index=*/true));
+
+  const std::size_t shard = db.ShardOf(1);
+  EXPECT_EQ(db.Insert(1, "a", Attr(5.0, 2.0)), IndexPoison(reference));
+  EXPECT_EQ(db.shard_health(shard), ShardHealth::kQuarantined);
+
+  core::ObjectId next = 2;
+  while (db.ShardOf(next) != shard) ++next;
+  EXPECT_EQ(db.Insert(next, "b", Attr(8.0, 2.0)).code(),
+            util::StatusCode::kUnavailable);
+  EXPECT_EQ(db.num_objects(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include "answer_text.h"
 #include "db/wal.h"
+#include "reopen.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
 
@@ -145,12 +146,12 @@ TEST_F(RecoveryTest, RecoverRestoresCheckpointPlusWalSuffix) {
     expected = Signature(db);
   }
 
-  auto recovered = Recover(dir_);
+  auto recovered = Reopen(&network_, dir_);
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-  EXPECT_TRUE(recovered->report.recovered);
-  EXPECT_TRUE(recovered->report.clean);
-  EXPECT_EQ(recovered->report.wal_records_replayed, 5u);
-  EXPECT_EQ(recovered->report.wal_records_skipped, 0u);
+  EXPECT_TRUE(recovered->report().recovered);
+  EXPECT_TRUE(recovered->report().clean);
+  EXPECT_EQ(recovered->report().wal_records_replayed, 5u);
+  EXPECT_EQ(recovered->report().wal_records_skipped, 0u);
   EXPECT_EQ(Signature(*recovered->database), expected);
   // The recovered store is live: its WAL is attached and writable.
   ASSERT_NE(recovered->database->wal(), nullptr);
@@ -188,12 +189,6 @@ TEST_F(RecoveryTest, OpenRequiresEmptyDatabaseWhenRecovering) {
   EXPECT_EQ(manager.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
-TEST_F(RecoveryTest, RecoverOfMissingDirectoryIsNotFound) {
-  EXPECT_EQ(Recover(dir_).status().code(), util::StatusCode::kNotFound);
-  fs::create_directories(dir_);
-  EXPECT_EQ(Recover(dir_).status().code(), util::StatusCode::kNotFound);
-}
-
 TEST_F(RecoveryTest, CheckpointStartsFreshEpochAndPrunes) {
   DurabilityOptions options;
   options.checkpoints_to_keep = 1;
@@ -218,10 +213,10 @@ TEST_F(RecoveryTest, CheckpointStartsFreshEpochAndPrunes) {
 
   // State survives a checkpoint + reopen with nothing in the WAL.
   (void)manager->reset();
-  auto recovered = Recover(dir_, options);
+  auto recovered = Reopen(&network_, dir_, options);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(Signature(*recovered->database), before);
-  EXPECT_EQ(recovered->report.wal_records_replayed, 0u);
+  EXPECT_EQ(recovered->report().wal_records_replayed, 0u);
 }
 
 TEST_F(RecoveryTest, CorruptNewestCheckpointFallsBackAndChainsEpochs) {
@@ -248,12 +243,12 @@ TEST_F(RecoveryTest, CorruptNewestCheckpointFallsBackAndChainsEpochs) {
   ASSERT_TRUE(size.ok());
   ASSERT_TRUE(util::TruncateFile(newest, *size / 2).ok());
 
-  auto recovered = Recover(dir_, options);
+  auto recovered = Reopen(&network_, dir_, options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-  EXPECT_FALSE(recovered->report.clean);
-  EXPECT_EQ(recovered->report.checkpoint_id, 1u);
-  EXPECT_EQ(recovered->report.checkpoints_skipped, 1u);
-  EXPECT_EQ(recovered->report.wal_records_replayed, 4u);
+  EXPECT_FALSE(recovered->report().clean);
+  EXPECT_EQ(recovered->report().checkpoint_id, 1u);
+  EXPECT_EQ(recovered->report().checkpoints_skipped, 1u);
+  EXPECT_EQ(recovered->report().wal_records_replayed, 4u);
   EXPECT_EQ(Signature(*recovered->database), expected);
 }
 
@@ -265,7 +260,7 @@ TEST_F(RecoveryTest, EveryCheckpointCorruptFailsRecovery) {
   ASSERT_TRUE(util::TruncateFile(
                   (fs::path(dir_) / CheckpointFileName(1)).string(), 3)
                   .ok());
-  EXPECT_FALSE(Recover(dir_).ok());
+  EXPECT_FALSE(Reopen(&network_, dir_).ok());
 }
 
 TEST_F(RecoveryTest, TornWalTailRecoversThePrefix) {
@@ -292,11 +287,11 @@ TEST_F(RecoveryTest, TornWalTailRecoversThePrefix) {
   ASSERT_EQ(*size, full_bytes);
   ASSERT_TRUE(util::TruncateFile(segments[0].path, *size - 10).ok());
 
-  auto recovered = Recover(dir_);
+  auto recovered = Reopen(&network_, dir_);
   ASSERT_TRUE(recovered.ok());
-  EXPECT_FALSE(recovered->report.clean);
-  EXPECT_GT(recovered->report.wal_bytes_truncated, 0u);
-  EXPECT_EQ(recovered->report.wal_records_replayed, 5u);  // insert + 4
+  EXPECT_FALSE(recovered->report().clean);
+  EXPECT_GT(recovered->report().wal_bytes_truncated, 0u);
+  EXPECT_EQ(recovered->report().wal_records_replayed, 5u);  // insert + 4
   EXPECT_EQ(Signature(*recovered->database), prefix_signature);
 }
 
@@ -316,7 +311,7 @@ TEST_F(RecoveryTest, RecoveryNeverLosesCheckpointedState) {
   for (const WalSegmentInfo& seg : ListWalSegments(dir_)) {
     fs::remove(seg.path);
   }
-  auto recovered = Recover(dir_);
+  auto recovered = Reopen(&network_, dir_);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(Signature(*recovered->database), checkpointed);
 }
@@ -330,7 +325,7 @@ TEST_F(RecoveryTest, ExportMetricsCountsRecoveryAndLiveWal) {
     ASSERT_TRUE(db.ApplyUpdate(Update(1, 1.0, 6.0)).ok());
   }
 
-  auto recovered = Recover(dir_);
+  auto recovered = Reopen(&network_, dir_);
   ASSERT_TRUE(recovered.ok());
   util::MetricsRegistry registry;
   recovered->durability->ExportMetrics(&registry);
@@ -401,13 +396,13 @@ TEST_F(RecoveryTest, CheckpointWithUnbackedCountFallsBack) {
       corrupt.replace(at, 1, count);
       std::ofstream(dir / CheckpointFileName(2), std::ios::trunc) << corrupt;
 
-      auto recovered = Recover(dir.string(), options);
+      auto recovered = Reopen(&network_, dir.string(), options);
       ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-      EXPECT_EQ(recovered->report.checkpoint_id, 1u);
-      EXPECT_EQ(recovered->report.checkpoints_skipped, 1u);
-      EXPECT_NE(recovered->report.detail.find("malformed snapshot"),
+      EXPECT_EQ(recovered->report().checkpoint_id, 1u);
+      EXPECT_EQ(recovered->report().checkpoints_skipped, 1u);
+      EXPECT_NE(recovered->report().detail.find("malformed snapshot"),
                 std::string::npos)
-          << recovered->report.detail;
+          << recovered->report().detail;
       EXPECT_EQ(Signature(*recovered->database), expected);
     }
   }
@@ -506,13 +501,13 @@ TEST_F(RecoveryTest, LegacyGroupBatchReplaysLikeUpdateBatch) {
   EXPECT_LT(position_elided, rows);
   EXPECT_EQ(kinds, 0b1111110u);
 
-  auto plain = Recover(plain_dir);
+  auto plain = Reopen(&network_, plain_dir);
   ASSERT_TRUE(plain.ok()) << plain.status().message();
-  auto legacy = Recover(legacy_dir);
+  auto legacy = Reopen(&network_, legacy_dir);
   ASSERT_TRUE(legacy.ok()) << legacy.status().message();
-  EXPECT_TRUE(legacy->report.clean) << legacy->report.detail;
-  EXPECT_EQ(legacy->report.wal_records_replayed, 6u + 5u);
-  EXPECT_EQ(legacy->report.wal_records_skipped, 0u);
+  EXPECT_TRUE(legacy->report().clean) << legacy->report().detail;
+  EXPECT_EQ(legacy->report().wal_records_replayed, 6u + 5u);
+  EXPECT_EQ(legacy->report().wal_records_skipped, 0u);
   EXPECT_EQ(Signature(*legacy->database), Signature(*plain->database));
   EXPECT_EQ(AnswerText(*legacy->database), AnswerText(*plain->database));
 }

@@ -271,7 +271,7 @@ TEST_F(SubscriptionEngineTest, WindowNormalisesReversedEndpoints) {
 
 // A batch containing several updates for the same object must emit exactly
 // the events sequential ingest emits — in particular no spurious MAY
-// transitions from the per-object index dedup in write-path stage 4.
+// transitions from the per-object dedup of the write path's index stage.
 TEST_F(SubscriptionEngineTest, BatchOfNEmitsSameEventsAsSequential) {
   geo::RouteNetwork network2;
   const auto street2 =

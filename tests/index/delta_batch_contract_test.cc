@@ -89,15 +89,17 @@ TEST_P(DeltaBatchContractTest, MidBatchInvalidRouteLeavesIndexUntouched) {
   invalid.route = 777;  // no such route
   core::PositionAttribute fresh = Attr(avenue_, 40.0, 0.8);
   const util::Status status = index->ApplyDeltaBatch(
-      {{1, &moved}, {2, nullptr}, {3, &invalid}, {4, &fresh}});
+      {{1, &moved, &a}, {2, nullptr, &b}, {3, &invalid}, {4, &fresh}});
   EXPECT_FALSE(status.ok());
 
   EXPECT_EQ(index->num_objects(), objects);
   EXPECT_EQ(index->num_entries(), entries);
   EXPECT_EQ(Probe(*index), before);
   // The index still works: the same batch without the poisoned row applies.
-  ASSERT_TRUE(
-      index->ApplyDeltaBatch({{1, &moved}, {2, nullptr}, {4, &fresh}}).ok());
+  ASSERT_TRUE(index
+                  ->ApplyDeltaBatch(
+                      {{1, &moved, &a}, {2, nullptr, &b}, {4, &fresh}})
+                  .ok());
   EXPECT_EQ(index->num_objects(), objects);  // +1 insert, -1 remove
   EXPECT_NE(Probe(*index), before);
 }

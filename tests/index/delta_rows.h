@@ -8,16 +8,19 @@
 
 namespace modb::index {
 
-/// One-row `ApplyDeltaBatch`: installs `attr` as the motion model of `id`.
+/// One-row `ApplyDeltaBatch`: installs `attr` as the motion model of `id`,
+/// replacing `before` (null for an object the index does not hold).
 inline util::Status UpsertRow(ObjectIndex& index, core::ObjectId id,
-                              const core::PositionAttribute& attr) {
-  return index.ApplyDeltaBatch({IndexDelta{id, &attr}});
+                              const core::PositionAttribute& attr,
+                              const core::PositionAttribute* before = nullptr) {
+  return index.ApplyDeltaBatch({IndexDelta{id, &attr, before}});
 }
 
-/// One-row `ApplyDeltaBatch`: removes `id` (a no-op for an id the index
-/// does not hold).
-inline util::Status RemoveRow(ObjectIndex& index, core::ObjectId id) {
-  return index.ApplyDeltaBatch({IndexDelta{id, nullptr}});
+/// One-row `ApplyDeltaBatch`: removes `id`, whose model is `before` (a
+/// no-op for an id the index does not hold).
+inline util::Status RemoveRow(ObjectIndex& index, core::ObjectId id,
+                              const core::PositionAttribute* before = nullptr) {
+  return index.ApplyDeltaBatch({IndexDelta{id, nullptr, before}});
 }
 
 }  // namespace modb::index

@@ -72,6 +72,7 @@ void RunProbesUnderWriter(const storage::StorageConfig& storage) {
   std::atomic<std::uint64_t> reads{0};
   std::thread writer([&] {
     std::vector<core::PositionAttribute> moved(kChurn);
+    std::vector<core::PositionAttribute> previous(kChurn);
     std::vector<IndexDelta> batch(kChurn);
     for (int round = 0; round < kRounds; ++round) {
       writer_waiting.store(true, std::memory_order_release);
@@ -83,8 +84,10 @@ void RunProbesUnderWriter(const storage::StorageConfig& storage) {
       const geo::RouteId route =
           network.AddStraightRoute({0.0, y}, {50.0 + round % 7, y});
       for (core::ObjectId i = 0; i < kChurn; ++i) {
+        previous[i] = moved[i];
         moved[i] = Parked(network, route, static_cast<double>(i), 1.0);
-        batch[i] = IndexDelta{kChurnBase + i, &moved[i]};
+        batch[i] = IndexDelta{kChurnBase + i, &moved[i],
+                              round == 0 ? nullptr : &previous[i]};
       }
       if (!index.ApplyDeltaBatch(batch).ok()) {
         ADD_FAILURE() << "batch " << round;

@@ -2,6 +2,11 @@
 // bit for bit as a store on the time-space (slab-box) index fed the same
 // operations. Both cut at the same horizon end, and refinement is exact
 // over [start, horizon end], so candidate supersets must not show through.
+// The operations take every write shape: bulk and single inserts, update
+// batches, erases followed by reinserts, a bulk insert into a populated
+// store and a bulk-ingest session. A stale entry would only be a spare
+// candidate, so after each round the band index must also hold exactly
+// one entry per stored object and have missed no removal.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +19,7 @@
 #include "db/mod_database.h"
 #include "geo/polygon.h"
 #include "geo/route_network.h"
+#include "index/route_band_index.h"
 #include "util/rng.h"
 
 namespace modb::db {
@@ -37,6 +43,10 @@ class RouteBandDifferentialTest : public testing::TestWithParam<int> {
   static constexpr int kRounds = 30;
   static constexpr int kUpdatesPerRound = 60;
   static constexpr int kQueriesPerRound = 20;
+  static constexpr int kReinsertsPerRound = 3;
+  static constexpr int kBulkInsertRound = 10;
+  static constexpr int kBulkIngestRound = 20;
+  static constexpr core::ObjectId kBulkInserted = 40;
   static constexpr double kHorizon = 20.0;
   static constexpr double kRoundTime = 1.5;
 
@@ -162,7 +172,7 @@ class RouteBandDifferentialTest : public testing::TestWithParam<int> {
   std::vector<core::ObjectId> NearestByScan(const geo::Point2& point,
                                             std::size_t k, core::Time t) {
     std::vector<NearestAnswer::Item> all;
-    for (core::ObjectId id = 0; id < kObjects; ++id) {
+    for (core::ObjectId id = 0; id < last_start_.size(); ++id) {
       const core::PositionAttribute& attr = (*slabs_->Get(id))->attr;
       if (t < attr.start_time ||
           t > slabs_->object_index().CoverageEnd(attr)) {
@@ -205,6 +215,48 @@ class RouteBandDifferentialTest : public testing::TestWithParam<int> {
     answers_ += a.items.size();
   }
 
+  /// A random id of the fleet (ids are dense from 0).
+  core::ObjectId PickId() {
+    return static_cast<core::ObjectId>(
+        rng_.UniformInt(0, static_cast<std::int64_t>(last_start_.size()) - 1));
+  }
+
+  /// Erases a few objects from both stores and inserts each again with a
+  /// new model.
+  void EraseAndReinsert(core::Time now) {
+    for (int k = 0; k < kReinsertsPerRound; ++k) {
+      const core::ObjectId id = PickId();
+      ASSERT_TRUE(slabs_->Erase(id).ok());
+      ASSERT_TRUE(bands_->Erase(id).ok());
+      const core::PositionAttribute attr =
+          NewObject(now + rng_.Uniform(0.0, 1.0));
+      last_start_[id] = attr.start_time;
+      ASSERT_TRUE(slabs_->Insert(id, "", attr).ok());
+      ASSERT_TRUE(bands_->Insert(id, "", attr).ok());
+    }
+  }
+
+  /// Bulk-inserts `kBulkInserted` new ids into both (populated) stores.
+  void BulkInsertNewIds(core::Time now) {
+    std::vector<ModDatabase::BulkObject> bulk;
+    for (core::ObjectId k = 0; k < kBulkInserted; ++k) {
+      bulk.push_back({static_cast<core::ObjectId>(last_start_.size()), "",
+                      NewObject(now + rng_.Uniform(0.0, 1.0))});
+      last_start_.push_back(bulk.back().attr.start_time);
+    }
+    ASSERT_TRUE(slabs_->BulkInsert(bulk).ok());
+    ASSERT_TRUE(bands_->BulkInsert(bulk).ok());
+  }
+
+  /// The band store's index holds one entry per stored object and has
+  /// missed no removal.
+  void CheckBandEntries() {
+    const auto& bands =
+        static_cast<const index::RouteBandIndex&>(bands_->object_index());
+    ASSERT_EQ(bands.num_entries(), bands_->num_objects());
+    ASSERT_EQ(bands.remove_misses(), 0u);
+  }
+
   util::Rng rng_;
   std::vector<core::Time> last_start_ = std::vector<core::Time>(kObjects);
   geo::RouteNetwork network_;
@@ -234,13 +286,29 @@ TEST_P(RouteBandDifferentialTest, AnswersMatchTheTimeSpaceIndex) {
     const core::Time now = kRoundTime * round;
     std::vector<core::PositionUpdate> updates;
     for (int u = 0; u < kUpdatesPerRound; ++u) {
-      updates.push_back(NewUpdate(
-          static_cast<core::ObjectId>(
-              rng_.UniformInt(0, static_cast<std::int64_t>(kObjects) - 1)),
-          now));
+      updates.push_back(NewUpdate(PickId(), now));
+    }
+    // Once, the batch lands in a bulk-ingest session, which skips the
+    // index until its end rebuilds it from every record.
+    const bool bulk_ingest = round == kBulkIngestRound;
+    if (bulk_ingest) {
+      ASSERT_TRUE(slabs_->BeginBulkIngest().ok());
+      ASSERT_TRUE(bands_->BeginBulkIngest().ok());
     }
     ASSERT_TRUE(slabs_->ApplyUpdateBatch(updates).all_ok());
     ASSERT_TRUE(bands_->ApplyUpdateBatch(updates).all_ok());
+    if (bulk_ingest) {
+      ASSERT_TRUE(slabs_->FinishBulkIngest().ok());
+      ASSERT_TRUE(bands_->FinishBulkIngest().ok());
+    }
+    EraseAndReinsert(now);
+    if (HasFatalFailure()) return;
+    if (round == kBulkInsertRound) {
+      BulkInsertNewIds(now);
+      if (HasFatalFailure()) return;
+    }
+    CheckBandEntries();
+    if (HasFatalFailure()) return;
 
     for (int q = 0; q < kQueriesPerRound; ++q) {
       const core::Time t = PickTime(now);
@@ -266,7 +334,7 @@ TEST_P(RouteBandDifferentialTest, AnswersMatchTheTimeSpaceIndex) {
       if (HasFatalFailure()) return;
     }
   }
-  EXPECT_EQ(bands_->object_index().num_entries(), kObjects);
+  EXPECT_EQ(bands_->object_index().num_entries(), kObjects + kBulkInserted);
   EXPECT_GT(answers_, 2000u);  // the comparisons are not vacuous
 }
 

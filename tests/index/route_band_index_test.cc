@@ -54,18 +54,20 @@ class RouteBandIndexTest : public testing::Test {
 
 TEST_F(RouteBandIndexTest, OneEntryPerObject) {
   RouteBandIndex index(&network_, Small());
+  std::vector<core::PositionAttribute> attrs;
   for (core::ObjectId id = 0; id < 20; ++id) {
-    ASSERT_TRUE(UpsertRow(index, id,
-                          Attr(id % 2 ? street_ : bend_,
-                               static_cast<double>(id) * 3.0, 1.0))
-                    .ok());
+    attrs.push_back(Attr(id % 2 ? street_ : bend_,
+                         static_cast<double>(id) * 3.0, 1.0));
+    ASSERT_TRUE(UpsertRow(index, id, attrs.back()).ok());
   }
   EXPECT_EQ(index.num_objects(), 20u);
   EXPECT_EQ(index.num_entries(), 20u);
   for (core::ObjectId id = 0; id < 20; id += 3) {
-    ASSERT_TRUE(UpsertRow(index, id, Attr(street_, 50.0, 0.5, 2.0)).ok());
+    const core::PositionAttribute moved = Attr(street_, 50.0, 0.5, 2.0);
+    ASSERT_TRUE(UpsertRow(index, id, moved, &attrs[id]).ok());
+    attrs[id] = moved;
   }
-  RemoveRow(index, 7);
+  RemoveRow(index, 7, &attrs[7]);
   RemoveRow(index, 7);  // unknown ids are a no-op
   EXPECT_EQ(index.num_objects(), 19u);
   EXPECT_EQ(index.num_entries(), 19u);
