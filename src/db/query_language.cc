@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <type_traits>
@@ -19,7 +21,7 @@ enum class TokenKind { kWord, kNumber, kComma, kLParen, kRParen, kEnd };
 
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string word;    // upper-cased for kWord
+  std::string word;    // upper-cased for kWord; a kNumber's spelling
   double number = 0.0;
   std::size_t offset = 0;  // position in the input, for error messages
 };
@@ -78,6 +80,7 @@ util::Result<std::vector<Token>> Lex(std::string_view text) {
         return LexError(i, "number out of range '" + number + "'");
       }
       token.kind = TokenKind::kNumber;
+      token.word = number;
       i = end;
     } else if (std::isalpha(static_cast<unsigned char>(c))) {
       std::size_t end = i;
@@ -173,6 +176,24 @@ class Parser {
     return util::Status::Ok();
   }
 
+  /// An id or a count: the token's spelling must be decimal digits that
+  /// fit a uint64_t. (A double holds integers exactly only up to 2^53,
+  /// and casting one past 2^64 to an integer is undefined.)
+  util::Status ExpectInteger(std::uint64_t* out, const char* what) {
+    const Token& token = Peek();
+    if (token.kind != TokenKind::kNumber) {
+      return ErrorStatus("expected a number");
+    }
+    const char* end = token.word.data() + token.word.size();
+    const auto [parsed_end, error] =
+        std::from_chars(token.word.data(), end, *out);
+    if (error != std::errc() || parsed_end != end) {
+      return ErrorStatus(std::string(what));
+    }
+    Advance();
+    return util::Status::Ok();
+  }
+
   util::Status Expect(TokenKind kind, const char* what) {
     if (Peek().kind != kind) return ErrorStatus(std::string("expected ") + what);
     Advance();
@@ -195,17 +216,14 @@ class Parser {
   util::Result<ParsedQuery> ParsePosition() {
     Advance();  // POSITION
     if (util::Status s = ExpectWord("OF"); !s.ok()) return s;
-    double id = 0.0;
-    if (util::Status s = ExpectNumber(&id); !s.ok()) return s;
-    if (id < 0.0 || id != std::floor(id)) {
-      return Error("object id must be a nonnegative integer");
+    PositionQuerySpec spec;
+    if (util::Status s = ExpectInteger(
+            &spec.id, "object id must be a nonnegative integer");
+        !s.ok()) {
+      return s;
     }
     if (util::Status s = ExpectWord("AT"); !s.ok()) return s;
-    double t = 0.0;
-    if (util::Status s = ExpectNumber(&t); !s.ok()) return s;
-    PositionQuerySpec spec;
-    spec.id = static_cast<core::ObjectId>(id);
-    spec.time = t;
+    if (util::Status s = ExpectNumber(&spec.time); !s.ok()) return s;
     return ParsedQuery{spec};
   }
 
@@ -294,14 +312,13 @@ class Parser {
 
   util::Result<ParsedQuery> ParseSubscribe() {
     Advance();  // SUBSCRIBE
-    double id = 0.0;
-    if (util::Status s = ExpectNumber(&id); !s.ok()) return s;
-    if (id < 0.0 || id != std::floor(id)) {
-      return Error("subscription id must be a nonnegative integer");
+    SubscribeSpec spec;
+    if (util::Status s = ExpectInteger(
+            &spec.id, "subscription id must be a nonnegative integer");
+        !s.ok()) {
+      return s;
     }
     if (util::Status s = ExpectWord("TO"); !s.ok()) return s;
-    SubscribeSpec spec;
-    spec.id = static_cast<SubscriptionId>(id);
     if (ConsumeWord("ALL")) {
       spec.subscription.mode = SubscriptionMode::kAll;
     } else if (ConsumeWord("MUST")) {
@@ -328,23 +345,23 @@ class Parser {
 
   util::Result<ParsedQuery> ParseUnsubscribe() {
     Advance();  // UNSUBSCRIBE
-    double id = 0.0;
-    if (util::Status s = ExpectNumber(&id); !s.ok()) return s;
-    if (id < 0.0 || id != std::floor(id)) {
-      return Error("subscription id must be a nonnegative integer");
-    }
     UnsubscribeSpec spec;
-    spec.id = static_cast<SubscriptionId>(id);
+    if (util::Status s = ExpectInteger(
+            &spec.id, "subscription id must be a nonnegative integer");
+        !s.ok()) {
+      return s;
+    }
     return ParsedQuery{spec};
   }
 
   util::Result<ParsedQuery> ParseNearest() {
     Advance();  // NEAREST
-    double k = 0.0;
-    if (util::Status s = ExpectNumber(&k); !s.ok()) return s;
-    if (k < 1.0 || k != std::floor(k)) {
-      return Error("k must be a positive integer");
+    std::uint64_t k = 0;
+    if (util::Status s = ExpectInteger(&k, "k must be a positive integer");
+        !s.ok()) {
+      return s;
     }
+    if (k == 0) return Error("k must be a positive integer");
     if (util::Status s = ExpectWord("TO"); !s.ok()) return s;
     if (util::Status s = ExpectWord("POINT"); !s.ok()) return s;
     double v[2];
@@ -353,7 +370,7 @@ class Parser {
     double t = 0.0;
     if (util::Status s = ExpectNumber(&t); !s.ok()) return s;
     NearestQuerySpec spec;
-    spec.k = static_cast<std::size_t>(k);
+    spec.k = k;
     spec.point = {v[0], v[1]};
     spec.time = t;
     if (util::Status s = ParsePartiality(&spec.allow_partial); !s.ok()) {

@@ -18,7 +18,8 @@ namespace modb::db {
 // databases" as the next step; this is the minimal concrete instance
 // covering every query form the engine supports.
 //
-// Grammar (keywords case-insensitive; numbers are plain doubles):
+// Grammar (keywords case-insensitive; numbers are plain doubles, except
+// that <id> and <k> are spelled as decimal digits and must fit 64 bits):
 //
 //   query     := position | range | nearest | subscribe | unsubscribe
 //              | events

@@ -201,6 +201,9 @@ util::Status ShardSupervisor::RecoverLocked(
     state.next_attempt =
         attempt_end + std::chrono::milliseconds(state.retry.NextDelayMs());
     if (recovery_failures_ != nullptr) recovery_failures_->Increment();
+    // The loop may be waiting with no attempt due (this one ran on a
+    // caller's thread): wake it to re-arm.
+    wake_.notify_all();
   }
   return status;
 }
@@ -245,8 +248,9 @@ void ShardSupervisor::Loop() {
       }
     }
     if (!have_due) {
-      wake_.wait_for(lock,
-                     std::chrono::milliseconds(options_.poll_interval_ms));
+      // Every change that arms an attempt notifies `wake_`: a fault, and a
+      // failed attempt made by `TryRecoverShard` on another thread.
+      wake_.wait(lock);
       continue;
     }
     const auto now = std::chrono::steady_clock::now();

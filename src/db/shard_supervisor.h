@@ -52,8 +52,6 @@ struct ShardSupervisorOptions {
   /// of quarantined shards spreads its attempts (jitter) yet every run
   /// with the same seed retries at identical offsets.
   util::RetryPolicy::Options retry;
-  /// Idle heartbeat of the remediation loop when nothing is due.
-  std::uint64_t poll_interval_ms = 50;
 };
 
 /// Per-shard health state machine + background re-recovery driver.

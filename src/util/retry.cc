@@ -8,21 +8,19 @@ namespace modb::util {
 RetryPolicy::RetryPolicy(Options options)
     : options_(options), rng_(options.seed) {}
 
-std::uint64_t RetryPolicy::JitteredDelay(std::uint64_t attempt,
-                                         Rng& rng) const {
-  const double multiplier = std::max(1.0, options_.multiplier);
+std::uint64_t RetryPolicy::JitteredDelay(std::uint64_t attempt) {
   double delay = static_cast<double>(options_.initial_delay_ms) *
-                 std::pow(multiplier, static_cast<double>(attempt));
+                 std::pow(2.0, static_cast<double>(attempt));
   const double cap = static_cast<double>(options_.max_delay_ms);
   delay = std::min(delay, cap);
   const double jitter =
       std::clamp(options_.jitter_fraction, 0.0, 1.0);
   if (jitter > 0.0) {
-    delay *= rng.Uniform(1.0 - jitter, 1.0 + jitter);
+    delay *= rng_.Uniform(1.0 - jitter, 1.0 + jitter);
   } else {
     // Keep the stream position identical whether or not jitter is on, so
     // flipping jitter_fraction never re-times later attempts.
-    (void)rng.Uniform();
+    (void)rng_.Uniform();
   }
   delay = std::min(std::max(delay, 0.0),
                    cap * (1.0 + jitter));
@@ -30,19 +28,7 @@ std::uint64_t RetryPolicy::JitteredDelay(std::uint64_t attempt,
 }
 
 std::uint64_t RetryPolicy::NextDelayMs() {
-  return JitteredDelay(attempts_++, rng_);
-}
-
-std::uint64_t RetryPolicy::DelayForAttempt(std::uint64_t attempt) const {
-  // Replay the jitter stream from the seed up to `attempt`: one draw per
-  // attempt keeps this exactly in step with NextDelayMs.
-  Rng rng(options_.seed);
-  for (std::uint64_t i = 0; i < attempt; ++i) (void)rng.Uniform();
-  return JitteredDelay(attempt, rng);
-}
-
-bool RetryPolicy::ShouldRetry() const {
-  return options_.max_attempts == 0 || attempts_ < options_.max_attempts;
+  return JitteredDelay(attempts_++);
 }
 
 void RetryPolicy::Reset() {

@@ -11,7 +11,7 @@ namespace modb::util {
 ///
 /// The shard supervisor uses one policy instance per shard to pace
 /// re-recovery attempts: the first retry waits `initial_delay_ms`, each
-/// further attempt doubles (times `multiplier`) up to `max_delay_ms`, and
+/// further attempt doubles it up to `max_delay_ms`, and
 /// every delay is jittered by up to `jitter_fraction` of itself so a fleet
 /// of quarantined shards does not re-recover in lockstep. Jitter draws from
 /// a seeded xoshiro stream, so a given (seed, attempt) pair always yields
@@ -24,14 +24,9 @@ class RetryPolicy {
     std::uint64_t initial_delay_ms = 10;
     /// Upper bound any single delay is clamped to (pre-jitter).
     std::uint64_t max_delay_ms = 5000;
-    /// Growth factor between consecutive attempts. Values < 1 are treated
-    /// as 1 (constant backoff).
-    double multiplier = 2.0;
     /// Each delay is scaled by a factor drawn uniformly from
     /// [1 - jitter_fraction, 1 + jitter_fraction], clamped to [0, 1].
     double jitter_fraction = 0.2;
-    /// Attempts after which `ShouldRetry` reports false. 0 = unlimited.
-    std::uint64_t max_attempts = 0;
     /// Seed for the jitter stream.
     std::uint64_t seed = 7;
   };
@@ -43,15 +38,6 @@ class RetryPolicy {
   /// counter. The first call returns ~initial_delay_ms.
   std::uint64_t NextDelayMs();
 
-  /// Deterministic delay for `attempt` (0-based) without advancing state —
-  /// what `NextDelayMs` would have returned on that attempt given the same
-  /// seed. Lets callers publish a retry-after hint for an attempt the
-  /// background loop has not made yet.
-  std::uint64_t DelayForAttempt(std::uint64_t attempt) const;
-
-  /// False once `max_attempts` (when nonzero) have been consumed.
-  bool ShouldRetry() const;
-
   /// Attempts consumed so far (number of `NextDelayMs` calls).
   std::uint64_t attempts() const { return attempts_; }
 
@@ -62,7 +48,7 @@ class RetryPolicy {
   const Options& options() const { return options_; }
 
  private:
-  std::uint64_t JitteredDelay(std::uint64_t attempt, Rng& rng) const;
+  std::uint64_t JitteredDelay(std::uint64_t attempt);
 
   Options options_;
   Rng rng_;

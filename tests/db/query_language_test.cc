@@ -23,6 +23,48 @@ TEST(ParseQueryTest, PositionForm) {
   EXPECT_DOUBLE_EQ(spec->time, 6.5);
 }
 
+// Ids and k are read from their spelling as exact 64-bit integers: as a
+// double, 2^53 + 1 would round to 2^53, and 1e20 would overflow the cast.
+TEST(ParseQueryTest, IdsAndKParseExactly) {
+  const auto position = ParseQuery("POSITION OF 9007199254740993 AT 0");
+  ASSERT_TRUE(position.ok()) << position.status().ToString();
+  EXPECT_EQ(std::get<PositionQuerySpec>(*position).id, 9007199254740993u);
+  const auto largest = ParseQuery("POSITION OF 18446744073709551615 AT 0");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(std::get<PositionQuerySpec>(*largest).id, 18446744073709551615u);
+  const auto nearest =
+      ParseQuery("NEAREST 9007199254740993 TO POINT(0, 0) AT 0");
+  ASSERT_TRUE(nearest.ok()) << nearest.status().ToString();
+  EXPECT_EQ(std::get<NearestQuerySpec>(*nearest).k, 9007199254740993u);
+  const auto subscribe = ParseQuery(
+      "SUBSCRIBE 9007199254740993 TO MAY INSIDE RECT(0, 0, 1, 1) AT 5");
+  ASSERT_TRUE(subscribe.ok()) << subscribe.status().ToString();
+  EXPECT_EQ(std::get<SubscribeSpec>(*subscribe).id, 9007199254740993u);
+  const auto unsubscribe = ParseQuery("UNSUBSCRIBE 9007199254740993");
+  ASSERT_TRUE(unsubscribe.ok()) << unsubscribe.status().ToString();
+  EXPECT_EQ(std::get<UnsubscribeSpec>(*unsubscribe).id, 9007199254740993u);
+}
+
+TEST(ParseQueryTest, IdsAndKThatAreNotExactIntegersAreRejected) {
+  for (const char* text : {
+           "POSITION OF 1e20 AT 0",
+           "POSITION OF 18446744073709551616 AT 0",
+           "POSITION OF 7.0 AT 0",
+           "POSITION OF +7 AT 0",
+           "NEAREST 1e300 TO POINT(0, 0) AT 0",
+           "NEAREST 18446744073709551616 TO POINT(0, 0) AT 0",
+           "NEAREST 2.0 TO POINT(0, 0) AT 0",
+           "SUBSCRIBE 1e20 TO MAY INSIDE RECT(0, 0, 1, 1) AT 5",
+           "SUBSCRIBE 18446744073709551616 TO MAY INSIDE RECT(0, 0, 1, 1) AT 5",
+           "UNSUBSCRIBE 1e20",
+           "UNSUBSCRIBE 18446744073709551616",
+       }) {
+    const auto parsed = ParseQuery(text);
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument)
+        << text;
+  }
+}
+
 TEST(ParseQueryTest, KeywordsCaseInsensitive) {
   EXPECT_TRUE(ParseQuery("position of 7 at 6").ok());
   EXPECT_TRUE(ParseQuery("Select All Inside Rect(0,0,1,1) At 5").ok());

@@ -142,7 +142,6 @@ TEST(ShardSupervisorTest, AutoRemediateLoopHealsFlakyShard) {
   ShardSupervisorOptions options;
   options.retry.initial_delay_ms = 1;
   options.retry.max_delay_ms = 4;
-  options.poll_interval_ms = 5;
   util::MetricsRegistry metrics;
   ShardSupervisor sup(2, options, &metrics);
   std::atomic<int> attempts{0};
@@ -186,7 +185,6 @@ TEST(ShardSupervisorTest, ConcurrentFaultsAndRecoveriesStayConsistent) {
   ShardSupervisorOptions options;
   options.retry.initial_delay_ms = 1;
   options.retry.max_delay_ms = 2;
-  options.poll_interval_ms = 2;
   ShardSupervisor sup(4, options, nullptr);
   sup.Start([](std::size_t) { return util::Status::Ok(); });
 
@@ -487,7 +485,6 @@ TEST_F(ShardFailureDomainTest, ConcurrentWritersDuringQuarantineAndHeal) {
   options.durable_dir = dir_;
   options.supervisor.retry.initial_delay_ms = 1;
   options.supervisor.retry.max_delay_ms = 4;
-  options.supervisor.poll_interval_ms = 2;
   ShardedModDatabase db(&network_, options);
   ASSERT_TRUE(db.durability_status().ok());
   for (core::ObjectId id = 0; id < 32; ++id) {

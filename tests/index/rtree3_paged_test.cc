@@ -134,7 +134,7 @@ TEST_F(PagedRTreeTest, BulkLoadMatchesInMemoryTree) {
   }
 }
 
-TEST_F(PagedRTreeTest, FlushCommitsAndClearRecovers) {
+TEST_F(PagedRTreeTest, SmallPoolWritesBackAndClearEmptiesTheTree) {
   RTree3 paged(PagedOptions(/*pool_pages=*/4));
   util::Rng rng(1);
   for (int i = 0; i < 200; ++i) {
