@@ -9,6 +9,10 @@
 // operations per second; both speedup columns are relative to the inline
 // 1-shard/1-thread cell.
 //
+// A second table holds the writer's share: one update client beside N
+// clients issuing only nearest queries, for a fixed time, with the update
+// client's rate next to the query rate (the shard lock prefers readers).
+//
 // Each cell runs twice: with fan-outs inline on the calling client thread
 // (`num_query_threads = 0`), and with the store's auto-sized fan-out pool
 // (`kAutoQueryThreads`: min(shards - 1, cores - 1) helpers). The pool
@@ -25,6 +29,7 @@
 // headline numbers.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -159,6 +164,81 @@ WorkloadResult RunWorkload(const geo::RouteNetwork& network,
   return result;
 }
 
+struct WriterShareResult {
+  double updates_per_sec = 0.0;
+  double queries_per_sec = 0.0;
+};
+
+// One update client beside `query_clients` clients issuing back-to-back
+// nearest queries (k = 5), for a fixed wall time: a nearest query takes
+// every shard's shared lock once per round of its expanding-square search,
+// so the update client's rate shows how far the reader-preferring shard
+// lock holds the writer off. Queries ask at the update client's latest
+// update time: an older instant would precede most models, which answer
+// no query before they start, and every search would sweep the network.
+WriterShareResult RunWriterShare(const geo::RouteNetwork& network,
+                                 std::size_t shards,
+                                 std::size_t query_clients,
+                                 std::size_t query_threads) {
+  constexpr auto kDuration = std::chrono::milliseconds(400);
+  db::ShardedModDatabase db = MakeDatabase(network, shards, query_threads);
+  LoadFleet(network, &db);
+
+  std::atomic<bool> start{false};
+  std::atomic<bool> stop{false};
+  std::atomic<double> now{1.0};
+  std::atomic<std::uint64_t> queries{0};
+  std::uint64_t updates = 0;
+  std::vector<std::thread> clients;
+  clients.emplace_back([&] {
+    util::Rng rng(99);
+    const auto& routes = network.routes();
+    while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (double t = 1.0; !stop.load(std::memory_order_acquire); t += 1e-3) {
+      now.store(t, std::memory_order_relaxed);
+      const auto id = static_cast<core::ObjectId>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kFleetSize) - 1));
+      const geo::Route& route = routes[id % routes.size()];
+      core::PositionUpdate update;
+      update.object = id;
+      update.time = t;
+      update.route = route.id();
+      update.route_distance = rng.Uniform(0.0, route.Length() * 0.9);
+      update.position = route.PointAt(update.route_distance);
+      update.direction = core::TravelDirection::kForward;
+      update.speed = rng.Uniform(0.2, 1.2);
+      (void)db.ApplyUpdate(update);
+      ++updates;
+    }
+  });
+  for (std::size_t c = 0; c < query_clients; ++c) {
+    clients.emplace_back([&, c] {
+      util::Rng rng(200 + c);
+      while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
+      std::uint64_t mine = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const geo::Point2 point{rng.Uniform(0.0, 900.0),
+                                rng.Uniform(0.0, 900.0)};
+        (void)db.QueryNearest(point, 5, now.load(std::memory_order_relaxed));
+        ++mine;
+      }
+      queries.fetch_add(mine);
+    });
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  start.store(true, std::memory_order_release);
+  std::this_thread::sleep_for(kDuration);
+  stop.store(true, std::memory_order_release);
+  for (auto& client : clients) client.join();
+  const double seconds =
+      std::chrono::duration_cast<std::chrono::duration<double>>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  return {static_cast<double>(updates) / seconds,
+          static_cast<double>(queries.load()) / seconds};
+}
+
 }  // namespace
 }  // namespace modb::bench
 
@@ -204,6 +284,26 @@ int main() {
     }
   }
   std::printf("%s\n", table.ToString().c_str());
+
+  std::printf("\nwriter share: 8 shards, one update client beside N nearest "
+              "clients, 400 ms per cell\n");
+  modb::util::Table share({"nearest clients", "updates/s", "queries/s",
+                           "updates/s (auto pool)",
+                           "queries/s (auto pool)"});
+  for (const std::size_t clients : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{2}, std::size_t{4},
+                                    std::size_t{8}}) {
+    const WriterShareResult r = RunWriterShare(network, 8, clients, kInline);
+    const WriterShareResult pooled =
+        RunWriterShare(network, 8, clients, kAutoPool);
+    share.NewRow()
+        .Add(clients)
+        .Add(r.updates_per_sec, 0)
+        .Add(r.queries_per_sec, 0)
+        .Add(pooled.updates_per_sec, 0)
+        .Add(pooled.queries_per_sec, 0);
+  }
+  std::printf("%s\n", share.ToString().c_str());
 
   std::printf("\nmetrics endpoint sample (8 shards / 8 threads):\n");
   const WorkloadResult sample = RunWorkload(network, 8, 8, kInline);

@@ -1,12 +1,14 @@
 // E8c — google-benchmark microbenchmarks of the database layer: object
 // registration (incremental vs bulk), the position-update path, and the
-// position, range, interval and nearest queries.
+// position, range, interval and nearest queries (nearest also on the
+// sharded store).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "db/mod_database.h"
+#include "db/sharded_database.h"
 #include "util/rng.h"
 
 namespace modb::db {
@@ -165,6 +167,25 @@ void BM_DbQueryNearest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DbQueryNearest);
+
+// The same fleet and queries on 8 shards with the auto-sized fan-out pool:
+// one expanding-square search for the whole store, each round fanned out.
+// Real time, since the pool's helpers do part of every round.
+void BM_ShardedQueryNearest(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const Fixture fx(10000);
+  ShardedModDatabase db(&fx.network);
+  for (std::size_t i = 0; i < fx.attrs.size(); ++i) {
+    db.Insert(i, "", fx.attrs[i]).ok();
+  }
+  util::Rng rng(6);
+  for (auto _ : state) {
+    const geo::Point2 p{rng.Uniform(0.0, 540.0), rng.Uniform(0.0, 540.0)};
+    benchmark::DoNotOptimize(db.QueryNearest(p, k, rng.Uniform(0.0, 40.0)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShardedQueryNearest)->Arg(1)->Arg(8)->UseRealTime();
 
 }  // namespace
 }  // namespace modb::db

@@ -579,77 +579,98 @@ RangeAnswer ModDatabase::RefineRange(
   return answer;
 }
 
-NearestAnswer ModDatabase::QueryNearest(const geo::Point2& point,
-                                        std::size_t k, core::Time t) const {
+NearestAnswer SearchNearest(const geo::Box2& network_box,
+                            const geo::Point2& point, std::size_t k,
+                            const NearestRound& round) {
   NearestAnswer answer;
-  answer.query_time = t;
-  if (k == 0 || records_.empty()) return answer;
-
-  // Expanding probes: grow a square around the query point until it yields
-  // at least k *surviving* candidates (or covers the whole network), then
-  // widen once more to the k-th database-position distance so no closer
-  // object on the fringe is missed. Survivors are counted after refinement
-  // so that candidates dropped there (stale index entries, unknown routes)
-  // cannot leave the answer short of k while closer objects sit outside
-  // the probe. `candidates_examined` accumulates over every probe: it is
-  // the total refinement work done, not the last probe's yield.
-  const geo::Box2 world = network_->BoundingBox();
-  const double world_span =
-      std::max(world.Width(), world.Height()) + 1.0;
-  double radius = std::max(world_span / 64.0, 1e-6);
+  if (k == 0) return answer;
+  const double span =
+      std::max(network_box.Width(), network_box.Height()) + 1.0;
+  double half = std::max(span / 64.0, 1e-6);
   // A square of half-width `cover` holds the whole network box, also from
   // a point outside it: the Chebyshev distance to its farthest corner + 1.
   const double cover =
-      std::max({point.x - world.min.x, world.max.x - point.x,
-                point.y - world.min.y, world.max.y - point.y}) +
+      std::max({point.x - network_box.min.x, network_box.max.x - point.x,
+                point.y - network_box.min.y, network_box.max.y - point.y}) +
       1.0;
-
-  core::Refiner refiner;
-  // Probes the index with the square of half-width `half` around `point`
-  // and refines the candidates into distance-ordered items.
-  auto probe = [&](double half) {
-    const std::vector<core::ObjectId> ids = index_->Candidates(
-        geo::Polygon::CenteredRectangle(point, half, half), t);
-    CountIndexProbe();
-    answer.candidates_examined += ids.size();
-    std::vector<NearestAnswer::Item> items;
-    items.reserve(ids.size());
-    for (core::ObjectId id : ids) {
-      const auto it = records_.find(id);
-      if (it == records_.end()) continue;
-      const core::PositionAttribute& attr = it->second.attr;
-      if (t < attr.start_time) continue;  // as in RefineRange
-      const auto route = network_->FindRoute(attr.route);
-      if (!route.ok()) continue;
-      NearestAnswer::Item item;
-      item.id = id;
-      const double db_s =
-          attr.ClampedDatabaseRouteDistanceAt(t, (*route)->Length());
-      item.db_distance = geo::Distance(point, (*route)->PointAt(db_s));
-      const core::DistanceBracket possible = refiner.Distances(
-          point, (*route)->shape(), core::ComputeUncertainty(attr, **route, t));
-      item.min_possible_distance = possible.min;
-      item.max_possible_distance = possible.max;
-      items.push_back(item);
-    }
-    std::sort(items.begin(), items.end(), NearestAnswer::ItemOrder);
-    return items;
-  };
-
-  std::vector<NearestAnswer::Item> items;
+  // Set once a round widened to the k-th distance. Alone, the store that
+  // widened finds its k items within the new square; a later round means
+  // writes moved them between rounds, and growing at least twofold bounds
+  // how long such races can keep the search going.
+  bool widened = false;
   for (;;) {
-    items = probe(radius);
-    if (items.size() >= k || radius >= cover) break;
-    radius *= 2.0;
+    NearestAnswer found;
+    const bool any_objects = round(half, &found);
+    answer.candidates_examined += found.candidates_examined;
+    answer.items = std::move(found.items);
+    // Written so that a point that is not finite (cover is then NaN) ends
+    // the search too.
+    if (!any_objects || !(half < cover)) break;
+    if (answer.items.size() < k) {
+      half *= 2.0;
+      continue;
+    }
+    // Survivors are counted after refinement, so candidates dropped there
+    // (stale index entries, models that start after the query) cannot end
+    // the search short of k while closer objects sit outside the square.
+    const double kth = answer.items[k - 1].db_distance;
+    if (kth <= half) break;
+    half = widened ? std::max(2.0 * half, kth) : kth;
+    widened = true;
   }
+  return answer;
+}
 
-  if (!items.empty() && radius < cover) {
-    const double kth =
-        items[std::min(k, items.size()) - 1].db_distance;
-    if (kth > radius) items = probe(kth);
+NearestAnswer ModDatabase::QueryNearest(const geo::Point2& point,
+                                        std::size_t k, core::Time t) const {
+  NearestAnswer answer =
+      SearchNearest(network_->BoundingBox(), point, k,
+                    [&](double half, NearestAnswer* found) {
+                      if (records_.empty()) return false;
+                      *found = NearestInSquare(point, half, k, t);
+                      return true;
+                    });
+  answer.query_time = t;
+  return answer;
+}
+
+NearestAnswer ModDatabase::NearestInSquare(const geo::Point2& point,
+                                           double half, std::size_t k,
+                                           core::Time t) const {
+  const std::vector<core::ObjectId> ids = index_->Candidates(
+      geo::Polygon::CenteredRectangle(point, half, half), t);
+  CountIndexProbe();
+  NearestAnswer answer;
+  answer.query_time = t;
+  answer.candidates_examined = ids.size();
+  std::vector<NearestAnswer::Item>& items = answer.items;
+  items.reserve(ids.size());
+  core::Refiner refiner;
+  for (core::ObjectId id : ids) {
+    const auto it = records_.find(id);
+    if (it == records_.end()) continue;
+    const core::PositionAttribute& attr = it->second.attr;
+    if (t < attr.start_time) continue;  // as in RefineRange
+    const auto route = network_->FindRoute(attr.route);
+    if (!route.ok()) continue;
+    NearestAnswer::Item item;
+    item.id = id;
+    const double db_s =
+        attr.ClampedDatabaseRouteDistanceAt(t, (*route)->Length());
+    item.db_distance = geo::Distance(point, (*route)->PointAt(db_s));
+    const core::DistanceBracket possible = refiner.Distances(
+        point, (*route)->shape(), core::ComputeUncertainty(attr, **route, t));
+    item.min_possible_distance = possible.min;
+    item.max_possible_distance = possible.max;
+    items.push_back(item);
   }
-  if (items.size() > k) items.resize(k);
-  answer.items = std::move(items);
+  // `ItemOrder` is total over one store's ids, so the k best are the same
+  // whichever sort finds them.
+  const std::size_t keep = std::min(k, items.size());
+  std::partial_sort(items.begin(),
+                    items.begin() + static_cast<std::ptrdiff_t>(keep),
+                    items.end(), NearestAnswer::ItemOrder);
+  items.resize(keep);
   return answer;
 }
 

@@ -97,6 +97,28 @@ struct ModDatabaseOptions {
   GroupTrackingOptions group_tracking;
 };
 
+/// One round of `SearchNearest`: probes the square of half-width `half`
+/// around the query point in every store the caller reads, sets `*found`
+/// to their merged k nearest items (in `NearestAnswer::ItemOrder`) and
+/// adds the candidates they refined to `found->candidates_examined`.
+/// Returns false when none of those stores held an object.
+using NearestRound = std::function<bool(double half, NearestAnswer* found)>;
+
+/// The expanding-square k-nearest search, run once per query whether the
+/// objects live in one store or in the shards of many (DESIGN §6). The
+/// first square's half-width is the span of `network_box` / 64. The
+/// search stops after a round whose k-th item lies within the half-width,
+/// whose square covers `network_box` from `point`, or in which no store
+/// held an object. Otherwise the next round doubles the half-width (fewer
+/// than k items) or widens it to the k-th `db_distance`, and every round
+/// after such a widen grows it to at least max(2 × half-width, k-th
+/// distance). Every object at most the k-th distance away lies inside the
+/// last square, so the last round's items are exact. The answer holds
+/// them and every round's candidates.
+NearestAnswer SearchNearest(const geo::Box2& network_box,
+                            const geo::Point2& point, std::size_t k,
+                            const NearestRound& round);
+
 /// The moving-objects database (MOD): stores one position attribute per
 /// object, ingests position updates, and answers the paper's two query
 /// forms — position queries with deviation bounds (§3.3) and range queries
@@ -231,10 +253,19 @@ class ModDatabase {
   RangeAnswer QueryRange(const geo::Polygon& region, core::Time t) const;
 
   /// "Retrieve the k objects nearest to `point` at time t", with
-  /// uncertainty-aware distance brackets. Uses expanding index probes, so
-  /// it stays sublinear for small k on large databases.
+  /// uncertainty-aware distance brackets: `SearchNearest` over this
+  /// store's `NearestInSquare`, so it stays sublinear for small k on large
+  /// databases.
   NearestAnswer QueryNearest(const geo::Point2& point, std::size_t k,
                              core::Time t) const;
+
+  /// One round of `SearchNearest` on this store: probes the index once
+  /// with the square of half-width `half` around `point`, refines every
+  /// candidate whose model covers `t`, and returns the k nearest items in
+  /// `NearestAnswer::ItemOrder`, with the probe's yield as
+  /// `candidates_examined`.
+  NearestAnswer NearestInSquare(const geo::Point2& point, double half,
+                                std::size_t k, core::Time t) const;
 
   /// "Retrieve the objects inside `region` at some time within [t1, t2]".
   /// Each object's window is first clipped to the time its model covers,

@@ -149,6 +149,7 @@ ShardedModDatabase::ShardedModDatabase(const geo::RouteNetwork* network,
   queries_nearest_ = metrics_.GetCounter("sharded.queries_nearest");
   queries_interval_ = metrics_.GetCounter("sharded.queries_interval");
   queries_position_ = metrics_.GetCounter("sharded.queries_position");
+  nearest_rounds_ = metrics_.GetCounter("sharded.nearest_rounds");
   latency_range_ = metrics_.GetLatency("sharded.query_range");
   latency_nearest_ = metrics_.GetLatency("sharded.query_nearest");
   latency_interval_ = metrics_.GetLatency("sharded.query_interval");
@@ -473,29 +474,47 @@ NearestAnswer ShardedModDatabase::QueryNearest(const geo::Point2& point,
                                                core::Time t) const {
   queries_nearest_->Increment();
   util::ScopedLatencyTimer timer(latency_nearest_);
-  NearestAnswer merged;
-  merged.query_time = t;
-  if (k == 0) return merged;
+  if (k == 0) {
+    NearestAnswer empty;
+    empty.query_time = t;
+    return empty;
+  }
 
   std::vector<char> skip;
-  merged.completeness = ExcludedShards(&skip);
+  QueryCompleteness completeness = ExcludedShards(&skip);
+  // One search for the whole store: each round fans its square out to the
+  // readable shards, each shard probes it once under its shared lock, and
+  // the union of their k best holds the store's k best within the square.
   std::vector<NearestAnswer> per_shard(shards_.size());
-  FanOut([&](std::size_t s) {
-    if (skip[s] != 0) return;
-    const Shard& shard = *shards_[s];
-    std::shared_lock lock(shard.mu);
-    per_shard[s] = shard.db->QueryNearest(point, k, t);
-  });
-
-  // Global top-k re-merge: every shard returned its own k best, so the
-  // union contains the global k best.
-  for (NearestAnswer& a : per_shard) {
-    merged.candidates_examined += a.candidates_examined;
-    merged.items.insert(merged.items.end(), a.items.begin(), a.items.end());
-  }
-  std::sort(merged.items.begin(), merged.items.end(),
-            NearestAnswer::ItemOrder);
-  if (merged.items.size() > k) merged.items.resize(k);
+  std::vector<char> held(shards_.size());
+  NearestAnswer merged = SearchNearest(
+      network_->BoundingBox(), point, k,
+      [&](double half, NearestAnswer* found) {
+        nearest_rounds_->Increment();
+        FanOut([&](std::size_t s) {
+          per_shard[s] = {};
+          held[s] = 0;
+          if (skip[s] != 0) return;
+          const Shard& shard = *shards_[s];
+          std::shared_lock lock(shard.mu);
+          if (shard.db->num_objects() == 0) return;
+          held[s] = 1;
+          per_shard[s] = shard.db->NearestInSquare(point, half, k, t);
+        });
+        bool any_objects = false;
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+          any_objects |= held[s] != 0;
+          found->candidates_examined += per_shard[s].candidates_examined;
+          found->items.insert(found->items.end(), per_shard[s].items.begin(),
+                              per_shard[s].items.end());
+        }
+        std::sort(found->items.begin(), found->items.end(),
+                  NearestAnswer::ItemOrder);
+        if (found->items.size() > k) found->items.resize(k);
+        return any_objects;
+      });
+  merged.query_time = t;
+  merged.completeness = std::move(completeness);
   return merged;
 }
 

@@ -69,10 +69,11 @@ struct ShardedModDatabaseOptions {
 ///
 /// Writes (`Insert` / `ApplyUpdate` / `Erase`) take the owning shard's
 /// exclusive lock, so updates to different shards proceed in parallel.
-/// Fan-out queries (`QueryRange` / `QueryNearest` / `QueryRangeInterval`)
-/// run the per-shard query, index probe and refinement alike, under that
-/// shard's shared lock on the internal thread pool, and merge: MUST / MAY
-/// unions re-sorted by id, and a global top-k re-merge for nearest.
+/// Fan-out queries (`QueryRange` / `QueryRangeInterval`) run the per-shard
+/// query, index probe and refinement alike, under that shard's shared lock
+/// on the internal thread pool, and merge MUST / MAY unions re-sorted by
+/// id. `QueryNearest` runs one expanding-square search for the whole store
+/// and fans each of its rounds out the same way.
 ///
 /// Consistency: per-object operations are linearisable (one shard, one
 /// lock). A fan-out query does not freeze the whole database — each shard
@@ -137,6 +138,15 @@ class ShardedModDatabase {
   util::Result<PositionAnswer> QueryPosition(core::ObjectId id,
                                              core::Time t) const;
   RangeAnswer QueryRange(const geo::Polygon& region, core::Time t) const;
+  /// `SearchNearest` once for the whole store: each round probes its
+  /// square on every readable shard through `ModDatabase::NearestInSquare`
+  /// under the shard's shared lock (an empty shard is not probed) and
+  /// merges their k best; no lock is held from one round to the next. The
+  /// stop test runs on the last round's lists, each one read of its shard,
+  /// so the items are the k nearest of the shards as they were read.
+  /// `candidates_examined` sums every shard's probes over every round: on
+  /// the time-space index and the scan it equals a `ModDatabase`'s over the
+  /// same objects. Each round bumps `sharded.nearest_rounds`.
   NearestAnswer QueryNearest(const geo::Point2& point, std::size_t k,
                              core::Time t) const;
   IntervalRangeAnswer QueryRangeInterval(
@@ -307,6 +317,7 @@ class ShardedModDatabase {
   util::Counter* queries_nearest_;
   util::Counter* queries_interval_;
   util::Counter* queries_position_;
+  util::Counter* nearest_rounds_;
   util::LatencyHistogram* latency_range_;
   util::LatencyHistogram* latency_nearest_;
   util::LatencyHistogram* latency_interval_;

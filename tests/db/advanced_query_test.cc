@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 
 #include "db/mod_database.h"
+#include "db/sharded_database.h"
 #include "db/subscription_engine.h"
 #include "util/rng.h"
 
@@ -37,6 +40,13 @@ class AdvancedQueryTest : public testing::Test {
   geo::RouteId street_ = geo::kInvalidRouteId;
   geo::RouteId avenue_ = geo::kInvalidRouteId;
 };
+
+ShardedModDatabaseOptions FourShards() {
+  ShardedModDatabaseOptions options;
+  options.num_shards = 4;
+  options.num_query_threads = 2;
+  return options;
+}
 
 TEST_F(AdvancedQueryTest, NearestOrdersByDatabaseDistance) {
   ModDatabase db(&network_);
@@ -263,16 +273,25 @@ TEST_F(AdvancedQueryTest, NearestAccumulatesCandidatesAcrossProbes) {
   // Regression: candidates_examined was overwritten by each expanding
   // probe, under-reporting the refinement work actually done.
   ModDatabase db(&network_);
+  ShardedModDatabase sharded(&network_, FourShards());
   // One object near the query point (found by an early small probe) and a
   // cluster far away, so reaching k = 2 takes several doublings that each
   // re-examine the near object.
-  ASSERT_TRUE(db.Insert(1, "near", Attr(street_, 10.0)).ok());
-  ASSERT_TRUE(db.Insert(2, "far", Attr(street_, 390.0)).ok());
+  for (const ModDatabase::BulkObject& object :
+       std::vector<ModDatabase::BulkObject>{{1, "near", Attr(street_, 10.0)},
+                                            {2, "far", Attr(street_, 390.0)}}) {
+    ASSERT_TRUE(db.Insert(object.id, object.label, object.attr).ok());
+    ASSERT_TRUE(sharded.Insert(object.id, object.label, object.attr).ok());
+  }
   const NearestAnswer answer = db.QueryNearest({10.0, 0.0}, 2, 0.0);
   ASSERT_EQ(answer.items.size(), 2u);
   // The near object is a candidate of every probe radius that contains it;
   // the total must exceed the final probe's yield of 2.
   EXPECT_GT(answer.candidates_examined, 2u);
+  // The sharded store's rounds accumulate the same way, over every shard.
+  const NearestAnswer across = sharded.QueryNearest({10.0, 0.0}, 2, 0.0);
+  ASSERT_EQ(across.items.size(), 2u);
+  EXPECT_EQ(across.candidates_examined, answer.candidates_examined);
 }
 
 TEST_F(AdvancedQueryTest, NearestWidensPastFilteredCandidates) {
@@ -281,16 +300,149 @@ TEST_F(AdvancedQueryTest, NearestWidensPastFilteredCandidates) {
   // unknown routes), and stopping on the raw count could return fewer
   // than k while closer objects sit outside the probe. With the built-in
   // indexes the raw and surviving counts coincide, so this doubles as an
-  // ordering sanity check over a spread-out fleet.
+  // ordering sanity check over a spread-out fleet, in one store and in a
+  // sharded one (`ShardedNearestWidensPastOneShardsLateModels` drops
+  // candidates in refinement).
   ModDatabase db(&network_);
-  ASSERT_TRUE(db.Insert(1, "close", Attr(street_, 40.0)).ok());
-  ASSERT_TRUE(db.Insert(2, "mid", Attr(street_, 120.0)).ok());
-  ASSERT_TRUE(db.Insert(3, "far", Attr(street_, 360.0)).ok());
-  const NearestAnswer baseline = db.QueryNearest({40.0, 0.0}, 3, 0.0);
-  ASSERT_EQ(baseline.items.size(), 3u);
-  EXPECT_EQ(baseline.items[0].id, 1u);
-  EXPECT_EQ(baseline.items[1].id, 2u);
-  EXPECT_EQ(baseline.items[2].id, 3u);
+  ShardedModDatabase sharded(&network_, FourShards());
+  for (const ModDatabase::BulkObject& object :
+       std::vector<ModDatabase::BulkObject>{
+           {1, "close", Attr(street_, 40.0)},
+           {2, "mid", Attr(street_, 120.0)},
+           {3, "far", Attr(street_, 360.0)}}) {
+    ASSERT_TRUE(db.Insert(object.id, object.label, object.attr).ok());
+    ASSERT_TRUE(sharded.Insert(object.id, object.label, object.attr).ok());
+  }
+  for (const NearestAnswer& baseline :
+       {db.QueryNearest({40.0, 0.0}, 3, 0.0),
+        sharded.QueryNearest({40.0, 0.0}, 3, 0.0)}) {
+    ASSERT_EQ(baseline.items.size(), 3u);
+    EXPECT_EQ(baseline.items[0].id, 1u);
+    EXPECT_EQ(baseline.items[1].id, 2u);
+    EXPECT_EQ(baseline.items[2].id, 3u);
+  }
+}
+
+TEST_F(AdvancedQueryTest, ShardedNearestWidensPastOneShardsLateModels) {
+  // A linear scan also returns objects whose model starts after the query
+  // time (it extrapolates them backwards), and refinement drops them.
+  // Here those are the objects nearest the query point, all on one shard,
+  // so that shard's lists come back short; the store must count the
+  // survivors and widen past the late ones to the k-th survivor's
+  // distance, exactly as a ModDatabase does.
+  ModDatabaseOptions scan;
+  scan.index_kind = IndexKind::kLinearScan;
+  ModDatabase db(&network_, scan);
+  ShardedModDatabaseOptions options = FourShards();
+  options.db = scan;
+  ShardedModDatabase sharded(&network_, options);
+  std::vector<core::ObjectId> late;
+  for (core::ObjectId id = 0; id < 40; ++id) {
+    core::PositionAttribute attr;
+    if (sharded.ShardOf(id) == 0 && late.size() < 4) {
+      // Within 4 units of the query point, from t = 10 on.
+      attr = Attr(street_, 200.0 + static_cast<double>(late.size()));
+      attr.start_time = 10.0;
+      late.push_back(id);
+    } else {
+      attr = Attr(id % 2 == 0 ? street_ : avenue_, 5.0 + 9.0 * id);
+    }
+    ASSERT_TRUE(db.Insert(id, "o", attr).ok());
+    ASSERT_TRUE(sharded.Insert(id, "o", attr).ok());
+  }
+  ASSERT_EQ(late.size(), 4u);
+  const NearestAnswer want = db.QueryNearest({200.0, 0.0}, 3, 5.0);
+  const NearestAnswer got = sharded.QueryNearest({200.0, 0.0}, 3, 5.0);
+  ASSERT_EQ(want.items.size(), 3u);
+  ASSERT_EQ(got.items.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got.items[i].id, want.items[i].id) << i;
+    EXPECT_EQ(got.items[i].db_distance, want.items[i].db_distance) << i;
+    EXPECT_EQ(std::count(late.begin(), late.end(), got.items[i].id), 0) << i;
+  }
+  // The k-th survivor lies beyond the first square (half-width 401 / 64),
+  // so both stores widened, through the same squares.
+  EXPECT_GT(want.items[2].db_distance, 401.0 / 64.0);
+  EXPECT_EQ(got.candidates_examined, want.candidates_examined);
+}
+
+// The search loop alone, driven by scripted rounds. The network box spans
+// 640 units, so the first square's half-width is 10, and from (0, 0) a
+// half-width of 640 covers it.
+class SearchNearestTest : public testing::Test {
+ protected:
+  /// Runs the search for k = 3; `script(half)` gives each round's items
+  /// (every round examines 5 candidates). Records the half-widths.
+  NearestAnswer Search(
+      const std::function<std::vector<NearestAnswer::Item>(double)>& script,
+      bool any_objects = true) {
+    return SearchNearest(box_, {0.0, 0.0}, 3,
+                         [&](double half, NearestAnswer* found) {
+                           halves_.push_back(half);
+                           found->items = script(half);
+                           found->candidates_examined = 5;
+                           return any_objects;
+                         });
+  }
+
+  /// `n` items, the last at `last` and the others nearer.
+  static std::vector<NearestAnswer::Item> Items(std::size_t n, double last) {
+    std::vector<NearestAnswer::Item> items(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      items[i].id = i;
+      items[i].db_distance = last - static_cast<double>(n - 1 - i) * 1e-3;
+    }
+    return items;
+  }
+
+  const geo::Box2 box_{geo::Point2{0.0, 0.0}, geo::Point2{639.0, 100.0}};
+  std::vector<double> halves_;
+};
+
+TEST_F(SearchNearestTest, StopsAfterARoundWithoutObjects) {
+  const NearestAnswer answer =
+      Search([](double) { return Items(0, 0.0); }, false);
+  EXPECT_EQ(halves_, (std::vector<double>{10.0}));
+  EXPECT_TRUE(answer.items.empty());
+}
+
+TEST_F(SearchNearestTest, StopsOnceTheKthItemIsInsideTheSquare) {
+  const NearestAnswer answer = Search([](double) { return Items(3, 9.0); });
+  EXPECT_EQ(halves_, (std::vector<double>{10.0}));
+  EXPECT_EQ(answer.items.size(), 3u);
+  EXPECT_EQ(answer.candidates_examined, 5u);
+}
+
+TEST_F(SearchNearestTest, DoublesUntilTheSquareCoversTheNetwork) {
+  const NearestAnswer answer = Search([](double) { return Items(2, 1.0); });
+  EXPECT_EQ(halves_, (std::vector<double>{10.0, 20.0, 40.0, 80.0, 160.0,
+                                          320.0, 640.0}));
+  EXPECT_EQ(answer.items.size(), 2u);
+  EXPECT_EQ(answer.candidates_examined, 35u);
+}
+
+TEST_F(SearchNearestTest, WidensToTheKthDistanceOnce) {
+  // Found at 10 with the k-th at 25: one round at 25 holds it.
+  Search([](double half) { return Items(3, half < 25.0 ? 25.0 : 24.0); });
+  EXPECT_EQ(halves_, (std::vector<double>{10.0, 25.0}));
+}
+
+TEST_F(SearchNearestTest, EndsAtOnceForAPointThatIsNotFinite) {
+  SearchNearest(box_, {std::nan(""), 0.0}, 3,
+                [&](double half, NearestAnswer*) {
+                  halves_.push_back(half);
+                  return true;
+                });
+  EXPECT_EQ(halves_, (std::vector<double>{10.0}));
+}
+
+TEST_F(SearchNearestTest, RacingRoundsGrowAtLeastTwofoldAfterAWiden) {
+  // Writes that keep moving the k-th item just outside each square: after
+  // the first widen every round at least doubles, so the search ends
+  // within log2(640 / 10) + 2 rounds instead of creeping outwards.
+  Search([](double half) { return Items(3, half + 1.0); });
+  EXPECT_EQ(halves_, (std::vector<double>{10.0, 11.0, 22.0, 44.0, 88.0,
+                                          176.0, 352.0, 704.0}));
 }
 
 TEST_F(AdvancedQueryTest, IntervalQuerySwapsReversedWindow) {

@@ -377,6 +377,28 @@ TEST_F(ShardFailureDomainTest, FanOutAnswersTurnPartialNotWrong) {
             (std::vector<std::size_t>{3}));
 }
 
+TEST_F(ShardFailureDomainTest, NearestWithEveryShardQuarantinedEndsInOneRound) {
+  ShardedModDatabase db(&network_, InMemoryManual());
+  for (core::ObjectId id = 0; id < 20; ++id) {
+    ASSERT_TRUE(db.Insert(id, "o", Attr(5.0 + 2.0 * id)).ok());
+  }
+  for (std::size_t s = 0; s < db.num_shards(); ++s) {
+    db.supervisor().ReportFault(s, util::Status::Internal("fault"));
+  }
+  const util::Counter* probes = db.metrics().GetCounter("mod.index_probes");
+  const std::uint64_t probes_before = probes->value();
+  // Every shard is excluded, so the first round probes nothing and ends
+  // the search.
+  const NearestAnswer nearest = db.QueryNearest({100.0, 0.0}, 3, 0.0);
+  EXPECT_TRUE(nearest.items.empty());
+  EXPECT_EQ(nearest.candidates_examined, 0u);
+  EXPECT_FALSE(nearest.completeness.complete);
+  EXPECT_EQ(nearest.completeness.excluded_shards,
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(probes->value(), probes_before);
+  EXPECT_EQ(db.metrics().GetCounter("sharded.nearest_rounds")->value(), 1u);
+}
+
 TEST_F(ShardFailureDomainTest, WalPoisonQuarantinesAndReopenHealsInPlace) {
   // Chaos is routed per shard: only shard 1's WAL files fail, so the test
   // is deterministic regardless of fan-out interleaving.

@@ -184,6 +184,83 @@ TEST_F(ShardedDatabaseTest, NearestBreaksDistanceTiesByIdLikeSingleDatabase) {
   }
 }
 
+TEST_F(ShardedDatabaseTest, NearestWorkMatchesSingleDatabase) {
+  // One search for the whole store: each round probes one square on every
+  // shard, so the shards together refine exactly the candidates a
+  // ModDatabase over the same objects refines, inline or pooled. On the
+  // route-band index the fleet is parked mid-route, so no band passes a
+  // route end (one that does widens that index's later probes near an
+  // end, and the stores' indexes would then differ).
+  const std::pair<IndexKind, double> cases[] = {
+      {IndexKind::kTimeSpaceRTree, 1.2}, {IndexKind::kRouteBand, 0.0}};
+  for (const auto& [kind, max_speed] : cases) {
+    ModDatabaseOptions db_options;
+    db_options.index_kind = kind;
+    ModDatabase single(&network_, db_options);
+    ShardedModDatabaseOptions pooled_options = FourShards();
+    pooled_options.db = db_options;
+    ShardedModDatabaseOptions inline_options = pooled_options;
+    inline_options.num_query_threads = 0;
+    ShardedModDatabase pooled(&network_, pooled_options);
+    ShardedModDatabase inlined(&network_, inline_options);
+    util::Rng rng(61);
+    for (core::ObjectId id = 0; id < 80; ++id) {
+      const auto attr = Attr(id % 2 == 0 ? street_ : avenue_,
+                             rng.Uniform(20.0, 380.0),
+                             rng.Uniform(0.0, max_speed));
+      ASSERT_TRUE(single.Insert(id, "o", attr).ok());
+      ASSERT_TRUE(pooled.Insert(id, "o", attr).ok());
+      ASSERT_TRUE(inlined.Insert(id, "o", attr).ok());
+    }
+    // Inside the network box (which spans [0, 400] x [0, 30]), on its
+    // edge, and outside it.
+    const geo::Point2 points[] = {{200.0, 15.0}, {5.0, 0.0},
+                                  {390.0, 30.0}, {-60.0, 15.0},
+                                  {200.0, -90.0}, {520.0, 70.0}};
+    for (const geo::Point2& p : points) {
+      for (const std::size_t k : {1, 3, 8}) {
+        for (const core::Time t : {0.0, 12.0}) {
+          const NearestAnswer want = single.QueryNearest(p, k, t);
+          ASSERT_EQ(want.items.size(), k);
+          for (const ShardedModDatabase* store : {&pooled, &inlined}) {
+            const NearestAnswer got = store->QueryNearest(p, k, t);
+            const std::string where =
+                "kind " + std::to_string(static_cast<int>(kind)) + " at (" +
+                std::to_string(p.x) + ", " + std::to_string(p.y) +
+                ") k=" + std::to_string(k) + " t=" + std::to_string(t) +
+                (store == &pooled ? " pooled" : " inline");
+            ASSERT_EQ(got.items.size(), k) << where;
+            for (std::size_t i = 0; i < k; ++i) {
+              EXPECT_EQ(got.items[i].id, want.items[i].id) << where;
+              EXPECT_EQ(got.items[i].db_distance, want.items[i].db_distance)
+                  << where;
+            }
+            EXPECT_EQ(got.candidates_examined, want.candidates_examined)
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ShardedDatabaseTest, NearestOnEmptyStoreEndsInOneRound) {
+  // No shard holds an object, so the first round ends the search and no
+  // index is probed.
+  for (const std::size_t threads : {0, 2}) {
+    ShardedModDatabaseOptions options = FourShards();
+    options.num_query_threads = threads;
+    ShardedModDatabase db(&network_, options);
+    const NearestAnswer answer = db.QueryNearest({100.0, 0.0}, 3, 0.0);
+    EXPECT_TRUE(answer.items.empty());
+    EXPECT_EQ(answer.candidates_examined, 0u);
+    EXPECT_TRUE(answer.completeness.complete);
+    EXPECT_EQ(db.metrics().GetCounter("mod.index_probes")->value(), 0u);
+    EXPECT_EQ(db.metrics().GetCounter("sharded.nearest_rounds")->value(), 1u)
+        << threads << " threads";
+  }
+}
+
 TEST_F(ShardedDatabaseTest, IntervalQueryMatchesSingleDatabase) {
   ModDatabase single(&network_);
   ShardedModDatabase sharded(&network_, FourShards());
